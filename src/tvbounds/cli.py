@@ -41,7 +41,6 @@ class RunConfig:
     subcommand: str
     params: dict
     tail_budget: float = DEFAULT_TAIL_BUDGET
-    tolerance: float = 1e-12
     fmt: str = "json"
     seed: int | None = None
 
@@ -150,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "table"), default=argparse.SUPPRESS)
     common.add_argument("--tail-budget", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     # no set_defaults here: it would mutate the shared parent actions and make
@@ -419,12 +417,11 @@ def run(argv) -> tuple[int, str]:
     except SystemExit as e:
         return (1 if e.code else 0), ""
     params = {k: v for k, v in vars(ns).items()
-              if k not in ("format", "tail_budget", "tolerance", "seed", "subcommand")}
+              if k not in ("format", "tail_budget", "seed", "subcommand")}
     cfg = RunConfig(
         ns.subcommand,
         params,
         getattr(ns, "tail_budget", DEFAULT_TAIL_BUDGET),
-        getattr(ns, "tolerance", 1e-12),
         getattr(ns, "format", "json"),
         getattr(ns, "seed", None),
     )

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Sequence
 
 from .bounds import (
@@ -99,10 +100,31 @@ class MeanSummary:
 def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     """Exact mass function of ``sum_i Bernoulli(p_i)`` on ``0..n``.
 
-    Iterated two-term convolution, O(n^2); the float path uses compensated
-    accumulation inside the convolution.
+    Direct two-term recursion ``a'_k = a_{k-1} p_i + a_k q_i`` over the
+    summands on one plain list: O(n^2) cells and no intermediate
+    distributions; only the result is validated.  The output is bit-identical
+    to folding ``convolve`` over the Bernoulli laws, because the fold's
+    compensated sum of two products returns exactly the rounded
+    ``a_{k-1} p_i + a_k q_i``.  Rational summands run on integer numerators
+    over one running denominator; a leading rational run in a mixed vector is
+    rounded to floats once, at the first float summand, as the fold does.
     """
-    return reduce(convolve, (family_bernoulli(v) for v in bv.p))
+    a, den = [1], 1  # integer numerators over ``den`` while every summand is rational
+    for v in bv.p:
+        q, p = family_bernoulli(v).masses
+        if den is not None and isinstance(p, Fraction):
+            num, d = p.numerator, p.denominator
+            q_num = d - num
+            a = [x * num + y * q_num for x, y in zip(chain((0,), a), chain(a, (0,)))]
+            den *= d
+            continue
+        if den is not None:
+            a, den = [x / den for x in a], None
+        q, p = float(q), float(p)
+        a = [x * p + y * q for x, y in zip(chain((0.0,), a), chain(a, (0.0,)))]
+    if den is not None:
+        return DiscreteDist(0, tuple(Fraction(x, den) for x in a), Fraction(0))
+    return DiscreteDist(0, tuple(a), 0.0)
 
 
 def binomial_target(bv: BernoulliVector) -> DiscreteDist:

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import random
+
+import pytest
 
 from tvbounds.cli import run
 
@@ -25,3 +29,27 @@ class TestCompoundGeometricRejections:
         cert = payload["details"]["certificate"]
         assert cert["holds"] is False
         assert cert["first_violation"] == 1
+
+
+def _uniform_draws(n):
+    rng = random.Random(2210)
+    return ",".join(f"{rng.uniform(0, 0.5):.6f}" for _ in range(n))
+
+
+class TestBernoulliSumGolden:
+    # digests of the stdout printed when the pmf was a fold of n-1 convolutions;
+    # the direct recursion must reproduce it byte for byte
+    @pytest.mark.parametrize("subcommand, n, size, digest", [
+        ("pb-binomial", 300, 6220, "3bc1914a3546d0505b7d376331beda0396407f2f1fa8343538a46fd4e9e52989"),
+        ("pb-poisson", 20, 858, "035e73fdf5cb210f712cb14735c8f1608243d09e04854d34d22927dbbbe74b95"),
+    ])
+    def test_stdout_unchanged(self, subcommand, n, size, digest):
+        code, text = run([subcommand, "--p", _uniform_draws(n)])
+        assert code == 0
+        assert len(text.encode()) == size
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_tolerance_option_removed():
+    code, _ = run(["pb-poisson", "--p", "0.1", "--tolerance", "1e-9"])
+    assert code == 1

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tvbounds import (
     HypothesisError,
     NotApplicableError,
+    convolve,
     family_bernoulli,
     family_binomial,
     make_dist,
@@ -75,6 +77,49 @@ class TestPMF:
         pmf = poisson_binomial_pmf(bv)
         factor = math.fsum(p / (1.0 - p) for p in ps)
         assert pmf.mass(1) == pytest.approx(pmf.mass(0) * factor, abs=1e-12)
+
+
+def convolution_fold_pmf(ps):
+    """Oracle: the n-1 two-term convolutions the direct recursion replaces."""
+    return reduce(convolve, (family_bernoulli(v) for v in ps))
+
+
+def float_bits(d):
+    return d.offset, [m.hex() for m in d.masses], d.tail_deficit.hex()
+
+
+_FLOAT_P = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+_EXACT_P = st.integers(1, 60).flatmap(lambda d: st.integers(0, d - 1).map(lambda k: F(k, d)))
+
+
+class TestPMFMatchesConvolutionFold:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_FLOAT_P, min_size=1, max_size=80))
+    def test_float_bit_identical(self, ps):
+        assert float_bits(poisson_binomial_pmf(BernoulliVector(ps))) == float_bits(convolution_fold_pmf(ps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_EXACT_P, min_size=1, max_size=30))
+    def test_exact_equal(self, ps):
+        pmf = poisson_binomial_pmf(BernoulliVector(ps))
+        assert pmf.masses == convolution_fold_pmf(ps).masses
+        assert all(type(m) is F for m in pmf.masses)
+        assert type(pmf.tail_deficit) is F and pmf.tail_deficit == F(0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0), _EXACT_P), max_size=20),
+        st.lists(_FLOAT_P, min_size=1, max_size=20),
+        st.lists(_EXACT_P, max_size=20),
+    )
+    def test_mixed_bit_identical(self, exact_prefix, floats, exact_suffix):
+        ps = exact_prefix + floats + exact_suffix
+        assert float_bits(poisson_binomial_pmf(BernoulliVector(ps))) == float_bits(convolution_fold_pmf(ps))
+
+    def test_fixed_large_vector_bit_identical(self):
+        rng = random.Random(2210)
+        ps = [rng.uniform(0, 0.5) for _ in range(400)]
+        assert float_bits(poisson_binomial_pmf(BernoulliVector(ps))) == float_bits(convolution_fold_pmf(ps))
 
 
 class TestBinomialTarget:
