@@ -17,6 +17,10 @@ forms in the two anchor masses alone.
 
 At a ratio-matched anchor ``q_ell >= p_ell`` necessarily holds and the
 simplified bound equals ``1 - p_ell/q_ell``, the smaller of the two terms.
+
+Every discrete report, from ``certify`` and from the application modules, is
+built by ``anchored_report``: the oracle TV, the anchor record, the bounds and
+the dominance verdict are computed there and nowhere else.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .distributions import (
-    CERT_REL_TOL,
     DiscreteDist,
     Interval,
     LogConcavityCertificate,
@@ -81,10 +84,12 @@ class Anchor:
 class BoundReport:
     """A computed bound with its certification context.
 
-    ``bound_nu_side``/``bound_mu_side`` are the two envelope sums (clamped to
-    [0, 1]), ``simplified`` the ratio-matched closed form when available,
-    ``stated_bound`` an unclamped corollary-style closed form carried verbatim
-    by the application modules, and ``dominated`` the verdict
+    Every discrete report comes from ``anchored_report``.
+    ``bound_nu_side``/``bound_mu_side`` are the two envelope sums, or the
+    caller's closed-form pair (clamped to [0, 1]), ``simplified`` the
+    ratio-matched closed form when available, ``stated_bound`` an unclamped
+    corollary-style closed form carried verbatim by the application modules,
+    and ``dominated`` the verdict
     ``oracle_tv.hi <= min(clamped bounds) + 1e-10`` when an oracle was
     computed (the slack absorbs truncation deficits on exact-equality
     instances).
@@ -148,8 +153,8 @@ def _safe_exp(e: float) -> float:
     return math.exp(e)
 
 
-def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist, rel_tol: float) -> LogConcavityCertificate:
-    cert = is_log_concave_relative(nu, mu, rel_tol)
+def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> LogConcavityCertificate:
+    cert = is_log_concave_relative(nu, mu)
     if not cert.holds:
         raise HypothesisError("target is not log-concave relative to the reference",
                               {"certificate": cert.to_json()})
@@ -159,22 +164,16 @@ def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist, rel_tol: float) -> Log
     return cert
 
 
-def _check_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int):
-    if nu.mass(ell) <= 0 or nu.mass(ell + 1) <= 0:
-        raise InvalidAnchorError(f"anchor {ell} needs positive target mass at {ell} and {ell + 1}")
-    if mu.mass(ell) <= 0 or mu.mass(ell + 1) <= 0:
-        # cannot happen once absolute continuity holds, but fail clearly
-        raise InvalidAnchorError(f"anchor {ell} needs positive reference mass at {ell} and {ell + 1}")
+def _positive_at(d: DiscreteDist, ell: int) -> bool:
+    return d.mass(ell) > 0 and d.mass(ell + 1) > 0
 
 
-def tv_bounds_at_anchor(
-    mu: DiscreteDist,
-    nu: DiscreteDist,
-    ell: int,
-    *,
-    check: bool = True,
-    rel_tol: float = CERT_REL_TOL,
-):
+def _check_anchor(d: DiscreteDist, ell: int, role: str = "target"):
+    if not _positive_at(d, ell):
+        raise InvalidAnchorError(f"anchor {ell} needs positive {role} mass at {ell} and {ell + 1}")
+
+
+def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True):
     """The two envelope bounds ``(B_nu, B_mu)`` at anchor ``ell``, clamped to [0, 1].
 
     Exact rational inputs are evaluated exactly; float inputs in log space
@@ -182,8 +181,9 @@ def tv_bounds_at_anchor(
     overflow, which is harmless because the sums are clamped at 1.
     """
     if check:
-        _check_hypothesis(mu, nu, rel_tol)
-    _check_anchor(mu, nu, ell)
+        _check_hypothesis(mu, nu)
+    _check_anchor(nu, ell)
+    _check_anchor(mu, ell, "reference")
 
     exact = mu.is_exact and nu.is_exact
     ql, ql1 = nu.mass(ell), nu.mass(ell + 1)
@@ -246,31 +246,28 @@ def _normalized_gap(lhs, rhs) -> float:
     return abs(float(lhs) - float(rhs)) / scale
 
 
-def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, tol: float = ANCHOR_MATCH_TOL) -> Anchor:
-    """Build the anchor record at a specific index."""
-    _check_anchor(mu, nu, ell)
+def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int) -> Anchor:
+    """Build the anchor record at a specific index.
+
+    Only the target's cells are checked; a reference without mass at both
+    anchor cells gives an infinite gap.
+    """
+    _check_anchor(nu, ell)
     lhs, rhs = _anchor_gap(mu, nu, ell)
     gap = _normalized_gap(lhs, rhs)
     if mu.is_exact and nu.is_exact:
-        return Anchor(ell, lhs == rhs, gap)
-    return Anchor(ell, gap <= tol, gap)
+        return Anchor(ell, lhs == rhs != 0, gap)  # both vanish when the reference does
+    return Anchor(ell, gap <= ANCHOR_MATCH_TOL, gap)
 
 
-def tv_bound_matched_anchor(
-    mu: DiscreteDist,
-    nu: DiscreteDist,
-    ell: int,
-    *,
-    check: bool = True,
-    rel_tol: float = CERT_REL_TOL,
-):
+def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True):
     """Closed-form bound ``min(q_l/p_l - 1, 1 - p_l/q_l)`` at a ratio-matched anchor.
 
     Asserts ``q_l >= p_l`` (which any ratio-matched anchor of a valid instance
     satisfies; the opposite orientation would make both terms negative).
     """
     if check:
-        _check_hypothesis(mu, nu, rel_tol)
+        _check_hypothesis(mu, nu)
     anc = anchor_at(mu, nu, ell)
     if not anc.ratio_matched:
         raise InvalidAnchorError(
@@ -291,15 +288,13 @@ def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist):
     """All valid anchors (both target cells positive) with their gap data."""
     out = []
     for ell in range(nu.support_min, nu.support_max):
-        if nu.mass(ell) > 0 and nu.mass(ell + 1) > 0:
+        if _positive_at(nu, ell):
             lhs, rhs = _anchor_gap(mu, nu, ell)
             out.append((ell, float(lhs) - float(rhs), _normalized_gap(lhs, rhs)))
     return out
 
 
-def find_ratio_anchor(
-    mu: DiscreteDist, nu: DiscreteDist, tol: float = ANCHOR_MATCH_TOL
-) -> Anchor | None:
+def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     """Scan consecutive support pairs for a ratio-matched anchor.
 
     Returns the anchor with the smallest normalized gap among matched indices
@@ -311,7 +306,7 @@ def find_ratio_anchor(
     cands = _candidate_anchors(mu, nu)
     if not cands:
         return None
-    matched = [(gap, ell) for ell, _, gap in cands if gap <= tol]
+    matched = [(gap, ell) for ell, _, gap in cands if gap <= ANCHOR_MATCH_TOL]
     if matched:
         gap, ell = min(matched)
         return Anchor(ell, True, gap)
@@ -322,67 +317,89 @@ def find_ratio_anchor(
     return None
 
 
-def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist, tol: float = ANCHOR_MATCH_TOL) -> Anchor | None:
+def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     """Smallest-gap valid anchor even without a crossing; any valid index
     yields a correct (possibly weak) bound."""
-    found = find_ratio_anchor(mu, nu, tol)
+    found = find_ratio_anchor(mu, nu)
     if found is not None:
         return found
     cands = _candidate_anchors(mu, nu)
     if not cands:
         return None
     gap, ell = min((gap, ell) for ell, _, gap in cands)
-    return Anchor(ell, gap <= tol, gap)
+    return Anchor(ell, gap <= ANCHOR_MATCH_TOL, gap)
 
 
-def _not_applicable(reason: str, cert: LogConcavityCertificate, oracle: Interval | None, **extra) -> BoundReport:
-    details = {"not_applicable": reason}
-    details.update(extra)
-    return BoundReport(None, None, None, None, cert, oracle, None, None, details)
-
-
-def certify(
+def anchored_report(
     mu: DiscreteDist,
     nu: DiscreteDist,
-    ell: int | None = None,
+    ell: int,
+    hypothesis: LogConcavityCertificate,
     *,
-    oracle: bool = True,
-    rel_tol: float = CERT_REL_TOL,
+    closed_forms=None,
+    stated_bound: float | None = None,
+    details: Mapping[str, object] = {},
 ) -> BoundReport:
-    """Full pipeline: hypothesis check, anchor selection, both bounds, the
-    matched closed form when available, an exact oracle, and the dominance
-    verdict.  Hypothesis failures come back as a structured not-applicable
-    report instead of an exception.
+    """The report for target ``nu`` against reference ``mu`` at anchor ``ell``.
+
+    The bounds are the caller's ``closed_forms`` pair ``(nu side, mu side)``,
+    clamped, when given. Without one they are 0 when the oracle TV is exactly
+    0, and otherwise the two envelope sums, plus the matched closed form at a
+    ratio-matched anchor, when ``hypothesis`` holds and both laws have mass at
+    ``ell`` and ``ell+1``. A target without mass at both anchor cells has no
+    anchor record; ``details["anchor_outside_target_support"]`` names ``ell``.
     """
-    tv = tv_distance(mu, nu) if oracle else None
+    tv = tv_distance(mu, nu)
+    details = dict(details)
+    anchor = simplified = b_nu = b_mu = None
+    if _positive_at(nu, ell):
+        anchor = anchor_at(mu, nu, ell)
+    else:
+        details["anchor_outside_target_support"] = ell
+    if closed_forms is not None:
+        b_nu, b_mu = (None if b is None else float(clamp01(b)) for b in closed_forms)
+    elif tv.hi == 0:
+        b_nu = b_mu = simplified = 0.0
+    elif hypothesis.holds and anchor is not None and _positive_at(mu, ell):
+        b_nu, b_mu = (float(b) for b in tv_bounds_at_anchor(mu, nu, ell, check=False))
+        if anchor.ratio_matched:
+            simplified = float(tv_bound_matched_anchor(mu, nu, ell, check=False))
+    dominated = dominance_verdict(tv, b_nu, b_mu, simplified)
+    return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, dominated, stated_bound, details)
+
+
+def _not_applicable(reason: str, cert: LogConcavityCertificate, mu: DiscreteDist, nu: DiscreteDist) -> BoundReport:
+    tv = tv_distance(mu, nu)
+    return BoundReport(None, None, None, None, cert, tv, None, None, {"not_applicable": reason})
+
+
+def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> BoundReport:
+    """Full pipeline: hypothesis check and anchor selection, then
+    ``anchored_report``.  Hypothesis failures and invalid anchors come back as
+    a structured not-applicable report (with the oracle TV) instead of an
+    exception.
+    """
     try:
-        cert = _check_hypothesis(mu, nu, rel_tol)
+        cert = _check_hypothesis(mu, nu)
     except AbsoluteContinuityError as e:
         cert = LogConcavityCertificate(False, e.details.get("index"), True)
-        return _not_applicable("absolute continuity violated", cert, tv)
+        return _not_applicable("absolute continuity violated", cert, mu, nu)
     except HypothesisError as e:
         inner = e.details.get("certificate")
         if inner is not None:
             cert = LogConcavityCertificate.from_json(inner)
         else:
             cert = LogConcavityCertificate(False, e.details.get("gap_at"), False)
-        return _not_applicable(str(e), cert, tv)
+        return _not_applicable(str(e), cert, mu, nu)
 
-    if ell is not None:
-        try:
-            anc = anchor_at(mu, nu, ell)
-        except InvalidAnchorError as e:
-            return _not_applicable(str(e), cert, tv)
-    else:
+    if ell is None:
         anc = _best_effort_anchor(mu, nu)
         if anc is None:
-            return _not_applicable("no valid anchor (target support is a single atom)", cert, tv)
-
-    b_nu, b_mu = tv_bounds_at_anchor(mu, nu, anc.ell, check=False)
-    simplified = None
-    if anc.ratio_matched:
-        simplified = tv_bound_matched_anchor(mu, nu, anc.ell, check=False)
-    b_nu, b_mu = float(b_nu), float(b_mu)
-    simplified = None if simplified is None else float(simplified)
-    dominated = dominance_verdict(tv, b_nu, b_mu, simplified)
-    return BoundReport(b_nu, b_mu, simplified, anc, cert, tv, dominated)
+            return _not_applicable("no valid anchor (target support is a single atom)", cert, mu, nu)
+        ell = anc.ell
+    else:
+        try:
+            _check_anchor(nu, ell)
+        except InvalidAnchorError as e:
+            return _not_applicable(str(e), cert, mu, nu)
+    return anchored_report(mu, nu, ell, cert)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import compound as comp
-from . import continuous as cont
 from . import intrinsic_volumes as iv
 from . import matroids as mat
 from . import sums
@@ -238,8 +237,7 @@ def _run_pb_binomial(cfg: RunConfig) -> dict:
     secondary = sums.binomial_bound_secondary(bv)
     return _report_with_kind(
         "pb_binomial", report,
-        bound=bound, bound_secondary=secondary,
-        tv=report.oracle_tv.to_json(), p=[float(v) for v in bv.p],
+        bound=bound, bound_secondary=secondary, p=[float(v) for v in bv.p],
         target_p=1.0 - 1.0 / float(bv.summary().m_n),
     )
 
@@ -251,8 +249,8 @@ def _run_pb_poisson(cfg: RunConfig) -> dict:
     report = certify(target, s)
     return _report_with_kind(
         "pb_poisson", report,
-        bound=sums.poisson_bound(bv), tv=report.oracle_tv.to_json(),
-        p=[float(v) for v in bv.p], rate=float(bv.summary().lambda_n),
+        bound=sums.poisson_bound(bv), p=[float(v) for v in bv.p],
+        rate=float(bv.summary().lambda_n),
     )
 
 
@@ -331,20 +329,7 @@ def _run_iv(cfg: RunConfig) -> dict:
                 "bound_clamped": float(clamp01(bound))}
     body = _iv_from_params(cfg)
     report = iv.poisson_iv_bound(body, cfg.params["m"], cfg.tail_budget)
-    out = {
-        "kind": "iv",
-        "V": [float(v) for v in body.V],
-        "W": float(body.W),
-        "m": cfg.params["m"],
-    }
-    if cfg.params.get("ball") and report.dominated is False:
-        # flagged family: report the hypothesis outcome, not an uncertified bound
-        out["hypothesis"] = report.hypothesis.to_json()
-        out["note"] = "bound did not dominate the oracle for this body; bounds suppressed"
-        out["oracle_tv"] = report.oracle_tv.to_json()
-        return out
-    out.update(report.to_json())
-    return out
+    return _report_with_kind("iv", report, V=[float(v) for v in body.V], W=float(body.W), m=cfg.params["m"])
 
 
 def _run_compound(cfg: RunConfig) -> dict:
@@ -363,6 +348,8 @@ def _run_compound(cfg: RunConfig) -> dict:
 
 
 def _run_gamma(cfg: RunConfig) -> dict:
+    from . import continuous as cont  # scipy loads only for the continuous subcommands
+
     ka, la = cfg.params["a"]
     kb, lb = cfg.params["b"]
     a, b = cont.GammaParams(ka, la), cont.GammaParams(kb, lb)
@@ -380,6 +367,8 @@ def _run_gamma(cfg: RunConfig) -> dict:
 
 
 def _run_expapprox(cfg: RunConfig) -> dict:
+    from . import continuous as cont
+
     name = cfg.params["density"]
     if not name.startswith("builtin:"):
         raise InvalidDistributionError("only builtin:<name> densities are supported")
@@ -433,7 +422,7 @@ def run(argv) -> tuple[int, str]:
         return 2, emit(payload, cfg.fmt)
     except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError) as e:
         return 1, f"error: {e}"
-    if report.get("details", {}).get("not_applicable") or report.get("note"):
+    if report.get("details", {}).get("not_applicable"):
         return 2, emit(report, cfg.fmt)
     return 0, emit(report, cfg.fmt)
 

@@ -1,5 +1,6 @@
 """Compound Poisson and compound geometric laws: exact mass functions via
-recursion / mixtures, log-concavity criteria, and geometric approximation.
+recursion / convolution powers, log-concavity criteria, and geometric
+approximation.
 
 Parameterization conventions (they differ, deliberately):
 
@@ -17,16 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .bounds import (
-    BoundReport,
-    anchor_at,
-    clamp01,
-    dominance_verdict,
-    tv_bound_matched_anchor,
-    tv_bounds_at_anchor,
-)
+from .bounds import BoundReport, anchored_report, clamp01
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
@@ -36,7 +29,6 @@ from .distributions import (
     is_log_concave,
     is_log_concave_relative,
     point_mass,
-    tv_distance,
 )
 from .errors import HypothesisError, InvalidDistributionError, NotApplicableError
 
@@ -98,32 +90,6 @@ def compound_poisson_pmf(spec: CompoundPoissonSpec, tail_budget: float = DEFAULT
     return DiscreteDist(0, tuple(masses), max(1.0 - cum, 0.0))
 
 
-def compound_poisson_pmf_mixture(
-    spec: CompoundPoissonSpec, tail_budget: float = DEFAULT_TAIL_BUDGET
-) -> DiscreteDist:
-    """Independent route: truncate ``N`` and mix convolution powers of the
-    severity.  Used to cross-check the recursion."""
-    lam, f = spec.lam, spec.severity
-    weight = math.exp(-lam)
-    cum_w = weight
-    terms = [(weight, point_mass(0).to_float())]
-    power = point_mass(0).to_float()
-    n = 0
-    while 1.0 - cum_w > tail_budget / 2 and n < 10_000:
-        n += 1
-        weight *= lam / n
-        power = convolve(power, f)
-        terms.append((weight, power))
-        cum_w += weight
-    length = max(len(d.masses) + d.offset for _, d in terms)
-    out = [0.0] * length
-    for w, d in terms:
-        for i, m in enumerate(d.masses):
-            out[d.offset + i] += w * m
-    total = math.fsum(out)
-    return DiscreteDist(0, tuple(out), max(1.0 - total, 0.0))
-
-
 def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
     """The aggregate law is log-concave iff ``lam F_1^2 >= 2 F_2`` (given the
     severity itself is log-concave with support in the non-negative integers).
@@ -160,24 +126,10 @@ def _matched_report(
     ``min(nu_0/mu_0 - 1, 1 - mu_0/nu_0)`` is always carried in ``details``
     (it can be negative when the certificate fails).
     """
-    hypothesis = is_log_concave_relative(nu, target)
-    tv = tv_distance(target, nu)
-    details = dict(details)
     n0, m0 = float(nu.mass(0)), float(target.mass(0))
-    details["matched_atom_bound_raw"] = min(n0 / m0 - 1.0, 1.0 - m0 / n0)
-    anchor = b_nu = b_mu = simplified = None
-    if nu.mass(1) > 0 and len(target.masses) > 1 and target.mass(1) > 0:
-        anchor = anchor_at(target, nu, 0)
-        if hypothesis.holds:
-            b_nu, b_mu = tv_bounds_at_anchor(target, nu, 0, check=False)
-            b_nu, b_mu = float(b_nu), float(b_mu)
-            if anchor.ratio_matched:
-                simplified = float(tv_bound_matched_anchor(target, nu, 0, check=False))
-    elif hypothesis.holds:
-        # degenerate: both laws are a point mass at 0
-        b_nu, b_mu, simplified = 0.0, 0.0, 0.0
-    dominated = dominance_verdict(tv, b_nu, b_mu, simplified)
-    return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, dominated, stated, details)
+    details = dict(details, matched_atom_bound_raw=min(n0 / m0 - 1.0, 1.0 - m0 / n0))
+    hypothesis = is_log_concave_relative(nu, target)
+    return anchored_report(target, nu, 0, hypothesis, stated_bound=stated, details=details)
 
 
 def geometric_bound_compound_poisson(

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from scipy import integrate
 
-from .bounds import BoundReport, clamp01, dominance_verdict
+from .bounds import BoundReport, _safe_exp, clamp01, dominance_verdict
 from .distributions import Interval, LogConcavityCertificate
 from .errors import InvalidDistributionError, NotApplicableError
 
@@ -209,10 +209,6 @@ def _quad(f: Callable[[float], float], a: float, b: float, pts: Sequence[float] 
     return val
 
 
-def _safe_exp(e: float) -> float:
-    return math.exp(e) if e < 709.0 else math.inf
-
-
 # ---------------------------------------------------------------------------
 # exponential approximation (Kolmogorov distance)
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def tv_bound_continuous(fmu: DensityModel, fnu: DensityModel, z: float) -> tuple
     return float(clamp01(mu_int)), float(clamp01(nu_int))
 
 
-def tv_bound_matched(fmu: DensityModel, fnu: DensityModel, z: float, rel_tol: float = 1e-10) -> float:
+def tv_bound_matched(fmu: DensityModel, fnu: DensityModel, z: float) -> float:
     """Closed-form TV bound at a score-matched point:
     ``min(f_nu(z)/f_mu(z) - 1, 1 - f_mu(z)/f_nu(z))``.
 
@@ -339,7 +335,7 @@ def tv_bound_matched(fmu: DensityModel, fnu: DensityModel, z: float, rel_tol: fl
     """
     s_nu, s_mu = _score(fnu, z), _score(fmu, z)
     scale = max(1.0, abs(s_nu), abs(s_mu))
-    if abs(s_nu - s_mu) > rel_tol * scale:
+    if abs(s_nu - s_mu) > 1e-10 * scale:
         raise NotApplicableError(
             f"scores differ at z = {z}: {s_nu:.12g} vs {s_mu:.12g}"
         )
@@ -423,7 +419,7 @@ def tv_gamma_quadrature(a: GammaParams, b: GammaParams) -> Interval:
     return Interval(max(tv - err, 0.0), tv + err)
 
 
-def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams, *, oracle: bool = True) -> BoundReport:
+def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
     """Score-matched Gamma comparison: valid when the shape and rate
     differences share a sign, anchored at ``z = (kap_1 - kap_2)/(lam_1 - lam_2)``
     where the two scores coincide.
@@ -456,7 +452,7 @@ def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams, *, oracle: bool = Tr
     if abs(matched - min(clamp01(mu_side), clamp01(nu_side))) > 1e-9:
         raise AssertionError("closed form and density-evaluated bound disagree")
     cert = LogConcavityCertificate(True, None, True)
-    tv = tv_gamma_quadrature(a, b) if oracle else None
+    tv = tv_gamma_quadrature(a, b)
     bound = float(clamp01(min(mu_side, nu_side)))
     dominated = dominance_verdict(tv, bound)
     details = {"z": z, "density_ratio": ratio, "swapped": swapped}

@@ -366,16 +366,14 @@ def _support_interval(masses: Sequence[Scalar], base: int) -> tuple[bool, int | 
     return True, None, base + lo, base + hi
 
 
-def _leq_with_slack(lhs, rhs, exact: bool, rel_tol: float) -> bool:
+def _leq_with_slack(lhs, rhs, exact: bool) -> bool:
     if exact:
         return lhs <= rhs
     scale = max(abs(lhs), abs(rhs))
-    return lhs <= rhs + rel_tol * scale
+    return lhs <= rhs + CERT_REL_TOL * scale
 
 
-def is_log_concave_relative(
-    nu: DiscreteDist, mu: DiscreteDist, rel_tol: float = CERT_REL_TOL
-) -> LogConcavityCertificate:
+def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityCertificate:
     """Certify that ``nu`` is log-concave relative to ``mu``.
 
     Requires absolute continuity (``nu_k > 0`` implies ``mu_k > 0``); raises
@@ -399,14 +397,14 @@ def is_log_concave_relative(
     for k in range(lo + 1, hi):
         qm, q0, qp = nu.mass(k - 1), nu.mass(k), nu.mass(k + 1)
         pm, p0, pp = mu.mass(k - 1), mu.mass(k), mu.mass(k + 1)
-        if not _leq_with_slack(qm * qp * p0 * p0, q0 * q0 * pm * pp, exact, rel_tol):
+        if not _leq_with_slack(qm * qp * p0 * p0, q0 * q0 * pm * pp, exact):
             return LogConcavityCertificate(False, k, True)
     return LogConcavityCertificate(True, None, True)
 
 
-def is_log_concave(nu: DiscreteDist, rel_tol: float = CERT_REL_TOL) -> LogConcavityCertificate:
+def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:
     """Log-concavity against the counting measure on the distribution's window."""
-    return is_log_concave_relative(nu, uniform_reference(nu.offset, len(nu.masses)), rel_tol)
+    return is_log_concave_relative(nu, uniform_reference(nu.offset, len(nu.masses)))
 
 
 def _validate_ulc_input(a: Sequence[Scalar]):
@@ -420,7 +418,7 @@ def _validate_ulc_input(a: Sequence[Scalar]):
     return a
 
 
-def is_ulc(a: Sequence[Scalar], m: int, rel_tol: float = CERT_REL_TOL) -> LogConcavityCertificate:
+def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:
     """Ultra log-concavity of order ``m``: ``a_k / C(m, k)`` is log-concave.
 
     Checked cross-multiplied, ``a_k^2 C(m,k-1) C(m,k+1) >= a_{k-1} a_{k+1}
@@ -436,12 +434,12 @@ def is_ulc(a: Sequence[Scalar], m: int, rel_tol: float = CERT_REL_TOL) -> LogCon
     for k in range(lo + 1, hi):
         lhs = a[k - 1] * a[k + 1] * math.comb(m, k) ** 2
         rhs = a[k] * a[k] * math.comb(m, k - 1) * math.comb(m, k + 1)
-        if not _leq_with_slack(lhs, rhs, exact, rel_tol):
+        if not _leq_with_slack(lhs, rhs, exact):
             return LogConcavityCertificate(False, k, True)
     return LogConcavityCertificate(True, None, True)
 
 
-def is_ulc_infinity(a: Sequence[Scalar], rel_tol: float = CERT_REL_TOL) -> LogConcavityCertificate:
+def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
     """Ultra log-concavity of infinite order: ``k a_k^2 >= (k+1) a_{k-1} a_{k+1}``.
 
     Equivalent to log-concavity of ``a_k * k!``, i.e. log-concavity relative
@@ -455,6 +453,6 @@ def is_ulc_infinity(a: Sequence[Scalar], rel_tol: float = CERT_REL_TOL) -> LogCo
     for k in range(lo + 1, hi):
         lhs = (k + 1) * a[k - 1] * a[k + 1]
         rhs = k * a[k] * a[k]
-        if not _leq_with_slack(lhs, rhs, exact, rel_tol):
+        if not _leq_with_slack(lhs, rhs, exact):
             return LogConcavityCertificate(False, k, True)
     return LogConcavityCertificate(True, None, True)

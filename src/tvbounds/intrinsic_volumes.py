@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import Anchor, BoundReport, clamp01, dominance_verdict
+from .bounds import BoundReport, anchored_report, dominance_verdict
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
@@ -161,15 +161,8 @@ def poisson_iv_bound(iv: IVSequence, m: int, tail_budget: float = DEFAULT_TAIL_B
     gamma = family_poisson(lam, tail_budget)
     nu = z_dist(iv)
     bound_nu = 1.0 - float(gamma.mass(m)) / float(nu.mass(m))
-    tv = tv_distance(gamma, nu)
-    b_mu, b_nu = float(clamp01(bound_mu)), float(clamp01(bound_nu))
-    lhs = float(gamma.mass(m + 1)) * float(nu.mass(m))
-    rhs = float(nu.mass(m + 1)) * float(gamma.mass(m))
-    gap = abs(lhs - rhs) / max(lhs, rhs)
-    cert = is_ulc_infinity(iv.V)
-    dominated = dominance_verdict(tv, b_mu, b_nu)
     details = {"lambda": lam, "m": m, "W": w}
-    return BoundReport(b_nu, b_mu, None, Anchor(m, gap <= 1e-12, gap), cert, tv, dominated, None, details)
+    return anchored_report(gamma, nu, m, is_ulc_infinity(iv.V), closed_forms=(bound_nu, bound_mu), details=details)
 
 
 def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
@@ -208,7 +201,7 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
         box = iv_box(scales)
         lam = math.fsum(scales)
         tv = tv_distance(family_poisson(lam), z_dist(box))
-        if float(tv.hi) > bound + 1e-10:
+        if not dominance_verdict(tv, bound):
             raise AssertionError("box product bound failed its internal dominance check")
         return bound
     raise InvalidDistributionError(f"unknown mode {mode!r}")

@@ -14,18 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .bounds import Anchor, BoundReport, clamp01, dominance_verdict
+from .bounds import BoundReport, anchored_report
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
-    Interval,
     LogConcavityCertificate,
     family_binomial,
     family_poisson,
     is_ulc,
-    tv_distance,
 )
 from .errors import InvalidDistributionError, MatroidAxiomError, NotApplicableError
 
@@ -218,22 +215,7 @@ def _profile_bound_report(
     cert: LogConcavityCertificate,
     details: dict,
 ) -> BoundReport:
-    tv = tv_distance(target, nu)
-    anchor_valid = nu.mass(m) > 0 and nu.mass(m + 1) > 0
-    if anchor_valid:
-        lhs = float(target.mass(m + 1)) * float(nu.mass(m))
-        rhs = float(nu.mass(m + 1)) * float(target.mass(m))
-        scale = max(lhs, rhs)
-        gap = abs(lhs - rhs) / scale if scale > 0 else math.inf
-        anchor = Anchor(m, gap <= 1e-12, gap)
-    else:
-        anchor = None
-        details = dict(details)
-        details["anchor_outside_target_support"] = m
-    b_mu = None if bound_mu_side is None else float(clamp01(bound_mu_side))
-    b_nu = None if bound_nu_side is None else float(clamp01(bound_nu_side))
-    dominated = dominance_verdict(tv, b_nu, b_mu)
-    return BoundReport(b_nu, b_mu, None, anchor, cert, tv, dominated, None, details)
+    return anchored_report(target, nu, m, cert, closed_forms=(bound_nu_side, bound_mu_side), details=details)
 
 
 def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = False) -> BoundReport:

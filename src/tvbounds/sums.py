@@ -18,15 +18,7 @@ from functools import reduce
 from itertools import chain
 from typing import Sequence
 
-from .bounds import (
-    Anchor,
-    BoundReport,
-    anchor_at,
-    clamp01,
-    dominance_verdict,
-    tv_bound_matched_anchor,
-    tv_bounds_at_anchor,
-)
+from .bounds import BoundReport, anchored_report
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
@@ -38,7 +30,6 @@ from .distributions import (
     family_geometric,
     family_poisson,
     is_log_concave,
-    tv_distance,
 )
 from .errors import HypothesisError, InvalidDistributionError, NotApplicableError
 
@@ -245,19 +236,5 @@ def geometric_sum_bound(
         float(theta), tail_budget, min_length=len(sum_dist.masses)
     )
     stated = float(t) / (1.0 - float(t))
-    tv = tv_distance(target, sum_dist)
-    hypothesis = is_log_concave(sum_dist)
     details = {"theta": float(theta), "m_minus_one_times_n": float(t)}
-
-    anchor: Anchor | None = None
-    b_nu = b_mu = simplified = None
-    if theta < 1 and sum_dist.mass(1) > 0:
-        anchor = anchor_at(target, sum_dist, 0)
-        b_nu, b_mu = tv_bounds_at_anchor(target, sum_dist, 0, check=False)
-        b_nu, b_mu = float(b_nu), float(b_mu)
-        if anchor.ratio_matched:
-            simplified = float(tv_bound_matched_anchor(target, sum_dist, 0, check=False))
-    cands = [b for b in (b_nu, b_mu, simplified) if b is not None]
-    reference = min(cands) if cands else clamp01(stated)
-    dominated = dominance_verdict(tv, reference)
-    return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, dominated, stated, details)
+    return anchored_report(target, sum_dist, 0, is_log_concave(sum_dist), stated_bound=stated, details=details)

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .bounds import certify
+from .bounds import DOMINANCE_SLACK, certify
 from .distributions import DiscreteDist, tv_distance
 from .errors import BoundNotApplicable
 from .matroids import (
@@ -31,8 +31,6 @@ from .sums import (
     poisson_bound,
     poisson_target,
 )
-
-DOMINANCE_SLACK = 1e-10
 
 
 @dataclass(frozen=True)

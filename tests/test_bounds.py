@@ -18,7 +18,7 @@ from tvbounds import (
     tv_bounds_at_anchor,
     tv_distance,
 )
-from tvbounds.bounds import BoundReport, anchor_at
+from tvbounds.bounds import BoundReport, anchor_at, anchored_report
 from tvbounds.verify import random_envelope_instance, run_dominance_sweep
 
 
@@ -150,6 +150,39 @@ class TestAnchorSearch:
     def test_anchor_at_validates(self):
         with pytest.raises(InvalidAnchorError):
             anchor_at(make_dist(0, [1, 1]), make_dist(0, [1, 0]), 0)
+
+    def test_anchor_at_reference_without_mass_has_infinite_gap(self):
+        anc = anchor_at(make_dist(0, [1, 0, 0]), make_dist(0, [0, 1, 1]), 1)
+        assert anc.ratio_gap == math.inf and not anc.ratio_matched
+
+
+class TestAnchoredReport:
+    def test_certify_is_anchored_report_at_the_chosen_anchor(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            mu, nu = random_envelope_instance(rng, 30)
+            rep = certify(mu, nu)
+            assert rep.to_json() == anchored_report(mu, nu, rep.anchor.ell, rep.hypothesis).to_json()
+
+    def test_closed_forms_are_clamped_and_replace_the_envelope(self):
+        rep = anchored_report(B_MATCH, PB, 0, certify(B_MATCH, PB).hypothesis, closed_forms=(F(-1, 5), 7))
+        assert (rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (0.0, 1.0, None)
+        assert rep.anchor.ratio_matched and rep.anchor.ratio_gap == 0.0
+        assert rep.dominated is False
+
+    def test_failed_hypothesis_without_closed_forms_has_no_bounds(self):
+        rep = certify(B_MATCH, PB)
+        failed = type(rep.hypothesis)(False, 1, True)
+        rep = anchored_report(B_MATCH, PB, 0, failed, stated_bound=0.5)
+        assert rep.core_bounds() == [] and rep.dominated is None
+        assert rep.anchor is not None and rep.stated_bound == 0.5
+
+    def test_zero_oracle_outside_target_support(self):
+        point = make_dist(0, [F(1), F(0)])
+        rep = anchored_report(point, point, 0, certify(B_MATCH, PB).hypothesis, details={"k": 1})
+        assert (rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (0.0, 0.0, 0.0)
+        assert rep.anchor is None and rep.dominated is True
+        assert rep.details == {"k": 1, "anchor_outside_target_support": 0}
 
 
 class TestCertify:

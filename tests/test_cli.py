@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -37,11 +40,12 @@ def _uniform_draws(n):
 
 
 class TestBernoulliSumGolden:
-    # digests of the stdout printed when the pmf was a fold of n-1 convolutions;
-    # the direct recursion must reproduce it byte for byte
+    # digests of the stdout printed when the pmf was a fold of n-1 convolutions,
+    # less the "tv" member that duplicated "oracle_tv"; the direct recursion
+    # must reproduce it byte for byte
     @pytest.mark.parametrize("subcommand, n, size, digest", [
-        ("pb-binomial", 300, 6220, "3bc1914a3546d0505b7d376331beda0396407f2f1fa8343538a46fd4e9e52989"),
-        ("pb-poisson", 20, 858, "035e73fdf5cb210f712cb14735c8f1608243d09e04854d34d22927dbbbe74b95"),
+        ("pb-binomial", 300, 6175, "a824440dd0b774e1162c022afc6b3ea0de390d25182cb44ace8b7991f3933211"),
+        ("pb-poisson", 20, 813, "cb37428a7bd8f666aebff0abac16f71ff9b002f8fb2388476ac17728d6c035ef"),
     ])
     def test_stdout_unchanged(self, subcommand, n, size, digest):
         code, text = run([subcommand, "--p", _uniform_draws(n)])
@@ -53,3 +57,19 @@ class TestBernoulliSumGolden:
 def test_tolerance_option_removed():
     code, _ = run(["pb-poisson", "--p", "0.1", "--tolerance", "1e-9"])
     assert code == 1
+
+
+def test_ball_anchor_beyond_truncated_reference():
+    code, text = run(["iv", "--ball", "20", "--m", "19"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["anchor"]["ratio_gap"] == "inf"
+    assert report["dominated"] is True
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the continuous subcommands need scipy
+    code = "import sys, tvbounds.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"

@@ -23,11 +23,11 @@ PRODUCTS = {
 
 CASES = [
     ("pb-binomial-json", ["pb-binomial", "--p", "0.1,0.2,0.3"],
-     0, "abb9601c01484d90dc19f72e2dba360d7c88d348bbf2a501b70983849a233ef0"),
+     0, "05536709e147f44704c7774e5864bf2a7ac383c72e30433f2f901b40d019aaa1"),
     ("pb-binomial-csv", ["pb-binomial", "--p", "0.1,0.2,0.3", "--format", "csv"],
-     0, "74573dd8f8e7a1c237294b043615f29c7c95381d6cb58e4b4c6354eb5abc3308"),
+     0, "86333bdab2d0d078e2691f2c52c780e886215ec4a41539ef05b9d804e8d10fdb"),
     ("pb-poisson-table", ["pb-poisson", "--p", "0.05,0.1,0.02", "--format", "table"],
-     0, "59dcbad584f03d586a2daa77fbb1799551ec9837f7cb62fc98daa11fb9478d2e"),
+     0, "3c3b277e790c6c38bf449296a2ae5496eaf45a00b0de75011dc985628d38e348"),
     ("pb-poisson-bad-p", ["pb-poisson", "--p", "1.5"],
      1, "5ea65cd39cf515fe9e4f00a24fc3ce8e19ce0d3fcd42fcb728d85a2cf5ca58ac"),
     ("pb-binomial-unknown-option", ["pb-binomial", "--p", "0.1", "--bogus"],
@@ -35,19 +35,19 @@ CASES = [
     ("sum-geometric", ["sum-geometric", "--p", "0.1,0.05"],
      0, "e677e80a0f0bef6088dd3c44af632ee73a5aa5627c20fd84ed90606692378cbb"),
     ("sum-geometric-point-masses", ["sum-geometric", "--p", "0,0"],
-     0, "138993267a3fb9985397cd6b6de3becf5d5ca5413ba0065697b453d492c2a304"),
+     0, "24401f816db6961ca6c506eda9b78717e888b8e5afc86828fdbac72f270c5590"),
     ("sum-geometric-point-masses-csv", ["sum-geometric", "--p", "0,0", "--format", "csv"],
-     0, "fc49aceb494772d598550438f8332264e8a19d64da136fcd8c8e7aba3e0a3e85"),
+     0, "f34de1d2daa06f165d95a581476192a05cc9eedb696a0218cc281f36d49986e0"),
     ("sum-geometric-not-applicable", ["sum-geometric", "--p", "0.6,0.6"],
      2, "262ee40b56dcb041d72858c4e82b61463a48f0c3471d03d338d9957b6f016063"),
     ("matroid-uniform", ["matroid", "--uniform", "12,6", "--m", "4", "--include-zero"],
-     0, "2e8ff617107e363b6ab94e2442b76beefb0e4ebfdf29bb2a2c07f74d6e6a92be"),
+     0, "36f481d9cfb6539afd55f6c18e024ae6491e26e0dd3e1f3e52cba26fbe6a3a32"),
     ("matroid-partition-half", ["matroid", "--partition", "2:1,3:2,2:2", "--m", "1", "--half"],
-     0, "2e84e96bfe36aa3c7ce117ee6cd63d957912a6ab9c0ab3e82df4981fad5defce"),
+     0, "3ecd290ef8158ef75a8ff7d3187629a4173cbb8f852b4c9b69c689786259ed19"),
     ("matroid-partition-csv", ["matroid", "--partition", "2:2,3:2", "--m", "2", "--half", "--format", "csv"],
      0, "6d968360faf3aa0808d2d7d8d56e295d55970d15b6e37f24c093bb3fcac9d781"),
     ("matroid-uniform-table", ["matroid", "--uniform", "6,3", "--m", "1", "--format", "table"],
-     0, "158470c464634b58430ddad3fb0caa0451e6c0ae9d061cdb15f44d60b3013d3b"),
+     0, "58c6e8a5698c70488cf40afa235d711ac40dc46abb46f789b373f8a90dde0b9f"),
     ("iv-box", ["iv", "--box", "0.5,1,2", "--m", "1"],
      0, "5279420e4f249181d349d251f5dc609773a4c7c017f743f7915a9f4a345cf3bd"),
     ("iv-cube", ["iv", "--cube", "8,0.4", "--m", "3"],
@@ -65,7 +65,7 @@ CASES = [
     ("iv-bad-side", ["iv", "--box", "1,-1"],
      1, "d94cef2dad932963bf6afed65038dd4270501a342656fc0a606fcadf65ee3047"),
     ("compound-poisson-point-severity", ["compound", "poisson", "--lambda", "0.5", "--severity", "1"],
-     0, "b9d8f4653a6a540aebeadd0e3833666d1a1a72dc1980ce803407a72aa1daaffc"),
+     0, "05d8b38eabdbe407dc7266d66cc0c66eb3c2dadc8266ded999e4a2d2dcc4e883"),
     ("compound-poisson-criterion-fails", ["compound", "poisson", "--lambda", "0.5", "--severity", "0.2,0.5,0.3"],
      2, "4493ff60e1e9cbb876f3d045e92fc61a2b4bf386d1d1ca6ca046458a4a2a21ca"),
     ("compound-poisson-csv", ["compound", "poisson", "--lambda", "0.4", "--severity", "0.3,0.65,0.05", "--format", "csv"],

@@ -5,13 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from tvbounds import (
+    DiscreteDist,
     HypothesisError,
     InvalidDistributionError,
     NotApplicableError,
+    convolve,
     family_geometric,
     family_poisson,
     is_log_concave,
     make_dist,
+    point_mass,
     tv_distance,
 )
 from tvbounds.compound import (
@@ -19,11 +22,34 @@ from tvbounds.compound import (
     CompoundPoissonSpec,
     compound_geometric_pmf,
     compound_poisson_pmf,
-    compound_poisson_pmf_mixture,
     geometric_bound_compound_geometric,
     geometric_bound_compound_poisson,
     log_concave_criterion,
 )
+
+
+def compound_poisson_pmf_mixture(spec, tail_budget=1e-12):
+    """Independent oracle for the recursion: truncate ``N`` and mix
+    convolution powers of the severity."""
+    lam, f = spec.lam, spec.severity
+    weight = math.exp(-lam)
+    cum_w = weight
+    terms = [(weight, point_mass(0).to_float())]
+    power = point_mass(0).to_float()
+    n = 0
+    while 1.0 - cum_w > tail_budget / 2 and n < 10_000:
+        n += 1
+        weight *= lam / n
+        power = convolve(power, f)
+        terms.append((weight, power))
+        cum_w += weight
+    length = max(len(d.masses) + d.offset for _, d in terms)
+    out = [0.0] * length
+    for w, d in terms:
+        for i, m in enumerate(d.masses):
+            out[d.offset + i] += w * m
+    total = math.fsum(out)
+    return DiscreteDist(0, tuple(out), max(1.0 - total, 0.0))
 
 
 def random_log_concave_severity(rng, length):

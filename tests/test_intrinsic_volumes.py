@@ -153,6 +153,17 @@ class TestPoissonBound:
         with pytest.raises(NotApplicableError):
             poisson_iv_bound(IVSequence(2, (1.0, 0.8, 0.0)), 1)
 
+    @pytest.mark.parametrize("body, m", [(iv_ball(20), 19), (iv_box([0.001] * 8), 6)])
+    def test_anchor_beyond_truncated_reference(self, body, m):
+        # the truncated Poisson reference has no mass at m and m+1
+        rep = poisson_iv_bound(body, m)
+        gamma = family_poisson(rep.details["lambda"])
+        assert gamma.mass(m) == 0 and gamma.mass(m + 1) == 0
+        assert rep.anchor.ell == m
+        assert rep.anchor.ratio_gap == math.inf
+        assert rep.anchor.ratio_matched is False
+        assert rep.dominated is True
+
 
 class TestProductBounds:
     def test_box_scales(self):
