@@ -46,7 +46,7 @@ class TestBernoulliSumGolden:
     @pytest.mark.parametrize("subcommand, n, size, digest", [
         ("pb-binomial", 300, 6175, "a824440dd0b774e1162c022afc6b3ea0de390d25182cb44ace8b7991f3933211"),
         ("pb-poisson", 20, 813, "cb37428a7bd8f666aebff0abac16f71ff9b002f8fb2388476ac17728d6c035ef"),
-    ])
+    ], ids=["pb-binomial-300", "pb-poisson-20"])
     def test_stdout_unchanged(self, subcommand, n, size, digest):
         code, text = run([subcommand, "--p", _uniform_draws(n)])
         assert code == 0
