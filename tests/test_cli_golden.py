@@ -1,8 +1,5 @@
 """Golden CLI outputs: every case pins ``(exit code, sha256(stdout))`` of
-``cli.run``.
-
-The digests were recorded before the report builders were unified. A digest
-may change only where CHANGES.md says why.
+``cli.run``. A digest may change only where CHANGES.md says why.
 """
 
 import hashlib
@@ -11,7 +8,7 @@ import os
 
 import pytest
 
-from tvbounds.cli import run
+from tvbounds.cli import SUBCOMMANDS, run
 
 # ``iv --product`` specs, written to a file per test; an argv entry "@name"
 # stands for that file's path (the path does not reach stdout)
@@ -108,8 +105,6 @@ def _resolve(argv, directory):
 
 
 def test_cases_cover_every_subcommand_format_and_exit_code():
-    from tvbounds.cli import SUBCOMMANDS
-
     assert {argv[0] for _, argv, _, _ in CASES} == set(SUBCOMMANDS)
     formats = {argv[argv.index("--format") + 1] if "--format" in argv else "json" for _, argv, _, _ in CASES}
     assert formats == {"json", "csv", "table"}
