@@ -34,7 +34,10 @@ from .distributions import (
     DiscreteDist,
     Interval,
     LogConcavityCertificate,
+    _aligned,
+    _kernel_cells,
     _support_interval,
+    _union_window,
     is_log_concave_relative,
     tv_distance,
 )
@@ -153,6 +156,11 @@ def _safe_exp(e: float) -> float:
     return math.exp(e)
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> LogConcavityCertificate:
     cert = is_log_concave_relative(nu, mu)
     if not cert.holds:
@@ -173,44 +181,54 @@ def _check_anchor(d: DiscreteDist, ell: int, role: str = "target"):
         raise InvalidAnchorError(f"anchor {ell} needs positive {role} mass at {ell} and {ell + 1}")
 
 
+def _envelope_sum(cells, den: int, a: tuple[int, int], r: tuple[int, int], sign: int) -> Fraction:
+    """``sum_i (sign (1 - a r^i))_+ cells[i] / den`` for positive ``a = an/ad``
+    and ``r = rn/rd``, as one ``Fraction``.
+
+    Each sign test compares ``an rn^i`` with ``ad rd^i``, kept as incremental
+    integer powers; the kept cells ``c_i`` give ``sum c_i - a sum c_i r^i``,
+    whose polynomial in ``r`` is accumulated by Horner's rule over one power
+    of ``rd``.
+    """
+    (an, ad), (rn, rd) = a, r
+    kept = []
+    for c in cells:
+        kept.append(c if c and sign * (ad - an) > 0 else 0)
+        an, ad = an * rn, ad * rd
+    hn, hd = 0, 1
+    for c in reversed(kept):
+        hd *= rd
+        hn = hn * rn + c * hd
+    an, ad = a
+    return Fraction(sign * (sum(kept) * ad * hd - an * hn), ad * hd * den)
+
+
 def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True):
     """The two envelope bounds ``(B_nu, B_mu)`` at anchor ``ell``, clamped to [0, 1].
 
-    Exact rational inputs are evaluated exactly; float inputs in log space
-    (the ratio power is ``exp((y-ell) log r)``) with saturation instead of
-    overflow, which is harmless because the sums are clamped at 1.
+    Exact rational inputs are evaluated exactly on their integer numerators
+    (``_envelope_sum``), with ``r`` and ``p_ell/q_ell`` each reduced by one
+    gcd; float inputs in log space (the ratio power is
+    ``exp((y-ell) log r)``) with saturation instead of overflow, which is
+    harmless because the sums are clamped at 1.
     """
     if check:
         _check_hypothesis(mu, nu)
     _check_anchor(nu, ell)
     _check_anchor(mu, ell, "reference")
 
-    exact = mu.is_exact and nu.is_exact
-    ql, ql1 = nu.mass(ell), nu.mass(ell + 1)
-    pl, pl1 = mu.mass(ell), mu.mass(ell + 1)
-
-    if exact:
-        r = Fraction(pl1) * ql / (Fraction(pl) * ql1)
-        ratio = Fraction(pl) / Fraction(ql)
-        b_nu = Fraction(0)
-        for i, q in enumerate(nu.masses):
-            if q <= 0:
-                continue
-            y = nu.offset + i
-            term = 1 - ratio * r ** (y - ell)
-            if term > 0:
-                b_nu += term * q
-        b_mu = Fraction(0)
-        inv_ratio, inv_r = 1 / ratio, 1 / r
-        for i, p in enumerate(mu.masses):
-            if p <= 0:
-                continue
-            y = mu.offset + i
-            term = inv_ratio * inv_r ** (y - ell) - 1
-            if term > 0:
-                b_mu += term * p
+    if mu.is_exact and nu.is_exact:
+        (p, d_mu), (q, d_nu) = mu.integer_masses, nu.integer_masses
+        i, j = ell - mu.offset, ell - nu.offset
+        r = _reduced(p[i + 1] * q[j], p[i] * q[j + 1])
+        ratio = _reduced(p[i] * d_nu, q[j] * d_mu)
+        # a = ratio * r^(offset - ell) puts each window's first cell at power 0
+        b_nu = _envelope_sum(q, d_nu, (ratio[0] * r[1] ** j, ratio[1] * r[0] ** j), r, 1)
+        b_mu = _envelope_sum(p, d_mu, (ratio[1] * r[0] ** i, ratio[0] * r[1] ** i), r[::-1], -1)
         return clamp01(b_nu), clamp01(b_mu)
 
+    ql, ql1 = nu.mass(ell), nu.mass(ell + 1)
+    pl, pl1 = mu.mass(ell), mu.mass(ell + 1)
     log_ratio = math.log(float(pl)) - math.log(float(ql))
     log_r = (math.log(float(pl1)) + math.log(float(ql))) - (math.log(float(pl)) + math.log(float(ql1)))
     b_nu = 0.0
@@ -234,16 +252,31 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: 
     return clamp01(b_nu), clamp01(b_mu)
 
 
-def _anchor_gap(mu: DiscreteDist, nu: DiscreteDist, ell: int):
-    """Cross products (lhs, rhs) whose equality is the ratio-match condition."""
-    return mu.mass(ell + 1) * nu.mass(ell), nu.mass(ell + 1) * mu.mass(ell)
+def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells) -> list[tuple[int, float, float, bool | None]]:
+    """Per anchor ``ell``: ``(ell, diff, gap, matched)`` for the cross
+    products ``lhs = p_{l+1} q_l`` and ``rhs = q_{l+1} p_l``, whose equality is
+    the ratio-match condition.
 
-
-def _normalized_gap(lhs, rhs) -> float:
-    scale = max(float(lhs), float(rhs))
-    if scale == 0:
-        return math.inf
-    return abs(float(lhs) - float(rhs)) / scale
+    ``diff = lhs - rhs`` and the normalized gap ``|lhs - rhs| / max(lhs, rhs)``
+    are floats; ``matched`` says whether ``lhs == rhs != 0`` exactly, or is
+    ``None`` for float laws.  Exact laws multiply their integer numerators, so
+    both products carry the positive factor ``d_mu d_nu``; each float is one
+    correctly rounded int division by it, the same division
+    ``Fraction.__float__`` performs.
+    """
+    exact = mu.is_exact and nu.is_exact
+    window = _union_window(mu, nu)
+    p, q = _aligned(mu, window, exact), _aligned(nu, window, exact)
+    den = _kernel_cells(mu, exact)[1] * _kernel_cells(nu, exact)[1]
+    out = []
+    for ell in ells:
+        i = ell - window.start
+        lhs, rhs = p[i + 1] * q[i], q[i + 1] * p[i]
+        fl, fr = float(lhs / den), float(rhs / den)
+        scale = max(fl, fr)
+        gap = math.inf if scale == 0 else abs(fl - fr) / scale
+        out.append((ell, fl - fr, gap, lhs == rhs != 0 if exact else None))  # both vanish when the reference does
+    return out
 
 
 def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int) -> Anchor:
@@ -253,11 +286,8 @@ def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int) -> Anchor:
     anchor cells gives an infinite gap.
     """
     _check_anchor(nu, ell)
-    lhs, rhs = _anchor_gap(mu, nu, ell)
-    gap = _normalized_gap(lhs, rhs)
-    if mu.is_exact and nu.is_exact:
-        return Anchor(ell, lhs == rhs != 0, gap)  # both vanish when the reference does
-    return Anchor(ell, gap <= ANCHOR_MATCH_TOL, gap)
+    [(_, _, gap, matched)] = _anchor_gaps(mu, nu, [ell])
+    return Anchor(ell, gap <= ANCHOR_MATCH_TOL if matched is None else matched, gap)
 
 
 def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True):
@@ -286,12 +316,8 @@ def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, che
 
 def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist):
     """All valid anchors (both target cells positive) with their gap data."""
-    out = []
-    for ell in range(nu.support_min, nu.support_max):
-        if _positive_at(nu, ell):
-            lhs, rhs = _anchor_gap(mu, nu, ell)
-            out.append((ell, float(lhs) - float(rhs), _normalized_gap(lhs, rhs)))
-    return out
+    ells = [ell for ell in range(nu.support_min, nu.support_max) if _positive_at(nu, ell)]
+    return [(ell, diff, gap) for ell, diff, gap, _ in _anchor_gaps(mu, nu, ells)]
 
 
 def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
@@ -394,9 +420,12 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
 
     if ell is None:
         anc = _best_effort_anchor(mu, nu)
-        if anc is None:
+        if anc is not None:
+            ell = anc.ell
+        elif tv_distance(mu, nu).hi == 0:
+            ell = nu.support_min  # the single atom both laws share: the bound is 0
+        else:
             return _not_applicable("no valid anchor (target support is a single atom)", cert, mu, nu)
-        ell = anc.ell
     else:
         try:
             _check_anchor(nu, ell)

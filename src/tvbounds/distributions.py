@@ -11,14 +11,19 @@ Arithmetic is dual-path.  Masses built from ``int``/``Fraction`` inputs stay
 exact rational (used for oracles and certificates); anything constructed from
 floats stays float, and all float certificates use cross-multiplied
 comparisons with an explicit relative slack so that no logarithm of zero or
-near-tie misfires.
+near-tie misfires.  The exact kernels (validation, certificates, TV, anchor
+gaps and envelope sums) never add or multiply ``Fraction`` cells: they run on
+``DiscreteDist.integer_masses``, the masses as integer numerators over their
+least common denominator, cached per instance, and build one ``Fraction`` per
+result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
 from .errors import AbsoluteContinuityError, InvalidDistributionError
@@ -94,18 +99,23 @@ class DiscreteDist:
     offset: int
     masses: tuple
     tail_deficit: Scalar = 0
+    #: every mass and the deficit are ``int``/``Fraction``; set at construction
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(self.masses))
         if not self.masses:
             raise InvalidDistributionError("empty mass sequence")
-        if any(m < 0 for m in self.masses):
+        exact = _is_exact(self.tail_deficit) and all(map(_is_exact, self.masses))
+        object.__setattr__(self, "is_exact", exact)
+        cells, den = _kernel_cells(self, exact)
+        if any(m < 0 for m in cells):
             raise InvalidDistributionError("negative mass")
-        if not any(m > 0 for m in self.masses):
+        if not any(m > 0 for m in cells):
             raise InvalidDistributionError("all masses zero")
         if self.tail_deficit < 0:
             raise InvalidDistributionError("negative tail deficit")
-        total = sum(self.masses) + self.tail_deficit
+        total = (Fraction(sum(cells), den) if exact else sum(cells)) + self.tail_deficit
         if abs(total - 1) > _NORMALIZATION_GUARD:
             raise InvalidDistributionError(f"masses + tail_deficit sum to {float(total)!r}, not 1")
 
@@ -131,9 +141,12 @@ class DiscreteDist:
             return self.masses[i]
         return 0
 
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(m) for m in self.masses) and _is_exact(self.tail_deficit)
+    @cached_property
+    def integer_masses(self) -> tuple[tuple[int, ...], int]:
+        """``(numerators, denominator)``: the exact masses as integers over
+        their least common denominator.  Only meaningful when ``is_exact``."""
+        den = math.lcm(*(m.denominator for m in self.masses))
+        return tuple(m.numerator * (den // m.denominator) for m in self.masses), den
 
     def shifted(self, d: int) -> "DiscreteDist":
         return DiscreteDist(self.offset + d, self.masses, self.tail_deficit)
@@ -300,23 +313,42 @@ def _union_window(x: DiscreteDist, y: DiscreteDist) -> range:
     return range(min(x.offset, y.offset), max(x.end, y.end))
 
 
+def _kernel_cells(d: DiscreteDist, exact: bool) -> tuple[Sequence[Scalar], int]:
+    """The cells a kernel computes on and the denominator they share: the
+    integer numerators when ``exact``, else the stored masses over 1."""
+    return d.integer_masses if exact else (d.masses, 1)
+
+
+def _aligned(d: DiscreteDist, window: range, exact: bool) -> list:
+    """``_kernel_cells(d, exact)[0]`` zero-padded to ``window`` (a superset of
+    ``d``'s own window)."""
+    cells = _kernel_cells(d, exact)[0]
+    return [0] * (d.offset - window.start) + list(cells) + [0] * (window.stop - d.end)
+
+
 def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
     """Total variation as an interval absorbing both truncation deficits.
 
     The point value is ``sum_k (nu_k - mu_k)_+`` over the union window; the
     true distance of the untruncated laws lies within
-    ``[t, t + mu.tail_deficit + nu.tail_deficit]``.
+    ``[t, t + mu.tail_deficit + nu.tail_deficit]``.  Exact laws sum
+    ``(N_k d_mu - M_k d_nu)_+`` over their integer numerators ``N`` (of
+    ``nu``) and ``M`` (of ``mu``) and divide once by ``d_mu d_nu``.
     """
     exact = mu.is_exact and nu.is_exact
-    t = Fraction(0) if exact else 0.0
-    for k in _union_window(mu, nu):
-        d = nu.mass(k) - mu.mass(k)
+    window = _union_window(mu, nu)
+    (_, d_mu), (_, d_nu) = _kernel_cells(mu, exact), _kernel_cells(nu, exact)
+    t = 0 if exact else 0.0
+    for m, n in zip(_aligned(mu, window, exact), _aligned(nu, window, exact)):
+        d = n * d_mu - m * d_nu
         if d > 0:
             t += d
     slack = mu.tail_deficit + nu.tail_deficit
-    if not exact:
+    if exact:
+        t = Fraction(t, d_mu * d_nu)
+    else:
         t, slack = float(t), float(slack)
-    return Interval(t, t + slack)
+    return Interval(t, t + slack if slack else t)
 
 
 def _neumaier_sum(values) -> float:
@@ -381,24 +413,27 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
     concavity failure.  The check is (a) the support of ``nu`` is a contiguous
     interval, (b) at every interior index of that interval
     ``q_{k-1} q_{k+1} p_k^2 <= q_k^2 p_{k-1} p_{k+1}`` in cross-multiplied
-    form, exact for rational inputs and with relative slack for floats.
-    Positions where ``nu`` vanishes constrain nothing (the log-ratio is minus
-    infinity there, and the three-term inequality holds vacuously).
+    form, exact for rational inputs (on their integer numerators: both sides
+    carry the same positive factor ``d_nu^2 d_mu^2``) and with relative slack
+    for floats.  Positions where ``nu`` vanishes constrain nothing (the
+    log-ratio is minus infinity there, and the three-term inequality holds
+    vacuously).
     """
-    for k in _union_window(mu, nu):
-        if nu.mass(k) > 0 and mu.mass(k) == 0:
+    exact = mu.is_exact and nu.is_exact
+    window = _union_window(mu, nu)
+    p, q = _aligned(mu, window, exact), _aligned(nu, window, exact)
+    for i, (pk, qk) in enumerate(zip(p, q)):
+        if qk > 0 and pk == 0:
+            k = window.start + i
             raise AbsoluteContinuityError(
                 f"target has mass at {k} where the reference has none", {"index": k}
             )
-    exact = mu.is_exact and nu.is_exact
-    ok, gap, lo, hi = _support_interval(nu.masses, nu.offset)
+    ok, gap, lo, hi = _support_interval(q, window.start)
     if not ok:
         return LogConcavityCertificate(False, gap, False)
-    for k in range(lo + 1, hi):
-        qm, q0, qp = nu.mass(k - 1), nu.mass(k), nu.mass(k + 1)
-        pm, p0, pp = mu.mass(k - 1), mu.mass(k), mu.mass(k + 1)
-        if not _leq_with_slack(qm * qp * p0 * p0, q0 * q0 * pm * pp, exact):
-            return LogConcavityCertificate(False, k, True)
+    for i in range(lo - window.start + 1, hi - window.start):
+        if not _leq_with_slack(q[i - 1] * q[i + 1] * p[i] * p[i], q[i] * q[i] * p[i - 1] * p[i + 1], exact):
+            return LogConcavityCertificate(False, window.start + i, True)
     return LogConcavityCertificate(True, None, True)
 
 

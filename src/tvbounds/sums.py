@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Sequence
 
@@ -51,17 +51,21 @@ class BernoulliVector:
     def n(self) -> int:
         return len(self.p)
 
-    @property
+    @cached_property
     def alphas(self) -> tuple:
         if self.is_exact:
             return tuple(1 - Fraction(v) for v in self.p)
         return tuple(1.0 - float(v) for v in self.p)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(_is_exact(v) for v in self.p)
 
     def summary(self) -> "MeanSummary":
+        return self._summary
+
+    @cached_property
+    def _summary(self) -> "MeanSummary":
         alphas = self.alphas
         n = self.n
         if self.is_exact:

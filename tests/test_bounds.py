@@ -225,6 +225,18 @@ class TestCertify:
         assert rep.bound_nu_side is None
         assert "anchor" in rep.details["not_applicable"]
 
+    @pytest.mark.parametrize("mu", [make_dist(0, [1.0, 0.0, 0.0]), make_dist(-1, [F(0), F(1)])])
+    def test_same_single_atom_has_zero_bound(self, mu):
+        rep = certify(mu, make_dist(0, [1.0, 0.0]))
+        assert (rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (0.0, 0.0, 0.0)
+        assert rep.anchor is None and rep.dominated is True
+        assert rep.details == {"anchor_outside_target_support": 0}
+
+    def test_single_atom_against_other_exact_reference_not_applicable(self):
+        rep = certify(make_dist(0, [F(1), F(1)]), make_dist(0, [F(0), F(1)]))
+        assert rep.core_bounds() == [] and rep.oracle_tv.hi == F(1, 2)
+        assert "anchor" in rep.details["not_applicable"]
+
     def test_report_round_trip(self):
         rep = certify(B_MATCH.to_float(), PB.to_float())
         back = BoundReport.from_json(rep.to_json())

@@ -54,6 +54,17 @@ class TestBernoulliSumGolden:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("subcommand", ["pb-binomial", "pb-poisson"])
+def test_all_zero_probabilities_certify_bound_zero(subcommand):
+    # sum and reference are the same atom at 0; as sum-geometric --p 0,0
+    code, text = run([subcommand, "--p", "0,0"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["bound_nu_side"] == report["bound_mu_side"] == 0.0
+    assert report["details"] == {"anchor_outside_target_support": 0}
+    assert report["dominated"] is True
+
+
 def test_tolerance_option_removed():
     code, _ = run(["pb-poisson", "--p", "0.1", "--tolerance", "1e-9"])
     assert code == 1

@@ -1,0 +1,247 @@
+"""The exact kernels run on integer numerators; the ``Fraction`` versions they
+replaced are kept here as the oracle, and every result must equal it."""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvbounds import (
+    AbsoluteContinuityError,
+    DiscreteDist,
+    InvalidDistributionError,
+    certify,
+    family_binomial,
+    make_dist,
+    tv_distance,
+)
+from tvbounds.bounds import anchor_at, _candidate_anchors, tv_bounds_at_anchor
+from tvbounds.distributions import Interval, is_log_concave_relative
+from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: the kernels as they were before the integer backend
+# ---------------------------------------------------------------------------
+
+
+def oracle_certificate(nu, mu):
+    """(holds, first_violation, support_is_interval), or the index that breaks
+    absolute continuity."""
+    for k in range(min(mu.offset, nu.offset), max(mu.end, nu.end)):
+        if nu.mass(k) > 0 and mu.mass(k) == 0:
+            return ("absolute continuity", k)
+    pos = [nu.offset + i for i, m in enumerate(nu.masses) if m > 0]
+    lo, hi = pos[0], pos[-1]
+    for k in range(lo, hi + 1):
+        if nu.mass(k) == 0:
+            return (False, k, False)
+    for k in range(lo + 1, hi):
+        qm, q0, qp = nu.mass(k - 1), nu.mass(k), nu.mass(k + 1)
+        pm, p0, pp = mu.mass(k - 1), mu.mass(k), mu.mass(k + 1)
+        if not qm * qp * p0 * p0 <= q0 * q0 * pm * pp:
+            return (False, k, True)
+    return (True, None, True)
+
+
+def oracle_tv(mu, nu):
+    t = F(0)
+    for k in range(min(mu.offset, nu.offset), max(mu.end, nu.end)):
+        d = nu.mass(k) - mu.mass(k)
+        if d > 0:
+            t += d
+    return Interval(t, t + mu.tail_deficit + nu.tail_deficit)
+
+
+def _oracle_products(mu, nu, ell):
+    return mu.mass(ell + 1) * nu.mass(ell), nu.mass(ell + 1) * mu.mass(ell)
+
+
+def _oracle_gap(lhs, rhs):
+    scale = max(float(lhs), float(rhs))
+    return math.inf if scale == 0 else abs(float(lhs) - float(rhs)) / scale
+
+
+def oracle_candidates(mu, nu):
+    out = []
+    for ell in range(nu.support_min, nu.support_max):
+        if nu.mass(ell) > 0 and nu.mass(ell + 1) > 0:
+            lhs, rhs = _oracle_products(mu, nu, ell)
+            out.append((ell, float(lhs) - float(rhs), _oracle_gap(lhs, rhs)))
+    return out
+
+
+def oracle_anchor(mu, nu, ell):
+    lhs, rhs = _oracle_products(mu, nu, ell)
+    return ell, lhs == rhs != 0, _oracle_gap(lhs, rhs)
+
+
+def oracle_envelope(mu, nu, ell):
+    ql, ql1 = nu.mass(ell), nu.mass(ell + 1)
+    pl, pl1 = mu.mass(ell), mu.mass(ell + 1)
+    r = F(pl1) * ql / (F(pl) * ql1)
+    ratio = F(pl) / F(ql)
+    b_nu = F(0)
+    for i, q in enumerate(nu.masses):
+        if q > 0:
+            term = 1 - ratio * r ** (nu.offset + i - ell)
+            if term > 0:
+                b_nu += term * q
+    b_mu = F(0)
+    for i, p in enumerate(mu.masses):
+        if p > 0:
+            term = (1 / ratio) * (1 / r) ** (mu.offset + i - ell) - 1
+            if term > 0:
+                b_mu += term * p
+    return min(max(b_nu, F(0)), F(1)), min(max(b_mu, F(0)), F(1))
+
+
+# ---------------------------------------------------------------------------
+# random exact laws
+# ---------------------------------------------------------------------------
+
+_WEIGHT = st.one_of(st.just(0), st.integers(1, 20))
+
+
+@st.composite
+def weighted_laws(draw):
+    """Fraction cells with zeros anywhere (some of them int 0) and a Fraction
+    tail deficit that may vanish."""
+    weights = draw(st.lists(_WEIGHT, min_size=1, max_size=10).filter(any))
+    tail = draw(st.sampled_from([0, 0, 1, 3]))
+    total = sum(weights) + tail
+    int_zeros = draw(st.booleans())
+    masses = tuple(0 if w == 0 and int_zeros else F(w, total) for w in weights)
+    return DiscreteDist(draw(st.integers(-3, 3)), masses, F(tail, total))
+
+
+@st.composite
+def point_masses(draw):
+    """A single atom held as ``int`` cells, possibly padded with zeros."""
+    length = draw(st.integers(1, 4))
+    masses = [0] * length
+    masses[draw(st.integers(0, length - 1))] = 1
+    return DiscreteDist(draw(st.integers(-3, 3)), tuple(masses), 0)
+
+
+@st.composite
+def binomial_laws(draw):
+    n = draw(st.integers(0, 9))
+    den = draw(st.integers(2, 12))
+    law = family_binomial(n, F(draw(st.integers(1, den - 1)), den))
+    return law.shifted(draw(st.integers(-3, 3)))
+
+
+_LAW = st.one_of(weighted_laws(), point_masses(), binomial_laws())
+
+
+@st.composite
+def law_pairs(draw):
+    """(mu, nu) in either order; sometimes a law against itself."""
+    a = draw(_LAW)
+    b = a if draw(st.integers(0, 5)) == 0 else draw(_LAW)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def _certificate(nu, mu):
+    try:
+        c = is_log_concave_relative(nu, mu)
+    except AbsoluteContinuityError as e:
+        return ("absolute continuity", e.details["index"])
+    return (c.holds, c.first_violation, c.support_is_interval)
+
+
+def _valid_anchors(mu, nu):
+    return [ell for ell in range(nu.offset, nu.end - 1)
+            if nu.mass(ell) > 0 and nu.mass(ell + 1) > 0 and mu.mass(ell) > 0 and mu.mass(ell + 1) > 0]
+
+
+class TestIntegerKernelsEqualFractionOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(law_pairs())
+    def test_every_kernel(self, pair):
+        mu, nu = pair
+        assert _certificate(nu, mu) == oracle_certificate(nu, mu)
+        tv = tv_distance(mu, nu)
+        assert tv == oracle_tv(mu, nu)
+        assert all(type(v) is F for v in tv)
+        cands = _candidate_anchors(mu, nu)
+        assert cands == oracle_candidates(mu, nu)
+        for ell, _, _ in cands:
+            a = anchor_at(mu, nu, ell)
+            assert (a.ell, a.ratio_matched, a.ratio_gap) == oracle_anchor(mu, nu, ell)
+        for ell in _valid_anchors(mu, nu):
+            assert tv_bounds_at_anchor(mu, nu, ell, check=False) == oracle_envelope(mu, nu, ell)
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_poisson_binomial_against_binomial(self, n):
+        rng = random.Random(n)
+        bv = BernoulliVector(tuple(F(rng.randint(1, 49), 100) for _ in range(n)))
+        mu, nu = binomial_target(bv), poisson_binomial_pmf(bv)
+        assert _certificate(nu, mu) == oracle_certificate(nu, mu) == (True, None, True)
+        assert tv_distance(mu, nu) == oracle_tv(mu, nu)
+        assert _candidate_anchors(mu, nu) == oracle_candidates(mu, nu)
+        assert oracle_anchor(mu, nu, 0)[1] and anchor_at(mu, nu, 0).ratio_matched
+        for ell in _valid_anchors(mu, nu):
+            assert tv_bounds_at_anchor(mu, nu, ell, check=False) == oracle_envelope(mu, nu, ell)
+
+    def test_validation_uses_the_integer_sum(self):
+        d = DiscreteDist(0, (F(1, 3), F(1, 6)), F(1, 2))
+        assert d.integer_masses == ((2, 1), 6)
+        with pytest.raises(InvalidDistributionError, match="sum to"):
+            DiscreteDist(0, (F(1, 3), F(1, 6)), F(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# float and exact backends agree on every verdict
+# ---------------------------------------------------------------------------
+
+_COUNTS = st.lists(st.integers(1, 20), min_size=1, max_size=12)
+
+
+class TestFloatExactVerdictAgreement:
+    # integer masses in 1..20 put any violation's relative margin at 20^-4 or
+    # more, far above CERT_REL_TOL = 1e-12, so the float slack and rounding
+    # cannot flip a verdict
+    @settings(max_examples=300, deadline=None)
+    @given(_COUNTS, _COUNTS, st.integers(0, 11), st.integers(-3, 3))
+    def test_same_verdict(self, ref, target, start, offset):
+        start = min(start, len(ref) - 1)
+        target = target[: len(ref) - start]
+        mu = make_dist(offset, ref)
+        nu = make_dist(offset + start, target)
+        exact = is_log_concave_relative(nu, mu)
+        approx = is_log_concave_relative(nu.to_float(), mu.to_float())
+        assert (approx.holds, approx.first_violation) == (exact.holds, exact.first_violation)
+
+
+# ---------------------------------------------------------------------------
+# O(1) Fraction arithmetic per certify
+# ---------------------------------------------------------------------------
+
+_COUNTED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+            "__truediv__", "__rtruediv__", "__pow__", "__rpow__")
+
+
+def _fraction_ops_in_certify(n, monkeypatch):
+    rng = random.Random(2210)
+    bv = BernoulliVector(tuple(F(rng.randint(1, 49), 100) for _ in range(n)))
+    mu, nu = binomial_target(bv), poisson_binomial_pmf(bv)
+    calls = []
+    with monkeypatch.context() as m:
+        for name in _COUNTED:
+            op = getattr(F, name)
+            m.setattr(F, name, lambda a, b, *rest, _op=op, _name=name: calls.append(_name) or _op(a, b, *rest))
+        report = certify(mu, nu)
+    assert report.anchor is not None and report.anchor.ratio_matched
+    assert report.dominated
+    return len(calls)
+
+
+def test_certify_does_constant_fraction_arithmetic(monkeypatch):
+    small = _fraction_ops_in_certify(20, monkeypatch)
+    assert small == _fraction_ops_in_certify(120, monkeypatch)
+    assert small < 40
