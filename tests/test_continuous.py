@@ -1,15 +1,18 @@
 """Continuous regime against mpmath: density crossings, the incomplete gamma,
 the Gamma TV oracle, the Gamma and score-anchored bounds, and the Kolmogorov
-oracle; plus a guard that the benchmark tracer's entry points still exist.
+oracle; Brent's method against scipy's; plus a guard that the benchmark
+tracer's entry points still exist.
 """
 
 import importlib
 import importlib.util
+import math
 import pathlib
 import random
 
 import mpmath
 import pytest
+from scipy import optimize
 
 from tvbounds import continuous as cont
 from tvbounds.continuous import GammaParams
@@ -135,17 +138,57 @@ class TestCrossings:
 # ---------------------------------------------------------------------------
 
 
-def test_regularized_gamma_p_against_mpmath():
-    rng = random.Random(5)
-    for _ in range(300):
-        a = 10.0 ** rng.uniform(-2.0, 3.0)
-        x = a * 10.0 ** rng.uniform(-2.0, 1.0)
+def _assert_gamma_p_against_mpmath(points):
+    for a, x in points:
         want = mp.gammainc(a, 0, x, regularized=True)
         # values below the float range come back as 0.0
         assert abs(cont.regularized_gamma_p(a, x) - want) <= 1e-11 * want + 1e-300, (a, x)
 
 
-@pytest.mark.parametrize("a, x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300)])
+def test_regularized_gamma_p_against_mpmath():
+    rng = random.Random(5)
+    points = []
+    for _ in range(300):
+        a = 10.0 ** rng.uniform(-2.0, 3.0)
+        points.append((a, a * 10.0 ** rng.uniform(-2.0, 1.0)))
+    _assert_gamma_p_against_mpmath(points)
+
+
+def test_regularized_gamma_p_around_the_series_switch():
+    # the series runs below x = a + 1 and the continued fraction above it
+    rng = random.Random(6)
+    points = []
+    for _ in range(500):
+        a = 10.0 ** rng.uniform(-1.0, 3.0)
+        points.append((a, a * rng.uniform(0.9, 1.1)))
+    _assert_gamma_p_against_mpmath(points)
+
+
+def test_regularized_gamma_p_at_large_shapes():
+    # within three standard deviations of the mean, where lgamma(a) and a log x
+    # would cancel to about a log(a) eps
+    rng = random.Random(8)
+    points = []
+    for _ in range(60):
+        a = 10.0 ** rng.uniform(3.0, 6.0)
+        points.append((a, a + rng.uniform(-3.0, 3.0) * math.sqrt(a)))
+    _assert_gamma_p_against_mpmath(points)
+
+
+def test_regularized_gamma_p_is_exact_at_the_ends():
+    for a in (0.01, 1.0, 7.5, 1000.0):
+        assert cont.regularized_gamma_p(a, 0.0) == 0.0
+        assert cont.regularized_gamma_p(a, math.inf) == 1.0
+
+
+def test_regularized_gamma_p_of_shape_one_is_the_exponential_cdf():
+    for i in range(2001):
+        x = 1e-8 * (3e10) ** (i / 2000)
+        want = -math.expm1(-x)
+        assert abs(cont.regularized_gamma_p(1.0, x) - want) <= 1e-14 * want, x
+
+
+@pytest.mark.parametrize("a, x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0), (1.0, math.nan)])
 def test_regularized_gamma_p_rejects_bad_arguments(a, x):
     with pytest.raises(InvalidDistributionError):
         cont.regularized_gamma_p(a, x)
@@ -244,6 +287,46 @@ def test_kolmogorov_oracle_brackets_mpmath_sup(name):
     # the CDFs are evaluated in floats, so the grid maximum may exceed the sup by rounding
     assert report.oracle_tv.lo <= sup + 1e-15 and sup <= report.oracle_tv.hi
     assert report.simplified >= sup and report.dominated
+
+
+# ---------------------------------------------------------------------------
+# Brent's method against scipy's
+# ---------------------------------------------------------------------------
+
+
+def _brentq_calls(monkeypatch, work):
+    """Every ``(f, xa, xb)`` that ``work()`` hands to ``_brentq``."""
+    calls, real = [], cont._brentq
+
+    def record(f, xa, xb, **kw):
+        calls.append((f, xa, xb))
+        return real(f, xa, xb, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(cont, "_brentq", record)
+        work()
+    return calls
+
+
+@pytest.mark.parametrize("tol", [{}, {"xtol": 1e-300}], ids=["default", "crossings"])
+def test_brentq_matches_scipy_on_gamma_gaps(monkeypatch, tol):
+    rng = random.Random(12)
+    pairs = _same_sign_pairs(100, 11)
+    pairs += [(GammaParams(rng.uniform(0.3, 8.0), rng.uniform(0.2, 5.0)),
+               GammaParams(rng.uniform(0.3, 8.0), rng.uniform(0.2, 5.0))) for _ in range(60)]
+    calls = _brentq_calls(monkeypatch, lambda: [cont.gamma_density_crossings(a, b) for a, b in pairs])
+    assert len(calls) > len(pairs)
+    for f, xa, xb in calls:
+        assert cont._brentq(f, xa, xb, **tol) == optimize.brentq(f, xa, xb, **tol), (xa, xb)
+
+
+@pytest.mark.parametrize("name", ["expquad", "exp:0.5", "exp:2", "exp:7.3"])
+def test_brentq_matches_scipy_on_kolmogorov_density_gaps(monkeypatch, name):
+    # for exp:<rate> the gap is rounding noise around 0, so the steps are erratic
+    calls = _brentq_calls(monkeypatch, lambda: cont.exp_kolmogorov_bound(cont.builtin_density(name)))
+    assert calls
+    for f, xa, xb in calls:
+        assert cont._brentq(f, xa, xb) == optimize.brentq(f, xa, xb), (xa, xb)
 
 
 # ---------------------------------------------------------------------------
