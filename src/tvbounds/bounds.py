@@ -19,8 +19,9 @@ At a ratio-matched anchor ``q_ell >= p_ell`` necessarily holds and the
 simplified bound equals ``1 - p_ell/q_ell``, the smaller of the two terms.
 
 Every discrete report, from ``certify`` and from the application modules, is
-built by ``anchored_report``: the oracle TV, the anchor record, the bounds and
-the dominance verdict are computed there and nowhere else.
+built by ``anchored_report``: the oracle TV, the anchor record and the bounds
+are computed there and nowhere else, and every report derives its dominance
+verdict from them.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class Anchor:
     def to_json(self) -> dict:
         return {"ell": self.ell, "ratio_matched": self.ratio_matched, "ratio_gap": float(self.ratio_gap)}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "Anchor":
-        return cls(int(d["ell"]), bool(d["ratio_matched"]), float(d["ratio_gap"]))
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -91,11 +88,10 @@ class BoundReport:
     ``bound_nu_side``/``bound_mu_side`` are the two envelope sums, or the
     caller's closed-form pair (clamped to [0, 1]), ``simplified`` the
     ratio-matched closed form when available, ``stated_bound`` an unclamped
-    corollary-style closed form carried verbatim by the application modules,
-    and ``dominated`` the verdict
-    ``oracle_tv.hi <= min(clamped bounds) + 1e-10`` when an oracle was
-    computed (the slack absorbs truncation deficits on exact-equality
-    instances).
+    corollary-style closed form carried verbatim by the application modules.
+    ``dominated`` is derived, not stored: the verdict
+    ``oracle_tv.hi <= min(core bounds) + 1e-10`` when an oracle was computed
+    (the slack absorbs truncation deficits on exact-equality instances).
     """
 
     bound_nu_side: float | None
@@ -104,7 +100,6 @@ class BoundReport:
     anchor: Anchor | None
     hypothesis: LogConcavityCertificate
     oracle_tv: Interval | None
-    dominated: bool | None
     stated_bound: float | None = None
     details: Mapping[str, object] = field(default_factory=dict)
 
@@ -112,8 +107,8 @@ class BoundReport:
         return [float(b) for b in (self.bound_nu_side, self.bound_mu_side, self.simplified) if b is not None]
 
     @property
-    def applicable(self) -> bool:
-        return bool(self.core_bounds()) or self.stated_bound is not None
+    def dominated(self) -> bool | None:
+        return dominance_verdict(self.oracle_tv, *self.core_bounds())
 
     def to_json(self) -> dict:
         return {
@@ -127,20 +122,6 @@ class BoundReport:
             "stated_bound": None if self.stated_bound is None else float(self.stated_bound),
             "details": dict(self.details),
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "BoundReport":
-        return cls(
-            d["bound_nu_side"],
-            d["bound_mu_side"],
-            d["simplified"],
-            None if d["anchor"] is None else Anchor.from_json(d["anchor"]),
-            LogConcavityCertificate.from_json(d["hypothesis"]),
-            None if d["oracle_tv"] is None else Interval(*d["oracle_tv"]),
-            d["dominated"],
-            d.get("stated_bound"),
-            d.get("details", {}),
-        )
 
 
 def clamp01(x):
@@ -161,14 +142,28 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> LogConcavityCertificate:
-    cert = is_log_concave_relative(nu, mu)
+def _hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> tuple[LogConcavityCertificate, HypothesisError | None]:
+    """The certificate of ``nu`` against ``mu``, and the error saying why the
+    envelope bounds do not apply (returned, not raised) or ``None``."""
+    try:
+        cert = is_log_concave_relative(nu, mu)
+    except AbsoluteContinuityError as e:
+        # without its traceback, whose frames would hold it in a reference cycle
+        return LogConcavityCertificate(False, e.details["index"], True), e.with_traceback(None)
     if not cert.holds:
-        raise HypothesisError("target is not log-concave relative to the reference",
-                              {"certificate": cert.to_json()})
+        return cert, HypothesisError("target is not log-concave relative to the reference",
+                                     {"certificate": cert.to_json()})
     ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
     if not ok:
-        raise HypothesisError("reference support is not a contiguous interval", {"gap_at": gap})
+        return (LogConcavityCertificate(False, gap, False),
+                HypothesisError("reference support is not a contiguous interval", {"gap_at": gap}))
+    return cert, None
+
+
+def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> LogConcavityCertificate:
+    cert, error = _hypothesis(mu, nu)
+    if error is not None:
+        raise error
     return cert
 
 
@@ -390,13 +385,11 @@ def anchored_report(
         b_nu, b_mu = (float(b) for b in tv_bounds_at_anchor(mu, nu, ell, check=False))
         if anchor.ratio_matched:
             simplified = float(tv_bound_matched_anchor(mu, nu, ell, check=False))
-    dominated = dominance_verdict(tv, b_nu, b_mu, simplified)
-    return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, dominated, stated_bound, details)
+    return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, stated_bound, details)
 
 
 def _not_applicable(reason: str, cert: LogConcavityCertificate, mu: DiscreteDist, nu: DiscreteDist) -> BoundReport:
-    tv = tv_distance(mu, nu)
-    return BoundReport(None, None, None, None, cert, tv, None, None, {"not_applicable": reason})
+    return BoundReport(None, None, None, None, cert, tv_distance(mu, nu), None, {"not_applicable": reason})
 
 
 def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> BoundReport:
@@ -405,18 +398,10 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
     a structured not-applicable report (with the oracle TV) instead of an
     exception.
     """
-    try:
-        cert = _check_hypothesis(mu, nu)
-    except AbsoluteContinuityError as e:
-        cert = LogConcavityCertificate(False, e.details.get("index"), True)
-        return _not_applicable("absolute continuity violated", cert, mu, nu)
-    except HypothesisError as e:
-        inner = e.details.get("certificate")
-        if inner is not None:
-            cert = LogConcavityCertificate.from_json(inner)
-        else:
-            cert = LogConcavityCertificate(False, e.details.get("gap_at"), False)
-        return _not_applicable(str(e), cert, mu, nu)
+    cert, error = _hypothesis(mu, nu)
+    if error is not None:
+        reason = "absolute continuity violated" if isinstance(error, AbsoluteContinuityError) else str(error)
+        return _not_applicable(reason, cert, mu, nu)
 
     if ell is None:
         anc = _best_effort_anchor(mu, nu)

@@ -24,6 +24,7 @@ from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     LogConcavityCertificate,
+    _leq_with_slack,
     convolve,
     family_geometric,
     is_log_concave,
@@ -104,8 +105,7 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
                               {"certificate": cert.to_json()})
     lhs = spec.lam * float(f.mass(1)) ** 2
     rhs = 2.0 * float(f.mass(2))
-    holds = lhs + 1e-12 * max(lhs, rhs) >= rhs
-    return LogConcavityCertificate(holds, None, True)
+    return LogConcavityCertificate(_leq_with_slack(rhs, lhs, False), None, True)
 
 
 def _geometric_target(ratio: float, min_length: int, tail_budget: float) -> DiscreteDist:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bounds import BoundReport, _safe_exp, clamp01, dominance_verdict
+from .bounds import BoundReport, _safe_exp, clamp01
 from .distributions import Interval, LogConcavityCertificate
 from .errors import InvalidDistributionError, NotApplicableError
 
@@ -327,7 +327,6 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
     cert = LogConcavityCertificate(True, None, True)
 
     oracle = None
-    dominated = None
     if model.cdf is not None:
         exp_cdf = lambda x: -math.expm1(-rate * x)
         hi = 1.0 / rate
@@ -346,8 +345,7 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
         # |F - F_exp| peaks where the densities cross; only crossings hidden
         # inside a single grid cell are missed, so a small pad suffices
         oracle = Interval(best, best + 1e-11)
-        dominated = dominance_verdict(oracle, bound)
-    return BoundReport(None, None, bound, None, cert, oracle, dominated, raw, details)
+    return BoundReport(None, None, bound, None, cert, oracle, raw, details)
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +498,21 @@ def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
         + dk * math.log(z)
         - dk
     )
-    ratio = math.exp(log_r)
+    ratio = _safe_exp(log_r)
     mu_side = ratio - 1.0
     nu_side = 1.0 - 1.0 / ratio
     # cross-check in log space, where densities that underflow at z still compare
     matched = _matched_bound(
         z, (hiP.kappa - 1.0) / z - hiP.lam, (loP.kappa - 1.0) / z - loP.lam,
-        math.exp(gamma_log_density(hiP, z) - gamma_log_density(loP, z)),
+        _safe_exp(gamma_log_density(hiP, z) - gamma_log_density(loP, z)),
     )
     if abs(matched - min(clamp01(mu_side), clamp01(nu_side))) > 1e-9:
         raise AssertionError("closed form and density-evaluated bound disagree")
     cert = LogConcavityCertificate(True, None, True)
     tv = tv_gamma_quadrature(a, b)
     bound = float(clamp01(min(mu_side, nu_side)))
-    dominated = dominance_verdict(tv, bound)
     details = {"z": z, "density_ratio": ratio, "swapped": swapped}
-    return BoundReport(
-        float(clamp01(nu_side)), float(clamp01(mu_side)), bound, None, cert, tv, dominated, None, details
-    )
+    return BoundReport(float(clamp01(nu_side)), float(clamp01(mu_side)), bound, None, cert, tv, None, details)
 
 
 def gamma_tv_bound_perturbative(a: GammaParams, b: GammaParams, z: float) -> float:

@@ -9,10 +9,15 @@ instead of a point estimate.
 
 Arithmetic is dual-path.  Masses built from ``int``/``Fraction`` inputs stay
 exact rational (used for oracles and certificates); anything constructed from
-floats stays float, and all float certificates use cross-multiplied
-comparisons with an explicit relative slack so that no logarithm of zero or
-near-tie misfires.  The exact kernels (validation, certificates, TV, anchor
-gaps and envelope sums) never add or multiply ``Fraction`` cells: they run on
+floats stays float.  Every certificate is one kernel, ``_three_term``:
+interval support of ``a`` and ``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` at each
+interior ``i``, cross-multiplied so that no logarithm of zero misfires, exact
+for rational cells and with relative slack ``CERT_REL_TOL`` for floats.  The
+weights ``(L_i, R_i)`` are ``(p_i^2, p_{i-1} p_{i+1})`` relative to a
+reference ``p``, ``(1, 1)`` for the counting measure, ``((k+1)(m-k+1),
+k(m-k))`` for ultra log-concavity of order ``m`` and ``(k+1, k)`` for
+infinite order.  The exact kernels (validation, certificates, TV, anchor gaps
+and envelope sums) never add or multiply ``Fraction`` cells: they run on
 ``DiscreteDist.integer_masses``, the masses as integer numerators over their
 least common denominator, cached per instance, and build one ``Fraction`` per
 result.
@@ -82,10 +87,6 @@ class LogConcavityCertificate:
             "first_violation": self.first_violation,
             "support_is_interval": self.support_is_interval,
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "LogConcavityCertificate":
-        return cls(bool(d["holds"]), d["first_violation"], bool(d["support_is_interval"]))
 
 
 @dataclass(frozen=True)
@@ -399,10 +400,33 @@ def _support_interval(masses: Sequence[Scalar], base: int) -> tuple[bool, int | 
 
 
 def _leq_with_slack(lhs, rhs, exact: bool) -> bool:
+    """``lhs <= rhs``: exactly when ``exact``, else with ``CERT_REL_TOL``
+    slack relative to the larger side."""
     if exact:
         return lhs <= rhs
     scale = max(abs(lhs), abs(rhs))
     return lhs <= rhs + CERT_REL_TOL * scale
+
+
+def _three_term(a: Sequence[Scalar], exact: bool, weights=None, base: int = 0) -> LogConcavityCertificate:
+    """The one log-concavity kernel: interval support of ``a``, then
+    ``a[i-1] a[i+1] L <= a[i]^2 R`` at each interior ``i``, with ``(L, R) =
+    weights(i)`` or ``(1, 1)`` without weights.  Indices are reported as
+    ``base + i``."""
+    if not a:
+        raise InvalidDistributionError("empty sequence")
+    if any(v < 0 for v in a):
+        raise InvalidDistributionError("negative entries")
+    if not any(v > 0 for v in a):
+        raise InvalidDistributionError("all entries zero")
+    ok, gap, lo, hi = _support_interval(a, 0)
+    if not ok:
+        return LogConcavityCertificate(False, base + gap, False)
+    for i in range(lo + 1, hi):
+        left, right = (1, 1) if weights is None else weights(i)
+        if not _leq_with_slack(a[i - 1] * a[i + 1] * left, a[i] * a[i] * right, exact):
+            return LogConcavityCertificate(False, base + i, True)
+    return LogConcavityCertificate(True, None, True)
 
 
 def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityCertificate:
@@ -425,53 +449,26 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
     for i, (pk, qk) in enumerate(zip(p, q)):
         if qk > 0 and pk == 0:
             k = window.start + i
-            raise AbsoluteContinuityError(
-                f"target has mass at {k} where the reference has none", {"index": k}
-            )
-    ok, gap, lo, hi = _support_interval(q, window.start)
-    if not ok:
-        return LogConcavityCertificate(False, gap, False)
-    for i in range(lo - window.start + 1, hi - window.start):
-        if not _leq_with_slack(q[i - 1] * q[i + 1] * p[i] * p[i], q[i] * q[i] * p[i - 1] * p[i + 1], exact):
-            return LogConcavityCertificate(False, window.start + i, True)
-    return LogConcavityCertificate(True, None, True)
+            raise AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
+    return _three_term(q, exact, lambda i: (p[i] * p[i], p[i - 1] * p[i + 1]), window.start)
 
 
 def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:
     """Log-concavity against the counting measure on the distribution's window."""
-    return is_log_concave_relative(nu, uniform_reference(nu.offset, len(nu.masses)))
-
-
-def _validate_ulc_input(a: Sequence[Scalar]):
-    a = list(a)
-    if not a:
-        raise InvalidDistributionError("empty sequence")
-    if any(v < 0 for v in a):
-        raise InvalidDistributionError("negative entries")
-    if not any(v > 0 for v in a):
-        raise InvalidDistributionError("all entries zero")
-    return a
+    return _three_term(_kernel_cells(nu, nu.is_exact)[0], nu.is_exact, base=nu.offset)
 
 
 def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:
     """Ultra log-concavity of order ``m``: ``a_k / C(m, k)`` is log-concave.
 
-    Checked cross-multiplied, ``a_k^2 C(m,k-1) C(m,k+1) >= a_{k-1} a_{k+1}
-    C(m,k)^2``, with interval support inside ``0..m``.
+    Checked in ratio form, ``(k+1)(m-k+1) a_{k-1} a_{k+1} <= k(m-k) a_k^2``,
+    with interval support inside ``0..m``; no binomial coefficient is formed,
+    so the weights stay in float range at any order.
     """
-    a = _validate_ulc_input(a)
+    a = list(a)
     if len(a) > m + 1:
         raise InvalidDistributionError(f"sequence longer than m+1 = {m + 1}")
-    exact = all(_is_exact(v) for v in a)
-    ok, gap, lo, hi = _support_interval(a, 0)
-    if not ok:
-        return LogConcavityCertificate(False, gap, False)
-    for k in range(lo + 1, hi):
-        lhs = a[k - 1] * a[k + 1] * math.comb(m, k) ** 2
-        rhs = a[k] * a[k] * math.comb(m, k - 1) * math.comb(m, k + 1)
-        if not _leq_with_slack(lhs, rhs, exact):
-            return LogConcavityCertificate(False, k, True)
-    return LogConcavityCertificate(True, None, True)
+    return _three_term(a, all(map(_is_exact, a)), lambda k: ((k + 1) * (m - k + 1), k * (m - k)))
 
 
 def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
@@ -480,14 +477,5 @@ def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
     Equivalent to log-concavity of ``a_k * k!``, i.e. log-concavity relative
     to any Poisson reference.
     """
-    a = _validate_ulc_input(a)
-    exact = all(_is_exact(v) for v in a)
-    ok, gap, lo, hi = _support_interval(a, 0)
-    if not ok:
-        return LogConcavityCertificate(False, gap, False)
-    for k in range(lo + 1, hi):
-        lhs = (k + 1) * a[k - 1] * a[k + 1]
-        rhs = k * a[k] * a[k]
-        if not _leq_with_slack(lhs, rhs, exact):
-            return LogConcavityCertificate(False, k, True)
-    return LogConcavityCertificate(True, None, True)
+    a = list(a)
+    return _three_term(a, all(map(_is_exact, a)), lambda k: (k + 1, k))

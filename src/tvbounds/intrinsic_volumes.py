@@ -50,10 +50,6 @@ class IVSequence:
     def W(self) -> Scalar:
         return sum(self.V)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(v) for v in self.V)
-
     def scaled(self, s: Scalar) -> "IVSequence":
         """Dilation: ``V_j(sK) = s^j V_j(K)``."""
         return IVSequence(self.n, tuple(v * s**j for j, v in enumerate(self.V)))

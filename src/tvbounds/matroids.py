@@ -178,15 +178,11 @@ def mason_check(prof: IndepProfile) -> LogConcavityCertificate:
     """Strong Mason inequality in exact integers:
     ``k (n-k) I(k)^2 >= (k+1)(n-k+1) I(k-1) I(k+1)`` for ``1 <= k <= n-1``.
 
-    Equivalent to ultra log-concavity of order ``n`` of the profile; genuine
-    matroid profiles always pass, so a violation identifies a non-matroid
-    count vector.
+    This is ultra log-concavity of order ``n`` of the profile, checked by
+    ``is_ulc``; genuine matroid profiles always pass, so a violation
+    identifies a non-matroid count vector.
     """
-    n, c = prof.n, prof.counts
-    for k in range(1, n):
-        if (k + 1) * (n - k + 1) * c[k - 1] * c[k + 1] > k * (n - k) * c[k] * c[k]:
-            return LogConcavityCertificate(False, k, True)
-    return LogConcavityCertificate(True, None, True)
+    return is_ulc(prof.counts, prof.n)
 
 
 def nu_distribution(prof: IndepProfile, include_zero: bool = False) -> DiscreteDist:
@@ -243,8 +239,7 @@ def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = Fals
         bound_mu = bound_nu = None
     cert = is_ulc(c, n)
     details = {"p": float(p), "m": m, "include_zero": include_zero, "profile": list(c)}
-    report = _profile_bound_report(nu, gamma, m, bound_mu, bound_nu, cert, details)
-    return report
+    return _profile_bound_report(nu, gamma, m, bound_mu, bound_nu, cert, details)
 
 
 def matroid_poisson_bound(

@@ -42,10 +42,6 @@ class SweepReport:
     worst_slack: float | None
     failures: tuple = field(default_factory=tuple)
 
-    @property
-    def failed(self) -> int:
-        return self.instances - self.passes
-
     def to_json(self) -> dict:
         return {
             "instances": self.instances,
@@ -53,11 +49,6 @@ class SweepReport:
             "worst_slack": self.worst_slack,
             "dominance_failures": list(self.failures),
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SweepReport":
-        return cls(int(d["instances"]), int(d["passes"]), d["worst_slack"],
-                   tuple(d.get("dominance_failures", ())))
 
 
 def random_envelope_instance(rng: random.Random, max_window: int = 60) -> tuple[DiscreteDist, DiscreteDist]:

@@ -88,6 +88,18 @@ def test_gamma_anchor_where_both_densities_underflow():
     assert float(report["details"]["z"]) == pytest.approx(2021.7317585868677)
 
 
+@pytest.mark.parametrize("a, b", [("2,1", "1,1e-310"), ("1,1e-310", "2,1")])
+def test_gamma_density_ratio_beyond_float_range(a, b):
+    # log R at the anchor is finite, R itself overflows: the bound saturates at 1
+    code, text = run(["gamma", "--a", a, "--b", b, "--case", "i"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["bound_nu_side"] == report["bound_mu_side"] == report["simplified"] == 1.0
+    assert report["details"]["density_ratio"] == "inf"
+    assert report["oracle_tv"] == [0.9999999999, 1.0000000001]
+    assert report["dominated"] is True
+
+
 def test_import_leaves_scipy_unloaded():
     # only tv_bound_continuous, which no subcommand calls, integrates with scipy
     code = """import sys

@@ -258,6 +258,70 @@ class TestULC:
                 rel = all(is_log_concave_relative(nu, family_binomial(n, p)).holds for p in ps)
                 assert rel == expected
 
+    def test_kernels_match_fraction_oracle(self):
+        # a_k / w_k log-concave, checked directly on Fractions, for the three
+        # weightings: C(m, k) (order m), 1/k! (infinite order), 1 (plain)
+        rng = random.Random(77)
+        seen = set()
+        for _ in range(400):
+            a = _random_exact_sequence(rng)
+            m = len(a) - 1 + rng.randint(0, 3)
+            offset = rng.randint(-5, 5)
+            cases = [
+                (is_ulc(a, m), [math.comb(m, k) for k in range(len(a))], 0),
+                (is_ulc_infinity(a), [F(1, math.factorial(k)) for k in range(len(a))], 0),
+                (is_log_concave(make_dist(offset, a)), [1] * len(a), offset),
+            ]
+            for cert, w, base in cases:
+                expected = _log_concave_oracle([F(v) / wk for v, wk in zip(a, w)], base)
+                got = (cert.holds, cert.first_violation, cert.support_is_interval)
+                assert got == expected, (a, m, w)
+                seen.add((expected[0], expected[2]))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_float_masses_past_binomial_coefficient_overflow(self):
+        # C(m, k)^2 leaves the float range from m ~ 520; the ratio form builds
+        # no coefficient
+        assert is_ulc(family_binomial(600, F(1, 2)).to_float().masses, 600).holds
+        # at m = 1200 the tail masses are subnormal and the products of the
+        # three-term check lose their precision, so the verdict there is not
+        # trustworthy in float (a log-space certificate is the fix); it must
+        # still come back as a certificate
+        assert is_ulc(family_binomial(1200, 0.5).masses, 1200).support_is_interval
+
+
+def _random_exact_sequence(rng):
+    """Short int/Fraction sequences: real-rooted coefficient lists (ultra
+    log-concave), the same with a dented or zeroed entry, or random draws
+    with zeros."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        a = _real_rooted_coeffs(rng, rng.randint(1, 7))
+        if kind == 1:
+            k = rng.randrange(len(a))
+            a[k] = a[k] * F(rng.randint(0, 3), rng.randint(1, 5))
+            if not any(a):
+                a[k] = F(1)
+        return a
+    a = [rng.choice([0, 0, rng.randint(1, 30), F(rng.randint(1, 30), rng.randint(1, 30))])
+         for _ in range(rng.randint(1, 9))]
+    if not any(a):
+        a[rng.randrange(len(a))] = 1
+    return a
+
+
+def _log_concave_oracle(b, base):
+    """``(holds, first_violation, support_is_interval)`` for the Fraction
+    sequence ``b`` indexed from ``base``."""
+    pos = [k for k, v in enumerate(b) if v > 0]
+    for k in range(pos[0], pos[-1] + 1):
+        if b[k] == 0:
+            return False, base + k, False
+    for k in range(pos[0] + 1, pos[-1]):
+        if b[k - 1] * b[k + 1] > b[k] * b[k]:
+            return False, base + k, True
+    return True, None, True
+
 
 def _real_rooted_coeffs(rng, m):
     coeffs = [F(1)]

@@ -4,7 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from tvbounds import InvalidDistributionError, MatroidAxiomError, NotApplicableError, family_binomial, tv_distance
+from tvbounds import (
+    InvalidDistributionError,
+    MatroidAxiomError,
+    NotApplicableError,
+    family_binomial,
+    is_ulc,
+    tv_distance,
+)
 from tvbounds.matroids import (
     IndepProfile,
     PartitionMatroidSpec,
@@ -110,6 +117,28 @@ class TestMason:
         for _ in range(60):
             spec = _random_spec(rng, 10)
             assert mason_check(profile_partition(spec)).holds
+
+    def test_mason_is_order_n_ulc(self):
+        rng = random.Random(32)
+        for _ in range(80):
+            n = rng.randint(1, 10)
+            for prof in (profile_partition(_random_spec(rng, 10)), profile_uniform(n, rng.randint(0, n))):
+                assert mason_check(prof) == is_ulc(prof.counts, prof.n)
+
+    def test_mason_matches_strong_inequality_on_prefix_counts(self):
+        # arbitrary count vectors with prefix support, most of them no matroid's
+        rng = random.Random(33)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            rank = rng.randint(0, n)
+            c = [1] + [rng.randint(1, 60) for _ in range(rank)] + [0] * (n - rank)
+            first = next((k for k in range(1, n)
+                          if (k + 1) * (n - k + 1) * c[k - 1] * c[k + 1] > k * (n - k) * c[k] * c[k]), None)
+            cert = mason_check(IndepProfile(n, tuple(c)))
+            assert (cert.holds, cert.first_violation, cert.support_is_interval) == (first is None, first, True)
+            verdicts.add(cert.holds)
+        assert verdicts == {True, False}
 
 
 def _random_spec(rng, max_ground):
