@@ -25,7 +25,6 @@ from .distributions import (
     Scalar,
     _is_exact,
     convolve,
-    family_bernoulli,
     family_binomial,
     family_geometric,
     family_poisson,
@@ -96,30 +95,50 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     """Exact mass function of ``sum_i Bernoulli(p_i)`` on ``0..n``.
 
     Direct two-term recursion ``a'_k = a_{k-1} p_i + a_k q_i`` over the
-    summands on one plain list: O(n^2) cells and no intermediate
-    distributions; only the result is validated.  The output is bit-identical
-    to folding ``convolve`` over the Bernoulli laws, because the fold's
-    compensated sum of two products returns exactly the rounded
-    ``a_{k-1} p_i + a_k q_i``.  Rational summands run on integer numerators
-    over one running denominator; a leading rational run in a mixed vector is
-    rounded to floats once, at the first float summand, as the fold does.
+    summands on one plain list, with no intermediate distributions; only the
+    result is validated.  The output is bit-identical to folding ``convolve``
+    over the Bernoulli laws, because the fold's compensated sum of two
+    products returns exactly the rounded ``a_{k-1} p_i + a_k q_i``.  Rational
+    summands run on integer numerators over one running denominator; a
+    leading rational run in a mixed vector is rounded to floats once, at the
+    first float summand, as the fold does.
+
+    On floats the recursion runs only on the band of cells that are not
+    exactly 0.0, so it costs O(n * band width) cells instead of O(n^2).  A
+    sum of Bernoullis is log-concave (Liggett 1997), so its cells that
+    underflow form two tails, and a cell whose two parents are 0.0 stays
+    ``0.0 p + 0.0 q = 0.0``: trimming the band's ends after each summand and
+    padding once at the end leaves every cell bit-identical.
     """
-    a, den = [1], 1  # integer numerators over ``den`` while every summand is rational
+    # cells ``lo ..`` of the mass function; integer numerators over ``den``
+    # while every summand is rational
+    band, den, lo = [1], 1, 0
     for v in bv.p:
-        q, p = family_bernoulli(v).masses
-        if den is not None and isinstance(p, Fraction):
-            num, d = p.numerator, p.denominator
-            q_num = d - num
-            a = [x * num + y * q_num for x, y in zip(chain((0,), a), chain(a, (0,)))]
-            den *= d
-            continue
+        if _is_exact(v):
+            v = Fraction(v)
+            if den is not None:
+                num, d = v.numerator, v.denominator
+                q_num = d - num
+                band = [x * num + y * q_num for x, y in zip(chain((0,), band), chain(band, (0,)))]
+                den *= d
+                continue
+            p, q = float(v), float(1 - v)
+        else:
+            p = float(v)
+            q = 1.0 - p
         if den is not None:
-            a, den = [x / den for x in a], None
-        q, p = float(q), float(p)
-        a = [x * p + y * q for x, y in zip(chain((0.0,), a), chain(a, (0.0,)))]
+            band, den = [x / den for x in band], None
+        s = [0.0, *band]
+        band.append(0.0)
+        band = [x * p + y * q for x, y in zip(s, band)]
+        while band[-1] == 0.0:
+            band.pop()
+        while band[0] == 0.0:
+            del band[0]
+            lo += 1
     if den is not None:
-        return DiscreteDist(0, tuple(Fraction(x, den) for x in a), Fraction(0))
-    return DiscreteDist(0, tuple(a), 0.0)
+        return DiscreteDist(0, tuple(Fraction(x, den) for x in band), Fraction(0))
+    return DiscreteDist(0, (0.0,) * lo + tuple(band) + (0.0,) * (bv.n + 1 - lo - len(band)), 0.0)
 
 
 def binomial_target(bv: BernoulliVector) -> DiscreteDist:

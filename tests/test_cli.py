@@ -88,6 +88,14 @@ def test_gamma_anchor_where_both_densities_underflow():
     assert float(report["details"]["z"]) == pytest.approx(2021.7317585868677)
 
 
+def test_gamma_at_shape_1e7():
+    # the closed form and the density cross-check part by rounding alone here
+    code, text = run(["gamma", "--a", "1e7,1e7", "--b", "2e7,2.00001e7", "--case", "i"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["dominated"] is True
+
+
 @pytest.mark.parametrize("a, b", [("2,1", "1,1e-310"), ("1,1e-310", "2,1")])
 def test_gamma_density_ratio_beyond_float_range(a, b):
     # log R at the anchor is finite, R itself overflows: the bound saturates at 1

@@ -60,14 +60,15 @@ def _mp_crossings(a, b):
     return sorted(roots)
 
 
+def _mp_density(g, ctx):
+    k, lam = ctx.mpf(g.kappa), ctx.mpf(g.lam)
+    log_norm = k * ctx.log(lam) - ctx.loggamma(k)
+    return lambda x: ctx.exp(log_norm + (k - 1) * ctx.log(x) - lam * x)
+
+
 def _mp_tv(a, b):
     """``int |f_a - f_b| / 2``, split at the 50-digit crossings."""
-    def dens(g):
-        k, lam = mpq.mpf(g.kappa), mpq.mpf(g.lam)
-        log_norm = k * mpq.log(lam) - mpq.loggamma(k)
-        return lambda x: mpq.exp(log_norm + (k - 1) * mpq.log(x) - lam * x)
-
-    fa, fb = dens(a), dens(b)
+    fa, fb = _mp_density(a, mpq), _mp_density(b, mpq)
     pts = [0] + [mpq.mpf(x) for x in _mp_crossings(a, b)] + [mpq.inf]
     return float(mpq.quad(lambda x: abs(fa(x) - fb(x)), pts) / 2)
 
@@ -223,6 +224,31 @@ def test_anchored_bound_dominates_mpmath_tv(same_sign):
         report = cont.gamma_tv_bound_anchored(a, b)
         assert all(bound >= tv for bound in report.core_bounds()) and report.dominated
         assert report.oracle_tv.lo <= tv <= report.oracle_tv.hi
+
+
+def test_anchored_bound_at_shape_1e7_dominates_mpmath_tv():
+    # both log-ratios sum terms near 3e8, so rounding parts them by ~4e-9; the
+    # cross-check must allow for it.  The densities are too peaked for the
+    # quadrature over the half-line: the TV is |int (f_a - f_b)| between the
+    # two crossings, at 50 digits.
+    a, b = GammaParams(1e7, 1e7), GammaParams(2e7, 2.00001e7)
+    report = cont.gamma_tv_bound_anchored(a, b)
+    x1, x2 = _mp_crossings(a, b)
+    fa, fb = _mp_density(a, mp), _mp_density(b, mp)
+    tv = float(abs(mp.quad(lambda x: fa(x) - fb(x), [x1, x2])))
+    assert all(bound >= tv for bound in report.core_bounds()) and report.dominated
+    assert report.oracle_tv.lo <= tv <= report.oracle_tv.hi
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_anchored_cross_check_catches_a_disagreement(monkeypatch, shift):
+    # at ordinary shapes a 1e-6 error in one log-ratio still raises
+    a, b = GammaParams(3.0, 2.0), GammaParams(2.0, 1.0)
+    cont.gamma_tv_bound_anchored(a, b)
+    log_density = cont.gamma_log_density
+    monkeypatch.setattr(cont, "gamma_log_density", lambda g, x: log_density(g, x) + (shift if g is a else 0.0))
+    with pytest.raises(AssertionError, match="disagree"):
+        cont.gamma_tv_bound_anchored(a, b)
 
 
 def test_perturbative_bound_dominates_mpmath_tv():

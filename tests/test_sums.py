@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvbounds import (
+    DiscreteDist,
     HypothesisError,
     NotApplicableError,
     convolve,
@@ -120,6 +121,68 @@ class TestPMFMatchesConvolutionFold:
         rng = random.Random(2210)
         ps = [rng.uniform(0, 0.5) for _ in range(400)]
         assert float_bits(poisson_binomial_pmf(BernoulliVector(ps))) == float_bits(convolution_fold_pmf(ps))
+
+
+def untrimmed_recursion(ps):
+    """Oracle: the float two-term recursion on all n + 1 cells, zeros included.
+
+    A leading rational run is summed exactly and rounded once, at the first
+    float summand; a later rational summand enters as ``float(p), float(1 - p)``.
+    """
+    k = next((i for i, v in enumerate(ps) if isinstance(v, float)), len(ps))
+    a = [float(m) for m in convolution_fold_pmf(ps[:k]).masses] if k else [1.0]
+    for v in ps[k:]:
+        p, q = float(v), (float(1 - v) if isinstance(v, F) else 1.0 - v)
+        a = [x * p + y * q for x, y in zip([0.0] + a, a + [0.0])]
+    return a
+
+
+def _band_cases():
+    rng = random.Random(77031)
+    right_tail = [rng.uniform(0, 0.5) for _ in range(1000)]
+    both_tails = [rng.uniform(0.3, 0.7) for _ in range(1500)]
+    zeros_and_tiny = [rng.uniform(0, 0.4) for _ in range(300)] + [0.0] * 5 + [1e-300]
+    zeros_and_tiny += [0.0 if i % 7 == 0 else rng.uniform(0, 0.4) for i in range(300)]
+    exact_prefix = [F(rng.randint(0, 49), 100) for _ in range(30)] + [F(0)] * 3
+    exact_prefix += [rng.uniform(0, 0.5) for _ in range(900)] + [F(rng.randint(1, 49), 100) for _ in range(20)]
+    return {"right-tail-1000": right_tail, "both-tails-1500": both_tails,
+            "zeros-and-1e-300": zeros_and_tiny, "fraction-prefix": exact_prefix}
+
+
+_BAND_CASES = _band_cases()
+
+
+class TestPMFUnderflowedTails:
+    """The float recursion skips cells that underflowed to 0.0; every cell must
+    stay bit-identical to the recursion over all n + 1 cells."""
+
+    @pytest.mark.parametrize("name", list(_BAND_CASES))
+    def test_bit_identical_to_untrimmed_recursion(self, name):
+        ps = _BAND_CASES[name]
+        pmf = poisson_binomial_pmf(BernoulliVector(ps))
+        want = untrimmed_recursion(ps)
+        assert pmf.offset == 0 and len(pmf.masses) == len(ps) + 1
+        assert [m.hex() for m in pmf.masses] == [m.hex() for m in want]
+        zeros = sum(m == 0.0 for m in want)
+        assert sum(m == 0.0 for m in pmf.masses) == zeros
+        assert zeros > 0  # the trimming branch ran
+
+    def test_both_tails_underflow(self):
+        masses = poisson_binomial_pmf(BernoulliVector(_BAND_CASES["both-tails-1500"])).masses
+        assert masses[0] == masses[-1] == 0.0
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_one_distribution_per_call(self, exact, monkeypatch):
+        # only the result is built and validated, not one law per summand
+        rng = random.Random(40417)
+        ps = [F(rng.randint(0, 49), 100) if exact else rng.uniform(0, 0.5) for _ in range(200)]
+        bv = BernoulliVector(ps)
+        calls = []
+        init = DiscreteDist.__post_init__
+        monkeypatch.setattr(DiscreteDist, "__post_init__", lambda self: calls.append(1) or init(self))
+        pmf = poisson_binomial_pmf(bv)
+        assert pmf.is_exact is exact
+        assert len(calls) == 1
 
 
 class TestBinomialTarget:
