@@ -27,6 +27,7 @@ verdict from them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -51,6 +52,7 @@ from .errors import (
 #: an anchor counts as ratio matched when the normalized cross-product gap
 #: |p_{l+1} q_l - q_{l+1} p_l| / max(...) falls below this
 ANCHOR_MATCH_TOL = 1e-12
+_MIN_NORMAL = sys.float_info.min
 
 #: slack used both by the randomized sweeps and by dominance verdicts; absorbs
 #: truncation deficits on the oracle side of exact-equality instances
@@ -247,17 +249,30 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: 
     return clamp01(b_nu), clamp01(b_mu)
 
 
+def _scaled_products(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """``a b`` and ``c d``, both times ``2**-e`` for the larger product's
+    binary exponent ``e``: each product is formed on ``math.frexp`` mantissas,
+    so it is rounded as in the normal range however small it is."""
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
+    x, y, ex, ey = ma * mb, mc * md, ea + eb, ec + ed
+    e = max(ex, ey) if x and y else ex if x else ey
+    return math.ldexp(x, ex - e), math.ldexp(y, ey - e)
+
+
 def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells) -> list[tuple[int, float, float, bool | None]]:
     """Per anchor ``ell``: ``(ell, diff, gap, matched)`` for the cross
     products ``lhs = p_{l+1} q_l`` and ``rhs = q_{l+1} p_l``, whose equality is
     the ratio-match condition.
 
-    ``diff = lhs - rhs`` and the normalized gap ``|lhs - rhs| / max(lhs, rhs)``
-    are floats; ``matched`` says whether ``lhs == rhs != 0`` exactly, or is
-    ``None`` for float laws.  Exact laws multiply their integer numerators, so
-    both products carry the positive factor ``d_mu d_nu``; each float is one
-    correctly rounded int division by it, the same division
-    ``Fraction.__float__`` performs.
+    ``diff`` has the sign of ``lhs - rhs`` and the normalized gap
+    ``|lhs - rhs| / max(lhs, rhs)`` is a float; ``matched`` says whether
+    ``lhs == rhs != 0`` exactly, or is ``None`` for float laws.  Exact laws
+    multiply their integer numerators, so both products carry the positive
+    factor ``d_mu d_nu``; each float is one correctly rounded int division by
+    it, the same division ``Fraction.__float__`` performs.  Float laws whose
+    products leave the normal range take both from ``math.frexp`` mantissas,
+    scaled by one common power of two, so two products below the float range
+    do not both round to the same subnormal and fake a match.
     """
     exact = mu.is_exact and nu.is_exact
     window = _union_window(mu, nu)
@@ -267,10 +282,16 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells) -> list[tuple[int, fl
     for ell in ells:
         i = ell - window.start
         lhs, rhs = p[i + 1] * q[i], q[i + 1] * p[i]
-        fl, fr = float(lhs / den), float(rhs / den)
+        if exact:
+            # both vanish when the reference does
+            fl, fr, matched = float(lhs / den), float(rhs / den), lhs == rhs != 0
+        else:
+            fl, fr, matched = lhs, rhs, None
+            if min(lhs, rhs) < _MIN_NORMAL:  # zero, subnormal or rounded to either
+                fl, fr = _scaled_products(p[i + 1], q[i], q[i + 1], p[i])
         scale = max(fl, fr)
         gap = math.inf if scale == 0 else abs(fl - fr) / scale
-        out.append((ell, fl - fr, gap, lhs == rhs != 0 if exact else None))  # both vanish when the reference does
+        out.append((ell, fl - fr, gap, matched))
     return out
 
 

@@ -282,17 +282,22 @@ def family_geometric(
     """
     if not 0 < theta <= 1:
         raise InvalidDistributionError("geometric theta must lie in (0, 1]")
+    theta = Fraction(theta) if _is_exact(theta) else float(theta)
+    return _geometric_law(theta, 1 - theta, tail_budget, min_length)
+
+
+def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int) -> DiscreteDist:
+    """``family_geometric`` with its ratio ``r = 1 - theta`` given, for callers
+    that know ``r`` more precisely than ``1 - theta`` would recompute it."""
     if not 0 < tail_budget < 1:
         raise InvalidDistributionError("tail budget must lie in (0, 1)")
-    if theta == 1:
+    if r == 0:
         if min_length > 1:
             masses = [Fraction(0)] * min_length
             masses[0] = Fraction(1)
             return DiscreteDist(0, tuple(masses), Fraction(0))
         return point_mass(0)
-    exact = _is_exact(theta)
-    theta = Fraction(theta) if exact else float(theta)
-    r = 1 - theta
+    exact = _is_exact(theta) and _is_exact(r)
     # residual after masses 0..K is r^(K+1)
     need = math.ceil(math.log(tail_budget) / math.log(float(r)))
     length = max(need, min_length, 1)

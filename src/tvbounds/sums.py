@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
 from typing import Sequence
 
 from .bounds import BoundReport, anchored_report
@@ -23,10 +22,10 @@ from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     Scalar,
+    _geometric_law,
     _is_exact,
     convolve,
     family_binomial,
-    family_geometric,
     family_poisson,
     is_log_concave,
 )
@@ -91,6 +90,15 @@ class MeanSummary:
     lambda_n: Scalar
 
 
+def _bernoulli_step(band: list, p, q) -> list:
+    """One summand of the recursion ``a'_k = a_{k-1} p + a_k q`` on ``band``;
+    the carry ``u`` holds the previous input cell, 0 before the first."""
+    u = 0
+    band = [u * p + (u := y) * q for y in band]
+    band.append(u * p)
+    return band
+
+
 def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     """Exact mass function of ``sum_i Bernoulli(p_i)`` on ``0..n``.
 
@@ -101,43 +109,50 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     products returns exactly the rounded ``a_{k-1} p_i + a_k q_i``.  Rational
     summands run on integer numerators over one running denominator; a
     leading rational run in a mixed vector is rounded to floats once, at the
-    first float summand, as the fold does.
+    first float summand, as the fold does, and a later rational summand
+    enters as ``float(p), float(1 - p)``.
 
-    On floats the recursion runs only on the band of cells that are not
-    exactly 0.0, so it costs O(n * band width) cells instead of O(n^2).  A
-    sum of Bernoullis is log-concave (Liggett 1997), so its cells that
-    underflow form two tails, and a cell whose two parents are 0.0 stays
-    ``0.0 p + 0.0 q = 0.0``: trimming the band's ends after each summand and
+    On floats one pass applies four summands.  Each of its four stages reads
+    cell ``k`` of the stage before and keeps it in a carry for cell ``k + 1``;
+    the carry holds that stage's exact, already rounded cell, so every stage
+    forms ``a_{k-1} p + a_k q`` with the same two products and one sum, in
+    the same order, as a pass of its own.  The carries start at 0.0 and the
+    band is padded with four 0.0 cells; each adds ``0.0 p`` or ``0.0 q``,
+    exactly 0.0, where one summand per pass has no term at all.  The 0-3
+    leftover summands, and a leading rational run, go one summand per pass.
+
+    The float recursion runs only on the band of cells that are not exactly
+    0.0, so it costs O(n * band width) cells instead of O(n^2).  A sum of
+    Bernoullis is log-concave (Liggett 1997), so its cells that underflow
+    form two tails, and a cell whose two parents are 0.0 stays
+    ``0.0 p + 0.0 q = 0.0``: trimming the band's ends after each pass and
     padding once at the end leaves every cell bit-identical.
     """
-    # cells ``lo ..`` of the mass function; integer numerators over ``den``
-    # while every summand is rational
-    band, den, lo = [1], 1, 0
-    for v in bv.p:
-        if _is_exact(v):
-            v = Fraction(v)
-            if den is not None:
-                num, d = v.numerator, v.denominator
-                q_num = d - num
-                band = [x * num + y * q_num for x, y in zip(chain((0,), band), chain(band, (0,)))]
-                den *= d
-                continue
-            p, q = float(v), float(1 - v)
-        else:
-            p = float(v)
-            q = 1.0 - p
-        if den is not None:
-            band, den = [x / den for x in band], None
-        s = [0.0, *band]
-        band.append(0.0)
-        band = [x * p + y * q for x, y in zip(s, band)]
+    ps = bv.p
+    k = next((i for i, x in enumerate(ps) if not _is_exact(x)), len(ps))
+    # integer numerators over ``den`` while every summand is rational
+    band, den = [1], 1
+    for x in ps[:k]:
+        num, d = Fraction(x).as_integer_ratio()
+        band = _bernoulli_step(band, num, d - num)
+        den *= d
+    if k == len(ps):
+        return DiscreteDist(0, tuple(Fraction(x, den) for x in band), Fraction(0))
+    pairs = [(float(x), float(1 - Fraction(x))) if _is_exact(x) else (float(x), 1.0 - float(x)) for x in ps[k:]]
+    # cells ``lo ..`` of the mass function
+    band, lo = [x / den for x in band], 0
+    for (p1, q1), (p2, q2), (p3, q3), (p4, q4) in zip(*[iter(pairs)] * 4):
+        u = v = w = z = 0.0
+        band.extend((0.0, 0.0, 0.0, 0.0))
+        band = [z * p4 + (z := w * p3 + (w := v * p2 + (v := u * p1 + (u := y) * q1) * q2) * q3) * q4
+                for y in band]
         while band[-1] == 0.0:
             band.pop()
         while band[0] == 0.0:
             del band[0]
             lo += 1
-    if den is not None:
-        return DiscreteDist(0, tuple(Fraction(x, den) for x in band), Fraction(0))
+    for p, q in pairs[len(pairs) - len(pairs) % 4:]:
+        band = _bernoulli_step(band, p, q)
     return DiscreteDist(0, (0.0,) * lo + tuple(band) + (0.0,) * (bv.n + 1 - lo - len(band)), 0.0)
 
 
@@ -242,12 +257,13 @@ def geometric_sum_bound(
         if not cert.holds:
             raise HypothesisError(f"summand {i} is not log-concave", {"certificate": cert.to_json()})
         alphas.append(a)
-    n = len(xis)
-    exact = all(_is_exact(a) for a in alphas)
-    if exact:
-        t = n * (sum(Fraction(1, 1) / Fraction(a) for a in alphas) / n - 1)
+    # t = sum (1 - alpha_i)/alpha_i, with 1 - alpha_i taken as the mass above 0
+    # plus the tail deficit: 1.0 - alpha_i would cancel for small masses
+    if all(_is_exact(a) for a in alphas):
+        t = sum((1 - Fraction(a)) / Fraction(a) for a in alphas)
     else:
-        t = n * (math.fsum(1.0 / float(a) for a in alphas) / n - 1.0)
+        above = (math.fsum(map(float, (*xi.masses[1:], xi.tail_deficit))) for xi in xis)
+        t = math.fsum(m / float(a) for m, a in zip(above, alphas))
     if t >= 1:
         raise NotApplicableError(
             f"n (m_n - 1) = {float(t):.6g} >= 1, geometric parameter would leave (0, 1]",
@@ -255,9 +271,8 @@ def geometric_sum_bound(
         )
     sum_dist = reduce(convolve, xis)
     theta = 1 - t
-    target = family_geometric(
-        float(theta), tail_budget, min_length=len(sum_dist.masses)
-    )
+    # masses theta t^k from t itself: family_geometric(theta) would cancel again
+    target = _geometric_law(float(theta), float(t), tail_budget, len(sum_dist.masses))
     stated = float(t) / (1.0 - float(t))
     details = {"theta": float(theta), "m_minus_one_times_n": float(t)}
     return anchored_report(target, sum_dist, 0, is_log_concave(sum_dist), stated_bound=stated, details=details)

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvbounds import (
     HypothesisError,
@@ -14,12 +16,15 @@ from tvbounds import (
     family_geometric,
     family_poisson,
     find_ratio_anchor,
+    is_log_concave_relative,
     make_dist,
     tv_bound_matched_anchor,
     tv_bounds_at_anchor,
     tv_distance,
 )
-from tvbounds.bounds import anchor_at, anchored_report
+from tvbounds.bounds import _scaled_products, anchor_at, anchored_report
+from tvbounds.distributions import uniform_reference
+from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
 from tvbounds.verify import random_envelope_instance, run_dominance_sweep
 
 
@@ -156,6 +161,35 @@ class TestAnchorSearch:
         anc = anchor_at(make_dist(0, [1, 0, 0]), make_dist(0, [0, 1, 1]), 1)
         assert anc.ratio_gap == math.inf and not anc.ratio_matched
 
+    def test_cross_products_below_the_float_range_keep_their_gap(self):
+        # p_2 q_1 = 4e-324 and q_2 p_1 = 6e-324 both round to the smallest
+        # subnormal, which would read as an exact match
+        mu = make_dist(0, [1.0, 1e-160, 4e-164])
+        nu = make_dist(0, [1.0, 1e-160, 6e-164])
+        assert 4e-164 * 1e-160 == 6e-164 * 1e-160
+        anc = anchor_at(mu, nu, 1)
+        assert not anc.ratio_matched
+        assert anc.ratio_gap == pytest.approx(1 / 3, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-150, 1.0), min_size=4, max_size=4))
+    def test_normal_cross_products_give_the_plain_gap(self, cells):
+        a, b, c, d = cells
+        x, y = _scaled_products(a, b, c, d)
+        lhs, rhs = a * b, c * d
+        assert (abs(x - y) / max(x, y)).hex() == (abs(lhs - rhs) / max(lhs, rhs)).hex()
+        assert (x > y) == (lhs > rhs) and (x < y) == (lhs < rhs)
+
+    def test_pb_binomial_subnormal_products_do_not_fake_a_match(self):
+        # n = 1500: at ell = 871 both cross products round to 5e-324, and that
+        # spurious match at a cell where the target is below the reference
+        # used to beat the true match at 0 and raise InvalidAnchorError
+        rng = random.Random(1500)
+        bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(1500)))
+        rep = certify(binomial_target(bv), poisson_binomial_pmf(bv))
+        assert rep.anchor.ell == 0 and rep.anchor.ratio_matched
+        assert rep.dominated is True
+
 
 class TestAnchoredReport:
     def test_certify_is_anchored_report_at_the_chosen_anchor(self):
@@ -259,3 +293,36 @@ class TestDominanceSweep:
         assert report.failures == ()
         assert report.worst_slack >= -1e-10
         assert time.perf_counter() - t0 < 10.0
+
+
+class TestFloatPathDefects:
+    """Float-path defects still open (ROADMAP item 1, log-space backend); each
+    test states the correct behaviour and must start passing with the fix."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="float certificate products underflow and pass vacuously")
+    def test_certificate_agrees_with_exact_arithmetic(self):
+        ex = [k * k for k in range(14)] + [180, 191]
+        flat = uniform_reference(0, len(ex))
+        exact = is_log_concave_relative(make_dist(0, [F(1, 10**e) for e in ex]), flat)
+        assert not exact.holds and exact.first_violation == 13
+        assert not is_log_concave_relative(make_dist(0, [10.0**-e for e in ex]), flat).holds
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="binomial reference underflows where the sum has mass")
+    def test_pb_binomial_certifies_at_n_3000(self):
+        rng = random.Random(3000)
+        bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(3000)))
+        rep = certify(binomial_target(bv), poisson_binomial_pmf(bv))
+        assert "not_applicable" not in rep.details
+        assert rep.dominated is True
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="truncated Poisson reference ends before the sum's support")
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_pb_poisson_certifies(self, n):
+        rng = random.Random(n)
+        bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(n)))
+        rep = certify(poisson_target(bv), poisson_binomial_pmf(bv))
+        assert "not_applicable" not in rep.details
+        assert rep.dominated is True

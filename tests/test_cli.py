@@ -122,3 +122,22 @@ print(sorted(m for m in ("scipy", "numpy") if m in sys.modules))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert out.stdout.strip() == "[]"
+
+
+class TestSumGeometricSmallMasses:
+    # t = sum p_i/alpha_i is summed from the masses above 0, not as
+    # n (m_n - 1), and the geometric reference is built from t itself
+    def test_reference_matches_the_ratio(self):
+        code, text = run(["sum-geometric", "--p", "1e-9,0"])
+        payload = json.loads(text)
+        assert code == 0
+        assert payload["anchor"]["ratio_matched"] is True
+        assert payload["details"]["m_minus_one_times_n"] == pytest.approx(1e-9, rel=1e-15)
+
+    def test_mass_below_rounding_of_one_still_gets_a_bound(self):
+        code, text = run(["sum-geometric", "--p", "1e-17,0"])
+        payload = json.loads(text)
+        assert code == 0
+        assert payload["bound_nu_side"] is not None
+        assert payload["dominated"] is True
+        assert payload["stated_bound"] >= payload["oracle_tv"][1]

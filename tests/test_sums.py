@@ -145,16 +145,28 @@ def _band_cases():
     zeros_and_tiny += [0.0 if i % 7 == 0 else rng.uniform(0, 0.4) for i in range(300)]
     exact_prefix = [F(rng.randint(0, 49), 100) for _ in range(30)] + [F(0)] * 3
     exact_prefix += [rng.uniform(0, 0.5) for _ in range(900)] + [F(rng.randint(1, 49), 100) for _ in range(20)]
-    return {"right-tail-1000": right_tail, "both-tails-1500": both_tails,
-            "zeros-and-1e-300": zeros_and_tiny, "fraction-prefix": exact_prefix}
+    cases = {"right-tail-1000": right_tail, "both-tails-1500": both_tails,
+             "zeros-and-1e-300": zeros_and_tiny, "fraction-prefix": exact_prefix}
+    # every remainder mod 4 of the four-summand passes
+    cases.update({f"n={n}": [rng.uniform(0, 0.5) for _ in range(n)] for n in (1201, 1202, 1203, 1204)})
+    # a rational summand after floats enters as float(p), float(1 - p); at
+    # index 5 and 10 it lands mid-way through a pass
+    thirds = [rng.uniform(0, 0.5) for _ in range(500)]
+    thirds[5], thirds[10] = F(1, 3), F(2, 7)
+    cases["fraction-inside-a-pass"] = thirds
+    zero_run = [rng.uniform(0, 0.5) for _ in range(600)]
+    zero_run[301:306] = [0.0] * 5  # spans the pass over summands 300..303 and the next
+    cases["zero-run-inside-a-pass"] = zero_run
+    return cases
 
 
 _BAND_CASES = _band_cases()
 
 
 class TestPMFUnderflowedTails:
-    """The float recursion skips cells that underflowed to 0.0; every cell must
-    stay bit-identical to the recursion over all n + 1 cells."""
+    """The float recursion applies four summands per pass and skips cells that
+    underflowed to 0.0; every cell must stay bit-identical to one summand per
+    pass over all n + 1 cells."""
 
     @pytest.mark.parametrize("name", list(_BAND_CASES))
     def test_bit_identical_to_untrimmed_recursion(self, name):
@@ -170,6 +182,16 @@ class TestPMFUnderflowedTails:
     def test_both_tails_underflow(self):
         masses = poisson_binomial_pmf(BernoulliVector(_BAND_CASES["both-tails-1500"])).masses
         assert masses[0] == masses[-1] == 0.0
+
+    def test_fraction_after_floats_rounds_its_complement(self):
+        # 1 - 1/3 rounded once differs from 1.0 minus the rounded 1/3
+        assert float(1 - F(1, 3)).hex() == "0x1.5555555555555p-1"
+        assert (1.0 - float(F(1, 3))).hex() == "0x1.5555555555556p-1"
+        ps = [0.25, 0.125, F(1, 3), 0.375, 0.0625]
+        want = [m.hex() for m in untrimmed_recursion(ps)]
+        assert [m.hex() for m in poisson_binomial_pmf(BernoulliVector(ps)).masses] == want
+        ps[2] = float(F(1, 3))
+        assert [m.hex() for m in poisson_binomial_pmf(BernoulliVector(ps)).masses] != want
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_one_distribution_per_call(self, exact, monkeypatch):
