@@ -422,7 +422,7 @@ def run(argv) -> tuple[int, str]:
         return 2, emit(payload, cfg.fmt)
     except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError) as e:
         return 1, f"error: {e}"
-    if report.get("details", {}).get("not_applicable"):
+    if report.get("details", {}).get("not_applicable") or report.get("hypothesis", {}).get("holds") is False:
         return 2, emit(report, cfg.fmt)
     return 0, emit(report, cfg.fmt)
 

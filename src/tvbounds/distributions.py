@@ -20,7 +20,12 @@ infinite order.  The exact kernels (validation, certificates, TV, anchor gaps
 and envelope sums) never add or multiply ``Fraction`` cells: they run on
 ``DiscreteDist.integer_masses``, the masses as integer numerators over their
 least common denominator, cached per instance, and build one ``Fraction`` per
-result.
+result.  An exact certificate multiplies even those integers only where it
+must: it first compares each inequality on sums of ``math.log2`` of its
+factors (the reference's cells, not their products), taken once per cell,
+and forms the big-integer products only at the cells whose two sides lie
+within a proven error margin of each other, in practice near ties.  Its
+verdicts are those of the products; ``_three_term`` derives the margin.
 """
 
 from __future__ import annotations
@@ -413,11 +418,70 @@ def _leq_with_slack(lhs, rhs, exact: bool) -> bool:
     return lhs <= rhs + CERT_REL_TOL * scale
 
 
-def _three_term(a: Sequence[Scalar], exact: bool, weights=None, base: int = 0) -> LogConcavityCertificate:
+def _log2_cells(cells: Sequence[Scalar]) -> tuple[list[float], float]:
+    """``log2`` of each positive ``int``/``Fraction`` cell, taken as
+    ``math.log2`` of its numerator minus that of its denominator (``float``
+    of a ``Fraction`` under- or overflows), and the largest ``log2 num +
+    log2 den`` among the cells, which bounds the size of every log and of its
+    error."""
+    logs, mag = [], 0.0
+    for v in cells:
+        top, bottom = math.log2(v.numerator), math.log2(v.denominator)
+        logs.append(top - bottom)
+        mag = max(mag, top + bottom)
+    return logs, mag
+
+
+def _log2_undecided(a: Sequence[Scalar], lo: int, hi: int, ref=None, weights=None):
+    """Yield, in increasing order, the interior indices ``i`` of the positive
+    run ``a[lo..hi]`` of exact cells where the log2 magnitudes of the factors
+    of ``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` do not prove it: where ``c_i =
+    l a[i-1] + l a[i+1] - 2 l a[i] - (l R_i - l L_i)``, ``l = log2``, is not
+    below ``-margin`` (see ``_three_term``).  Each cell's log2 is taken once.
+    """
+    la, mag = _log2_cells(a[lo : hi + 1])
+    interior = range(1, hi - lo)
+    if ref is not None:
+        lp, mag_ref = _log2_cells(ref[lo : hi + 1])
+        slack = [lp[j - 1] + lp[j + 1] - 2 * lp[j] for j in interior]
+        mag = max(mag, mag_ref)
+    elif weights is not None:
+        logs = [_log2_cells(weights(lo + j)) for j in interior]
+        slack = [right - left for (left, right), _ in logs]
+        mag = max([mag, *(m for _, m in logs)])
+    else:
+        slack = [0.0] * len(interior)
+    margin = (mag + 1) * 2.0**-40
+    for j, s in zip(interior, slack):
+        if la[j - 1] + la[j + 1] - 2 * la[j] - s > -margin:
+            yield lo + j
+
+
+def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: int = 0) -> LogConcavityCertificate:
     """The one log-concavity kernel: interval support of ``a``, then
-    ``a[i-1] a[i+1] L <= a[i]^2 R`` at each interior ``i``, with ``(L, R) =
-    weights(i)`` or ``(1, 1)`` without weights.  Indices are reported as
-    ``base + i``."""
+    ``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` at each interior ``i``, with ``(L_i,
+    R_i) = (ref[i]^2, ref[i-1] ref[i+1])`` against the cells of a reference
+    ``ref`` (positive wherever ``a`` is), ``weights(i)`` (small positive
+    integers) otherwise, or ``(1, 1)`` without either.  Indices are reported
+    as ``base + i``.
+
+    Float cells are compared with ``CERT_REL_TOL`` slack.  Exact cells first
+    go through a log2 pre-check, ``_log2_undecided``, which accepts ``i``
+    when the computed ``c_i = l a[i-1] + l a[i+1] - 2 l a[i] - (l R_i - l
+    L_i)``, ``l = log2``, is below ``-margin``; only the other cells form the
+    big-integer products, so every verdict and ``first_violation`` is that
+    of the products.  The margin ``(mag + 1) 2^-40`` is proven, with ``mag``
+    the largest ``log2 N + log2 D`` over the cells ``N/D`` of ``a``, ``ref``
+    and the weights.  ``math.log2`` of an int ``x`` rounds it to a 53-bit
+    mantissa (``1.45 * 2^-53`` in log2) and adds its exponent, through a
+    libm ``log2`` good to one ulp, so it is off by at most ``(log2 x + 2)
+    2^-52``.  A cell's log is ``log2 N - log2 D``: two such errors and one
+    rounding, at most ``(1.5 mag + 4) 2^-52``.  ``c_i`` sums at most eight of
+    them (``2 l a[i]`` counts twice; doubling is exact), ``(12 mag + 32)
+    2^-52``, and rounds five times, each time by at most ``2^-53`` of a
+    partial sum no larger than ``8 mag``, ``20 mag 2^-52``: under ``(mag +
+    1) 2^-47`` in all.  The margin is 128 times that, so a cell it accepts
+    holds."""
     if not a:
         raise InvalidDistributionError("empty sequence")
     if any(v < 0 for v in a):
@@ -427,7 +491,10 @@ def _three_term(a: Sequence[Scalar], exact: bool, weights=None, base: int = 0) -
     ok, gap, lo, hi = _support_interval(a, 0)
     if not ok:
         return LogConcavityCertificate(False, base + gap, False)
-    for i in range(lo + 1, hi):
+    indices = _log2_undecided(a, lo, hi, ref, weights) if exact else range(lo + 1, hi)
+    if ref is not None:
+        weights = lambda i: (ref[i] * ref[i], ref[i - 1] * ref[i + 1])
+    for i in indices:
         left, right = (1, 1) if weights is None else weights(i)
         if not _leq_with_slack(a[i - 1] * a[i + 1] * left, a[i] * a[i] * right, exact):
             return LogConcavityCertificate(False, base + i, True)
@@ -455,7 +522,7 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
         if qk > 0 and pk == 0:
             k = window.start + i
             raise AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
-    return _three_term(q, exact, lambda i: (p[i] * p[i], p[i - 1] * p[i + 1]), window.start)
+    return _three_term(q, exact, ref=p, base=window.start)
 
 
 def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:
@@ -473,7 +540,7 @@ def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:
     a = list(a)
     if len(a) > m + 1:
         raise InvalidDistributionError(f"sequence longer than m+1 = {m + 1}")
-    return _three_term(a, all(map(_is_exact, a)), lambda k: ((k + 1) * (m - k + 1), k * (m - k)))
+    return _three_term(a, all(map(_is_exact, a)), weights=lambda k: ((k + 1) * (m - k + 1), k * (m - k)))
 
 
 def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
@@ -483,4 +550,4 @@ def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
     to any Poisson reference.
     """
     a = list(a)
-    return _three_term(a, all(map(_is_exact, a)), lambda k: (k + 1, k))
+    return _three_term(a, all(map(_is_exact, a)), weights=lambda k: (k + 1, k))

@@ -117,14 +117,25 @@ def iv_cube(n: int, s: Scalar) -> IVSequence:
         raise InvalidDistributionError("dimension must be >= 0")
     if not s > 0:
         raise InvalidDistributionError("side must be positive")
-    if _is_exact(s):
+    exact = _is_exact(s)
+    if exact:
         s = Fraction(s)
-    return _assert_ulc(IVSequence(n, tuple(s**j * math.comb(n, j) for j in range(n + 1))))
+    try:
+        V = tuple(s**j * math.comb(n, j) for j in range(n + 1))
+        finite = exact or all(map(math.isfinite, V))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidDistributionError(f"intrinsic volumes of the cube in dimension {n} leave the float range")
+    return _assert_ulc(IVSequence(n, V))
 
 
 def ball_volume(m: int) -> float:
     """Volume of the unit ball in dimension ``m``: pi^{m/2} / Gamma(1 + m/2)."""
-    return math.pi ** (m / 2.0) / math.gamma(1.0 + m / 2.0)
+    try:
+        return math.pi ** (m / 2.0) / math.gamma(1.0 + m / 2.0)
+    except OverflowError:
+        raise InvalidDistributionError(f"unit-ball volume in dimension {m} leaves the float range") from None
 
 
 def iv_ball(n: int) -> IVSequence:

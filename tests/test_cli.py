@@ -78,6 +78,15 @@ def test_ball_anchor_beyond_truncated_reference():
     assert report["dominated"] is True
 
 
+@pytest.mark.parametrize("body, message", [
+    (["--cube", "1100,0.5"], "intrinsic volumes of the cube in dimension 1100 leave the float range"),
+    (["--cube", "2000,0.01"], "intrinsic volumes of the cube in dimension 2000 leave the float range"),
+    (["--ball", "400"], "unit-ball volume in dimension 400 leaves the float range"),
+])
+def test_iv_beyond_float_range_is_an_input_error(body, message):
+    assert run(["iv", *body, "--m", "1"]) == (1, f"error: {message}")
+
+
 def test_gamma_anchor_where_both_densities_underflow():
     # the anchor z = 2021.7 lies where both densities are below the float range
     code, text = run(["gamma", "--a", "0.31051296720749755,4.142806729658619",

@@ -219,6 +219,20 @@ def test_tv_oracle_brackets_mpmath(same_sign):
     assert cont.tv_gamma_quadrature(GammaParams(2.0, 1.0), GammaParams(2.0, 1.0)).hi == 0.0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the density crossing lies below the smallest float, so the oracle misses it")
+def test_tv_oracle_brackets_mpmath_when_the_crossing_underflows():
+    # equal rates: the densities cross once, at x = (Gamma(a)/Gamma(b))^(1/(a-b))
+    # = e^-6932.05, and the TV is P(a, x) - P(b, x) = 0.2500000041; the oracle
+    # gives [0, 1e-10], so `gamma --case ii --z 1` calls its bound 0.0201 dominated
+    a, b = GammaParams(1e-4, 1.0), GammaParams(2e-4, 1.0)
+    ka, kb = mp.mpf(a.kappa), mp.mpf(b.kappa)
+    x = mp.exp((mp.loggamma(ka) - mp.loggamma(kb)) / (ka - kb))
+    tv = float(mp.gammainc(ka, 0, x, regularized=True) - mp.gammainc(kb, 0, x, regularized=True))
+    oracle = cont.tv_gamma_quadrature(a, b)
+    assert oracle.lo - 1e-9 <= tv <= oracle.hi + 1e-9, (tv, oracle)
+
+
 def test_anchored_bound_dominates_mpmath_tv(same_sign):
     for a, b, tv in same_sign:
         report = cont.gamma_tv_bound_anchored(a, b)

@@ -19,7 +19,14 @@ from tvbounds import (
     tv_distance,
 )
 from tvbounds.bounds import anchor_at, _candidate_anchors, tv_bounds_at_anchor
-from tvbounds.distributions import Interval, is_log_concave_relative
+from tvbounds.distributions import (
+    Interval,
+    _log2_undecided,
+    _three_term,
+    is_log_concave_relative,
+    is_ulc,
+    is_ulc_infinity,
+)
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf
 
 
@@ -245,3 +252,101 @@ def test_certify_does_constant_fraction_arithmetic(monkeypatch):
     small = _fraction_ops_in_certify(20, monkeypatch)
     assert small == _fraction_ops_in_certify(120, monkeypatch)
     assert small < 40
+
+
+# ---------------------------------------------------------------------------
+# the log2 pre-check never changes an exact verdict
+# ---------------------------------------------------------------------------
+
+
+def oracle_three_term(a, weights):
+    """(holds, first_violation) of the plain loop on exact products: interval
+    support, then ``a[i-1] a[i+1] L <= a[i]^2 R`` with ``(L, R) = weights(i)``."""
+    pos = [i for i, v in enumerate(a) if v > 0]
+    for i in range(pos[0], pos[-1] + 1):
+        if a[i] == 0:
+            return False, i
+    for i in range(pos[0] + 1, pos[-1]):
+        left, right = weights(i)
+        if not a[i - 1] * a[i + 1] * left <= a[i] * a[i] * right:
+            return False, i
+    return True, None
+
+
+def _verdict(cert):
+    return cert.holds, cert.first_violation
+
+
+_NUDGE = st.sampled_from([0, 0, 0, 1, -1])
+
+
+@st.composite
+def cells_and_reference(draw):
+    """Positive integer references; cells either arbitrary or the reference
+    times a geometric run (every inequality a tie) nudged by +-1 in the last
+    place of numbers up to thousands of bits."""
+    n = draw(st.integers(1, 10))
+    ref = draw(st.lists(st.integers(1, 2**64), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, 2**300), min_size=n, max_size=n).filter(any)), ref
+    x, y = draw(st.integers(1, 2**40)), draw(st.integers(1, 2**40))
+    scale = draw(st.sampled_from([1, 2**200, 3**1000]))
+    cells = [scale * r * x**k * y ** (n - k) + draw(_NUDGE) for k, r in enumerate(ref)]
+    return cells, ref
+
+
+@st.composite
+def ulc_sequences(draw):
+    """(cells, m): binomial runs (ties of order m) or Poisson runs (ties of
+    infinite order) over int or Fraction ratios far outside the float range,
+    one cell possibly scaled by 1 +- 2^-80 or the whole run arbitrary."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, m + 1))
+    x = F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+    scale = draw(st.sampled_from([1, F(1, 3**700), F(5**600, 7**300)]))
+    if draw(st.booleans()):
+        cells = [scale * math.comb(m, k) * x**k for k in range(n)]
+    else:
+        cells = [scale * x**k / math.factorial(k) for k in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        cells[k] *= 1 + F(draw(st.sampled_from([1, -1])), 2**80)
+    if draw(st.integers(0, 3)) == 0:
+        cells = [scale * F(v) for v in draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))]
+    if all(v.denominator == 1 for v in cells) and draw(st.booleans()):
+        cells = [int(v) for v in cells]
+    return cells, m
+
+
+class TestLog2PreCheck:
+    @settings(max_examples=70, deadline=None)
+    @given(cells_and_reference())
+    def test_relative_verdicts(self, case):
+        cells, ref = case
+        got = _verdict(_three_term(cells, True, ref=ref))
+        assert got == oracle_three_term(cells, lambda i: (ref[i] ** 2, ref[i - 1] * ref[i + 1]))
+
+    @settings(max_examples=70, deadline=None)
+    @given(ulc_sequences())
+    def test_ulc_verdicts(self, case):
+        cells, m = case
+        assert _verdict(is_ulc(cells, m)) == oracle_three_term(cells, lambda k: ((k + 1) * (m - k + 1), k * (m - k)))
+        assert _verdict(is_ulc_infinity(cells)) == oracle_three_term(cells, lambda k: (k + 1, k))
+
+    def test_binomial_against_itself_ties_everywhere(self):
+        law = family_binomial(60, F(12345, 65537))
+        cells = law.integer_masses[0]
+        # no tie is decided by the log2 magnitudes: every interior cell goes to the products
+        assert list(_log2_undecided(cells, 0, 60, ref=cells)) == list(range(1, 60))
+        assert _verdict(is_log_concave_relative(law, law)) == (True, None)
+
+    def test_violation_below_the_log2_margin(self):
+        mu = family_binomial(60, F(12345, 65537))
+        masses = list(mu.masses)
+        masses[30] *= 1 + F(1, 2**80)
+        nu = DiscreteDist(0, tuple(masses), F(0))
+        # raising cell 30 breaks the inequality at its neighbours, first at 29
+        assert _verdict(is_log_concave_relative(nu, mu)) == (False, 29)
+        assert oracle_certificate(nu, mu) == (False, 29, True)
+        (cells, _), (ref, _) = nu.integer_masses, mu.integer_masses
+        assert 29 in _log2_undecided(cells, 0, 60, ref=ref)

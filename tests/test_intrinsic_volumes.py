@@ -55,6 +55,21 @@ class TestConstructors:
         assert ball_volume(2) == pytest.approx(math.pi)
         assert ball_volume(3) == pytest.approx(4 * math.pi / 3)
 
+    # float volumes beyond the float range are an input error naming the
+    # dimension; the exact cube has no such limit
+    @pytest.mark.parametrize("build, message", [
+        (lambda: iv_cube(1100, 0.5), "cube in dimension 1100 "),
+        (lambda: iv_cube(2000, 0.01), "cube in dimension 2000 "),
+        (lambda: iv_ball(400), "dimension 400 "),
+        (lambda: ball_volume(400), "dimension 400 "),
+    ])
+    def test_float_range_overflow_is_invalid(self, build, message):
+        with pytest.raises(InvalidDistributionError, match=message):
+            build()
+
+    def test_exact_cube_beyond_float_range(self):
+        assert iv_cube(1100, F(1, 2)).V[550] == F(math.comb(1100, 550), 2**550)
+
     def test_ball_sequences(self):
         assert iv_ball(1).V == pytest.approx((1.0, 2.0), rel=1e-12)
         assert iv_ball(2).V == pytest.approx((1.0, math.pi, math.pi), rel=1e-12)
