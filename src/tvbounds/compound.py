@@ -24,6 +24,7 @@ from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     LogConcavityCertificate,
+    _geometric_law,
     _leq_with_slack,
     convolve,
     family_geometric,
@@ -110,7 +111,7 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
 
 def _geometric_target(ratio: float, min_length: int, tail_budget: float) -> DiscreteDist:
     """Geometric law with mass ratio ``ratio``: ``mu[k] = (1-ratio) ratio^k``."""
-    return family_geometric(1.0 - ratio, tail_budget, min_length=min_length)
+    return _geometric_law(1.0 - ratio, ratio, tail_budget, min_length)
 
 
 def _matched_report(

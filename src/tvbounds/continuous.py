@@ -7,27 +7,27 @@ e^{-lam x} / Gamma(kap)``, so the score (log-density derivative) at ``z`` is
 ``(kap - 1)/z - lam``.  Matching scores at a point plays the role the matched
 mass ratio plays on the integers.
 
-The numerics are pure Python, so the CLI paths import no numpy or scipy: a
-series or continued fraction for the Gamma CDF, Brent's method (``_brentq``,
-step for step scipy's ``brentq``) on a sign-changing bracket for every density
-crossing, and closed forms for the ``expquad`` normalizer and CDF.  Only the
-envelope integrals of ``tv_bound_continuous`` need adaptive quadrature, and
-``_quad`` imports ``scipy.integrate`` when it first runs.
+The numerics are pure Python and import nothing outside the standard
+library: a series or continued fraction for the Gamma CDF, Brent's method
+(``_brentq``, step for step scipy's ``brentq``) on a sign-changing bracket for
+every density crossing, and closed forms for the ``expquad`` normalizer and
+CDF and for the envelope integrals of ``tv_bound_continuous``, each a Gamma
+mass of an exponentially tilted law.  No quadrature runs anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .bounds import BoundReport, _safe_exp, clamp01
 from .distributions import Interval, LogConcavityCertificate
 from .errors import InvalidDistributionError, NotApplicableError
 
-_QUAD_ABS_TOL = 1e-11
 _KS_GRID_POINTS = 2001
-_TAIL_EPS = 1e-14
+_PROBE_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
+_TINY = 1e-280  # below it a density crossing is solved, and CDFs taken, in log x
 _EPS = math.ulp(1.0)
 _LENTZ_TINY = 1e-300  # keeps the continued fraction's denominators off zero
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -47,42 +47,30 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """A one-dimensional density with derivative, optional CDF, and a
+    """A density on ``[0, inf)`` with derivative, optional CDF, and a
     log-concavity attestation.
 
-    ``domain`` is ``(0.0, inf)`` or ``(-inf, inf)``.  Evaluators must be pure.
-    Light grid checks run at construction (non-negativity; CDF monotone with
-    limits approaching 0 and 1); they are a spot check, not a proof.
+    Evaluators must be pure.  Light grid checks run at construction
+    (non-negativity; CDF monotone with limits approaching 0 and 1); they are a
+    spot check, not a proof.
     """
 
     f: Callable[[float], float]
     fprime: Callable[[float], float]
-    domain: tuple
     cdf: Callable[[float], float] | None = None
     log_concave: bool = False
     name: str = ""
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not (lo in (0.0, -math.inf) and hi == math.inf):
-            raise InvalidDistributionError("domain must be (0, inf) or (-inf, inf)")
-        grid = _probe_grid(lo)
-        for x in grid:
+        for x in _PROBE_GRID:
             if self.f(x) < -1e-12:
                 raise InvalidDistributionError(f"density negative at {x}")
         if self.cdf is not None:
-            vals = [self.cdf(x) for x in grid]
+            vals = [self.cdf(x) for x in _PROBE_GRID]
             if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
                 raise InvalidDistributionError("cdf is not nondecreasing")
             if vals[0] < -1e-9 or vals[-1] > 1 + 1e-9:
                 raise InvalidDistributionError("cdf leaves [0, 1]")
-
-
-def _probe_grid(lo: float) -> list[float]:
-    pts = [10.0**e for e in range(-3, 4)]
-    if lo == -math.inf:
-        return [-p for p in reversed(pts)] + [0.0] + pts
-    return [0.0] + pts
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +118,15 @@ def regularized_gamma_p(a: float, x: float) -> float:
         return 0.0
     if x == math.inf:
         return 1.0
-    prefactor = math.exp(_log_gamma_prefactor(a, x))
+    log_prefactor, s, upper = _incomplete_gamma(a, x)
+    value = math.exp(log_prefactor) * s
+    return 1.0 - value if upper else value
+
+
+def _incomplete_gamma(a: float, x: float) -> tuple[float, float, bool]:
+    """``(log g, s, upper)`` of ``regularized_gamma_p``: ``g s`` is ``Q(a, x)``
+    from the continued fraction if ``upper``, else ``P(a, x)`` from the series."""
+    log_prefactor = _log_gamma_prefactor(a, x)
     if x < a + 1.0:
         term = total = 1.0 / a
         n = a
@@ -138,7 +134,7 @@ def regularized_gamma_p(a: float, x: float) -> float:
             n += 1.0
             term *= x / n
             total += term
-        return prefactor * total
+        return log_prefactor, total, False
     b = x + 1.0 - a
     c = 1.0 / _LENTZ_TINY
     d = 1.0 / b
@@ -158,7 +154,19 @@ def regularized_gamma_p(a: float, x: float) -> float:
         step = d * c
         q *= step
         if abs(step - 1.0) <= _EPS:
-            return 1.0 - prefactor * q
+            return log_prefactor, q, True
+
+
+def _log_gamma_mass(a: float, x: float, upper: bool) -> float:
+    """``log Q(a, x)`` if ``upper``, else ``log P(a, x)``; the one that
+    ``_incomplete_gamma`` gives directly keeps its relative accuracy."""
+    if x == 0.0 or x == math.inf:
+        return 0.0 if upper == (x == 0.0) else -math.inf
+    log_prefactor, s, direct = _incomplete_gamma(a, x)
+    if direct == upper:
+        return log_prefactor + math.log(s)
+    complement = math.exp(log_prefactor) * s
+    return math.log1p(-complement) if complement < 1.0 else -math.inf
 
 
 def gamma_cdf(g: GammaParams, x: float) -> float:
@@ -177,72 +185,24 @@ def gamma_density_model(g: GammaParams) -> DensityModel:
     kap, lam = g.kappa, g.lam
 
     def f(x: float) -> float:
-        if x < 0:
-            return 0.0
         if x == 0:
-            if kap == 1:
-                return lam
-            return 0.0 if kap > 1 else math.inf
+            return lam if kap == 1 else 0.0 if kap > 1 else math.inf
         return math.exp(gamma_log_density(g, x))
 
     def fprime(x: float) -> float:
-        if x <= 0:
-            if kap == 1:
-                return -lam * lam if x == 0 else 0.0
-            if kap == 2:
-                return lam * lam if x == 0 else 0.0
-            return math.nan if x == 0 else 0.0
+        if x == 0:
+            return -lam * lam if kap == 1 else lam * lam if kap == 2 else math.nan
         return f(x) * ((kap - 1.0) / x - lam)
 
     return DensityModel(
-        f, fprime, (0.0, math.inf), cdf=lambda x: gamma_cdf(g, x),
+        f, fprime, cdf=lambda x: gamma_cdf(g, x),
         log_concave=kap >= 1, name=f"gamma({kap},{lam})",
     )
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# root finding
 # ---------------------------------------------------------------------------
-
-
-def _upper_cutoff(models: Sequence[DensityModel], start: float = 1.0) -> float:
-    """A finite right endpoint past which every model's tail is below 1e-14."""
-    hi = start
-    for _ in range(80):
-        ok = True
-        for m in models:
-            if m.cdf is not None:
-                if 1.0 - m.cdf(hi) > _TAIL_EPS:
-                    ok = False
-            elif m.f(hi) * hi > 1e-16:
-                ok = False
-        if ok:
-            return hi
-        hi *= 2.0
-    return hi
-
-
-def _lower_cutoff(models: Sequence[DensityModel]) -> float:
-    lo = min(m.domain[0] for m in models)
-    if lo == -math.inf:
-        low = -1.0
-        for _ in range(80):
-            if all(m.f(low) * abs(low) <= 1e-16 for m in models):
-                return low
-            low *= 2.0
-        return low
-    return 0.0
-
-
-def _quad(f: Callable[[float], float], a: float, b: float, pts: Sequence[float] = ()) -> float:
-    if b <= a:
-        return 0.0
-    from scipy import integrate  # 0.9 s to import, and no CLI path integrates
-
-    inner = sorted(p for p in pts if a < p < b)
-    val, _ = integrate.quad(f, a, b, points=inner or None, limit=300,
-                            epsabs=_QUAD_ABS_TOL, epsrel=1e-12)
-    return val
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-12) -> float:
@@ -304,14 +264,12 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
     """Kolmogorov-distance bound against the exponential law whose rate is the
     density's score at zero.
 
-    Requires support ``[0, inf)``, ``f(0) > 0`` finite, ``f'(0) < 0`` and a
-    log-concavity attestation; the rate is ``r = -f'(0)/f(0)`` and the bound
-    ``f(0)/r - 1``.  When a CDF is available the oracle distance is the grid
-    supremum of ``|F - F_exp|``, raised to its value at each density crossing
-    that the grid brackets.
+    Requires ``f(0) > 0`` finite, ``f'(0) < 0`` and a log-concavity
+    attestation; the rate is ``r = -f'(0)/f(0)`` and the bound ``f(0)/r - 1``.
+    When a CDF is available the oracle distance is the grid supremum of
+    ``|F - F_exp|``, raised to its value at each density crossing that the
+    grid brackets.
     """
-    if model.domain[0] != 0.0:
-        raise NotApplicableError("exponential comparison needs support [0, inf)")
     if not model.log_concave:
         raise NotApplicableError("density is not attested log-concave")
     f0 = model.f(0.0)
@@ -353,49 +311,76 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _score(model: DensityModel, z: float) -> float:
-    fz = model.f(z)
-    if fz <= 0 or not math.isfinite(fz):
-        raise InvalidDistributionError(f"density must be positive and finite at z = {z}")
-    return model.fprime(z) / fz
+def _score(g: GammaParams, z: float) -> float:
+    """The log-density derivative ``(kappa - 1)/z - lam`` at ``z > 0``."""
+    if not z > 0:
+        raise InvalidDistributionError(f"z must be positive, got {z}")
+    return (g.kappa - 1.0) / z - g.lam
 
 
-def tv_bound_continuous(fmu: DensityModel, fnu: DensityModel, z: float) -> tuple[float, float]:
+def _quad(g: GammaParams, t: float, x0: float, upper: bool) -> float:
+    """``log int e^{t x} f_g(x) dx`` over ``(x0, inf)`` if ``upper``, else over
+    ``(0, x0)``, in closed form (named after the quadrature it replaced).
+
+    With ``r = lam - t > 0``, ``e^{t x} f_g(x)`` is ``(lam/r)^kappa`` times the
+    Gamma(kappa, r) density.  With ``r <= 0`` the integral diverges over
+    ``(x0, inf)``, and over ``(0, x0)`` it is ``(lam x0)^kappa / Gamma(kappa)``
+    times ``sum_n y^n / (n! (n + kappa))``, ``y = -r x0``, rescaled as it grows.
+    """
+    k, r = g.kappa, g.lam - t
+    if r > 0:
+        return -k * math.log1p(-t / g.lam) + _log_gamma_mass(k, r * x0, upper)
+    if upper:
+        return math.inf
+    y = -r * x0
+    lead, total, log_scale, n = 1.0, 1.0 / k, 0.0, 0
+    while True:
+        n += 1
+        lead *= y / n
+        term = lead / (n + k)
+        total += term
+        if term <= _EPS * total:
+            break
+        if total > 1e250:
+            log_scale += math.log(total)
+            lead, total = lead / total, 1.0
+    return k * (math.log(g.lam) + math.log(x0)) - math.lgamma(k) + log_scale + math.log(total)
+
+
+def tv_bound_continuous(mu: GammaParams, nu: GammaParams, z: float) -> tuple[float, float]:
     """The two envelope integrals anchored at ``z``:
 
     ``int ((f_nu(z)/f_mu(z)) e^{(x-z) D} - 1)_+ dmu`` and
     ``int (1 - (f_mu(z)/f_nu(z)) e^{-(x-z) D})_+ dnu``
 
-    with ``D`` the score gap at ``z``.  The integrand's single sign change is
-    located in closed form and the pieces integrated adaptively.  Returned in
-    that order (reference-side, target-side), clamped to [0, 1].
+    with ``D`` the score gap at ``z``.  Both integrands are positive only on
+    the side of ``x0 = z - log(c)/D``, ``c = f_nu(z)/f_mu(z)``, that ``D``
+    points to, where each is a Gamma mass and a tilted one (``_quad``) with
+    their prefactors added in log space, so large shapes neither overflow nor
+    give ``inf * 0``.  Returned in that order (reference-side, target-side),
+    clamped to [0, 1].
     """
-    delta = _score(fnu, z) - _score(fmu, z)
-    c = fnu.f(z) / fmu.f(z)
-    a = _lower_cutoff([fmu, fnu])
-    b = _upper_cutoff([fmu, fnu], start=max(2.0 * abs(z), 1.0))
-    pts = [z]
-    if delta != 0.0:
-        # both integrands are positive only on the side of x0 that delta points to
-        x0 = z - math.log(c) / delta
-        a, b = (max(x0, a), b) if delta > 0 else (a, min(x0, b))
-        pts.append(x0)
-
-    mu_integrand = lambda x: max(c * _safe_exp((x - z) * delta) - 1.0, 0.0) * fmu.f(x)
-    nu_integrand = lambda x: max(1.0 - (1.0 / c) * _safe_exp(-(x - z) * delta), 0.0) * fnu.f(x)
-    mu_int = _quad(mu_integrand, a, b, pts)
-    nu_int = _quad(nu_integrand, a, b, pts)
+    delta = _score(nu, z) - _score(mu, z)
+    # log f(z) = log((lam z)^k e^{-lam z} / Gamma(k)) - log z, and the log z cancels
+    log_c = _log_gamma_prefactor(nu.kappa, nu.lam * z) - _log_gamma_prefactor(mu.kappa, mu.lam * z)
+    upper = delta > 0 or (delta == 0 and log_c > 0)
+    x0 = max(z - log_c / delta, 0.0) if delta else 0.0
+    if not upper and x0 == 0.0:
+        return 0.0, 0.0
+    mu_int = _safe_exp(log_c - z * delta + _quad(mu, delta, x0, upper)) - math.exp(_quad(mu, 0.0, x0, upper))
+    nu_int = math.exp(_quad(nu, 0.0, x0, upper)) - _safe_exp(z * delta - log_c + _quad(nu, -delta, x0, upper))
     return float(clamp01(mu_int)), float(clamp01(nu_int))
 
 
-def tv_bound_matched(fmu: DensityModel, fnu: DensityModel, z: float) -> float:
+def tv_bound_matched(mu: GammaParams, nu: GammaParams, z: float) -> float:
     """Closed-form TV bound at a score-matched point:
     ``min(f_nu(z)/f_mu(z) - 1, 1 - f_mu(z)/f_nu(z))``.
 
     Requires the scores to agree at ``z`` (relative tolerance) and asserts
     ``f_nu(z) >= f_mu(z)``.
     """
-    return _matched_bound(z, _score(fnu, z), _score(fmu, z), fnu.f(z) / fmu.f(z))
+    ratio = _safe_exp(gamma_log_density(nu, z) - gamma_log_density(mu, z))
+    return _matched_bound(z, _score(nu, z), _score(mu, z), ratio)
 
 
 def _matched_bound(z: float, s_nu: float, s_mu: float, ratio: float) -> float:
@@ -415,25 +400,26 @@ def _matched_bound(z: float, s_nu: float, s_mu: float, ratio: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log_gap(a: GammaParams, b: GammaParams) -> tuple[float, float, float]:
+    """``(dk, dl, C)`` with ``log f_a(x) - log f_b(x) = dk log x - dl x + C``."""
+    const = a.kappa * math.log(a.lam) - b.kappa * math.log(b.lam) - math.lgamma(a.kappa) + math.lgamma(b.kappa)
+    return a.kappa - b.kappa, a.lam - b.lam, const
+
+
 def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
     """The (at most two) crossing points of the two densities, ascending.
 
     The log-density gap ``h(x) = dk log x - dl x + C`` is monotone on each
     side of ``x* = dk/dl`` (everywhere when ``x* <= 0``, then split at 1), so
     a side holds a root iff ``h`` at its start and at its far end differ in
-    sign; doubling away from the start brackets it for ``brentq``.  A root
-    outside the float range is not reported.
+    sign; doubling away from the start brackets it for ``brentq``.  Below
+    ``_TINY``, ``dl x`` is under the rounding of ``dk log x + C`` (unless
+    ``|dl/dk| > 1e260``), so a root there is ``e^u`` with ``u = -C/dk``.  A
+    root above the float range is not reported.
     """
     if a == b:
         return []
-    dk = a.kappa - b.kappa
-    dl = a.lam - b.lam
-    const = (
-        a.kappa * math.log(a.lam)
-        - b.kappa * math.log(b.lam)
-        - math.lgamma(a.kappa)
-        + math.lgamma(b.kappa)
-    )
+    dk, dl, const = _log_gap(a, b)
 
     def h(x: float) -> float:
         return dk * math.log(x) - dl * x + const
@@ -447,28 +433,40 @@ def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
         if h0 * limit >= 0:
             continue
         x = start * step
-        while h(x) * h0 > 0 and 0.0 < x * step < math.inf:
+        while h(x) * h0 > 0 and _TINY < x * step < math.inf:
             x *= step
         if h(x) * h0 <= 0:
             roots.append(_brentq(h, *sorted((x / step, x)), xtol=1e-300))
+        elif x * step <= _TINY:
+            # with dk = 0, h is linear
+            roots.append(math.exp(-const / dk) if dk else const / dl)
     return sorted(roots)
 
 
 def tv_gamma_quadrature(a: GammaParams, b: GammaParams) -> Interval:
     """Exact-oracle TV between two Gamma laws, error below 1e-10: the CDFs
-    differenced across the density crossings, summed where ``f_a > f_b``.
+    differenced across the density crossings, kept where positive (where
+    ``f_a > f_b``).  At a crossing ``x = e^u`` below ``_TINY`` (``u = -C/dk``,
+    see ``gamma_density_crossings``), ``P(kappa, lam x)`` is
+    ``e^{kappa (log lam + u)} / Gamma(kappa + 1)`` to relative ``O(lam x)``.
 
     No quadrature runs; the name is kept because ``bench/tracing.py`` traces
     this entry point under it.
     """
     if a == b:
         return Interval(0.0, 0.0)
-    pts = [0.0] + gamma_density_crossings(a, b) + [math.inf]
+
+    def cdfs(x: float) -> tuple[float, float]:
+        if x >= _TINY:
+            return gamma_cdf(a, x), gamma_cdf(b, x)
+        dk, _, const = _log_gap(a, b)
+        u = -const / dk if dk else math.log(x)
+        return tuple(math.exp(g.kappa * (math.log(g.lam) + u) - math.lgamma(g.kappa + 1.0)) for g in (a, b))
+
+    pts = [(0.0, 0.0)] + [cdfs(x) for x in gamma_density_crossings(a, b)] + [(1.0, 1.0)]
     tv = 0.0
-    for left, right in zip(pts, pts[1:]):
-        mid = 0.5 * (left + right) if right < math.inf else (left + 1.0) * 2.0
-        if gamma_log_density(a, mid) > gamma_log_density(b, mid):
-            tv += (gamma_cdf(a, right) - gamma_cdf(a, left)) - (gamma_cdf(b, right) - gamma_cdf(b, left))
+    for (left_a, left_b), (right_a, right_b) in zip(pts, pts[1:]):
+        tv += max((right_a - left_a) - (right_b - left_b), 0.0)
     return Interval(max(tv - 1e-10, 0.0), tv + 1e-10)
 
 
@@ -553,7 +551,7 @@ def builtin_density(name: str) -> DensityModel:
         # e^{1/2} int_1^inf e^{-u^2/2} du = sqrt(pi/2) e^{1/2} erfc(1/sqrt 2)
         root_half = math.sqrt(0.5)
         c = 1.0 / (math.sqrt(math.pi / 2.0) * math.exp(0.5) * math.erfc(root_half))
-        f = lambda x: c * math.exp(-x - x * x / 2.0) if x >= 0 else 0.0
+        f = lambda x: c * math.exp(-x - x * x / 2.0)
         fprime = lambda x: -(1.0 + x) * f(x)
         base = math.erf(root_half)
         limit = 1.0 - base  # erf((x+1)/sqrt 2) - erf(1/sqrt 2) saturates here
@@ -564,7 +562,7 @@ def builtin_density(name: str) -> DensityModel:
             # closed form via the error function, normalized by its own limit
             return (math.erf((x + 1.0) * root_half) - base) / limit
 
-        return DensityModel(f, fprime, (0.0, math.inf), cdf=cdf, log_concave=True, name="expquad")
+        return DensityModel(f, fprime, cdf=cdf, log_concave=True, name="expquad")
     if name.startswith("exp:"):
         rate = float(name.split(":", 1)[1])
         if rate <= 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, anchored_report, dominance_verdict
+from .bounds import BoundReport, _safe_exp, anchored_report, dominance_verdict
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
@@ -164,7 +164,7 @@ def poisson_iv_bound(iv: IVSequence, m: int, tail_budget: float = DEFAULT_TAIL_B
         raise NotApplicableError(f"need V_{m} > 0 and V_{m + 1} > 0")
     lam = (m + 1) * vm1 / vm
     w = float(iv.W)
-    bound_mu = math.factorial(m) * math.exp(lam) * vm / (lam**m * w) - 1.0
+    bound_mu = _safe_exp(math.lgamma(m + 1) + lam + math.log(vm) - m * math.log(lam) - math.log(w)) - 1.0
     gamma = family_poisson(lam, tail_budget)
     nu = z_dist(iv)
     bound_nu = 1.0 - float(gamma.mass(m)) / float(nu.mass(m))

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BoundReport, anchored_report
+from .bounds import BoundReport, _safe_exp, anchored_report
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
@@ -260,7 +260,7 @@ def matroid_poisson_bound(
     gamma = family_poisson(float(lam), tail_budget)
     nu = nu_distribution(prof, include_zero)
     total = sum(c) if include_zero else sum(c[1:])
-    bound_mu = math.factorial(m) * math.exp(float(lam)) * c[m] / (float(lam) ** m * total) - 1
+    bound_mu = _safe_exp(math.lgamma(m + 1) + float(lam) + math.log(c[m]) - m * math.log(lam) - math.log(total)) - 1
     bound_nu = None
     if nu.mass(m) > 0:
         # reciprocal companion computed from the same exact atoms

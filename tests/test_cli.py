@@ -1,6 +1,6 @@
 import hashlib
 import json
-import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -117,20 +117,47 @@ def test_gamma_density_ratio_beyond_float_range(a, b):
     assert report["dominated"] is True
 
 
-def test_import_leaves_scipy_unloaded():
-    # only tv_bound_continuous, which no subcommand calls, integrates with scipy
-    code = """import sys
+def test_no_third_party_package_is_imported():
+    # -S -E leaves site-packages off sys.path, so importing numpy, scipy or any
+    # other installed package would fail; one argv per subcommand, and the
+    # envelope integrals, which no subcommand calls
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = f"""import sys
+sys.path.insert(0, {src!r})
 from tvbounds.cli import run
-for argv in (["gamma", "--a", "3,2", "--b", "2,1", "--case", "i"],
+from tvbounds.continuous import GammaParams, tv_bound_continuous
+for argv in (["pb-binomial", "--p", "0.1,0.2,0.3"], ["pb-poisson", "--p", "0.1,0.2,0.3"],
+             ["sum-geometric", "--p", "0.1,0.2"], ["matroid", "--uniform", "8,4", "--m", "2"],
+             ["iv", "--box", "0.5,1,2", "--m", "1"], ["compound", "poisson", "--lambda", "0.4", "--severity", "0.3,0.65,0.05"],
              ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"],
-             ["expapprox", "--density", "builtin:expquad"],
-             ["expapprox", "--density", "builtin:exp:2"]):
+             ["expapprox", "--density", "builtin:expquad"], ["verify", "--suite", "sums", "--n", "2", "--seed", "1"]):
     assert run(argv)[0] == 0, argv
-print(sorted(m for m in ("scipy", "numpy") if m in sys.modules))
+tv_bound_continuous(GammaParams(2.0, 0.5), GammaParams(3.0, 1.0), 1.0)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    out = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["matroid", "--uniform", "200,190", "--m", "180"],
+                                  ["iv", "--cube", "200,0.5", "--m", "180"]])
+def test_poisson_closed_form_beyond_float_range_saturates(argv):
+    # m! e^lambda leaves the float range at m = 180; the closed form is summed
+    # in log space and the bound clamps to 1
+    code, text = run(argv)
+    assert code == 0
+    report = json.loads(text)
+    poisson = report.get("poisson", report)
+    assert poisson["bound_mu_side"] == 1.0
+
+
+def test_compound_poisson_geometric_target_keeps_a_tiny_ratio():
+    # recomputing the ratio as 1 - (1 - lam F_1) left a gap of 2.8e-8 here
+    code, text = run(["compound", "poisson", "--lambda", "1e-9", "--severity", "0,1"])
+    payload = json.loads(text)
+    assert code == 0
+    assert payload["anchor"]["ratio_matched"] is True
+    assert payload["simplified"] is not None
 
 
 class TestSumGeometricSmallMasses:

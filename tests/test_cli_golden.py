@@ -74,7 +74,7 @@ CASES = [
      2, "9f0d5243fb76e20cad0a6275fb7fbcf13aee1a74aec8a009021852ebbe593b99"),
     # the aggregate law is not log-concave relative to its geometric target
     ("compound-geometric-hypothesis-fails", ["compound", "geometric", "--count-masses", "0.3,0.5,0.2", "--p", "0.2"],
-     2, "e96ea602d811b7f61ef2c17ebfa887931d3a040ba66a2110b9e9f478923e4768"),
+     2, "80277a9904f1559db41b0b8b9f52798a1f9bb234ae45352e5560729ab9b48613"),
     ("gamma-case-i", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "i"],
      0, "467a472d2fe34a02ce6f39342da591f024e4bb2e786facbdaed6049164abc58b"),
     ("gamma-case-ii", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"],

@@ -22,6 +22,8 @@ mp = mpmath.mp.clone()
 mp.dps = 50
 mpq = mpmath.mp.clone()  # quadrature needs far fewer digits than the roots
 mpq.dps = 20
+mpe = mpmath.mp.clone()
+mpe.dps = 30
 
 
 def _gap(a, b):
@@ -219,13 +221,12 @@ def test_tv_oracle_brackets_mpmath(same_sign):
     assert cont.tv_gamma_quadrature(GammaParams(2.0, 1.0), GammaParams(2.0, 1.0)).hi == 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the density crossing lies below the smallest float, so the oracle misses it")
-def test_tv_oracle_brackets_mpmath_when_the_crossing_underflows():
-    # equal rates: the densities cross once, at x = (Gamma(a)/Gamma(b))^(1/(a-b))
-    # = e^-6932.05, and the TV is P(a, x) - P(b, x) = 0.2500000041; the oracle
-    # gives [0, 1e-10], so `gamma --case ii --z 1` calls its bound 0.0201 dominated
-    a, b = GammaParams(1e-4, 1.0), GammaParams(2e-4, 1.0)
+@pytest.mark.parametrize("a, b", [((1e-4, 1.0), (2e-4, 1.0)), ((1e-3, 1.0), (2e-3, 1.0))])
+def test_tv_oracle_brackets_mpmath_when_the_crossing_underflows(a, b):
+    # equal rates: the densities cross once, at x = (Gamma(a)/Gamma(b))^(1/(a-b)),
+    # e^-6932.05 for the first pair (below the float range) and 5.25e-302 for
+    # the second, and the TV is P(a, x) - P(b, x), 0.2500000041 and 0.2500004106
+    a, b = GammaParams(*a), GammaParams(*b)
     ka, kb = mp.mpf(a.kappa), mp.mpf(b.kappa)
     x = mp.exp((mp.loggamma(ka) - mp.loggamma(kb)) / (ka - kb))
     tv = float(mp.gammainc(ka, 0, x, regularized=True) - mp.gammainc(kb, 0, x, regularized=True))
@@ -278,20 +279,68 @@ def test_score_anchored_envelopes_dominate_mpmath_tv(same_sign):
     # the larger shape is the target: log(f_hi / f_lo) = dk log x - dl x + C is concave
     for a, b, tv in same_sign[:4]:
         lo, hi = (b, a) if a.kappa > b.kappa else (a, b)
-        fmu, fnu = cont.gamma_density_model(lo), cont.gamma_density_model(hi)
         x_star = (hi.kappa - lo.kappa) / (hi.lam - lo.lam)
         for z in (x_star / 3.0, x_star * 0.9, x_star * 2.5):
-            assert min(cont.tv_bound_continuous(fmu, fnu, z)) >= tv - 1e-12, (lo, hi, z)
+            assert min(cont.tv_bound_continuous(lo, hi, z)) >= tv - 1e-12, (lo, hi, z)
 
 
 def test_score_matched_envelopes_reduce_to_closed_form():
     # scores (kap - 1)/z - lam agree exactly at z = 2: 1/2 - 1/2 = 2/2 - 1 = 0
-    fmu, fnu = cont.gamma_density_model(GammaParams(2.0, 0.5)), cont.gamma_density_model(GammaParams(3.0, 1.0))
-    c = fnu.f(2.0) / fmu.f(2.0)
-    mu_side, nu_side = cont.tv_bound_continuous(fmu, fnu, 2.0)
+    mu, nu = GammaParams(2.0, 0.5), GammaParams(3.0, 1.0)
+    c = cont.gamma_density_model(nu).f(2.0) / cont.gamma_density_model(mu).f(2.0)
+    mu_side, nu_side = cont.tv_bound_continuous(mu, nu, 2.0)
     assert mu_side == pytest.approx(c - 1.0, abs=1e-9)
     assert nu_side == pytest.approx(1.0 - 1.0 / c, abs=1e-9)
-    assert min(mu_side, nu_side) == pytest.approx(cont.tv_bound_matched(fmu, fnu, 2.0), abs=1e-9)
+    assert min(mu_side, nu_side) == pytest.approx(cont.tv_bound_matched(mu, nu, 2.0), abs=1e-9)
+
+
+def _mp_envelopes(mu, nu, z):
+    """Both envelope integrals at 30 digits, clamped to [0, 1], and the set of
+    branches taken: on the region where the integrands are positive, each is
+    a Gamma mass and a tilted one, from mpmath's incomplete gamma, or from its
+    1F1 where the tilted rate is not positive."""
+    ctx = mpe
+    z = ctx.mpf(z)
+    (km, lm), (kn, ln) = laws = [(ctx.mpf(g.kappa), ctx.mpf(g.lam)) for g in (mu, nu)]
+    d = ((kn - 1) / z - ln) - ((km - 1) / z - lm)
+    log_c = sum(s * (k * ctx.log(lam) + (k - 1) * ctx.log(z) - lam * z - ctx.loggamma(k))
+                for s, (k, lam) in zip((-1, 1), laws))
+    x0 = max(z - log_c / d, 0) if d else (0 if log_c > 0 else ctx.inf)
+    lo, hi = (x0, ctx.inf) if d > 0 or (d == 0 and log_c > 0) else (0, x0)
+    branches = set()
+
+    def tilted(k, lam, t):
+        # int_lo^hi e^{tx} f(x) dx for the Gamma(k, lam) density f
+        r = lam - t
+        if r > 0:
+            return (lam / r) ** k * ctx.gammainc(k, r * lo, r * hi, regularized=True)
+        branches.add("divergent" if hi == ctx.inf else "series")
+        if hi == ctx.inf:
+            return ctx.inf
+        return (lam * hi) ** k / ctx.gamma(k + 1) * ctx.hyp1f1(k, k + 1, -r * hi)
+
+    if lo == hi:
+        return (0.0, 0.0), {"empty"}
+    mu_side = ctx.exp(log_c - z * d) * tilted(km, lm, d) - tilted(km, lm, 0)
+    nu_side = tilted(kn, ln, 0) - ctx.exp(z * d - log_c) * tilted(kn, ln, -d)
+    return tuple(float(min(max(v, 0), 1)) for v in (mu_side, nu_side)), branches
+
+
+def test_envelopes_against_mpmath():
+    # both orientations of random pairs, and shapes near 1e4 and 1e6, where
+    # lam^kappa and Gamma(kappa) are far outside the float range
+    rng = random.Random(17)
+    cases = [(GammaParams(rng.uniform(0.3, 8.0), rng.uniform(0.1, 4.0)),
+              GammaParams(rng.uniform(0.3, 8.0), rng.uniform(0.1, 4.0)), rng.uniform(0.05, 8.0)) for _ in range(200)]
+    cases += [(GammaParams(1e4, 1e4), GammaParams(1.0001e4, 1.00005e4), 0.99),
+              (GammaParams(1e6, 1e6), GammaParams(1.000001e6, 1.0000005e6), 0.9995)]
+    seen = set()
+    for mu, nu, z in cases:
+        got = cont.tv_bound_continuous(mu, nu, z)
+        want, branches = _mp_envelopes(mu, nu, z)
+        seen |= branches
+        assert all(abs(g - w) <= 1e-13 for g, w in zip(got, want)), (mu, nu, z, got, want)
+    assert seen == {"divergent", "series", "empty"}
 
 
 # ---------------------------------------------------------------------------
