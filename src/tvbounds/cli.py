@@ -6,31 +6,40 @@ row per report), or a human table.
 
 Exit codes: 0 success, 2 when a bound's hypotheses fail ("bound not
 applicable", with the structured explanation on stdout), 1 for input errors.
+
+Each subcommand imports its application module (``sums``, ``matroids``,
+``intrinsic_volumes``, ``compound``, ``continuous`` or ``verify``) inside its
+runner, on first use. A process runs one subcommand, and with bytecode caching
+off (``PYTHONDONTWRITEBYTECODE``, or a checkout with no ``__pycache__``) it
+compiles every module it imports, so a module it never runs would cost it the
+compilation alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import compound as comp
-from . import intrinsic_volumes as iv
-from . import matroids as mat
-from . import sums
 from .bounds import BoundReport, certify, clamp01, dominance_verdict
 from .distributions import DEFAULT_TAIL_BUDGET, DiscreteDist, make_dist
 from .errors import BoundNotApplicable, InvalidDistributionError, MatroidAxiomError
-from .verify import SUITES
+
+if TYPE_CHECKING:
+    from . import intrinsic_volumes as iv
 
 SUBCOMMANDS = (
     "pb-binomial", "pb-poisson", "sum-geometric", "matroid", "iv",
     "compound", "gamma", "expapprox", "verify",
 )
+
+# the keys of verify.SUITES, named here so that building the parser does not
+# import verify
+SUITE_NAMES = ("dominance", "matroids", "sums")
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,9 @@ def emit(report, fmt: str) -> str:
     if fmt == "json":
         return _render_json(data)
     if fmt == "csv":
+        import csv
+        import io
+
         flat = _flatten(data)
         cells = []
         for v in flat.values():
@@ -205,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", required=True, help="builtin:<name>")
 
     p = sub.add_parser("verify", parents=[common], help="randomized dominance sweeps")
-    p.add_argument("--suite", choices=sorted(SUITES), default="dominance")
+    p.add_argument("--suite", choices=SUITE_NAMES, default="dominance")
     p.add_argument("--n", type=int, default=100)
 
     return parser
@@ -229,6 +241,8 @@ def _report_with_kind(kind: str, report: BoundReport, **extra) -> dict:
 
 
 def _run_pb_binomial(cfg: RunConfig) -> dict:
+    from . import sums
+
     bv = sums.BernoulliVector(tuple(cfg.params["p"]))
     s = sums.poisson_binomial_pmf(bv)
     target = sums.binomial_target(bv)
@@ -243,6 +257,8 @@ def _run_pb_binomial(cfg: RunConfig) -> dict:
 
 
 def _run_pb_poisson(cfg: RunConfig) -> dict:
+    from . import sums
+
     bv = sums.BernoulliVector(tuple(cfg.params["p"]))
     s = sums.poisson_binomial_pmf(bv)
     target = sums.poisson_target(bv, cfg.tail_budget)
@@ -255,6 +271,8 @@ def _run_pb_poisson(cfg: RunConfig) -> dict:
 
 
 def _run_sum_geometric(cfg: RunConfig) -> dict:
+    from . import sums
+
     if cfg.params.get("p"):
         xis = [make_dist(0, (1.0 - v, v)) for v in cfg.params["p"]]
     else:
@@ -264,6 +282,8 @@ def _run_sum_geometric(cfg: RunConfig) -> dict:
 
 
 def _run_matroid(cfg: RunConfig) -> dict:
+    from . import matroids as mat
+
     if cfg.params.get("uniform"):
         n, r = (int(v) for v in cfg.params["uniform"].split(","))
         prof = mat.profile_uniform(n, r)
@@ -297,6 +317,8 @@ def _run_matroid(cfg: RunConfig) -> dict:
 
 
 def _iv_from_params(cfg: RunConfig) -> iv.IVSequence:
+    from . import intrinsic_volumes as iv
+
     if cfg.params.get("box"):
         return iv.iv_box(cfg.params["box"])
     if cfg.params.get("cube"):
@@ -306,6 +328,8 @@ def _iv_from_params(cfg: RunConfig) -> iv.IVSequence:
 
 
 def _factor_from_json(d: dict) -> iv.ProductFactor:
+    from . import intrinsic_volumes as iv
+
     scale = float(d.get("scale", 1.0))
     if "box" in d:
         body = iv.iv_box(d["box"])
@@ -321,6 +345,8 @@ def _factor_from_json(d: dict) -> iv.ProductFactor:
 
 
 def _run_iv(cfg: RunConfig) -> dict:
+    from . import intrinsic_volumes as iv
+
     if cfg.params.get("product"):
         spec = _load_json(cfg.params["product"])
         factors = [_factor_from_json(d) for d in spec["factors"]]
@@ -333,6 +359,8 @@ def _run_iv(cfg: RunConfig) -> dict:
 
 
 def _run_compound(cfg: RunConfig) -> dict:
+    from . import compound as comp
+
     if cfg.params["kind"] == "poisson":
         sev = make_dist(0, cfg.params["severity"])
         spec = comp.CompoundPoissonSpec(cfg.params["lam"], sev)
@@ -348,7 +376,7 @@ def _run_compound(cfg: RunConfig) -> dict:
 
 
 def _run_gamma(cfg: RunConfig) -> dict:
-    from . import continuous as cont  # imported here so the discrete subcommands skip it
+    from . import continuous as cont
 
     ka, la = cfg.params["a"]
     kb, lb = cfg.params["b"]
@@ -378,6 +406,8 @@ def _run_expapprox(cfg: RunConfig) -> dict:
 
 
 def _run_verify(cfg: RunConfig) -> dict:
+    from .verify import SUITES
+
     seed = cfg.seed if cfg.seed is not None else 0
     sweep = SUITES[cfg.params["suite"]](cfg.params["n"], seed)
     out = {"kind": "sweep", "suite": cfg.params["suite"], "seed": seed}
@@ -430,7 +460,16 @@ def run(argv) -> tuple[int, str]:
 def main(argv=None) -> int:
     code, text = run(sys.argv[1:] if argv is None else argv)
     stream = sys.stdout if code in (0, 2) else sys.stderr
-    print(text, file=stream)
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed early: point the stream at devnull, so that the
+        # flush at exit does not raise again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

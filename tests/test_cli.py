@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tvbounds.cli import run
+from tvbounds.cli import SUITE_NAMES, run
 
 
 def _compound_geometric(count_masses):
@@ -117,26 +117,82 @@ def test_gamma_density_ratio_beyond_float_range(a, b):
     assert report["dominated"] is True
 
 
-def test_no_third_party_package_is_imported():
-    # -S -E leaves site-packages off sys.path, so importing numpy, scipy or any
-    # other installed package would fail; one argv per subcommand, and the
-    # envelope integrals, which no subcommand calls
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    code = f"""import sys
-sys.path.insert(0, {src!r})
-from tvbounds.cli import run
-from tvbounds.continuous import GammaParams, tv_bound_continuous
-for argv in (["pb-binomial", "--p", "0.1,0.2,0.3"], ["pb-poisson", "--p", "0.1,0.2,0.3"],
-             ["sum-geometric", "--p", "0.1,0.2"], ["matroid", "--uniform", "8,4", "--m", "2"],
-             ["iv", "--box", "0.5,1,2", "--m", "1"], ["compound", "poisson", "--lambda", "0.4", "--severity", "0.3,0.65,0.05"],
-             ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"],
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+APPLICATION_MODULES = {"tvbounds." + m for m in ("compound", "continuous", "intrinsic_volumes", "matroids", "sums",
+                                                  "verify")}
+
+
+def _bare_python(code: str, **kwargs):
+    # -S -E leaves site-packages and PYTHON* variables out, -B writes no
+    # bytecode into the source tree (-E ignores PYTHONDONTWRITEBYTECODE)
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
+    return subprocess.Popen([sys.executable, "-S", "-E", "-B", "-c", code], **kwargs)
+
+
+@pytest.fixture(scope="module")
+def bare_run():
+    """One bare interpreter: the tvbounds modules loaded by importing the CLI
+    and building its parser, those each of two subcommands adds, then the
+    third-party modules loaded by every subcommand and by the envelope
+    integrals, which no subcommand calls."""
+    code = """import json
+def loaded():
+    return {m for m in sys.modules if m.startswith("tvbounds.")}
+from tvbounds.cli import _build_parser, run
+_build_parser()
+seen = {"cli": sorted(loaded())}
+for argv in (["pb-binomial", "--p", "0.1,0.2,0.3"], ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"]):
+    before = loaded()
+    assert run(argv)[0] == 0, argv
+    seen[argv[0]] = sorted(loaded() - before)
+for argv in (["pb-poisson", "--p", "0.1,0.2,0.3"], ["sum-geometric", "--p", "0.1,0.2"],
+             ["matroid", "--uniform", "8,4", "--m", "2"], ["iv", "--box", "0.5,1,2", "--m", "1"],
+             ["compound", "poisson", "--lambda", "0.4", "--severity", "0.3,0.65,0.05"],
              ["expapprox", "--density", "builtin:expquad"], ["verify", "--suite", "sums", "--n", "2", "--seed", "1"]):
     assert run(argv)[0] == 0, argv
+from tvbounds.continuous import GammaParams, tv_bound_continuous
 tv_bound_continuous(GammaParams(2.0, 0.5), GammaParams(3.0, 1.0), 1.0)
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+seen["third_party"] = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+print(json.dumps(seen))
 """
-    out = subprocess.run([sys.executable, "-S", "-E", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    with _bare_python(code, stdout=subprocess.PIPE, text=True) as proc:
+        out = proc.stdout.read()
+    assert proc.returncode == 0
+    return json.loads(out)
+
+
+def test_no_third_party_package_is_imported(bare_run):
+    # importing numpy, scipy or any other installed package fails under -S
+    assert bare_run["third_party"] == []
+
+
+def test_cli_import_loads_no_application_module(bare_run):
+    assert bare_run["cli"]
+    assert not APPLICATION_MODULES & set(bare_run["cli"])
+
+
+def test_each_subcommand_loads_only_its_module(bare_run):
+    assert bare_run["pb-binomial"] == ["tvbounds.sums"]
+    assert bare_run["gamma"] == ["tvbounds.continuous"]
+
+
+def test_suite_choices_name_the_verify_suites():
+    from tvbounds.verify import SUITES
+
+    assert list(SUITE_NAMES) == sorted(SUITES)
+
+
+def test_reader_closing_the_pipe_early_gets_no_traceback():
+    # a 104 kB report outgrows the pipe, so the CLI is still writing when the
+    # reader leaves
+    with _bare_python("from tvbounds.cli import main\n"
+                      "raise SystemExit(main(['matroid', '--uniform', '400,380', '--m', '2']))",
+                      stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'{"binomial'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [["matroid", "--uniform", "200,190", "--m", "180"],
