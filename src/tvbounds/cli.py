@@ -21,12 +21,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, certify, clamp01, dominance_verdict
-from .distributions import DEFAULT_TAIL_BUDGET, DiscreteDist, make_dist
+from .distributions import DiscreteDist, make_dist
 from .errors import BoundNotApplicable, InvalidDistributionError, MatroidAxiomError
 
 if TYPE_CHECKING:
@@ -40,17 +39,6 @@ SUBCOMMANDS = (
 # the keys of verify.SUITES, named here so that building the parser does not
 # import verify
 SUITE_NAMES = ("dominance", "matroids", "sums")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: subcommand, its parameters, and global knobs."""
-
-    subcommand: str
-    params: dict
-    tail_budget: float = DEFAULT_TAIL_BUDGET
-    fmt: str = "json"
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +147,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # given before or after the subcommand without the subparser resetting them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "table"), default=argparse.SUPPRESS)
-    common.add_argument("--tail-budget", type=float, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     # no set_defaults here: it would mutate the shared parent actions and make
     # the subparser overwrite values parsed before the subcommand; fallbacks
-    # are applied with getattr when the RunConfig is assembled
+    # are applied with getattr where the namespace is read
     parser = argparse.ArgumentParser(prog="tvbounds", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -240,10 +227,10 @@ def _report_with_kind(kind: str, report: BoundReport, **extra) -> dict:
     return out
 
 
-def _run_pb_binomial(cfg: RunConfig) -> dict:
+def _run_pb_binomial(ns: argparse.Namespace) -> dict:
     from . import sums
 
-    bv = sums.BernoulliVector(tuple(cfg.params["p"]))
+    bv = sums.BernoulliVector(tuple(ns.p))
     s = sums.poisson_binomial_pmf(bv)
     target = sums.binomial_target(bv)
     report = certify(target, s)
@@ -256,12 +243,12 @@ def _run_pb_binomial(cfg: RunConfig) -> dict:
     )
 
 
-def _run_pb_poisson(cfg: RunConfig) -> dict:
+def _run_pb_poisson(ns: argparse.Namespace) -> dict:
     from . import sums
 
-    bv = sums.BernoulliVector(tuple(cfg.params["p"]))
+    bv = sums.BernoulliVector(tuple(ns.p))
     s = sums.poisson_binomial_pmf(bv)
-    target = sums.poisson_target(bv, cfg.tail_budget)
+    target = sums.poisson_target(bv)
     report = certify(target, s)
     return _report_with_kind(
         "pb_poisson", report,
@@ -270,33 +257,34 @@ def _run_pb_poisson(cfg: RunConfig) -> dict:
     )
 
 
-def _run_sum_geometric(cfg: RunConfig) -> dict:
+def _run_sum_geometric(ns: argparse.Namespace) -> dict:
     from . import sums
 
-    if cfg.params.get("p"):
-        xis = [make_dist(0, (1.0 - v, v)) for v in cfg.params["p"]]
+    if ns.p:
+        xis = [make_dist(0, (1.0 - v, v)) for v in ns.p]
     else:
-        xis = [DiscreteDist.from_json(d) for d in _load_json(cfg.params["pmfs"])]
-    report = sums.geometric_sum_bound(xis, cfg.tail_budget)
+        xis = [DiscreteDist.from_json(d) for d in _load_json(ns.pmfs)]
+    report = sums.geometric_sum_bound(xis)
     return _report_with_kind("sum_geometric", report)
 
 
-def _run_matroid(cfg: RunConfig) -> dict:
+def _run_matroid(ns: argparse.Namespace) -> dict:
     from . import matroids as mat
 
-    if cfg.params.get("uniform"):
-        n, r = (int(v) for v in cfg.params["uniform"].split(","))
+    partition = None
+    if ns.uniform:
+        n, r = (int(v) for v in ns.uniform.split(","))
         prof = mat.profile_uniform(n, r)
-    elif cfg.params.get("partition"):
-        cats = tuple(tuple(int(v) for v in c.split(":")) for c in cfg.params["partition"].split(","))
-        prof = mat.profile_partition(mat.PartitionMatroidSpec(cats))
+    elif ns.partition:
+        cats = tuple(tuple(int(v) for v in c.split(":")) for c in ns.partition.split(","))
+        partition = mat.PartitionMatroidSpec(cats)
+        prof = mat.profile_partition(partition)
     else:
-        arrays = _load_json(cfg.params["sets"])
+        arrays = _load_json(ns.sets)
         masks = frozenset(sum(1 << e for e in arr) for arr in arrays)
         n = max((max(arr) + 1 for arr in arrays if arr), default=1)
         prof = mat.profile_from_set_system(mat.SetSystem(n, masks))
-    m = cfg.params["m"]
-    include_zero = cfg.params.get("include_zero", False)
+    m, include_zero = ns.m, ns.include_zero
     out = {
         "kind": "matroid",
         "profile": list(prof.counts),
@@ -304,100 +292,96 @@ def _run_matroid(cfg: RunConfig) -> dict:
         "rank": prof.rank,
         "mason": mat.mason_check(prof).to_json(),
         "binomial": mat.matroid_binomial_bound(prof, m, include_zero).to_json(),
-        "poisson": mat.matroid_poisson_bound(prof, m, include_zero, cfg.tail_budget).to_json(),
+        "poisson": mat.matroid_poisson_bound(prof, m, include_zero).to_json(),
     }
-    if cfg.params.get("half") and cfg.params.get("partition"):
-        cats = tuple(tuple(int(v) for v in c.split(":")) for c in cfg.params["partition"].split(","))
+    if ns.half and partition is not None:
         try:
-            out["half_bound"] = float(mat.partition_half_bound(mat.PartitionMatroidSpec(cats)))
+            out["half_bound"] = float(mat.partition_half_bound(partition))
         except BoundNotApplicable as e:
             out["half_bound"] = None
             out["half_not_applicable"] = str(e)
     return out
 
 
-def _iv_from_params(cfg: RunConfig) -> iv.IVSequence:
+def _iv_body(spec: dict) -> iv.IVSequence | None:
+    """The box (side lengths), cube (``[n, s]``) or ball (dimension) that
+    ``spec`` names, in that order; None when it names none of them."""
     from . import intrinsic_volumes as iv
 
-    if cfg.params.get("box"):
-        return iv.iv_box(cfg.params["box"])
-    if cfg.params.get("cube"):
-        n_s = cfg.params["cube"].split(",")
-        return iv.iv_cube(int(n_s[0]), float(n_s[1]))
-    return iv.iv_ball(int(cfg.params["ball"]))
+    if spec.get("box") is not None:
+        return iv.iv_box(spec["box"])
+    if spec.get("cube") is not None:
+        n, s = spec["cube"]
+        return iv.iv_cube(int(n), float(s))
+    if spec.get("ball") is not None:
+        return iv.iv_ball(int(spec["ball"]))
+    return None
 
 
 def _factor_from_json(d: dict) -> iv.ProductFactor:
     from . import intrinsic_volumes as iv
 
     scale = float(d.get("scale", 1.0))
-    if "box" in d:
-        body = iv.iv_box(d["box"])
-    elif "cube" in d:
-        body = iv.iv_cube(int(d["cube"][0]), float(d["cube"][1]))
-    elif "ball" in d:
-        body = iv.iv_ball(int(d["ball"]))
-    elif "segment" in d:
+    body = _iv_body(d)
+    if body is not None:
+        return iv.ProductFactor(body, scale)
+    if "segment" in d:
         return iv.segment_factor(float(d["segment"]))
-    else:
-        raise InvalidDistributionError("factor needs one of box/cube/ball/segment")
-    return iv.ProductFactor(body, scale)
+    raise InvalidDistributionError("factor needs one of box/cube/ball/segment")
 
 
-def _run_iv(cfg: RunConfig) -> dict:
+def _run_iv(ns: argparse.Namespace) -> dict:
     from . import intrinsic_volumes as iv
 
-    if cfg.params.get("product"):
-        spec = _load_json(cfg.params["product"])
+    if ns.product:
+        spec = _load_json(ns.product)
         factors = [_factor_from_json(d) for d in spec["factors"]]
         bound = iv.product_bounds(factors, spec["mode"])
         return {"kind": "iv_product", "mode": spec["mode"], "bound": bound,
                 "bound_clamped": float(clamp01(bound))}
-    body = _iv_from_params(cfg)
-    report = iv.poisson_iv_bound(body, cfg.params["m"], cfg.tail_budget)
-    return _report_with_kind("iv", report, V=[float(v) for v in body.V], W=float(body.W), m=cfg.params["m"])
+    body = _iv_body({"box": ns.box, "cube": ns.cube and ns.cube.split(","), "ball": ns.ball})
+    report = iv.poisson_iv_bound(body, ns.m)
+    return _report_with_kind("iv", report, V=[float(v) for v in body.V], W=float(body.W), m=ns.m)
 
 
-def _run_compound(cfg: RunConfig) -> dict:
+def _run_compound(ns: argparse.Namespace) -> dict:
     from . import compound as comp
 
-    if cfg.params["kind"] == "poisson":
-        sev = make_dist(0, cfg.params["severity"])
-        spec = comp.CompoundPoissonSpec(cfg.params["lam"], sev)
-        report = comp.geometric_bound_compound_poisson(spec, cfg.tail_budget)
+    if ns.kind == "poisson":
+        spec = comp.CompoundPoissonSpec(ns.lam, make_dist(0, ns.severity))
+        report = comp.geometric_bound_compound_poisson(spec)
         return _report_with_kind("compound_poisson", report)
-    if cfg.params.get("count"):
-        count = DiscreteDist.from_json(_load_json(cfg.params["count"]))
+    if ns.count:
+        count = DiscreteDist.from_json(_load_json(ns.count))
     else:
-        count = make_dist(0, cfg.params["count_masses"])
-    spec = comp.CompoundGeometricSpec(count, cfg.params["p"])
-    report = comp.geometric_bound_compound_geometric(spec, cfg.tail_budget)
+        count = make_dist(0, ns.count_masses)
+    spec = comp.CompoundGeometricSpec(count, ns.p)
+    report = comp.geometric_bound_compound_geometric(spec)
     return _report_with_kind("compound_geometric", report)
 
 
-def _run_gamma(cfg: RunConfig) -> dict:
+def _run_gamma(ns: argparse.Namespace) -> dict:
     from . import continuous as cont
 
-    ka, la = cfg.params["a"]
-    kb, lb = cfg.params["b"]
+    ka, la = ns.a
+    kb, lb = ns.b
     a, b = cont.GammaParams(ka, la), cont.GammaParams(kb, lb)
-    if cfg.params["case"] == "i":
+    if ns.case == "i":
         report = cont.gamma_tv_bound_anchored(a, b)
         return _report_with_kind("gamma_case_i", report,
                                  crossings=cont.gamma_density_crossings(a, b))
-    z = cfg.params.get("z")
-    if z is None:
+    if ns.z is None:
         raise InvalidDistributionError("--case ii requires --z")
-    bound = cont.gamma_tv_bound_perturbative(a, b, z)
+    bound = cont.gamma_tv_bound_perturbative(a, b, ns.z)
     tv = cont.tv_gamma_quadrature(a, b)
     return {"kind": "gamma_case_ii", "bound": bound, "bound_clamped": float(clamp01(bound)),
-            "z": z, "oracle_tv": tv.to_json(), "dominated": dominance_verdict(tv, clamp01(bound))}
+            "z": ns.z, "oracle_tv": tv.to_json(), "dominated": dominance_verdict(tv, clamp01(bound))}
 
 
-def _run_expapprox(cfg: RunConfig) -> dict:
+def _run_expapprox(ns: argparse.Namespace) -> dict:
     from . import continuous as cont
 
-    name = cfg.params["density"]
+    name = ns.density
     if not name.startswith("builtin:"):
         raise InvalidDistributionError("only builtin:<name> densities are supported")
     model = cont.builtin_density(name.split(":", 1)[1])
@@ -405,12 +389,12 @@ def _run_expapprox(cfg: RunConfig) -> dict:
     return _report_with_kind("expapprox", report, density=model.name)
 
 
-def _run_verify(cfg: RunConfig) -> dict:
+def _run_verify(ns: argparse.Namespace) -> dict:
     from .verify import SUITES
 
-    seed = cfg.seed if cfg.seed is not None else 0
-    sweep = SUITES[cfg.params["suite"]](cfg.params["n"], seed)
-    out = {"kind": "sweep", "suite": cfg.params["suite"], "seed": seed}
+    seed = getattr(ns, "seed", 0)
+    sweep = SUITES[ns.suite](ns.n, seed)
+    out = {"kind": "sweep", "suite": ns.suite, "seed": seed}
     out.update(sweep.to_json())
     return out
 
@@ -435,26 +419,18 @@ def run(argv) -> tuple[int, str]:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return (1 if e.code else 0), ""
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("format", "tail_budget", "seed", "subcommand")}
-    cfg = RunConfig(
-        ns.subcommand,
-        params,
-        getattr(ns, "tail_budget", DEFAULT_TAIL_BUDGET),
-        getattr(ns, "format", "json"),
-        getattr(ns, "seed", None),
-    )
+    fmt = getattr(ns, "format", "json")
     try:
-        report = _RUNNERS[cfg.subcommand](cfg)
+        report = _RUNNERS[ns.subcommand](ns)
     except BoundNotApplicable as e:
         payload = {"kind": "not_applicable", "error": "bound not applicable",
                    "reason": str(e), "details": _canon(e.details)}
-        return 2, emit(payload, cfg.fmt)
+        return 2, emit(payload, fmt)
     except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError) as e:
         return 1, f"error: {e}"
     if report.get("details", {}).get("not_applicable") or report.get("hypothesis", {}).get("holds") is False:
-        return 2, emit(report, cfg.fmt)
-    return 0, emit(report, cfg.fmt)
+        return 2, emit(report, fmt)
+    return 0, emit(report, fmt)
 
 
 def main(argv=None) -> int:

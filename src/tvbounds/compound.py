@@ -65,7 +65,7 @@ class CompoundGeometricSpec:
             raise InvalidDistributionError("count distribution must be supported on 0..")
 
 
-def compound_poisson_pmf(spec: CompoundPoissonSpec, tail_budget: float = DEFAULT_TAIL_BUDGET) -> DiscreteDist:
+def compound_poisson_pmf(spec: CompoundPoissonSpec) -> DiscreteDist:
     """Aggregate mass function by the Panjer-class recursion:
     ``P[X=0] = exp(-lam (1 - F_0))``,
     ``P[X=k] = (lam / k) sum_{j=1..k} j F_j P[X=k-j]``."""
@@ -80,7 +80,7 @@ def compound_poisson_pmf(spec: CompoundPoissonSpec, tail_budget: float = DEFAULT
     mean_sev = sum(k * float(f.mass(k)) for k in range(jmax + 1))
     cap = int(20 * (lam * max(mean_sev, 1.0) + 10)) + len(f.masses)
     k = 0
-    while 1.0 - cum > tail_budget and k < cap:
+    while 1.0 - cum > DEFAULT_TAIL_BUDGET and k < cap:
         k += 1
         acc = 0.0
         for j in range(1, min(k, jmax) + 1):
@@ -109,11 +109,6 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
     return LogConcavityCertificate(_leq_with_slack(rhs, lhs, False), None, True)
 
 
-def _geometric_target(ratio: float, min_length: int, tail_budget: float) -> DiscreteDist:
-    """Geometric law with mass ratio ``ratio``: ``mu[k] = (1-ratio) ratio^k``."""
-    return _geometric_law(1.0 - ratio, ratio, tail_budget, min_length)
-
-
 def _matched_report(
     nu: DiscreteDist,
     target: DiscreteDist,
@@ -133,9 +128,7 @@ def _matched_report(
     return anchored_report(target, nu, 0, hypothesis, stated_bound=stated, details=details)
 
 
-def geometric_bound_compound_poisson(
-    spec: CompoundPoissonSpec, tail_budget: float = DEFAULT_TAIL_BUDGET
-) -> BoundReport:
+def geometric_bound_compound_poisson(spec: CompoundPoissonSpec) -> BoundReport:
     """Geometric approximation of a log-concave compound Poisson law.
 
     The target has mass ratio ``lam F_1`` (valid when below one) and matches
@@ -151,8 +144,8 @@ def geometric_bound_compound_poisson(
     ratio = lam * float(f.mass(1))
     if ratio >= 1:
         raise NotApplicableError(f"lam F_1 = {ratio:.6g} must be below 1")
-    nu = compound_poisson_pmf(spec, tail_budget)
-    target = _geometric_target(ratio, len(nu.masses), tail_budget)
+    nu = compound_poisson_pmf(spec)
+    target = _geometric_law(1.0 - ratio, ratio, DEFAULT_TAIL_BUDGET, len(nu.masses))
     stated = math.expm1(lam * (1.0 - float(f.mass(0))))
     details = {
         "theta": 1.0 - ratio,
@@ -162,7 +155,7 @@ def geometric_bound_compound_poisson(
     return _matched_report(nu, target, stated, details)
 
 
-def compound_geometric_pmf(spec: CompoundGeometricSpec, tail_budget: float = DEFAULT_TAIL_BUDGET) -> DiscreteDist:
+def compound_geometric_pmf(spec: CompoundGeometricSpec) -> DiscreteDist:
     """Aggregate mass function ``sum_k F_k * (k-fold convolution of the
     geometric summand)``, truncated where the aggregate tail is below budget.
 
@@ -177,7 +170,7 @@ def compound_geometric_pmf(spec: CompoundGeometricSpec, tail_budget: float = DEF
     q = 1.0 - p
     if kmax == 0:
         return point_mass(0).to_float()
-    sub_budget = tail_budget * 1e-4 / kmax
+    sub_budget = DEFAULT_TAIL_BUDGET * 1e-4 / kmax
     for _ in range(6):
         # summand masses (1-p) p^j are a geometric law with success mass 1-p
         summand = family_geometric(q, sub_budget).to_float()
@@ -193,7 +186,7 @@ def compound_geometric_pmf(spec: CompoundGeometricSpec, tail_budget: float = DEF
                     out[i] += fk * m
         kept = out[: j_exact + 1]
         deficit = 1.0 - math.fsum(kept)
-        if deficit <= tail_budget:
+        if deficit <= DEFAULT_TAIL_BUDGET:
             dist = DiscreteDist(0, tuple(kept), max(deficit, 0.0))
             x0 = math.fsum(float(f.mass(k)) * q**k for k in range(kmax + 1))
             x1 = math.fsum(k * float(f.mass(k)) * p * q**k for k in range(kmax + 1))
@@ -201,12 +194,10 @@ def compound_geometric_pmf(spec: CompoundGeometricSpec, tail_budget: float = DEF
                 raise AssertionError("aggregate atoms disagree with their closed forms")
             return dist
         sub_budget *= 1e-3
-    raise InvalidDistributionError("could not reach the requested tail budget")
+    raise InvalidDistributionError("could not reach the tail budget")
 
 
-def geometric_bound_compound_geometric(
-    spec: CompoundGeometricSpec, tail_budget: float = DEFAULT_TAIL_BUDGET
-) -> BoundReport:
+def geometric_bound_compound_geometric(spec: CompoundGeometricSpec) -> BoundReport:
     """Geometric approximation of a compound geometric law with log-concave
     count distribution.
 
@@ -230,11 +221,12 @@ def geometric_bound_compound_geometric(
     if not cert.holds:
         raise HypothesisError("count distribution is not log-concave",
                               {"certificate": cert.to_json()})
-    nu = compound_geometric_pmf(spec, tail_budget)
+    nu = compound_geometric_pmf(spec)
     rho = float(nu.mass(1)) / float(nu.mass(0))
     if rho >= 1:
         raise NotApplicableError(f"P[X=1]/P[X=0] = {rho:.6g} must be below 1")
-    target = _geometric_target(rho, len(nu.masses), tail_budget)
+    # mass ratio rho exactly: mu[k] = (1 - rho) rho^k
+    target = _geometric_law(1.0 - rho, rho, DEFAULT_TAIL_BUDGET, len(nu.masses))
     stated = (1.0 / f1) * (1.0 + (1.0 - f1) / (p * (1.0 - p))) ** 2 - 1.0
     details = {"rho": rho, "stated_bound_clamped": float(clamp01(stated))}
     return _matched_report(nu, target, stated, details)

@@ -2,10 +2,11 @@
 and log-concavity certificates.
 
 A :class:`DiscreteDist` stores masses on the window ``offset .. offset+L-1``.
-Families with infinite support (Poisson, geometric) are truncated at a caller
-supplied tail budget and the mass left out is recorded in ``tail_deficit``, so
-that every distance computed downstream can be reported as an honest interval
-instead of a point estimate.
+Families with infinite support (Poisson, geometric) are truncated at a tail
+budget and the mass left out is recorded in ``tail_deficit``, so that every
+distance computed downstream can be reported as an honest interval instead of
+a point estimate.  The application modules and the CLI always truncate at
+``DEFAULT_TAIL_BUDGET``; only the family constructors take another budget.
 
 Arithmetic is dual-path.  Masses built from ``int``/``Fraction`` inputs stay
 exact rational (used for oracles and certificates); anything constructed from
@@ -43,7 +44,8 @@ Scalar = Union[int, float, Fraction]
 #: relative slack used by float-mode certificates; exact mode uses none
 CERT_REL_TOL = 1e-12
 
-#: default truncation budget for infinite-support families
+#: truncation budget for infinite-support families; the one every application
+#: reference is built at
 DEFAULT_TAIL_BUDGET = 1e-12
 
 # construction-time guard; the 1e-12 normalization invariant is asserted by

@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .bounds import BoundReport, _safe_exp, anchored_report, dominance_verdict
 from .distributions import (
-    DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     Scalar,
     _is_exact,
@@ -153,7 +152,7 @@ def z_dist(iv: IVSequence) -> DiscreteDist:
     return make_dist(0, iv.V)
 
 
-def poisson_iv_bound(iv: IVSequence, m: int, tail_budget: float = DEFAULT_TAIL_BUDGET) -> BoundReport:
+def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
     """Poisson comparison at the ratio-matched rate
     ``lambda = (m+1) V_{m+1} / V_m``; bound
     ``m! e^lambda V_m / (lambda^m W) - 1`` with the exact oracle TV."""
@@ -165,7 +164,7 @@ def poisson_iv_bound(iv: IVSequence, m: int, tail_budget: float = DEFAULT_TAIL_B
     lam = (m + 1) * vm1 / vm
     w = float(iv.W)
     bound_mu = _safe_exp(math.lgamma(m + 1) + lam + math.log(vm) - m * math.log(lam) - math.log(w)) - 1.0
-    gamma = family_poisson(lam, tail_budget)
+    gamma = family_poisson(lam)
     nu = z_dist(iv)
     bound_nu = 1.0 - float(gamma.mass(m)) / float(nu.mass(m))
     details = {"lambda": lam, "m": m, "W": w}

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .bounds import BoundReport, _safe_exp, anchored_report
 from .distributions import (
-    DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     LogConcavityCertificate,
     family_binomial,
@@ -246,7 +245,6 @@ def matroid_poisson_bound(
     prof: IndepProfile,
     m: int,
     include_zero: bool = False,
-    tail_budget: float = DEFAULT_TAIL_BUDGET,
 ) -> BoundReport:
     """Poisson approximation with the ratio-matched rate
     ``lambda = (m+1) I(m+1)/I(m)`` and bound
@@ -257,7 +255,7 @@ def matroid_poisson_bound(
     if c[m] == 0 or c[m + 1] == 0:
         raise NotApplicableError(f"need I({m}) > 0 and I({m + 1}) > 0")
     lam = Fraction(m + 1) * Fraction(c[m + 1], c[m])
-    gamma = family_poisson(float(lam), tail_budget)
+    gamma = family_poisson(float(lam))
     nu = nu_distribution(prof, include_zero)
     total = sum(c) if include_zero else sum(c[1:])
     bound_mu = _safe_exp(math.lgamma(m + 1) + float(lam) + math.log(c[m]) - m * math.log(lam) - math.log(total)) - 1

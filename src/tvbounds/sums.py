@@ -211,9 +211,9 @@ def binomial_bound_secondary(bv: BernoulliVector, proof_tight: bool = False) -> 
     return math.expm1(expo)
 
 
-def poisson_target(bv: BernoulliVector, tail_budget: float = DEFAULT_TAIL_BUDGET) -> DiscreteDist:
+def poisson_target(bv: BernoulliVector) -> DiscreteDist:
     """Poisson(lambda_n) with ``lambda_n = n (m_n - 1)``, truncated."""
-    return family_poisson(float(bv.summary().lambda_n), tail_budget)
+    return family_poisson(float(bv.summary().lambda_n))
 
 
 def poisson_bound(bv: BernoulliVector) -> float:
@@ -232,9 +232,7 @@ def log1p_taylor_bounds(x: float) -> tuple[float, float]:
     return x - x * x / 2.0, x - x * x / 2.0 + x**3 / 3.0
 
 
-def geometric_sum_bound(
-    xis: Sequence[DiscreteDist], tail_budget: float = DEFAULT_TAIL_BUDGET
-) -> BoundReport:
+def geometric_sum_bound(xis: Sequence[DiscreteDist]) -> BoundReport:
     """Geometric approximation for a sum of independent log-concave variables.
 
     Each summand must be supported on the non-negative integers with positive
@@ -272,7 +270,7 @@ def geometric_sum_bound(
     sum_dist = reduce(convolve, xis)
     theta = 1 - t
     # masses theta t^k from t itself: family_geometric(theta) would cancel again
-    target = _geometric_law(float(theta), float(t), tail_budget, len(sum_dist.masses))
+    target = _geometric_law(float(theta), float(t), DEFAULT_TAIL_BUDGET, len(sum_dist.masses))
     stated = float(t) / (1.0 - float(t))
     details = {"theta": float(theta), "m_minus_one_times_n": float(t)}
     return anchored_report(target, sum_dist, 0, is_log_concave(sum_dist), stated_bound=stated, details=details)

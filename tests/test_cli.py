@@ -70,6 +70,16 @@ def test_tolerance_option_removed():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tail-budget", "1e-9", "pb-poisson", "--p", "0.1"],
+    ["pb-poisson", "--p", "0.1", "--tail-budget", "1e-9"],
+], ids=["before-subcommand", "after-subcommand"])
+def test_tail_budget_option_removed(argv):
+    # references are truncated at distributions.DEFAULT_TAIL_BUDGET only
+    code, _ = run(argv)
+    assert code == 1
+
+
 def test_ball_anchor_beyond_truncated_reference():
     code, text = run(["iv", "--ball", "20", "--m", "19"])
     assert code == 0
