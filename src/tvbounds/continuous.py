@@ -47,7 +47,7 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """A density on ``[0, inf)`` with derivative, optional CDF, and a
+    """A density on ``[0, inf)`` with its derivative, its CDF and a
     log-concavity attestation.
 
     Evaluators must be pure.  Light grid checks run at construction
@@ -57,7 +57,7 @@ class DensityModel:
 
     f: Callable[[float], float]
     fprime: Callable[[float], float]
-    cdf: Callable[[float], float] | None = None
+    cdf: Callable[[float], float]
     log_concave: bool = False
     name: str = ""
 
@@ -65,12 +65,11 @@ class DensityModel:
         for x in _PROBE_GRID:
             if self.f(x) < -1e-12:
                 raise InvalidDistributionError(f"density negative at {x}")
-        if self.cdf is not None:
-            vals = [self.cdf(x) for x in _PROBE_GRID]
-            if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
-                raise InvalidDistributionError("cdf is not nondecreasing")
-            if vals[0] < -1e-9 or vals[-1] > 1 + 1e-9:
-                raise InvalidDistributionError("cdf leaves [0, 1]")
+        vals = [self.cdf(x) for x in _PROBE_GRID]
+        if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
+            raise InvalidDistributionError("cdf is not nondecreasing")
+        if vals[0] < -1e-9 or vals[-1] > 1 + 1e-9:
+            raise InvalidDistributionError("cdf leaves [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +265,8 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
 
     Requires ``f(0) > 0`` finite, ``f'(0) < 0`` and a log-concavity
     attestation; the rate is ``r = -f'(0)/f(0)`` and the bound ``f(0)/r - 1``.
-    When a CDF is available the oracle distance is the grid supremum of
-    ``|F - F_exp|``, raised to its value at each density crossing that the
-    grid brackets.
+    The oracle distance is the grid supremum of ``|F - F_exp|``, raised to
+    its value at each density crossing that the grid brackets.
     """
     if not model.log_concave:
         raise NotApplicableError("density is not attested log-concave")
@@ -284,25 +282,23 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
     details = {"rate": rate, "f0": f0, "metric": "kolmogorov"}
     cert = LogConcavityCertificate(True, None, True)
 
-    oracle = None
-    if model.cdf is not None:
-        exp_cdf = lambda x: -math.expm1(-rate * x)
-        hi = 1.0 / rate
-        for _ in range(60):
-            if exp_cdf(hi) >= 1.0 - 1e-12 and model.cdf(hi) >= 1.0 - 1e-10:
-                break
-            hi *= 2.0
-        grid = [hi * i / (_KS_GRID_POINTS - 1) for i in range(_KS_GRID_POINTS)]
-        diff = lambda x: model.cdf(x) - exp_cdf(x)
-        best = max(abs(diff(x)) for x in grid)
-        dens_gap = lambda x: model.f(x) - rate * math.exp(-rate * x)
-        gaps = [dens_gap(x) for x in grid]
-        for a, b, ga, gb in zip(grid, grid[1:], gaps, gaps[1:]):
-            if ga * gb < 0:
-                best = max(best, abs(diff(_brentq(dens_gap, a, b))))
-        # |F - F_exp| peaks where the densities cross; only crossings hidden
-        # inside a single grid cell are missed, so a small pad suffices
-        oracle = Interval(best, best + 1e-11)
+    exp_cdf = lambda x: -math.expm1(-rate * x)
+    hi = 1.0 / rate
+    for _ in range(60):
+        if exp_cdf(hi) >= 1.0 - 1e-12 and model.cdf(hi) >= 1.0 - 1e-10:
+            break
+        hi *= 2.0
+    grid = [hi * i / (_KS_GRID_POINTS - 1) for i in range(_KS_GRID_POINTS)]
+    diff = lambda x: model.cdf(x) - exp_cdf(x)
+    best = max(abs(diff(x)) for x in grid)
+    dens_gap = lambda x: model.f(x) - rate * math.exp(-rate * x)
+    gaps = [dens_gap(x) for x in grid]
+    for a, b, ga, gb in zip(grid, grid[1:], gaps, gaps[1:]):
+        if ga * gb < 0:
+            best = max(best, abs(diff(_brentq(dens_gap, a, b))))
+    # |F - F_exp| peaks where the densities cross; only crossings hidden
+    # inside a single grid cell are missed, so a small pad suffices
+    oracle = Interval(best, best + 1e-11)
     return BoundReport(None, None, bound, None, cert, oracle, raw, details)
 
 
