@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul, truediv
 from typing import NamedTuple, Sequence, Union
 
 from .errors import AbsoluteContinuityError, InvalidDistributionError
@@ -241,17 +243,18 @@ def family_binomial(n: int, p: Scalar) -> DiscreteDist:
         masses = [0.0] * (n + 1)
         masses[0 if p == 0.0 else n] = 1.0
         return DiscreteDist(0, tuple(masses), 0.0)
-    if n <= 64:
-        masses = tuple(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1))
-    else:
-        # log-space to avoid overflow of the binomial coefficients
-        lp, lq = math.log(p), math.log1p(-p)
-        lg = math.lgamma(n + 1)
-        masses = tuple(
-            math.exp(lg - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq)
-            for k in range(n + 1)
-        )
-    return DiscreteDist(0, masses, 0.0)
+    # each cell from its neighbour by the mass ratio m_{k+1}/m_k = (n-k)/(k+1)
+    # p/q, outward from the mode (set to 1, so nothing overflows), then
+    # normalized: neighbouring cells keep their ratio to a few ulps, which the
+    # anchor gap compares, and no cell pays for a binomial coefficient
+    r = p / (1.0 - p)
+    ratios = [(n - k) / (k + 1) * r for k in range(n)]
+    mode = min(int((n + 1) * p), n)
+    up = list(accumulate(ratios[mode:], mul, initial=1.0))
+    down = list(accumulate(reversed(ratios[:mode]), truediv, initial=1.0))
+    cells = down[:0:-1] + up
+    total = math.fsum(cells)
+    return DiscreteDist(0, tuple(m / total for m in cells), 0.0)
 
 
 def family_poisson(lam: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> DiscreteDist:

@@ -21,8 +21,11 @@ PRODUCTS = {
 CASES = [
     ("pb-binomial-json", ["pb-binomial", "--p", "0.1,0.2,0.3"],
      0, "05536709e147f44704c7774e5864bf2a7ac383c72e30433f2f901b40d019aaa1"),
+    # re-pinned when the float binomial reference came to be built by its mass
+    # ratio: the last digits of the oracle_tv repr moved (0.014167021461792328
+    # to 0.01416702146179244)
     ("pb-binomial-csv", ["pb-binomial", "--p", "0.1,0.2,0.3", "--format", "csv"],
-     0, "86333bdab2d0d078e2691f2c52c780e886215ec4a41539ef05b9d804e8d10fdb"),
+     0, "ae5b515e32a0978934601cf2fd5bbb36a14bfd3b7495ed0ad3364b29bb16c156"),
     ("pb-poisson-table", ["pb-poisson", "--p", "0.05,0.1,0.02", "--format", "table"],
      0, "3c3b277e790c6c38bf449296a2ae5496eaf45a00b0de75011dc985628d38e348"),
     ("pb-poisson-bad-p", ["pb-poisson", "--p", "1.5"],

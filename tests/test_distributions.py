@@ -68,6 +68,20 @@ class TestFamilies:
         d = family_binomial(500, 0.3)
         assert abs(sum(d.masses) - 1.0) < 1e-12
 
+    def test_float_binomial_is_ultra_log_concave(self):
+        assert is_ulc(family_binomial(600, 0.5).masses, 600).holds
+
+    def test_float_binomial_matches_exact_cells(self):
+        # every cell within 2n ulps (relative 2n 2^-52) of the exact binomial
+        # at the same float p = a/b, compared on integers: cell k is
+        # comb(n, k) a^k (b-a)^(n-k) / b^n
+        n, p = 300, 0.3
+        a, b = p.as_integer_ratio()
+        for k, got in enumerate(family_binomial(n, p).masses):
+            want = math.comb(n, k) * a**k * (b - a) ** (n - k)
+            num, den = got.as_integer_ratio()
+            assert abs(num * b**n - want * den) * 2**52 <= 2 * n * want * den, k
+
     def test_geometric_theta_one(self):
         d = family_geometric(1.0)
         assert d.mass(0) == 1 and d.tail_deficit == 0

@@ -19,6 +19,7 @@ from tvbounds import (
     point_mass,
     tv_distance,
 )
+from tvbounds.bounds import certify
 from tvbounds.sums import (
     BernoulliVector,
     binomial_bound_primary,
@@ -221,6 +222,15 @@ class TestBinomialTarget:
     def test_iid_recovers_p(self):
         t = binomial_target(BernoulliVector((F(2, 5),) * 4))
         assert t.masses == family_binomial(4, F(2, 5)).masses
+
+    def test_float_target_ratio_matched_at_n_2000(self):
+        # the target's m_1/m_0 is built to equal the sum's; the float build
+        # must keep that well inside bounds.ANCHOR_MATCH_TOL
+        rng = random.Random(4127)
+        bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(2000)))
+        anchor = certify(binomial_target(bv), poisson_binomial_pmf(bv)).anchor
+        assert anchor.ell == 0 and anchor.ratio_matched
+        assert anchor.ratio_gap < 1e-14
 
 
 class TestBinomialBounds:
