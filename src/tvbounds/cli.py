@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iv", parents=[common], help="intrinsic-volume bounds")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--box", type=_float_list)
-    g.add_argument("--cube", help="n,s")
+    g.add_argument("--cube", type=lambda text: text.split(","), help="n,s")
     g.add_argument("--ball", type=int)
     g.add_argument("--product", help="JSON file: {mode, factors:[{scale, box|cube|ball}]}")
     p.add_argument("--m", type=int, default=0)
@@ -260,7 +260,7 @@ def _run_pb_poisson(ns: argparse.Namespace) -> dict:
 def _run_sum_geometric(ns: argparse.Namespace) -> dict:
     from . import sums
 
-    if ns.p:
+    if ns.p is not None:
         xis = [make_dist(0, (1.0 - v, v)) for v in ns.p]
     else:
         xis = [DiscreteDist.from_json(d) for d in _load_json(ns.pmfs)]
@@ -272,10 +272,10 @@ def _run_matroid(ns: argparse.Namespace) -> dict:
     from . import matroids as mat
 
     partition = None
-    if ns.uniform:
+    if ns.uniform is not None:
         n, r = (int(v) for v in ns.uniform.split(","))
         prof = mat.profile_uniform(n, r)
-    elif ns.partition:
+    elif ns.partition is not None:
         cats = tuple(tuple(int(v) for v in c.split(":")) for c in ns.partition.split(","))
         partition = mat.PartitionMatroidSpec(cats)
         prof = mat.profile_partition(partition)
@@ -333,13 +333,13 @@ def _factor_from_json(d: dict) -> iv.ProductFactor:
 def _run_iv(ns: argparse.Namespace) -> dict:
     from . import intrinsic_volumes as iv
 
-    if ns.product:
+    if ns.product is not None:
         spec = _load_json(ns.product)
         factors = [_factor_from_json(d) for d in spec["factors"]]
         bound = iv.product_bounds(factors, spec["mode"])
         return {"kind": "iv_product", "mode": spec["mode"], "bound": bound,
                 "bound_clamped": float(clamp01(bound))}
-    body = _iv_body({"box": ns.box, "cube": ns.cube and ns.cube.split(","), "ball": ns.ball})
+    body = _iv_body(vars(ns))
     report = iv.poisson_iv_bound(body, ns.m)
     return _report_with_kind("iv", report, V=[float(v) for v in body.V], W=float(body.W), m=ns.m)
 
@@ -351,7 +351,7 @@ def _run_compound(ns: argparse.Namespace) -> dict:
         spec = comp.CompoundPoissonSpec(ns.lam, make_dist(0, ns.severity))
         report = comp.geometric_bound_compound_poisson(spec)
         return _report_with_kind("compound_poisson", report)
-    if ns.count:
+    if ns.count is not None:
         count = DiscreteDist.from_json(_load_json(ns.count))
     else:
         count = make_dist(0, ns.count_masses)

@@ -99,6 +99,17 @@ def test_iv_beyond_float_range_is_an_input_error(body, message):
     assert run(["iv", *body, "--m", "1"]) == (1, f"error: {message}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["iv", "--cube", "5"], ["iv", "--cube", "5,0.5,3"], ["iv", "--box", ""], ["iv", "--product", ""],
+    ["sum-geometric", "--p", ""], ["matroid", "--uniform", ""], ["matroid", "--partition", ""],
+    ["compound", "geometric", "--count", "", "--p", "0.2"],
+])
+def test_malformed_or_empty_input_is_an_input_error(argv):
+    # an empty value is the option given, not the next one in its group
+    code, text = run(argv)
+    assert code == 1 and text.startswith("error: ")
+
+
 def test_gamma_anchor_where_both_densities_underflow():
     # the anchor z = 2021.7 lies where both densities are below the float range
     code, text = run(["gamma", "--a", "0.31051296720749755,4.142806729658619",
