@@ -241,11 +241,7 @@ def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = Fals
     return _profile_bound_report(nu, gamma, m, bound_mu, bound_nu, cert, details)
 
 
-def matroid_poisson_bound(
-    prof: IndepProfile,
-    m: int,
-    include_zero: bool = False,
-) -> BoundReport:
+def matroid_poisson_bound(prof: IndepProfile, m: int, include_zero: bool = False) -> BoundReport:
     """Poisson approximation with the ratio-matched rate
     ``lambda = (m+1) I(m+1)/I(m)`` and bound
     ``m! e^lambda I(m) / (lambda^m sum_j I(j)) - 1``."""
