@@ -26,7 +26,6 @@ from .distributions import (
     make_dist,
     point_mass,
     tv_distance,
-    uniform_reference,
 )
 from .errors import (
     AbsoluteContinuityError,
@@ -62,7 +61,6 @@ __all__ = [
     "tv_bound_matched_anchor",
     "tv_bounds_at_anchor",
     "tv_distance",
-    "uniform_reference",
     "AbsoluteContinuityError",
     "BoundNotApplicable",
     "HypothesisError",

@@ -239,7 +239,7 @@ def _run_pb_binomial(ns: argparse.Namespace) -> dict:
     return _report_with_kind(
         "pb_binomial", report,
         bound=bound, bound_secondary=secondary, p=[float(v) for v in bv.p],
-        target_p=1.0 - 1.0 / float(bv.summary().m_n),
+        target_p=1.0 - 1.0 / float(bv.m_n),
     )
 
 
@@ -253,7 +253,7 @@ def _run_pb_poisson(ns: argparse.Namespace) -> dict:
     return _report_with_kind(
         "pb_poisson", report,
         bound=sums.poisson_bound(bv), p=[float(v) for v in bv.p],
-        rate=float(bv.summary().lambda_n),
+        rate=float(bv.lambda_n),
     )
 
 

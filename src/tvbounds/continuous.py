@@ -58,8 +58,8 @@ class DensityModel:
     f: Callable[[float], float]
     fprime: Callable[[float], float]
     cdf: Callable[[float], float]
-    log_concave: bool = False
-    name: str = ""
+    log_concave: bool
+    name: str
 
     def __post_init__(self):
         for x in _PROBE_GRID:
@@ -375,17 +375,14 @@ def tv_bound_matched(mu: GammaParams, nu: GammaParams, z: float) -> float:
     Requires the scores to agree at ``z`` (relative tolerance) and asserts
     ``f_nu(z) >= f_mu(z)``.
     """
-    ratio = _safe_exp(gamma_log_density(nu, z) - gamma_log_density(mu, z))
-    return _matched_bound(z, _score(nu, z), _score(mu, z), ratio)
-
-
-def _matched_bound(z: float, s_nu: float, s_mu: float, ratio: float) -> float:
-    """``tv_bound_matched`` from the two scores and the density ratio at ``z``."""
+    s_nu, s_mu = _score(nu, z), _score(mu, z)
     scale = max(1.0, abs(s_nu), abs(s_mu))
     if abs(s_nu - s_mu) > 1e-10 * scale:
         raise NotApplicableError(
             f"scores differ at z = {z}: {s_nu:.12g} vs {s_mu:.12g}"
         )
+    # in log space, where densities that underflow at z still compare
+    ratio = _safe_exp(gamma_log_density(nu, z) - gamma_log_density(mu, z))
     if ratio < 1.0 - 1e-9:
         raise NotApplicableError("score-matched point with target density below reference")
     return float(clamp01(min(ratio - 1.0, 1.0 - 1.0 / ratio)))
@@ -495,11 +492,7 @@ def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
     ratio = _safe_exp(log_r)
     mu_side = ratio - 1.0
     nu_side = 1.0 - 1.0 / ratio
-    # cross-check in log space, where densities that underflow at z still compare
-    matched = _matched_bound(
-        z, (hiP.kappa - 1.0) / z - hiP.lam, (loP.kappa - 1.0) / z - loP.lam,
-        _safe_exp(gamma_log_density(hiP, z) - gamma_log_density(loP, z)),
-    )
+    matched = tv_bound_matched(loP, hiP, z)
     # Both log-ratios sum a few rounded terms as large as kappa log kappa (about
     # 3e8 at shape 1e7), and the log-densities' absolute terms bound those of
     # both, so rounding alone may part them by a few ulps of that sum.  The

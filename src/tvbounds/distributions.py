@@ -65,10 +65,6 @@ class Interval(NamedTuple):
     lo: Scalar
     hi: Scalar
 
-    @property
-    def width(self) -> Scalar:
-        return self.hi - self.lo
-
     def to_json(self) -> list:
         return [float(self.lo), float(self.hi)]
 
@@ -200,18 +196,6 @@ def make_dist(offset: int, masses: Sequence[Scalar]) -> DiscreteDist:
 
 def point_mass(k: int) -> DiscreteDist:
     return DiscreteDist(k, (Fraction(1),), Fraction(0))
-
-
-def uniform_reference(offset: int, length: int) -> DiscreteDist:
-    """Uniform distribution on a window; stands in for the counting measure.
-
-    Certificates are invariant under rescaling the reference, so relative
-    log-concavity against this uniform window is plain log-concavity of the
-    target sequence.
-    """
-    if length < 1:
-        raise InvalidDistributionError("window length must be >= 1")
-    return DiscreteDist(offset, (Fraction(1, length),) * length, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +362,15 @@ def _neumaier_sum(values) -> float:
             c += (v - t) + s
         s = t
     return s + c
+
+
+def _bernoulli_step(band: list, p, q) -> list:
+    """One summand of the recursion ``a'_k = a_{k-1} p + a_k q`` on ``band``;
+    the carry ``u`` holds the previous input cell, 0 before the first."""
+    u = 0
+    band = [u * p + (u := y) * q for y in band]
+    band.append(u * p)
+    return band
 
 
 def convolve(x: DiscreteDist, y: DiscreteDist) -> DiscreteDist:

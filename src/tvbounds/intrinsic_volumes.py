@@ -19,6 +19,7 @@ from .bounds import BoundReport, _safe_exp, anchored_report, dominance_verdict
 from .distributions import (
     DiscreteDist,
     Scalar,
+    _bernoulli_step,
     _is_exact,
     family_poisson,
     is_ulc_infinity,
@@ -84,22 +85,20 @@ def _assert_ulc(iv: IVSequence) -> IVSequence:
 
 def iv_box(s: Sequence[Scalar]) -> IVSequence:
     """Axis-aligned box with side lengths ``s_i``: ``V_j`` is the j-th
-    elementary symmetric function of the sides and ``W = prod (1 + s_i)``."""
+    elementary symmetric function of the sides and ``W = prod (1 + s_i)``.
+
+    ``V / W`` is the law of a sum of Bernoullis with ``p_i = s_i/(1+s_i)``,
+    so ``V`` is built by the Poisson-binomial recursion on unnormalized
+    masses, ``c'_j = c_{j-1} s_i + c_j``."""
     s = list(s)
     if not s:
         raise InvalidDistributionError("at least one side required")
     if any(v <= 0 for v in s):
         raise InvalidDistributionError("sides must be positive")
     exact = all(_is_exact(v) for v in s)
-    zero = Fraction(0) if exact else 0.0
     coeff = [Fraction(1) if exact else 1.0]
     for side in s:
-        side = Fraction(side) if exact else float(side)
-        nxt = [zero] * (len(coeff) + 1)
-        for j, c in enumerate(coeff):
-            nxt[j] += c
-            nxt[j + 1] += c * side
-        coeff = nxt
+        coeff = _bernoulli_step(coeff, Fraction(side) if exact else float(side), 1)
     iv = IVSequence(len(s), tuple(coeff))
     total = math.prod((1 + Fraction(v)) if exact else (1.0 + float(v)) for v in s)
     if exact:

@@ -22,6 +22,7 @@ from .distributions import (
     family_binomial,
     family_poisson,
     is_ulc,
+    make_dist,
 )
 from .errors import InvalidDistributionError, MatroidAxiomError, NotApplicableError
 
@@ -192,13 +193,9 @@ def nu_distribution(prof: IndepProfile, include_zero: bool = False) -> DiscreteD
     ``True`` normalizes over ``0..n``.  Either way the window is ``0..n``.
     """
     start = 0 if include_zero else 1
-    total = sum(prof.counts[start:])
-    if total == 0:
+    if not any(prof.counts[start:]):
         raise InvalidDistributionError("profile has no sets of size >= 1")
-    masses = [Fraction(0)] * (prof.n + 1)
-    for k in range(start, prof.n + 1):
-        masses[k] = Fraction(prof.counts[k], total)
-    return DiscreteDist(0, tuple(masses), Fraction(0))
+    return make_dist(0, (0,) * start + prof.counts[start:])
 
 
 def _profile_bound_report(

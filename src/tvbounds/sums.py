@@ -22,6 +22,7 @@ from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     Scalar,
+    _bernoulli_step,
     _geometric_law,
     _is_exact,
     convolve,
@@ -59,44 +60,17 @@ class BernoulliVector:
     def is_exact(self) -> bool:
         return all(_is_exact(v) for v in self.p)
 
-    def summary(self) -> "MeanSummary":
-        return self._summary
-
     @cached_property
-    def _summary(self) -> "MeanSummary":
-        alphas = self.alphas
-        n = self.n
+    def m_n(self) -> Scalar:
+        """The arithmetic mean of the ``1/alpha_i``, exact on rational input."""
         if self.is_exact:
-            m = sum(Fraction(1, 1) / a for a in alphas) / n
-            r = sum(Fraction(v) / a for v, a in zip(self.p, alphas)) / n
-            lam = n * (m - 1)
-        else:
-            m = math.fsum(1.0 / a for a in alphas) / n
-            r = math.fsum(float(v) / a for v, a in zip(self.p, alphas)) / n
-            lam = n * (m - 1.0)
-        g = math.exp(-math.fsum(math.log(float(a)) for a in alphas) / n)
-        return MeanSummary(m, g, r, lam)
+            return sum(Fraction(1, 1) / a for a in self.alphas) / self.n
+        return math.fsum(1.0 / a for a in self.alphas) / self.n
 
-
-@dataclass(frozen=True)
-class MeanSummary:
-    """Means of the ``1/alpha_i``: arithmetic ``m_n``, geometric ``g_n``
-    (always float), plus ``r_n = mean(p_i/alpha_i) = m_n - 1`` and
-    ``lambda_n = n (m_n - 1)``."""
-
-    m_n: Scalar
-    g_n: float
-    r_n: Scalar
-    lambda_n: Scalar
-
-
-def _bernoulli_step(band: list, p, q) -> list:
-    """One summand of the recursion ``a'_k = a_{k-1} p + a_k q`` on ``band``;
-    the carry ``u`` holds the previous input cell, 0 before the first."""
-    u = 0
-    band = [u * p + (u := y) * q for y in band]
-    band.append(u * p)
-    return band
+    @property
+    def lambda_n(self) -> Scalar:
+        """``n (m_n - 1) = sum p_i/alpha_i``, the ratio the references match."""
+        return self.n * (self.m_n - 1)
 
 
 def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
@@ -158,12 +132,8 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
 
 def binomial_target(bv: BernoulliVector) -> DiscreteDist:
     """Binomial(n, 1 - 1/m_n), the ratio-matched binomial reference."""
-    s = bv.summary()
     n = bv.n
-    if bv.is_exact:
-        p = 1 - 1 / Fraction(s.m_n)
-    else:
-        p = 1.0 - 1.0 / float(s.m_n)
+    p = 1 - 1 / bv.m_n
     target = family_binomial(n, p)
     # ratio identity: P[B=1]/P[B=0] = n p/(1-p) = n (m_n - 1) = sum p_i/alpha_i
     lhs = n * float(p) / (1.0 - float(p)) if float(p) < 1 else math.inf
@@ -173,29 +143,20 @@ def binomial_target(bv: BernoulliVector) -> DiscreteDist:
     return target
 
 
-def _mean_power_product(bv: BernoulliVector):
-    """(m_n / g_n)^n as an exact rational when possible, else its log."""
-    s = bv.summary()
-    if bv.is_exact:
-        prod = Fraction(1)
-        for a in bv.alphas:
-            prod *= Fraction(a)
-        return Fraction(s.m_n) ** bv.n * prod, None
-    log_t = bv.n * math.log(float(s.m_n)) + math.fsum(math.log(float(a)) for a in bv.alphas)
-    return None, log_t
-
-
 def binomial_bound_primary(bv: BernoulliVector):
-    """``min((m_n/g_n)^n - 1, 1 - (g_n/m_n)^n)``, exact on rational input,
-    log-space otherwise."""
-    t, log_t = _mean_power_product(bv)
-    if t is not None:
+    """``min(t - 1, 1 - 1/t)`` with ``t = (m_n/g_n)^n = m_n^n prod alpha_i``
+    (``g_n`` the geometric mean of the ``1/alpha_i``), exact on rational
+    input, log-space otherwise."""
+    if bv.is_exact:
+        t = bv.m_n**bv.n * math.prod(bv.alphas)
         return min(t - 1, 1 - 1 / t)
+    log_t = bv.n * math.log(bv.m_n) + math.fsum(math.log(a) for a in bv.alphas)
     return min(math.expm1(log_t), -math.expm1(-log_t))
 
 
 def binomial_bound_secondary(bv: BernoulliVector, proof_tight: bool = False) -> float:
-    """Deviation-form bound ``exp{sum (p_i/a_i - r_n)^2 + (1/3n^2) sum (p_i/a_i)^3} - 1``.
+    """Deviation-form bound ``exp{sum (p_i/a_i - r_n)^2 + (1/3n^2) sum (p_i/a_i)^3} - 1``
+    with ``r_n`` the mean of the ``p_i/a_i``.
 
     ``proof_tight=True`` switches to the sharper exponent
     ``(1/2) sum (p_i/a_i - r_n)^2 + (1/3n^2) (sum p_i/a_i)^3``.
@@ -213,23 +174,12 @@ def binomial_bound_secondary(bv: BernoulliVector, proof_tight: bool = False) -> 
 
 def poisson_target(bv: BernoulliVector) -> DiscreteDist:
     """Poisson(lambda_n) with ``lambda_n = n (m_n - 1)``, truncated."""
-    return family_poisson(float(bv.summary().lambda_n))
+    return family_poisson(float(bv.lambda_n))
 
 
 def poisson_bound(bv: BernoulliVector) -> float:
     """``exp{sum (p_i/alpha_i)^2} - 1``."""
     return math.expm1(math.fsum((float(v) / float(a)) ** 2 for v, a in zip(bv.p, bv.alphas)))
-
-
-def log1p_taylor_bounds(x: float) -> tuple[float, float]:
-    """Second/third-order Taylor envelope around ``log(1+x)``.
-
-    The upper bound ``x - x^2/2 + x^3/3`` holds for every ``x > -1``; the
-    lower bound ``x - x^2/2`` holds for ``x >= 0`` (it fails on (-1, 0)).
-    Both approximation arguments used by the secondary bounds apply it to
-    non-negative ratios only.
-    """
-    return x - x * x / 2.0, x - x * x / 2.0 + x**3 / 3.0
 
 
 def geometric_sum_bound(xis: Sequence[DiscreteDist]) -> BoundReport:

@@ -51,7 +51,24 @@ class SweepReport:
         }
 
 
-def random_envelope_instance(rng: random.Random, max_window: int = 60) -> tuple[DiscreteDist, DiscreteDist]:
+def _sweep(n: int, seed: int, instance) -> SweepReport:
+    """Run ``instance(rng)`` on ``n`` draws of one generator seeded with
+    ``seed``.  Each call returns its slack, the smallest bound minus the
+    oracle TV (``inf`` when no bound was compared), and a failure record, or
+    None when the instance passes.  ``worst_slack`` is the smallest finite
+    slack, or None when there is none."""
+    rng = random.Random(seed)
+    slacks, failures = [], []
+    for idx in range(n):
+        slack, failure = instance(rng)
+        slacks.append(slack)
+        if failure is not None:
+            failures.append({"index": idx, **failure})
+    worst = min((s for s in slacks if math.isfinite(s)), default=None)
+    return SweepReport(n, n - len(failures), worst, tuple(failures))
+
+
+def random_envelope_instance(rng: random.Random, max_window: int) -> tuple[DiscreteDist, DiscreteDist]:
     """A random reference on a window plus a random log-concave tilt of it."""
     length = rng.randint(2, max_window)
     offset = rng.randint(-10, 10)
@@ -71,58 +88,42 @@ def random_envelope_instance(rng: random.Random, max_window: int = 60) -> tuple[
     return mu, nu
 
 
-def run_dominance_sweep(n: int, seed: int, max_window: int = 60) -> SweepReport:
+def _dominance_instance(rng: random.Random):
+    mu, nu = random_envelope_instance(rng, 60)
+    report = certify(mu, nu)
+    bounds = report.core_bounds()
+    # with no bound there is nothing to dominate with: a failure
+    slack = min(bounds) - float(report.oracle_tv.hi) if bounds else math.inf
+    if bounds and slack >= -DOMINANCE_SLACK:
+        return slack, None
+    return slack, {"mu": mu.to_json(), "nu": nu.to_json(), "slack": slack if bounds else None}
+
+
+def run_dominance_sweep(n: int, seed: int) -> SweepReport:
     """Envelope bounds versus exact TV on random tilted instances."""
-    rng = random.Random(seed)
-    passes = 0
-    worst = None
-    failures = []
-    for idx in range(n):
-        mu, nu = random_envelope_instance(rng, max_window)
-        report = certify(mu, nu)
-        bounds = report.core_bounds()
-        if not bounds:
-            slack = math.inf  # nothing to dominate with; count as failure
-        else:
-            slack = min(bounds) - float(report.oracle_tv.hi)
-        if bounds and slack >= -DOMINANCE_SLACK:
-            passes += 1
-        else:
-            failures.append({"index": idx, "mu": mu.to_json(), "nu": nu.to_json(),
-                             "slack": None if not bounds else slack})
-        if worst is None or (slack is not None and slack < worst):
-            worst = slack
-    return SweepReport(n, passes, worst, tuple(failures))
+    return _sweep(n, seed, _dominance_instance)
 
 
-def run_sums_sweep(n: int, seed: int, max_terms: int = 30) -> SweepReport:
+def _sums_instance(rng: random.Random):
+    bv = BernoulliVector(tuple(rng.uniform(0.0, 0.5) for _ in range(rng.randint(1, 30))))
+    s = poisson_binomial_pmf(bv)
+    tv_b = tv_distance(binomial_target(bv), s)
+    tv_p = tv_distance(poisson_target(bv), s)
+    slack = min(
+        float(binomial_bound_primary(bv)) - float(tv_b.hi),
+        poisson_bound(bv) - float(tv_p.hi),
+    )
+    return slack, None if slack >= -DOMINANCE_SLACK else {"p": list(bv.p), "slack": slack}
+
+
+def run_sums_sweep(n: int, seed: int) -> SweepReport:
     """Binomial and Poisson bounds versus exact TV on random Bernoulli vectors."""
-    rng = random.Random(seed)
-    passes = 0
-    worst = None
-    failures = []
-    for idx in range(n):
-        k = rng.randint(1, max_terms)
-        bv = BernoulliVector(tuple(rng.uniform(0.0, 0.5) for _ in range(k)))
-        s = poisson_binomial_pmf(bv)
-        tv_b = tv_distance(binomial_target(bv), s)
-        tv_p = tv_distance(poisson_target(bv), s)
-        slack = min(
-            float(binomial_bound_primary(bv)) - float(tv_b.hi),
-            poisson_bound(bv) - float(tv_p.hi),
-        )
-        if slack >= -DOMINANCE_SLACK:
-            passes += 1
-        else:
-            failures.append({"index": idx, "p": list(bv.p), "slack": slack})
-        if worst is None or slack < worst:
-            worst = slack
-    return SweepReport(n, passes, worst, tuple(failures))
+    return _sweep(n, seed, _sums_instance)
 
 
-def random_partition_spec(rng: random.Random, max_ground: int = 12) -> PartitionMatroidSpec:
+def random_partition_spec(rng: random.Random) -> PartitionMatroidSpec:
     cats = []
-    left = rng.randint(2, max_ground)
+    left = rng.randint(2, 12)
     while left > 0:
         c = rng.randint(1, min(4, left))
         cats.append((c, rng.randint(0, c)))
@@ -133,39 +134,32 @@ def random_partition_spec(rng: random.Random, max_ground: int = 12) -> Partition
     return PartitionMatroidSpec(tuple(cats))
 
 
-def run_matroid_sweep(n: int, seed: int, max_ground: int = 12) -> SweepReport:
+def _matroid_instance(rng: random.Random):
+    spec = random_partition_spec(rng)
+    prof = profile_partition(spec)
+    fail = None
+    slack = math.inf
+    if prof.counts != enumerate_partition_profile(spec).counts:
+        fail = "profile mismatch"
+    elif not mason_check(prof).holds:
+        fail = "mason violation"
+    else:
+        for m in range(1, prof.rank):
+            try:
+                for rep in (matroid_binomial_bound(prof, m), matroid_poisson_bound(prof, m)):
+                    s = min(rep.core_bounds()) - float(rep.oracle_tv.hi)
+                    slack = min(slack, s)
+                    if s < -DOMINANCE_SLACK:
+                        fail = f"dominance failure at m={m}"
+            except BoundNotApplicable:
+                continue
+    return slack, None if fail is None else {"categories": list(spec.categories), "reason": fail}
+
+
+def run_matroid_sweep(n: int, seed: int) -> SweepReport:
     """Profile cross-validation, Mason inequality, and both approximation
     bounds on random partition matroids."""
-    rng = random.Random(seed)
-    passes = 0
-    worst = None
-    failures = []
-    for idx in range(n):
-        spec = random_partition_spec(rng, max_ground)
-        prof = profile_partition(spec)
-        fail = None
-        slack = math.inf
-        if prof.counts != enumerate_partition_profile(spec).counts:
-            fail = "profile mismatch"
-        elif not mason_check(prof).holds:
-            fail = "mason violation"
-        else:
-            for m in range(1, prof.rank):
-                try:
-                    for rep in (matroid_binomial_bound(prof, m), matroid_poisson_bound(prof, m)):
-                        s = min(rep.core_bounds()) - float(rep.oracle_tv.hi)
-                        slack = min(slack, s)
-                        if s < -DOMINANCE_SLACK:
-                            fail = f"dominance failure at m={m}"
-                except BoundNotApplicable:
-                    continue
-        if fail is None:
-            passes += 1
-        else:
-            failures.append({"index": idx, "categories": list(spec.categories), "reason": fail})
-        if slack < (math.inf if worst is None else worst):
-            worst = slack
-    return SweepReport(n, passes, None if worst == math.inf else worst, tuple(failures))
+    return _sweep(n, seed, _matroid_instance)
 
 
 SUITES = {

@@ -26,7 +26,6 @@ from tvbounds.sums import (
     binomial_bound_secondary,
     binomial_target,
     geometric_sum_bound,
-    log1p_taylor_bounds,
     poisson_binomial_pmf,
     poisson_bound,
     poisson_target,
@@ -291,7 +290,7 @@ class TestPoissonBounds:
     def test_rare_events_closed_form(self):
         n = 10
         bv = BernoulliVector((1.0 / n,) * n)
-        assert float(bv.summary().lambda_n) == pytest.approx(10 / 9, rel=1e-14)
+        assert float(bv.lambda_n) == pytest.approx(10 / 9, rel=1e-14)
         assert poisson_bound(bv) == pytest.approx(math.expm1(n / (n - 1) ** 2), rel=1e-12)
         assert poisson_bound(bv) == pytest.approx(0.1314, abs=1e-4)
         tv = tv_distance(poisson_target(bv), poisson_binomial_pmf(bv))
@@ -320,30 +319,6 @@ class TestPoissonBounds:
             values.append(n * float(tv.hi))
         for prev, cur in zip(values, values[1:]):
             assert cur <= 1.2 * prev
-
-
-class TestLogTaylor:
-    def test_envelope_on_nonnegative_axis(self):
-        rng = random.Random(2)
-        for _ in range(2000):
-            x = rng.uniform(0.0, 10.0)
-            lo, hi = log1p_taylor_bounds(x)
-            v = math.log1p(x)
-            assert lo <= v + 1e-14
-            assert v <= hi + 1e-14
-
-    def test_upper_holds_on_negative_axis(self):
-        rng = random.Random(3)
-        for _ in range(2000):
-            x = rng.uniform(-0.9, 0.0)
-            _, hi = log1p_taylor_bounds(x)
-            assert math.log1p(x) <= hi + 1e-14
-
-    def test_lower_fails_below_zero(self):
-        # the quadratic lower envelope is an upper envelope on (-1, 0);
-        # frozen counterexample documenting why the two-sided test is split
-        lo, _ = log1p_taylor_bounds(-0.5)
-        assert lo > math.log1p(-0.5)
 
 
 class TestGeometricSumBound:
