@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -135,11 +136,19 @@ def emit(report, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _float_list(text: str) -> list[float]:
+def _finite(text: str, kind=float):
+    """``kind(text)`` for a number in an option or a JSON file, whose float must be finite."""
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        v = float(text)
     except ValueError as e:
-        raise argparse.ArgumentTypeError(f"malformed number in {text!r}") from e
+        raise argparse.ArgumentTypeError(f"malformed number {text!r}") from e
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return kind(text)
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite(v) for v in text.split(",") if v != ""]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,19 +195,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compound", parents=[common], help="compound-law geometric approximations")
     csub = p.add_subparsers(dest="kind", required=True)
     cp = csub.add_parser("poisson", parents=[common])
-    cp.add_argument("--lambda", dest="lam", type=float, required=True)
+    cp.add_argument("--lambda", dest="lam", type=_finite, required=True)
     cp.add_argument("--severity", type=_float_list, required=True)
     cg = csub.add_parser("geometric", parents=[common])
     gg = cg.add_mutually_exclusive_group(required=True)
     gg.add_argument("--count", help="JSON file: {offset, masses, tail_deficit}")
     gg.add_argument("--count-masses", type=_float_list)
-    cg.add_argument("--p", type=float, required=True)
+    cg.add_argument("--p", type=_finite, required=True)
 
     p = sub.add_parser("gamma", parents=[common], help="Gamma vs Gamma TV bounds")
     p.add_argument("--a", type=_float_list, required=True, help="shape,rate")
     p.add_argument("--b", type=_float_list, required=True, help="shape,rate")
     p.add_argument("--case", choices=("i", "ii"), default="i")
-    p.add_argument("--z", type=float, default=None)
+    p.add_argument("--z", type=_finite, default=None)
 
     p = sub.add_parser("expapprox", parents=[common], help="exponential approximation (Kolmogorov)")
     p.add_argument("--density", required=True, help="builtin:<name>")
@@ -212,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite, parse_constant=_finite, parse_int=lambda t: _finite(t, int))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +272,10 @@ def _run_sum_geometric(ns: argparse.Namespace) -> dict:
     if ns.p is not None:
         xis = [make_dist(0, (1.0 - v, v)) for v in ns.p]
     else:
-        xis = [DiscreteDist.from_json(d) for d in _load_json(ns.pmfs)]
+        pmfs = _load_json(ns.pmfs)
+        if not isinstance(pmfs, list):
+            raise InvalidDistributionError("--pmfs needs a list of distributions")
+        xis = [DiscreteDist.from_json(d) for d in pmfs]
     report = sums.geometric_sum_bound(xis)
     return _report_with_kind("sum_geometric", report)
 
@@ -280,10 +292,7 @@ def _run_matroid(ns: argparse.Namespace) -> dict:
         partition = mat.PartitionMatroidSpec(cats)
         prof = mat.profile_partition(partition)
     else:
-        arrays = _load_json(ns.sets)
-        masks = frozenset(sum(1 << e for e in arr) for arr in arrays)
-        n = max((max(arr) + 1 for arr in arrays if arr), default=1)
-        prof = mat.profile_from_set_system(mat.SetSystem(n, masks))
+        prof = mat.profile_from_set_system(mat.SetSystem.from_json(_load_json(ns.sets)))
     m, include_zero = ns.m, ns.include_zero
     out = {
         "kind": "matroid",
@@ -312,7 +321,7 @@ def _iv_body(spec: dict) -> iv.IVSequence | None:
         return iv.iv_box(spec["box"])
     if spec.get("cube") is not None:
         n, s = spec["cube"]
-        return iv.iv_cube(int(n), float(s))
+        return iv.iv_cube(int(n), _finite(s))
     if spec.get("ball") is not None:
         return iv.iv_ball(int(spec["ball"]))
     return None
@@ -321,6 +330,11 @@ def _iv_body(spec: dict) -> iv.IVSequence | None:
 def _factor_from_json(d: dict) -> iv.ProductFactor:
     from . import intrinsic_volumes as iv
 
+    # box and cube are lists of numbers, ball, segment and scale numbers
+    numbers = lambda v: isinstance(v, list) and all(type(x) in (int, float) for x in v)
+    fields = ("box", "cube", "ball", "segment", "scale")
+    if not (isinstance(d, dict) and all(numbers(d[k] if k in fields[:2] else [d[k]]) for k in fields if k in d)):
+        raise InvalidDistributionError("a factor is {scale, box: [sides] | cube: [n, s] | ball: n | segment: s}")
     scale = float(d.get("scale", 1.0))
     body = _iv_body(d)
     if body is not None:
@@ -335,6 +349,8 @@ def _run_iv(ns: argparse.Namespace) -> dict:
 
     if ns.product is not None:
         spec = _load_json(ns.product)
+        if not (isinstance(spec, dict) and isinstance(spec.get("mode"), str) and isinstance(spec.get("factors"), list)):
+            raise InvalidDistributionError("--product needs {mode: string, factors: [objects]}")
         factors = [_factor_from_json(d) for d in spec["factors"]]
         bound = iv.product_bounds(factors, spec["mode"])
         return {"kind": "iv_product", "mode": spec["mode"], "bound": bound,
@@ -392,6 +408,8 @@ def _run_expapprox(ns: argparse.Namespace) -> dict:
 def _run_verify(ns: argparse.Namespace) -> dict:
     from .verify import SUITES
 
+    if ns.n < 1:
+        raise InvalidDistributionError("--n must be at least 1")
     seed = getattr(ns, "seed", 0)
     sweep = SUITES[ns.suite](ns.n, seed)
     out = {"kind": "sweep", "suite": ns.suite, "seed": seed}
@@ -426,7 +444,7 @@ def run(argv) -> tuple[int, str]:
         payload = {"kind": "not_applicable", "error": "bound not applicable",
                    "reason": str(e), "details": _canon(e.details)}
         return 2, emit(payload, fmt)
-    except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError) as e:
+    except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError, argparse.ArgumentTypeError) as e:
         return 1, f"error: {e}"
     if report.get("details", {}).get("not_applicable") or report.get("hypothesis", {}).get("holds") is False:
         return 2, emit(report, fmt)

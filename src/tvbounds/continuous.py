@@ -41,8 +41,8 @@ class GammaParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.lam > 0):
-            raise InvalidDistributionError("shape and rate must be positive")
+        if not (0 < self.kappa < math.inf and 0 < self.lam < math.inf):
+            raise InvalidDistributionError("shape and rate must be positive and finite")
 
 
 @dataclass(frozen=True)

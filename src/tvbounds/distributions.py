@@ -171,7 +171,10 @@ class DiscreteDist:
 
     @classmethod
     def from_json(cls, d: dict) -> "DiscreteDist":
-        return cls(int(d["offset"]), tuple(float(m) for m in d["masses"]), float(d.get("tail_deficit", 0.0)))
+        if not (isinstance(d, dict) and type(d.get("offset")) is int and isinstance(d.get("masses"), list)
+                and all(type(v) in (int, float) for v in (*d["masses"], d.get("tail_deficit", 0.0)))):
+            raise InvalidDistributionError("a distribution is {offset: integer, masses: [numbers], tail_deficit}")
+        return cls(d["offset"], tuple(float(m) for m in d["masses"]), float(d.get("tail_deficit", 0.0)))
 
 
 def make_dist(offset: int, masses: Sequence[Scalar]) -> DiscreteDist:

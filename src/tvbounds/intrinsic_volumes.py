@@ -85,16 +85,15 @@ def _assert_ulc(iv: IVSequence) -> IVSequence:
 
 def iv_box(s: Sequence[Scalar]) -> IVSequence:
     """Axis-aligned box with side lengths ``s_i``: ``V_j`` is the j-th
-    elementary symmetric function of the sides and ``W = prod (1 + s_i)``.
-
-    ``V / W`` is the law of a sum of Bernoullis with ``p_i = s_i/(1+s_i)``,
-    so ``V`` is built by the Poisson-binomial recursion on unnormalized
-    masses, ``c'_j = c_{j-1} s_i + c_j``."""
+    elementary symmetric function of the sides, built by the Poisson-binomial
+    step ``c'_j = c_{j-1} s_i + c_j``, and ``W = prod (1 + s_i)``."""
     s = list(s)
     if not s:
         raise InvalidDistributionError("at least one side required")
     if any(v <= 0 for v in s):
         raise InvalidDistributionError("sides must be positive")
+    if not all(_is_exact(v) or v < math.inf for v in s):
+        raise InvalidDistributionError("sides must be finite")
     exact = all(_is_exact(v) for v in s)
     coeff = [Fraction(1) if exact else 1.0]
     for side in s:

@@ -113,6 +113,15 @@ class SetSystem:
                     )
                 m ^= bit
 
+    @classmethod
+    def from_json(cls, arrays: list) -> "SetSystem":
+        """The family given as lists of elements, on the ground set ``0..max``."""
+        if not (isinstance(arrays, list) and all(
+                isinstance(a, list) and all(type(e) is int and 0 <= e < _MAX_GROUND for e in a) for a in arrays)):
+            raise InvalidDistributionError(f"sets must be lists of integer elements in 0..{_MAX_GROUND - 1}")
+        masks = frozenset(sum(1 << e for e in set(a)) for a in arrays)
+        return cls(max((max(a) + 1 for a in arrays if a), default=1), masks)
+
 
 def _mask_to_tuple(mask: int) -> tuple:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)

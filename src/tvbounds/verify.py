@@ -52,11 +52,10 @@ class SweepReport:
 
 
 def _sweep(n: int, seed: int, instance) -> SweepReport:
-    """Run ``instance(rng)`` on ``n`` draws of one generator seeded with
-    ``seed``.  Each call returns its slack, the smallest bound minus the
-    oracle TV (``inf`` when no bound was compared), and a failure record, or
-    None when the instance passes.  ``worst_slack`` is the smallest finite
-    slack, or None when there is none."""
+    """``n`` calls of ``instance(rng)`` on one generator seeded with ``seed``,
+    each returning its slack, the smallest bound minus the oracle TV (``inf``
+    when no bound was compared), and a failure record or None.  The
+    ``worst_slack`` is the smallest finite slack, or None."""
     rng = random.Random(seed)
     slacks, failures = [], []
     for idx in range(n):
@@ -137,8 +136,7 @@ def random_partition_spec(rng: random.Random) -> PartitionMatroidSpec:
 def _matroid_instance(rng: random.Random):
     spec = random_partition_spec(rng)
     prof = profile_partition(spec)
-    fail = None
-    slack = math.inf
+    fail, slack = None, math.inf
     if prof.counts != enumerate_partition_profile(spec).counts:
         fail = "profile mismatch"
     elif not mason_check(prof).holds:

@@ -24,7 +24,7 @@ from tvbounds import (
 )
 from tvbounds.bounds import _scaled_products, anchor_at, anchored_report
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
-from tvbounds.verify import random_envelope_instance, run_dominance_sweep
+from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
 
 
 PB = make_dist(0, [F(72, 100), F(26, 100), F(2, 100)])  # Bernoulli(0.1)+Bernoulli(0.2)
@@ -292,6 +292,20 @@ class TestDominanceSweep:
         assert report.failures == ()
         assert report.worst_slack >= -1e-10
         assert time.perf_counter() - t0 < 10.0
+
+    @pytest.mark.parametrize("slacks, worst", [([math.inf, -0.5, 0.25], -0.5), ([math.inf, math.inf], None)])
+    def test_worst_slack_is_the_smallest_finite_slack(self, slacks, worst):
+        # an instance with no bound to compare has slack inf and fails
+        draws = iter(slacks)
+
+        def instance(rng):
+            slack = next(draws)
+            return slack, None if 0 <= slack < math.inf else {"slack": slack}
+
+        report = _sweep(len(slacks), 0, instance)
+        assert report.worst_slack == worst
+        assert report.passes == slacks.count(0.25)
+        assert [f["index"] for f in report.failures] == [i for i, s in enumerate(slacks) if s != 0.25]
 
 
 class TestFloatPathDefects:

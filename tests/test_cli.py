@@ -110,6 +110,74 @@ def test_malformed_or_empty_input_is_an_input_error(argv):
     assert code == 1 and text.startswith("error: ")
 
 
+_PRODUCT_FACTOR = '{"cube": [2, 0.1], "scale": 0.5}'
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["sum-geometric", "--pmfs"], '{"a": 1}'),
+    (["sum-geometric", "--pmfs"], '[{"offset": 0}]'),
+    (["sum-geometric", "--pmfs"], '5'),
+    (["sum-geometric", "--pmfs"], '[{"offset": null, "masses": [1]}]'),
+    (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": "ab"}]'),
+    (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [0.5, [0.5]]}]'),
+    (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [NaN, 1]}]'),
+    (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [1e400, 1]}]'),
+    (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [1' + '0' * 400 + ', 1]}]'),
+    (["matroid", "--sets"], '[["a"]]'),
+    (["matroid", "--sets"], '{"a": 1}'),
+    (["matroid", "--sets"], '[[0], 1]'),
+    (["matroid", "--sets"], '[[], [100000000000]]'),
+    (["matroid", "--sets"], '[[], [-1]]'),
+    (["matroid", "--sets"], '[[], [20]]'),
+    (["iv", "--product"], '{"mode": "rare"}'),
+    (["iv", "--product"], '{"factors": [' + _PRODUCT_FACTOR + ']}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": [3]}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": {"a": 1}}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": [{"box": 3}]}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": [{"cube": 5}]}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": [{"ball": [3]}]}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": [{"box": ["a"]}]}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": [{"ball": 2, "scale": null}]}'),
+    (["iv", "--product"], '{"mode": "rare", "factors": [{"segment": "a"}]}'),
+    (["compound", "geometric", "--p", "0.2", "--count"], '{"masses": [0.5, 0.5]}'),
+    (["compound", "geometric", "--p", "0.2", "--count"], '[0.5, 0.5]'),
+    (["compound", "geometric", "--p", "0.2", "--count"], '{"offset": 0, "masses": [0.5, 0.5], "tail_deficit": "0"}'),
+])
+def test_input_file_of_the_wrong_shape_is_an_input_error(tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code, text = run([*argv, str(path)])
+    assert code == 1 and text.startswith("error: "), text
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "nan"],
+    ["compound", "poisson", "--lambda", "inf", "--severity", "0.5,0.5"],
+    ["compound", "geometric", "--count-masses", "0.2,0.8", "--p", "-inf"],
+    ["gamma", "--a", "inf,1", "--b", "2,1"],
+    ["gamma", "--a", "3,inf", "--b", "2,1"],
+    ["iv", "--box", "inf"],
+    ["pb-binomial", "--p", "0.1,nan"],
+])
+def test_non_finite_number_is_rejected_by_the_parser(argv):
+    assert run(argv) == (1, "")
+
+
+@pytest.mark.parametrize("side", ["inf", "nan"])
+def test_non_finite_cube_side_is_an_input_error(side):
+    assert run(["iv", "--cube", f"5,{side}"]) == (1, f"error: '{side}' is not a finite number")
+
+
+@pytest.mark.parametrize("density", ["builtin:gamma:inf,1", "builtin:gamma:2,nan", "builtin:exp:inf"])
+def test_non_finite_builtin_density_parameter_is_an_input_error(density):
+    assert run(["expapprox", "--density", density]) == (1, "error: shape and rate must be positive and finite")
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_verify_needs_at_least_one_instance(n):
+    assert run(["verify", "--n", n]) == (1, "error: --n must be at least 1")
+
+
 def test_gamma_anchor_where_both_densities_underflow():
     # the anchor z = 2021.7 lies where both densities are below the float range
     code, text = run(["gamma", "--a", "0.31051296720749755,4.142806729658619",

@@ -1,19 +1,22 @@
 """Continuous regime against mpmath: density crossings, the incomplete gamma,
 the Gamma TV oracle, the Gamma and score-anchored bounds, and the Kolmogorov
 oracle; Brent's method against scipy's; plus a guard that the benchmark
-tracer's entry points still exist.
+tracer's entry points still exist and that the tracer installs over them.
 """
 
 import importlib
 import importlib.util
 import math
 import pathlib
+import pkgutil
 import random
+import sys
 
 import mpmath
 import pytest
 from scipy import optimize
 
+import tvbounds
 from tvbounds import continuous as cont
 from tvbounds.continuous import GammaParams
 from tvbounds.errors import InvalidDistributionError
@@ -423,11 +426,22 @@ def test_brentq_matches_scipy_on_kolmogorov_density_gaps(monkeypatch, name):
 # ---------------------------------------------------------------------------
 
 
-def test_traced_entry_points_exist():
+@pytest.mark.parametrize("kappa, lam", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+def test_gamma_parameters_must_be_finite(kappa, lam):
+    with pytest.raises(InvalidDistributionError, match="positive and finite"):
+        GammaParams(kappa, lam)
+
+
+def _bench_tracing():
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_entry_points_exist():
+    tracing = _bench_tracing()
     for entries in tracing.LAYERS.values():
         for entry in entries:
             mod_name, attr = entry.split(".", 1)
@@ -439,3 +453,39 @@ def test_traced_entry_points_exist():
                 assert callable(vars(getattr(module, cls_name))[meth]), entry
             else:
                 assert callable(getattr(module, attr)), entry
+
+
+def test_tracer_installs_on_every_entry_point_and_uninstalls():
+    # bench/run.py --trace 1 installs the tracer over every tvbounds module
+    for info in pkgutil.iter_modules(tvbounds.__path__):
+        importlib.import_module("tvbounds." + info.name)
+    tracing = _bench_tracing()
+
+    def resolve() -> dict:
+        found = {}
+        for entries in tracing.LAYERS.values():
+            for entry in entries:
+                mod_name, attr = entry.split(".", 1)
+                module = sys.modules["tvbounds." + mod_name]
+                if attr.endswith("[]"):
+                    found[entry] = dict(getattr(module, attr[:-2]))
+                elif "." in attr:
+                    cls_name, meth = attr.split(".")
+                    found[entry] = vars(getattr(module, cls_name))[meth]
+                else:
+                    found[entry] = getattr(module, attr)
+        return found
+
+    before = resolve()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = resolve()
+    finally:
+        tracer.uninstall()
+    for entry, original in before.items():
+        if entry.endswith("[]"):
+            assert all(during[entry][key] is not fn for key, fn in original.items()), entry
+        else:
+            assert during[entry] is not original, entry
+    assert resolve() == before

@@ -25,6 +25,11 @@ class TestConstructors:
         assert iv.V == (1, 3, 3, 1)
         assert iv.W == 8
 
+    @pytest.mark.parametrize("sides", [(math.inf,), (1.0, math.nan), (0.5, math.inf)])
+    def test_box_sides_must_be_finite(self, sides):
+        with pytest.raises(InvalidDistributionError, match="sides must be finite"):
+            iv_box(sides)
+
     def test_two_sides_symmetric_functions(self):
         iv = iv_box((F(1, 2), F(1, 3)))
         assert iv.V == (1, F(5, 6), F(1, 6))
