@@ -122,7 +122,8 @@ _PRODUCT_FACTOR = '{"cube": [2, 0.1], "scale": 0.5}'
     (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [0.5, [0.5]]}]'),
     (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [NaN, 1]}]'),
     (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [1e400, 1]}]'),
-    (["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [1' + '0' * 400 + ', 1]}]'),
+    pytest.param(["sum-geometric", "--pmfs"], '[{"offset": 0, "masses": [1' + '0' * 400 + ', 1]}]',
+                 id="pmfs-integer-beyond-float-range"),
     (["matroid", "--sets"], '[["a"]]'),
     (["matroid", "--sets"], '{"a": 1}'),
     (["matroid", "--sets"], '[[0], 1]'),
