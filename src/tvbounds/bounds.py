@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -69,20 +68,19 @@ def dominance_verdict(tv: "Interval | None", *bounds) -> bool | None:
     return bool(float(tv.hi) <= min(cands) + DOMINANCE_SLACK)
 
 
-@dataclass(frozen=True)
 class Anchor:
     """An index at which consecutive-mass ratios of target and reference are
     compared; ``ratio_gap`` is the normalized cross-product mismatch."""
 
-    ell: int
-    ratio_matched: bool
-    ratio_gap: float
+    __slots__ = ("ell", "ratio_matched", "ratio_gap")
+
+    def __init__(self, ell: int, ratio_matched: bool, ratio_gap: float):
+        self.ell, self.ratio_matched, self.ratio_gap = ell, ratio_matched, ratio_gap
 
     def to_json(self) -> dict:
         return {"ell": self.ell, "ratio_matched": self.ratio_matched, "ratio_gap": float(self.ratio_gap)}
 
 
-@dataclass(frozen=True)
 class BoundReport:
     """A computed bound with its certification context.
 
@@ -96,14 +94,15 @@ class BoundReport:
     (the slack absorbs truncation deficits on exact-equality instances).
     """
 
-    bound_nu_side: float | None
-    bound_mu_side: float | None
-    simplified: float | None
-    anchor: Anchor | None
-    hypothesis: LogConcavityCertificate
-    oracle_tv: Interval | None
-    stated_bound: float | None = None
-    details: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ("bound_nu_side", "bound_mu_side", "simplified", "anchor", "hypothesis", "oracle_tv",
+                 "stated_bound", "details")
+
+    def __init__(self, bound_nu_side: float | None, bound_mu_side: float | None, simplified: float | None,
+                 anchor: Anchor | None, hypothesis: LogConcavityCertificate, oracle_tv: Interval | None,
+                 stated_bound: float | None = None, details: Mapping[str, object] | None = None):
+        self.bound_nu_side, self.bound_mu_side, self.simplified = bound_nu_side, bound_mu_side, simplified
+        self.anchor, self.hypothesis, self.oracle_tv = anchor, hypothesis, oracle_tv
+        self.stated_bound, self.details = stated_bound, {} if details is None else details
 
     def core_bounds(self) -> list[float]:
         return [float(b) for b in (self.bound_nu_side, self.bound_mu_side, self.simplified) if b is not None]
@@ -137,6 +136,14 @@ def _safe_exp(e: float) -> float:
     if e > 709.0:
         return math.inf
     return math.exp(e)
+
+
+def _safe_expm1(e: float) -> float:
+    """``math.expm1``, saturated to ``inf`` where it leaves the float range."""
+    try:
+        return math.expm1(e)
+    except OverflowError:
+        return math.inf
 
 
 def _reduced(n: int, d: int) -> tuple[int, int]:

@@ -17,7 +17,6 @@ Parameterization conventions (they differ, deliberately):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bounds import BoundReport, anchored_report, clamp01
 from .distributions import (
@@ -35,34 +34,32 @@ from .distributions import (
 from .errors import HypothesisError, InvalidDistributionError, NotApplicableError
 
 
-@dataclass(frozen=True)
 class CompoundPoissonSpec:
     """Random sum of ``N ~ Poisson(lam)`` i.i.d. summands with mass function
     ``severity`` on the non-negative integers."""
 
-    lam: float
-    severity: DiscreteDist
+    __slots__ = ("lam", "severity")
 
-    def __post_init__(self):
-        if not self.lam > 0:
+    def __init__(self, lam: float, severity: DiscreteDist):
+        if not lam > 0:
             raise InvalidDistributionError("rate must be positive")
-        if self.severity.offset != 0:
+        if severity.offset != 0:
             raise InvalidDistributionError("severity must be supported on 0..")
+        self.lam, self.severity = lam, severity
 
 
-@dataclass(frozen=True)
 class CompoundGeometricSpec:
     """Random sum of ``N ~ count_dist`` i.i.d. geometric summands with
     ``P[xi = j] = (1 - p) p^j``."""
 
-    count_dist: DiscreteDist
-    p: float
+    __slots__ = ("count_dist", "p")
 
-    def __post_init__(self):
-        if not 0 < self.p < 1:
+    def __init__(self, count_dist: DiscreteDist, p: float):
+        if not 0 < p < 1:
             raise InvalidDistributionError("summand parameter p must lie in (0, 1)")
-        if self.count_dist.offset != 0:
+        if count_dist.offset != 0:
             raise InvalidDistributionError("count distribution must be supported on 0..")
+        self.count_dist, self.p = count_dist, p
 
 
 def compound_poisson_pmf(spec: CompoundPoissonSpec) -> DiscreteDist:

@@ -18,7 +18,6 @@ mass of an exponentially tilted law.  No quadrature runs anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .bounds import BoundReport, _safe_exp, clamp01
@@ -33,19 +32,27 @@ _LENTZ_TINY = 1e-300  # keeps the continued fraction's denominators off zero
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
 class GammaParams:
-    """Shape ``kappa`` and rate ``lam`` of a Gamma law."""
+    """Shape ``kappa`` and rate ``lam`` of a Gamma law; compares and hashes
+    by value."""
 
-    kappa: float
-    lam: float
+    __slots__ = ("kappa", "lam")
 
-    def __post_init__(self):
-        if not (0 < self.kappa < math.inf and 0 < self.lam < math.inf):
+    def __init__(self, kappa: float, lam: float):
+        if not (0 < kappa < math.inf and 0 < lam < math.inf):
             raise InvalidDistributionError("shape and rate must be positive and finite")
+        self.kappa, self.lam = kappa, lam
+
+    def _key(self) -> tuple:
+        return self.kappa, self.lam
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class DensityModel:
     """A density on ``[0, inf)`` with its derivative, its CDF and a
     log-concavity attestation.
@@ -55,21 +62,19 @@ class DensityModel:
     spot check, not a proof.
     """
 
-    f: Callable[[float], float]
-    fprime: Callable[[float], float]
-    cdf: Callable[[float], float]
-    log_concave: bool
-    name: str
+    __slots__ = ("f", "fprime", "cdf", "log_concave", "name")
 
-    def __post_init__(self):
+    def __init__(self, f: Callable[[float], float], fprime: Callable[[float], float],
+                 cdf: Callable[[float], float], log_concave: bool, name: str):
         for x in _PROBE_GRID:
-            if self.f(x) < -1e-12:
+            if f(x) < -1e-12:
                 raise InvalidDistributionError(f"density negative at {x}")
-        vals = [self.cdf(x) for x in _PROBE_GRID]
+        vals = [cdf(x) for x in _PROBE_GRID]
         if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
             raise InvalidDistributionError("cdf is not nondecreasing")
         if vals[0] < -1e-9 or vals[-1] > 1 + 1e-9:
             raise InvalidDistributionError("cdf leaves [0, 1]")
+        self.f, self.fprime, self.cdf, self.log_concave, self.name = f, fprime, cdf, log_concave, name
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ verdicts are those of the products; ``_three_term`` derives the margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -69,22 +68,30 @@ class Interval(NamedTuple):
         return [float(self.lo), float(self.hi)]
 
 
-@dataclass(frozen=True)
 class LogConcavityCertificate:
     """Outcome of a (relative) log-concavity check.
 
     ``holds`` implies the support is a contiguous interval and no violating
     index was found; otherwise ``first_violation`` names the first offending
-    position (a support gap or a failed three-term inequality).
+    position (a support gap or a failed three-term inequality).  Certificates
+    compare and hash by value.
     """
 
-    holds: bool
-    first_violation: int | None
-    support_is_interval: bool
+    __slots__ = ("holds", "first_violation", "support_is_interval")
 
-    def __post_init__(self):
-        if self.holds and (self.first_violation is not None or not self.support_is_interval):
+    def __init__(self, holds: bool, first_violation: int | None, support_is_interval: bool):
+        if holds and (first_violation is not None or not support_is_interval):
             raise ValueError("inconsistent certificate")
+        self.holds, self.first_violation, self.support_is_interval = holds, first_violation, support_is_interval
+
+    def _key(self) -> tuple:
+        return self.holds, self.first_violation, self.support_is_interval
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -94,26 +101,23 @@ class LogConcavityCertificate:
         }
 
 
-@dataclass(frozen=True)
 class DiscreteDist:
     """Masses on the integer window ``offset .. offset+len(masses)-1``.
 
     ``tail_deficit`` is the (non-negative) probability mass lost to truncating
-    an infinite-support family; it is zero for finite families.
+    an infinite-support family; it is zero for finite families.  ``is_exact``
+    (every mass and the deficit are ``int``/``Fraction``) is set by
+    ``__post_init__``, which validates the law.
     """
 
-    offset: int
-    masses: tuple
-    tail_deficit: Scalar = 0
-    #: every mass and the deficit are ``int``/``Fraction``; set at construction
-    is_exact: bool = field(init=False, repr=False, compare=False)
+    def __init__(self, offset: int, masses: Sequence[Scalar], tail_deficit: Scalar = 0):
+        self.offset, self.masses, self.tail_deficit = offset, tuple(masses), tail_deficit
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "masses", tuple(self.masses))
         if not self.masses:
             raise InvalidDistributionError("empty mass sequence")
-        exact = _is_exact(self.tail_deficit) and all(map(_is_exact, self.masses))
-        object.__setattr__(self, "is_exact", exact)
+        self.is_exact = exact = _is_exact(self.tail_deficit) and all(map(_is_exact, self.masses))
         cells, den = _kernel_cells(self, exact)
         if any(m < 0 for m in cells):
             raise InvalidDistributionError("negative mass")

@@ -11,11 +11,10 @@ applies verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _safe_exp, anchored_report, dominance_verdict
+from .bounds import BoundReport, _safe_exp, _safe_expm1, anchored_report, dominance_verdict
 from .distributions import (
     DiscreteDist,
     Scalar,
@@ -29,16 +28,14 @@ from .distributions import (
 from .errors import InvalidDistributionError, NotApplicableError
 
 
-@dataclass(frozen=True)
 class IVSequence:
     """Intrinsic volumes ``V_0..V_n`` of a convex body in ambient dimension
     ``n``, plus the total ``W``."""
 
-    n: int
-    V: tuple
+    __slots__ = ("n", "V")
 
-    def __post_init__(self):
-        object.__setattr__(self, "V", tuple(self.V))
+    def __init__(self, n: int, V: Sequence[Scalar]):
+        self.n, self.V = n, tuple(V)
         if len(self.V) != self.n + 1:
             raise InvalidDistributionError("need exactly n+1 intrinsic volumes")
         if any(v < 0 for v in self.V):
@@ -55,16 +52,15 @@ class IVSequence:
         return IVSequence(self.n, tuple(v * s**j for j, v in enumerate(self.V)))
 
 
-@dataclass(frozen=True)
 class ProductFactor:
     """One factor ``K_i = scale * body`` of a product body."""
 
-    body: IVSequence
-    scale: float = 1.0
+    __slots__ = ("body", "scale")
 
-    def __post_init__(self):
-        if not self.scale > 0:
+    def __init__(self, body: IVSequence, scale: float = 1.0):
+        if not scale > 0:
             raise InvalidDistributionError("scale must be positive")
+        self.body, self.scale = body, scale
 
     @property
     def v1(self) -> float:
@@ -171,7 +167,8 @@ def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
 
 def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
     """Rare-events bounds for the size distribution of a product body
-    ``K_1 x ... x K_n`` against Poisson(V_1(K)).
+    ``K_1 x ... x K_n`` against Poisson(V_1(K)), ``inf`` where the closed
+    form leaves the float range.
 
     mode ``rare``:   ``exp{sum V_1(K_i)^2} - 1`` for arbitrary convex factors.
     mode ``scaled``: ``exp{d * theta * sum s_i^2} - 1`` for ``K_i = s_i k_i``
@@ -185,7 +182,7 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
     if not factors:
         raise InvalidDistributionError("no factors")
     if mode == "rare":
-        return math.expm1(math.fsum(f.v1 ** 2 for f in factors))
+        return _safe_expm1(math.fsum(f.v1 ** 2 for f in factors))
     if mode == "scaled":
         dims = {f.body.n for f in factors}
         if len(dims) != 1:
@@ -194,14 +191,14 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
             raise NotApplicableError("scaled mode requires scales in (0, 1]")
         d = dims.pop()
         theta = max(float(f.body.W) for f in factors)
-        return math.expm1(d * theta * math.fsum(f.scale**2 for f in factors))
+        return _safe_expm1(d * theta * math.fsum(f.scale**2 for f in factors))
     if mode == "box":
         segment = (1, 1)
         for f in factors:
             if f.body.n != 1 or tuple(float(v) for v in f.body.V) != segment:
                 raise NotApplicableError("box mode expects unit-segment factors scaled by s_i")
         scales = [float(f.scale) for f in factors]
-        bound = math.expm1(math.fsum(s * s for s in scales))
+        bound = _safe_expm1(math.fsum(s * s for s in scales))
         box = iv_box(scales)
         lam = math.fsum(scales)
         tv = tv_distance(family_poisson(lam), z_dist(box))

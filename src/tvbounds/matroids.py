@@ -12,8 +12,8 @@ final real-valued bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .bounds import BoundReport, _safe_exp, anchored_report
 from .distributions import (
@@ -29,17 +29,15 @@ from .errors import InvalidDistributionError, MatroidAxiomError, NotApplicableEr
 _MAX_GROUND = 20
 
 
-@dataclass(frozen=True)
 class IndepProfile:
     """Counts ``I(k)`` of independent sets of size ``k`` in a matroid on
     ``n`` ground elements.  ``I(0) = 1`` and the positive entries form the
     prefix ``0..rank`` (hereditary property)."""
 
-    n: int
-    counts: tuple
+    __slots__ = ("n", "counts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+    def __init__(self, n: int, counts: Sequence[int]):
+        self.n, self.counts = n, tuple(int(c) for c in counts)
         if len(self.counts) != self.n + 1:
             raise InvalidDistributionError("profile must have n+1 entries")
         if any(c < 0 for c in self.counts):
@@ -63,16 +61,14 @@ class IndepProfile:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
 class PartitionMatroidSpec:
     """Categories with sizes ``c_i`` and capacities ``d_i <= c_i``; a set is
     independent when it meets every category in at most ``d_i`` elements."""
 
-    categories: tuple  # ((c_1, d_1), ...)
+    __slots__ = ("categories",)
 
-    def __post_init__(self):
-        cats = tuple((int(c), int(d)) for c, d in self.categories)
-        object.__setattr__(self, "categories", cats)
+    def __init__(self, categories: Sequence[tuple[int, int]]):
+        self.categories = cats = tuple((int(c), int(d)) for c, d in categories)
         if not cats:
             raise InvalidDistributionError("at least one category required")
         for c, d in cats:
@@ -84,16 +80,14 @@ class PartitionMatroidSpec:
         return sum(c for c, _ in self.categories)
 
 
-@dataclass(frozen=True)
 class SetSystem:
     """An explicit family of independent sets over ground set ``0..n-1``,
     stored as bitmasks.  Downward closure is checked at construction."""
 
-    n: int
-    sets: frozenset
+    __slots__ = ("n", "sets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", frozenset(int(s) for s in self.sets))
+    def __init__(self, n: int, sets: Iterable[int]):
+        self.n, self.sets = n, frozenset(int(s) for s in sets)
         if not 1 <= self.n <= _MAX_GROUND:
             raise InvalidDistributionError(f"ground-set size must be 1..{_MAX_GROUND}")
         if not self.sets:

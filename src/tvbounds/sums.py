@@ -12,12 +12,11 @@ arithmetic/geometric mean gap of the ``1/alpha_i``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Sequence
 
-from .bounds import BoundReport, anchored_report
+from .bounds import BoundReport, _safe_expm1, anchored_report
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
@@ -33,17 +32,14 @@ from .distributions import (
 from .errors import HypothesisError, InvalidDistributionError, NotApplicableError
 
 
-@dataclass(frozen=True)
 class BernoulliVector:
     """Success probabilities ``p_i`` in [0, 1); all failure masses positive."""
 
-    p: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(self.p))
-        if not self.p:
+    def __init__(self, p: Sequence[Scalar]):
+        self.p = p = tuple(p)
+        if not p:
             raise InvalidDistributionError("empty probability vector")
-        if any(not 0 <= v < 1 for v in self.p):
+        if any(not 0 <= v < 1 for v in p):
             raise InvalidDistributionError("each p_i must lie in [0, 1)")
 
     @property
@@ -146,12 +142,13 @@ def binomial_target(bv: BernoulliVector) -> DiscreteDist:
 def binomial_bound_primary(bv: BernoulliVector):
     """``min(t - 1, 1 - 1/t)`` with ``t = (m_n/g_n)^n = m_n^n prod alpha_i``
     (``g_n`` the geometric mean of the ``1/alpha_i``), exact on rational
-    input, log-space otherwise."""
+    input, log-space otherwise, where ``1 - 1/t`` is taken once ``t - 1``
+    leaves the float range."""
     if bv.is_exact:
         t = bv.m_n**bv.n * math.prod(bv.alphas)
         return min(t - 1, 1 - 1 / t)
     log_t = bv.n * math.log(bv.m_n) + math.fsum(math.log(a) for a in bv.alphas)
-    return min(math.expm1(log_t), -math.expm1(-log_t))
+    return min(_safe_expm1(log_t), -math.expm1(-log_t))
 
 
 def binomial_bound_secondary(bv: BernoulliVector, proof_tight: bool = False) -> float:
@@ -169,7 +166,7 @@ def binomial_bound_secondary(bv: BernoulliVector, proof_tight: bool = False) -> 
         expo = 0.5 * dev + math.fsum(x) ** 3 / (3.0 * n * n)
     else:
         expo = dev + math.fsum(xi**3 for xi in x) / (3.0 * n * n)
-    return math.expm1(expo)
+    return _safe_expm1(expo)
 
 
 def poisson_target(bv: BernoulliVector) -> DiscreteDist:
@@ -178,8 +175,8 @@ def poisson_target(bv: BernoulliVector) -> DiscreteDist:
 
 
 def poisson_bound(bv: BernoulliVector) -> float:
-    """``exp{sum (p_i/alpha_i)^2} - 1``."""
-    return math.expm1(math.fsum((float(v) / float(a)) ** 2 for v, a in zip(bv.p, bv.alphas)))
+    """``exp{sum (p_i/alpha_i)^2} - 1``, ``inf`` above the float range."""
+    return _safe_expm1(math.fsum((float(v) / float(a)) ** 2 for v, a in zip(bv.p, bv.alphas)))
 
 
 def geometric_sum_bound(xis: Sequence[DiscreteDist]) -> BoundReport:

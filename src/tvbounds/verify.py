@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .bounds import DOMINANCE_SLACK, certify
 from .distributions import DiscreteDist, tv_distance
@@ -33,14 +32,13 @@ from .sums import (
 )
 
 
-@dataclass(frozen=True)
 class SweepReport:
     """Aggregate outcome of a randomized dominance sweep."""
 
-    instances: int
-    passes: int
-    worst_slack: float | None
-    failures: tuple = field(default_factory=tuple)
+    __slots__ = ("instances", "passes", "worst_slack", "failures")
+
+    def __init__(self, instances: int, passes: int, worst_slack: float | None, failures: tuple = ()):
+        self.instances, self.passes, self.worst_slack, self.failures = instances, passes, worst_slack, failures
 
     def to_json(self) -> dict:
         return {

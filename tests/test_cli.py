@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tvbounds.cli import SUITE_NAMES, run
+from tvbounds.cli import SUITE_NAMES, main, run
 
 
 def _compound_geometric(count_masses):
@@ -224,8 +224,9 @@ def _bare_python(code: str, **kwargs):
 @pytest.fixture(scope="module")
 def bare_run():
     """One bare interpreter: the tvbounds modules loaded by importing the CLI
-    and building its parser, those each of two subcommands adds, then the
-    third-party modules loaded by every subcommand and by the envelope
+    and building its parser, those each of two subcommands adds, whether
+    ``dataclasses`` or ``inspect`` is loaded after all nine subcommands, then
+    the third-party modules loaded by every subcommand and by the envelope
     integrals, which no subcommand calls."""
     code = """import json
 def loaded():
@@ -242,6 +243,7 @@ for argv in (["pb-poisson", "--p", "0.1,0.2,0.3"], ["sum-geometric", "--p", "0.1
              ["compound", "poisson", "--lambda", "0.4", "--severity", "0.3,0.65,0.05"],
              ["expapprox", "--density", "builtin:expquad"], ["verify", "--suite", "sums", "--n", "2", "--seed", "1"]):
     assert run(argv)[0] == 0, argv
+seen["dataclasses"] = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
 from tvbounds.continuous import GammaParams, tv_bound_continuous
 tv_bound_continuous(GammaParams(2.0, 0.5), GammaParams(3.0, 1.0), 1.0)
 seen["third_party"] = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
@@ -256,6 +258,12 @@ print(json.dumps(seen))
 def test_no_third_party_package_is_imported(bare_run):
     # importing numpy, scipy or any other installed package fails under -S
     assert bare_run["third_party"] == []
+
+
+def test_no_subcommand_imports_dataclasses(bare_run):
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, about
+    # 10 ms of every CLI process
+    assert bare_run["dataclasses"] == []
 
 
 def test_cli_import_loads_no_application_module(bare_run):
@@ -297,6 +305,16 @@ def test_poisson_closed_form_beyond_float_range_saturates(argv):
     report = json.loads(text)
     poisson = report.get("poisson", report)
     assert poisson["bound_mu_side"] == 1.0
+
+
+@pytest.mark.parametrize("argv, key", [(["pb-binomial", "--p", "0.95,0.95"], "bound_secondary"),
+                                       (["pb-poisson", "--p", "0.968"], "bound")])
+def test_pb_closed_form_beyond_float_range_saturates(argv, key, capsys):
+    # the closed form's exponent passes 709, where expm1 raised OverflowError
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)[key] == "inf"
 
 
 def test_compound_poisson_geometric_target_keeps_a_tiny_ratio():

@@ -210,6 +210,13 @@ class TestProductBounds:
         with pytest.raises(NotApplicableError):
             product_bounds([ProductFactor(iv_box((1, 1)), 0.5)], "box")
 
+    @pytest.mark.parametrize("mode, factor", [("rare", ProductFactor(iv_box((1,)), 30.0)),
+                                              ("scaled", ProductFactor(iv_cube(3, 10), 1.0)),
+                                              ("box", segment_factor(30.0))])
+    def test_beyond_float_range_saturates(self, mode, factor):
+        # each exponent is 900 or more, where expm1 raised OverflowError
+        assert product_bounds([factor], mode) == math.inf
+
     def test_chain_poisson_box_product(self):
         # anchored bound <= box product bound, both dominate the oracle
         rng = random.Random(19)

@@ -280,6 +280,14 @@ class TestBinomialBounds:
         expect = math.expm1(0.5 * sum((xi - r) ** 2 for xi in x) + sum(x) ** 3 / 27.0)
         assert binomial_bound_secondary(BernoulliVector(ps), proof_tight=True) == pytest.approx(expect, rel=1e-12)
 
+    def test_primary_beyond_float_range_is_one(self):
+        # log t = 2000 log m_n + log 1e-4 is about 3574, so t - 1 overflows
+        assert binomial_bound_primary(BernoulliVector([0.9999] + [0.0] * 1999)) == 1.0
+
+    def test_secondary_beyond_float_range_saturates(self):
+        # the exponent is 2 * 19^3 / 12, about 1143
+        assert binomial_bound_secondary(BernoulliVector((0.95, 0.95))) == math.inf
+
 
 class TestPoissonBounds:
     def test_all_zero(self):
@@ -309,6 +317,10 @@ class TestPoissonBounds:
             s = poisson_binomial_pmf(bv)
             assert float(binomial_bound_primary(bv)) >= float(tv_distance(binomial_target(bv), s).hi) - 1e-12
             assert poisson_bound(bv) >= float(tv_distance(poisson_target(bv), s).hi) - 1e-12
+
+    def test_beyond_float_range_saturates(self):
+        # the exponent is (0.968 / 0.032)^2, about 915
+        assert poisson_bound(BernoulliVector((0.968,))) == math.inf
 
     def test_scaling_law(self):
         # n * TV stays within a 20% non-increase across doubling n
