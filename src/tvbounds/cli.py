@@ -278,6 +278,9 @@ def _run_sum_geometric(ns: argparse.Namespace) -> dict:
     from . import sums
 
     if ns.p is not None:
+        for i, v in enumerate(ns.p):
+            if not 0 <= v <= 1:
+                raise InvalidDistributionError(f"p_{i} = {v} must lie in [0, 1]")
         xis = [make_dist(0, (1.0 - v, v)) for v in ns.p]
     else:
         pmfs = _load_json(ns.pmfs)
@@ -343,13 +346,11 @@ def _factor_from_json(d: dict) -> iv.ProductFactor:
     fields = ("box", "cube", "ball", "segment", "scale")
     if not (isinstance(d, dict) and all(numbers(d[k] if k in fields[:2] else [d[k]]) for k in fields if k in d)):
         raise InvalidDistributionError("a factor is {scale, box: [sides] | cube: [n, s] | ball: n | segment: s}")
-    scale = float(d.get("scale", 1.0))
-    body = _iv_body(d)
-    if body is not None:
-        return iv.ProductFactor(body, scale)
-    if "segment" in d:
-        return iv.segment_factor(float(d["segment"]))
-    raise InvalidDistributionError("factor needs one of box/cube/ball/segment")
+    if sum(k in d for k in fields[:4]) != 1:
+        raise InvalidDistributionError("a factor names exactly one of box/cube/ball/segment")
+    # a scaled segment [0, s] is the segment [0, scale * s]
+    factor = iv.segment_factor(float(d["segment"])) if "segment" in d else iv.ProductFactor(_iv_body(d))
+    return iv.ProductFactor(factor.body, float(d.get("scale", 1.0)) * factor.scale)
 
 
 def _run_iv(ns: argparse.Namespace) -> dict:

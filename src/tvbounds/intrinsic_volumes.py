@@ -182,7 +182,8 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
     if not factors:
         raise InvalidDistributionError("no factors")
     if mode == "rare":
-        return _safe_expm1(math.fsum(f.v1 ** 2 for f in factors))
+        # a V_1 of 1e154 or more makes the bound inf, where its ``** 2`` would raise
+        return _safe_expm1(math.fsum(f.v1 ** 2 if f.v1 < 1e154 else math.inf for f in factors))
     if mode == "scaled":
         dims = {f.body.n for f in factors}
         if len(dims) != 1:

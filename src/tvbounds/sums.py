@@ -82,14 +82,18 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     first float summand, as the fold does, and a later rational summand
     enters as ``float(p), float(1 - p)``.
 
-    On floats one pass applies four summands.  Each of its four stages reads
-    cell ``k`` of the stage before and keeps it in a carry for cell ``k + 1``;
-    the carry holds that stage's exact, already rounded cell, so every stage
-    forms ``a_{k-1} p + a_k q`` with the same two products and one sum, in
-    the same order, as a pass of its own.  The carries start at 0.0 and the
-    band is padded with four 0.0 cells; each adds ``0.0 p`` or ``0.0 q``,
-    exactly 0.0, where one summand per pass has no term at all.  The 0-3
-    leftover summands, and a leading rational run, go one summand per pass.
+    On floats one pass applies sixteen summands.  Each of its sixteen stages
+    reads cell ``k`` of the stage before and keeps it in a carry for cell
+    ``k + 1``; the carry holds that stage's exact, already rounded cell, so
+    every stage forms ``a_{k-1} p + a_k q`` with the same two products and one
+    sum, in the same order, as a pass of its own.  The carries start at 0.0
+    and the band is padded with sixteen 0.0 cells; each adds ``0.0 p`` or
+    ``0.0 q``, exactly 0.0, where one summand per pass has no term at all.
+    The float summands are padded in front to a multiple of sixteen with
+    identity summands ``p, q = 0.0, 1.0``: on a finite non-negative cell ``y``
+    with carry ``c``, ``c * 0.0 + y * 1.0`` is ``0.0 + y``, exactly ``y``, so
+    they change no cell, and in front they run while the band is shortest.
+    A leading rational run goes one summand per pass.
 
     The float recursion runs only on the band of cells that are not exactly
     0.0, so it costs O(n * band width) cells instead of O(n^2).  A sum of
@@ -109,20 +113,23 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     if k == len(ps):
         return DiscreteDist(0, tuple(Fraction(x, den) for x in band), Fraction(0))
     pairs = [(float(x), float(1 - Fraction(x))) if _is_exact(x) else (float(x), 1.0 - float(x)) for x in ps[k:]]
+    pairs = [(0.0, 1.0)] * (-len(pairs) % 16) + pairs  # identity summands: c * 0.0 + y * 1.0 == y
     # cells ``lo ..`` of the mass function
     band, lo = [x / den for x in band], 0
-    for (p1, q1), (p2, q2), (p3, q3), (p4, q4) in zip(*[iter(pairs)] * 4):
-        u = v = w = z = 0.0
-        band.extend((0.0, 0.0, 0.0, 0.0))
-        band = [z * p4 + (z := w * p3 + (w := v * p2 + (v := u * p1 + (u := y) * q1) * q2) * q3) * q4
-                for y in band]
+    for ((p1, q1), (p2, q2), (p3, q3), (p4, q4), (p5, q5), (p6, q6), (p7, q7), (p8, q8), (p9, q9), (p10, q10),
+         (p11, q11), (p12, q12), (p13, q13), (p14, q14), (p15, q15), (p16, q16)) in zip(*[iter(pairs)] * 16):
+        c1 = c2 = c3 = c4 = c5 = c6 = c7 = c8 = c9 = c10 = c11 = c12 = c13 = c14 = c15 = c16 = 0.0
+        band.extend((0.0,) * 16)
+        band = [c16 * p16 + (c16 := c15 * p15 + (c15 := c14 * p14 + (c14 := c13 * p13 + (c13 := c12 * p12 + (c12 :=
+                c11 * p11 + (c11 := c10 * p10 + (c10 := c9 * p9 + (c9 := c8 * p8 + (c8 := c7 * p7 + (c7 :=
+                c6 * p6 + (c6 := c5 * p5 + (c5 := c4 * p4 + (c4 := c3 * p3 + (c3 := c2 * p2 + (c2 :=
+                c1 * p1 + (c1 := y) * q1) * q2) * q3) * q4) * q5) * q6) * q7) * q8) * q9) * q10) * q11)
+                * q12) * q13) * q14) * q15) * q16 for y in band]
         while band[-1] == 0.0:
             band.pop()
         while band[0] == 0.0:
             del band[0]
             lo += 1
-    for p, q in pairs[len(pairs) - len(pairs) % 4:]:
-        band = _bernoulli_step(band, p, q)
     return DiscreteDist(0, (0.0,) * lo + tuple(band) + (0.0,) * (bv.n + 1 - lo - len(band)), 0.0)
 
 

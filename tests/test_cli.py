@@ -151,6 +151,46 @@ def test_input_file_of_the_wrong_shape_is_an_input_error(tmp_path, argv, content
     assert code == 1 and text.startswith("error: "), text
 
 
+def _iv_product(tmp_path, *factors):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"mode": "rare", "factors": list(factors)}))
+    return run(["iv", "--product", str(path)])
+
+
+@pytest.mark.parametrize("scaled, plain", [
+    ({"scale": 30, "segment": 1}, {"segment": 30}),
+    ({"scale": 0.5, "segment": 2}, {"segment": 1}),
+])
+def test_scaled_segment_has_length_scale_times_segment(tmp_path, scaled, plain):
+    assert _iv_product(tmp_path, scaled) == _iv_product(tmp_path, plain)
+    assert _iv_product(tmp_path, scaled) != _iv_product(tmp_path, {"segment": scaled["segment"]})
+
+
+@pytest.mark.parametrize("factor", [{"box": [1, 2], "segment": 1}, {"ball": 2, "cube": [2, 0.5]}, {"scale": 2}])
+def test_factor_names_exactly_one_body(tmp_path, factor):
+    assert _iv_product(tmp_path, factor) == (1, "error: a factor names exactly one of box/cube/ball/segment")
+
+
+@pytest.mark.parametrize("factor", [{"scale": 1e300, "ball": 3}, {"scale": 1e200, "segment": 1e200}])
+def test_product_bound_beyond_float_range_saturates(tmp_path, factor):
+    code, text = _iv_product(tmp_path, factor)
+    assert code == 0 and json.loads(text)["bound"] == "inf"
+
+
+@pytest.mark.parametrize("p, message", [
+    ("1.5", "p_0 = 1.5 must lie in [0, 1]"),
+    ("-0.2", "p_0 = -0.2 must lie in [0, 1]"),
+    ("0.3,1.5", "p_1 = 1.5 must lie in [0, 1]"),
+])
+def test_sum_geometric_probability_outside_unit_interval_is_an_input_error(p, message):
+    assert run(["sum-geometric", "--p", p]) == (1, f"error: {message}")
+
+
+def test_sum_geometric_probability_one_has_zero_mass_at_0():
+    code, text = run(["sum-geometric", "--p", "1.0"])
+    assert code == 2 and json.loads(text)["reason"] == "summand 0 has zero mass at 0"
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "nan"],
     ["compound", "poisson", "--lambda", "inf", "--severity", "0.5,0.5"],

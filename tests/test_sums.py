@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -147,16 +148,29 @@ def _band_cases():
     exact_prefix += [rng.uniform(0, 0.5) for _ in range(900)] + [F(rng.randint(1, 49), 100) for _ in range(20)]
     cases = {"right-tail-1000": right_tail, "both-tails-1500": both_tails,
              "zeros-and-1e-300": zeros_and_tiny, "fraction-prefix": exact_prefix}
-    # every remainder mod 4 of the four-summand passes
+    # remainders 1-4 mod 16 at n in the thousands
     cases.update({f"n={n}": [rng.uniform(0, 0.5) for _ in range(n)] for n in (1201, 1202, 1203, 1204)})
-    # a rational summand after floats enters as float(p), float(1 - p); at
-    # index 5 and 10 it lands mid-way through a pass
+    # a rational summand after floats enters as float(p), float(1 - p), here
+    # at two stages of one pass
     thirds = [rng.uniform(0, 0.5) for _ in range(500)]
     thirds[5], thirds[10] = F(1, 3), F(2, 7)
     cases["fraction-inside-a-pass"] = thirds
     zero_run = [rng.uniform(0, 0.5) for _ in range(600)]
-    zero_run[301:306] = [0.0] * 5  # spans the pass over summands 300..303 and the next
+    zero_run[301:306] = [0.0] * 5  # five zero summands within one pass
     cases["zero-run-inside-a-pass"] = zero_run
+    # at n of a few hundred: every remainder of n mod 16, so every count of
+    # identity summands
+    rng = random.Random(16061)
+    cases.update({f"n=240+{r}": [rng.uniform(0, 0.1) for _ in range(240 + r)] for r in range(16)})
+    # rational summands 17 apart sit at each of the sixteen stages once, the
+    # middle and the last among them, wherever the passes begin
+    thirds = [rng.uniform(0, 0.3) for _ in range(400)]
+    for i in range(16):
+        thirds[100 + 17 * i] = F(1, 3 + i)
+    cases["fraction-at-every-stage"] = thirds
+    zero_run = [rng.uniform(0, 0.3) for _ in range(400)]
+    zero_run[190:210] = [0.0] * 20  # longer than a pass, so it crosses a pass boundary
+    cases["zero-run-across-a-pass"] = zero_run
     return cases
 
 
@@ -164,9 +178,9 @@ _BAND_CASES = _band_cases()
 
 
 class TestPMFUnderflowedTails:
-    """The float recursion applies four summands per pass and skips cells that
-    underflowed to 0.0; every cell must stay bit-identical to one summand per
-    pass over all n + 1 cells."""
+    """The float recursion applies sixteen summands per pass and skips cells
+    that underflowed to 0.0; every cell must stay bit-identical to one summand
+    per pass over all n + 1 cells."""
 
     @pytest.mark.parametrize("name", list(_BAND_CASES))
     def test_bit_identical_to_untrimmed_recursion(self, name):
@@ -182,6 +196,13 @@ class TestPMFUnderflowedTails:
     def test_both_tails_underflow(self):
         masses = poisson_binomial_pmf(BernoulliVector(_BAND_CASES["both-tails-1500"])).masses
         assert masses[0] == masses[-1] == 0.0
+
+    def test_n3000_cells_pinned(self):
+        # sha256 of the float.hex() cells, recorded with four summands per pass
+        rng = random.Random(3016)
+        masses = poisson_binomial_pmf(BernoulliVector([rng.uniform(0, 0.5) for _ in range(3000)])).masses
+        digest = hashlib.sha256(" ".join(m.hex() for m in masses).encode()).hexdigest()
+        assert digest == "45275dfed83aa2adf0594d6237bf72ecc0dab35b5cb349746027ed087cfd2103"
 
     def test_fraction_after_floats_rounds_its_complement(self):
         # 1 - 1/3 rounded once differs from 1.0 minus the rounded 1/3
