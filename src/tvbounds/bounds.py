@@ -19,9 +19,13 @@ At a ratio-matched anchor ``q_ell >= p_ell`` necessarily holds and the
 simplified bound equals ``1 - p_ell/q_ell``, the smaller of the two terms.
 
 Every discrete report, from ``certify`` and from the application modules, is
-built by ``anchored_report``: the oracle TV, the anchor record and the bounds
-are computed there and nowhere else, and every report derives its dominance
-verdict from them.
+built by ``anchored_report``: the oracle TV and the bounds are computed there
+and nowhere else, and every report derives its dominance verdict from them.
+``certify`` scans a pair's gaps once: ``_anchor_gaps`` gives every valid
+anchor's cross-product gap in one pass over the aligned cells, the search
+chooses ``ell`` by ``gap <= ANCHOR_MATCH_TOL``, and ``anchor_at`` turns the
+chosen row into the report's anchor record, ratio matched on exact equality
+of the cross products for exact laws and within that tolerance for floats.
 """
 
 from __future__ import annotations
@@ -266,10 +270,11 @@ def _scaled_products(a: float, b: float, c: float, d: float) -> tuple[float, flo
     return math.ldexp(x, ex - e), math.ldexp(y, ey - e)
 
 
-def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells) -> list[tuple[int, float, float, bool | None]]:
+def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[int, float, float, bool | None]]:
     """Per anchor ``ell``: ``(ell, diff, gap, matched)`` for the cross
     products ``lhs = p_{l+1} q_l`` and ``rhs = q_{l+1} p_l``, whose equality is
-    the ratio-match condition.
+    the ratio-match condition.  Without ``ells``, every valid anchor (both
+    target cells positive), found in the same scan of the aligned cells.
 
     ``diff`` has the sign of ``lhs - rhs`` and the normalized gap
     ``|lhs - rhs| / max(lhs, rhs)`` is a float; ``matched`` says whether
@@ -285,6 +290,8 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells) -> list[tuple[int, fl
     window = _union_window(mu, nu)
     p, q = _aligned(mu, window, exact), _aligned(nu, window, exact)
     den = _kernel_cells(mu, exact)[1] * _kernel_cells(nu, exact)[1]
+    if ells is None:
+        ells = [window.start + i for i, (a, b) in enumerate(zip(q, q[1:])) if a > 0 and b > 0]
     out = []
     for ell in ells:
         i = ell - window.start
@@ -302,26 +309,31 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells) -> list[tuple[int, fl
     return out
 
 
-def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int) -> Anchor:
-    """Build the anchor record at a specific index.
+def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, row=None) -> Anchor:
+    """Build the anchor record at a specific index, from its ``_anchor_gaps``
+    row when the caller has it: ratio matched on exact equality of the cross
+    products for exact laws, on ``gap <= ANCHOR_MATCH_TOL`` for float laws.
 
     Only the target's cells are checked; a reference without mass at both
     anchor cells gives an infinite gap.
     """
-    _check_anchor(nu, ell)
-    [(_, _, gap, matched)] = _anchor_gaps(mu, nu, [ell])
+    if row is None:
+        _check_anchor(nu, ell)
+        [row] = _anchor_gaps(mu, nu, [ell])
+    _, _, gap, matched = row
     return Anchor(ell, gap <= ANCHOR_MATCH_TOL if matched is None else matched, gap)
 
 
-def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True):
-    """Closed-form bound ``min(q_l/p_l - 1, 1 - p_l/q_l)`` at a ratio-matched anchor.
+def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True, anchor=None):
+    """Closed-form bound ``min(q_l/p_l - 1, 1 - p_l/q_l)`` at a ratio-matched
+    anchor (``anchor``, its record when the caller has built it).
 
     Asserts ``q_l >= p_l`` (which any ratio-matched anchor of a valid instance
     satisfies; the opposite orientation would make both terms negative).
     """
     if check:
         _check_hypothesis(mu, nu)
-    anc = anchor_at(mu, nu, ell)
+    anc = anchor_at(mu, nu, ell) if anchor is None else anchor
     if not anc.ratio_matched:
         raise InvalidAnchorError(
             f"anchor {ell} is not ratio matched (normalized gap {anc.ratio_gap:.3e})"
@@ -337,46 +349,40 @@ def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, che
     return clamp01(min(ql / pl - 1.0, 1.0 - pl / ql))
 
 
-def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist):
-    """All valid anchors (both target cells positive) with their gap data."""
-    ells = [ell for ell in range(nu.support_min, nu.support_max) if _positive_at(nu, ell)]
-    return [(ell, diff, gap) for ell, diff, gap, _ in _anchor_gaps(mu, nu, ells)]
+def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist, *, rows=None):
+    """All valid anchors (both target cells positive) as ``(ell, diff, gap)``:
+    the gap rows, given or computed, without their match flag."""
+    return [row[:3] for row in (_anchor_gaps(mu, nu) if rows is None else rows)]
 
 
-def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
+def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist, *, rows=None) -> Anchor | None:
     """Scan consecutive support pairs for a ratio-matched anchor.
 
-    Returns the anchor with the smallest normalized gap among matched indices
-    (ties broken by smaller index), or the nearest-to-crossing anchor when the
-    cross-product difference changes sign without vanishing, or ``None`` when
-    neither happens (e.g. two distinct geometric laws, whose ratios never
-    meet).
+    Returns the anchor with the smallest normalized gap among indices with
+    gap <= ``ANCHOR_MATCH_TOL`` (ties broken by smaller index), or the
+    nearest-to-crossing anchor when the cross-product difference changes sign
+    without vanishing, or ``None`` when neither happens (e.g. two distinct
+    geometric laws, whose ratios never meet).  ``rows``: the caller's gap rows.
     """
-    cands = _candidate_anchors(mu, nu)
-    if not cands:
-        return None
-    matched = [(gap, ell) for ell, _, gap in cands if gap <= ANCHOR_MATCH_TOL]
-    if matched:
-        gap, ell = min(matched)
-        return Anchor(ell, True, gap)
+    rows = _anchor_gaps(mu, nu) if rows is None else rows
+    cands = _candidate_anchors(mu, nu, rows=rows)
+    matched = [(gap, k) for k, (_, _, gap) in enumerate(cands) if gap <= ANCHOR_MATCH_TOL]
     signs = [d for _, d, _ in cands]
-    if any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:])):
-        gap, ell = min((gap, ell) for ell, _, gap in cands)
-        return Anchor(ell, False, gap)
+    if matched or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:])):
+        row = rows[min(matched or [(gap, k) for k, (_, _, gap) in enumerate(cands)])[1]]
+        return anchor_at(mu, nu, row[0], row=row)
     return None
 
 
 def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     """Smallest-gap valid anchor even without a crossing; any valid index
-    yields a correct (possibly weak) bound."""
-    found = find_ratio_anchor(mu, nu)
-    if found is not None:
+    yields a correct (possibly weak) bound.  One gap scan serves both."""
+    rows = _anchor_gaps(mu, nu)
+    found = find_ratio_anchor(mu, nu, rows=rows)
+    if found is not None or not rows:
         return found
-    cands = _candidate_anchors(mu, nu)
-    if not cands:
-        return None
-    gap, ell = min((gap, ell) for ell, _, gap in cands)
-    return Anchor(ell, gap <= ANCHOR_MATCH_TOL, gap)
+    row = min(rows, key=lambda row: (row[2], row[0]))
+    return anchor_at(mu, nu, row[0], row=row)
 
 
 def anchored_report(
@@ -388,6 +394,7 @@ def anchored_report(
     closed_forms=None,
     stated_bound: float | None = None,
     details: Mapping[str, object] = {},
+    anchor: Anchor | None = None,
 ) -> BoundReport:
     """The report for target ``nu`` against reference ``mu`` at anchor ``ell``.
 
@@ -397,13 +404,14 @@ def anchored_report(
     ratio-matched anchor, when ``hypothesis`` holds and both laws have mass at
     ``ell`` and ``ell+1``. A target without mass at both anchor cells has no
     anchor record; ``details["anchor_outside_target_support"]`` names ``ell``.
+    ``anchor`` is the record at ``ell`` when the caller's search built it.
     """
     tv = tv_distance(mu, nu)
     details = dict(details)
-    anchor = simplified = b_nu = b_mu = None
-    if _positive_at(nu, ell):
+    simplified = b_nu = b_mu = None
+    if anchor is None and _positive_at(nu, ell):
         anchor = anchor_at(mu, nu, ell)
-    else:
+    elif anchor is None:
         details["anchor_outside_target_support"] = ell
     if closed_forms is not None:
         b_nu, b_mu = (None if b is None else float(clamp01(b)) for b in closed_forms)
@@ -412,7 +420,7 @@ def anchored_report(
     elif hypothesis.holds and anchor is not None and _positive_at(mu, ell):
         b_nu, b_mu = (float(b) for b in tv_bounds_at_anchor(mu, nu, ell, check=False))
         if anchor.ratio_matched:
-            simplified = float(tv_bound_matched_anchor(mu, nu, ell, check=False))
+            simplified = float(tv_bound_matched_anchor(mu, nu, ell, check=False, anchor=anchor))
     return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, stated_bound, details)
 
 
@@ -431,6 +439,7 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
         reason = "absolute continuity violated" if isinstance(error, AbsoluteContinuityError) else str(error)
         return _not_applicable(reason, cert, mu, nu)
 
+    anc = None
     if ell is None:
         anc = _best_effort_anchor(mu, nu)
         if anc is not None:
@@ -444,4 +453,4 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
             _check_anchor(nu, ell)
         except InvalidAnchorError as e:
             return _not_applicable(str(e), cert, mu, nu)
-    return anchored_report(mu, nu, ell, cert)
+    return anchored_report(mu, nu, ell, cert, anchor=anc)

@@ -451,7 +451,7 @@ def _log2_undecided(a: Sequence[Scalar], lo: int, hi: int, ref=None, weights=Non
         slack = [lp[j - 1] + lp[j + 1] - 2 * lp[j] for j in interior]
         mag = max(mag, mag_ref)
     elif weights is not None:
-        logs = [_log2_cells(weights(lo + j)) for j in interior]
+        logs = [_log2_cells((weights[0][lo + j], weights[1][lo + j])) for j in interior]
         slack = [right - left for (left, right), _ in logs]
         mag = max([mag, *(m for _, m in logs)])
     else:
@@ -466,9 +466,9 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
     """The one log-concavity kernel: interval support of ``a``, then
     ``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` at each interior ``i``, with ``(L_i,
     R_i) = (ref[i]^2, ref[i-1] ref[i+1])`` against the cells of a reference
-    ``ref`` (positive wherever ``a`` is), ``weights(i)`` (small positive
-    integers) otherwise, or ``(1, 1)`` without either.  Indices are reported
-    as ``base + i``.
+    ``ref`` (positive wherever ``a`` is), ``(weights[0][i], weights[1][i])``
+    (small positive integers) otherwise, or ``(1, 1)`` without either.
+    Indices are reported as ``base + i``.
 
     Float cells are compared with ``CERT_REL_TOL`` slack.  Exact cells first
     go through a log2 pre-check, ``_log2_undecided``, which accepts ``i``
@@ -496,12 +496,14 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
     ok, gap, lo, hi = _support_interval(a, 0)
     if not ok:
         return LogConcavityCertificate(False, base + gap, False)
-    indices = _log2_undecided(a, lo, hi, ref, weights) if exact else range(lo + 1, hi)
-    if ref is not None:
-        weights = lambda i: (ref[i] * ref[i], ref[i - 1] * ref[i + 1])
-    for i in indices:
-        left, right = (1, 1) if weights is None else weights(i)
-        if not _leq_with_slack(a[i - 1] * a[i + 1] * left, a[i] * a[i] * right, exact):
+    for i in _log2_undecided(a, lo, hi, ref, weights) if exact else range(lo + 1, hi):
+        if ref is not None:
+            left, right = ref[i] * ref[i], ref[i - 1] * ref[i + 1]
+        else:
+            left, right = (1, 1) if weights is None else (weights[0][i], weights[1][i])
+        lhs, rhs = a[i - 1] * a[i + 1] * left, a[i] * a[i] * right
+        # float cells: CERT_REL_TOL slack relative to the larger side
+        if not (lhs <= rhs if exact else lhs <= rhs + CERT_REL_TOL * (rhs if rhs > lhs else lhs)):
             return LogConcavityCertificate(False, base + i, True)
     return LogConcavityCertificate(True, None, True)
 
@@ -545,7 +547,8 @@ def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:
     a = list(a)
     if len(a) > m + 1:
         raise InvalidDistributionError(f"sequence longer than m+1 = {m + 1}")
-    return _three_term(a, all(map(_is_exact, a)), weights=lambda k: ((k + 1) * (m - k + 1), k * (m - k)))
+    return _three_term(a, all(map(_is_exact, a)), weights=([(k + 1) * (m - k + 1) for k in range(len(a))],
+                                                             [k * (m - k) for k in range(len(a))]))
 
 
 def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
@@ -555,4 +558,4 @@ def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
     to any Poisson reference.
     """
     a = list(a)
-    return _three_term(a, all(map(_is_exact, a)), weights=lambda k: (k + 1, k))
+    return _three_term(a, all(map(_is_exact, a)), weights=(range(1, len(a) + 1), range(len(a))))

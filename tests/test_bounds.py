@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,38 @@ from tvbounds import (
     tv_bounds_at_anchor,
     tv_distance,
 )
+from tvbounds import bounds
 from tvbounds.bounds import _scaled_products, anchor_at, anchored_report
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
 from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
 
+from test_integer_kernels import law_pairs
+
 
 PB = make_dist(0, [F(72, 100), F(26, 100), F(2, 100)])  # Bernoulli(0.1)+Bernoulli(0.2)
 B_MATCH = family_binomial(2, F(13, 85))
+# exact laws whose cross products at 0 differ by 1e-14 relative: within
+# ANCHOR_MATCH_TOL, which chooses the anchor, but not equal, so not matched
+NEAR_TIE = make_dist(0, [F(1), F(2), F(1)]), make_dist(0, [F(1), F(2) * (1 + F(1, 10**14)), F(1)])
+
+
+@st.composite
+def rising_tilts(draw):
+    """A float reference and a convex tilt ``nu = e^-V mu`` whose slope of
+    ``V`` stays positive, so the cross-product difference never changes sign
+    and no anchor is matched: ``certify`` takes the smallest-gap fallback."""
+    n = draw(st.integers(2, 10))
+    mu = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    rises = draw(st.lists(st.floats(0.0, 0.3), min_size=n - 2, max_size=n - 2))
+    v = accumulate(accumulate(rises, initial=draw(st.floats(0.01, 2.0))), initial=0.0)
+    offset = draw(st.integers(-3, 3))
+    return make_dist(offset, mu), make_dist(offset, [m * math.exp(-x) for m, x in zip(mu, v)])
+
+
+def _geometric_pair():
+    """Two geometric laws, whose ratios never meet."""
+    mu = family_geometric(0.3, 1e-10)
+    return mu, family_geometric(0.6, 1e-10, min_length=len(mu.masses))
 
 
 def _matched_instance(rng):
@@ -147,6 +173,15 @@ class TestAnchorSearch:
         anc = find_ratio_anchor(B_MATCH, PB)
         assert anc.ell == 0 and anc.ratio_matched
 
+    def test_exact_near_tie_is_chosen_but_not_matched(self):
+        # the search used to call it matched by the float tolerance while
+        # anchor_at and the report, on exact equality, did not
+        mu, nu = NEAR_TIE
+        anc = find_ratio_anchor(mu, nu)
+        assert anc.ell == 0 and not anc.ratio_matched
+        assert anc.ratio_gap == pytest.approx(1e-14, rel=0.02)
+        assert anc.to_json() == anchor_at(mu, nu, 0).to_json() == certify(mu, nu).anchor.to_json()
+
     def test_geometric_pair_has_no_anchor(self):
         mu = family_geometric(0.3, 1e-10)
         nu = family_geometric(0.6, 1e-10, min_length=len(mu.masses))
@@ -191,12 +226,37 @@ class TestAnchorSearch:
 
 
 class TestAnchoredReport:
-    def test_certify_is_anchored_report_at_the_chosen_anchor(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            mu, nu = random_envelope_instance(rng, 30)
-            rep = certify(mu, nu)
-            assert rep.to_json() == anchored_report(mu, nu, rep.anchor.ell, rep.hypothesis).to_json()
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        rising_tilts(),
+        law_pairs(),
+        st.just(NEAR_TIE),
+        st.integers(0, 2**32).map(lambda seed: random_envelope_instance(random.Random(seed), 30)),
+    ))
+    def test_certify_is_anchored_report_at_the_chosen_anchor(self, pair):
+        mu, nu = pair
+        rep = certify(mu, nu)
+        if "not_applicable" in rep.details:
+            return
+        if rep.anchor is None:  # the single atom both laws share
+            ell = rep.details["anchor_outside_target_support"]
+        else:
+            ell = rep.anchor.ell
+            assert rep.anchor.to_json() == anchor_at(mu, nu, ell).to_json()
+        assert rep.to_json() == anchored_report(mu, nu, ell, rep.hypothesis).to_json()
+
+    @pytest.mark.parametrize("pair", [
+        (B_MATCH, PB),
+        NEAR_TIE,
+        random_envelope_instance(random.Random(11), 30),
+        _geometric_pair(),
+    ], ids=["exact-matched", "exact-near-tie", "float-tilt", "float-fallback"])
+    def test_certify_scans_the_gaps_once(self, pair, monkeypatch):
+        calls = []
+        scan = bounds._anchor_gaps
+        monkeypatch.setattr(bounds, "_anchor_gaps", lambda *args: calls.append(args) or scan(*args))
+        assert certify(*pair).anchor is not None
+        assert len(calls) == 1
 
     def test_closed_forms_are_clamped_and_replace_the_envelope(self):
         rep = anchored_report(B_MATCH, PB, 0, certify(B_MATCH, PB).hypothesis, closed_forms=(F(-1, 5), 7))
