@@ -256,7 +256,7 @@ def _run_pb_binomial(ns: argparse.Namespace) -> dict:
     return _report_with_kind(
         "pb_binomial", report,
         bound=bound, bound_secondary=secondary, p=[float(v) for v in bv.p],
-        target_p=1.0 - 1.0 / float(bv.m_n),
+        target_p=float(bv.lambda_n / (bv.n + bv.lambda_n)),
     )
 
 

@@ -60,13 +60,14 @@ class BernoulliVector:
     def m_n(self) -> Scalar:
         """The arithmetic mean of the ``1/alpha_i``, exact on rational input."""
         if self.is_exact:
-            return sum(Fraction(1, 1) / a for a in self.alphas) / self.n
+            return 1 + self.lambda_n / self.n  # 1/alpha_i = 1 + p_i/alpha_i
         return math.fsum(1.0 / a for a in self.alphas) / self.n
 
-    @property
+    @cached_property
     def lambda_n(self) -> Scalar:
-        """``n (m_n - 1) = sum p_i/alpha_i``, the ratio the references match."""
-        return self.n * (self.m_n - 1)
+        """``sum p_i/alpha_i = n (m_n - 1)``, the ratio the references match,
+        summed directly: ``n (m_n - 1)`` cancels for small ``p_i``."""
+        return (sum if self.is_exact else math.fsum)(v / a for v, a in zip(self.p, self.alphas))
 
 
 def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
@@ -134,9 +135,9 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
 
 
 def binomial_target(bv: BernoulliVector) -> DiscreteDist:
-    """Binomial(n, 1 - 1/m_n), the ratio-matched binomial reference."""
+    """Binomial(n, lambda_n / (n + lambda_n)), the ratio-matched binomial reference."""
     n = bv.n
-    p = 1 - 1 / bv.m_n
+    p = bv.lambda_n / (n + bv.lambda_n)
     target = family_binomial(n, p)
     # ratio identity: P[B=1]/P[B=0] = n p/(1-p) = n (m_n - 1) = sum p_i/alpha_i
     lhs = n * float(p) / (1.0 - float(p)) if float(p) < 1 else math.inf

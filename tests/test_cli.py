@@ -44,9 +44,11 @@ class TestBernoulliSumGolden:
     # less the "tv" member that duplicated "oracle_tv"; the direct recursion
     # must reproduce it byte for byte.  pb-binomial was re-pinned when the
     # float binomial reference came to be built by its mass ratio: only
-    # anchor.ratio_gap moved, from 1.76e-13 to 1.4e-15
+    # anchor.ratio_gap moved, from 1.76e-13 to 1.4e-15; and again when its p
+    # came to be lambda_n / (n + lambda_n), with lambda_n = sum p_i/alpha_i
+    # summed directly: only anchor.ratio_gap moved, from 1.42e-15 to 1.22e-15
     @pytest.mark.parametrize("subcommand, n, size, digest", [
-        ("pb-binomial", 300, 6175, "949d0d7b2f7597bfca97009ec3b7ddf8c93a5e2a234886f7763b358ec3b1f76e"),
+        ("pb-binomial", 300, 6175, "fed61414d4d52ea29313d3ee3582b3b2852c19dcb2f93bdcc45833eff378d6a5"),
         ("pb-poisson", 20, 813, "cb37428a7bd8f666aebff0abac16f71ff9b002f8fb2388476ac17728d6c035ef"),
     ], ids=["pb-binomial-300", "pb-poisson-20"])
     def test_stdout_unchanged(self, subcommand, n, size, digest):
@@ -364,6 +366,23 @@ def test_compound_poisson_geometric_target_keeps_a_tiny_ratio():
     assert code == 0
     assert payload["anchor"]["ratio_matched"] is True
     assert payload["simplified"] is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["pb-poisson", "--p", "1e-17"],
+    ["pb-binomial", "--p", "1e-17,1e-17"],
+    ["pb-binomial", "--p", "1e-9,1e-9"],
+], ids=["poisson-1e-17", "binomial-1e-17", "binomial-1e-9"])
+def test_bernoulli_sum_references_match_for_small_p(argv):
+    # lambda_n = sum p_i/alpha_i is summed directly, not as n (m_n - 1), and the
+    # binomial's p is lambda_n / (n + lambda_n), not 1 - 1/m_n: both cancel
+    # for small p_i, down to a rate or p of 0 below about 1e-16
+    code, text = run(argv)
+    payload = json.loads(text)
+    assert code == 0
+    assert payload["anchor"]["ratio_matched"] is True
+    assert payload["dominated"] is True
+    assert payload.get("rate", payload.get("target_p")) == pytest.approx(float(argv[-1].split(",")[0]), rel=1e-12)
 
 
 class TestSumGeometricSmallMasses:

@@ -325,6 +325,13 @@ class TestPoissonBounds:
         tv = tv_distance(poisson_target(bv), poisson_binomial_pmf(bv))
         assert poisson_bound(bv) >= float(tv.hi)
 
+    def test_exact_rate_and_binomial_p_are_the_mean_forms(self):
+        # summed directly, lambda_n and lambda_n / (n + lambda_n) are still
+        # exactly n (m_n - 1) and 1 - 1/m_n on rational input
+        bv = BernoulliVector((F(1, 3), F(2, 7), F(0), F(11, 23)))
+        assert bv.lambda_n == bv.n * (bv.m_n - 1)
+        assert binomial_target(bv).masses == family_binomial(bv.n, 1 - 1 / bv.m_n).masses
+
     def test_mixed_dominates(self):
         bv = BernoulliVector((0.1, 0.2))
         tv = tv_distance(poisson_target(bv), poisson_binomial_pmf(bv))
