@@ -355,22 +355,27 @@ def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist, *, rows=None):
     return [row[:3] for row in (_anchor_gaps(mu, nu) if rows is None else rows)]
 
 
+def _smallest_gap_anchor(mu: DiscreteDist, nu: DiscreteDist, rows) -> Anchor:
+    """The anchor of the gap row with the smallest gap, ties broken by smaller index."""
+    row = min(rows, key=lambda row: (row[2], row[0]))
+    return anchor_at(mu, nu, row[0], row=row)
+
+
 def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist, *, rows=None) -> Anchor | None:
     """Scan consecutive support pairs for a ratio-matched anchor.
 
-    Returns the anchor with the smallest normalized gap among indices with
-    gap <= ``ANCHOR_MATCH_TOL`` (ties broken by smaller index), or the
-    nearest-to-crossing anchor when the cross-product difference changes sign
-    without vanishing, or ``None`` when neither happens (e.g. two distinct
-    geometric laws, whose ratios never meet).  ``rows``: the caller's gap rows.
+    Returns the anchor with the smallest normalized gap (ties broken by
+    smaller index) when some gap is at most ``ANCHOR_MATCH_TOL`` or the
+    cross-product difference changes sign without vanishing, or ``None`` when
+    neither happens (e.g. two distinct geometric laws, whose ratios never
+    meet).  ``rows``: the caller's gap rows.
     """
     rows = _anchor_gaps(mu, nu) if rows is None else rows
     cands = _candidate_anchors(mu, nu, rows=rows)
-    matched = [(gap, k) for k, (_, _, gap) in enumerate(cands) if gap <= ANCHOR_MATCH_TOL]
     signs = [d for _, d, _ in cands]
-    if matched or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:])):
-        row = rows[min(matched or [(gap, k) for k, (_, _, gap) in enumerate(cands)])[1]]
-        return anchor_at(mu, nu, row[0], row=row)
+    if (any(gap <= ANCHOR_MATCH_TOL for _, _, gap in cands)
+            or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:]))):
+        return _smallest_gap_anchor(mu, nu, rows)
     return None
 
 
@@ -378,11 +383,7 @@ def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     """Smallest-gap valid anchor even without a crossing; any valid index
     yields a correct (possibly weak) bound.  One gap scan serves both."""
     rows = _anchor_gaps(mu, nu)
-    found = find_ratio_anchor(mu, nu, rows=rows)
-    if found is not None or not rows:
-        return found
-    row = min(rows, key=lambda row: (row[2], row[0]))
-    return anchor_at(mu, nu, row[0], row=row)
+    return find_ratio_anchor(mu, nu, rows=rows) or (_smallest_gap_anchor(mu, nu, rows) if rows else None)
 
 
 def anchored_report(
