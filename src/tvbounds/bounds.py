@@ -211,6 +211,21 @@ def _envelope_sum(cells, den: int, a: tuple[int, int], r: tuple[int, int], sign:
     return Fraction(sign * (sum(kept) * ad * hd - an * hn), ad * hd * den)
 
 
+def _float_envelope(d: DiscreteDist, ell: int, log_a: float, log_r: float, sign: int) -> float:
+    """``sum_y (sign (1 - exp(sign (log_a + (y - ell) log_r))))_+ d_y``, the
+    float ``_envelope_sum``; negation is exact, so ``sign = -1`` is bit for bit
+    ``exp(-log_a - (y - ell) log_r) - 1``.  It stops past 1, where the clamp takes it."""
+    b = 0.0
+    for k, m in enumerate(d.masses, d.offset - ell):
+        if m > 0:
+            term = sign * (1.0 - _safe_exp(sign * (log_a + k * log_r)))
+            if term > 0:
+                b += term * float(m)
+                if b > 1.0:
+                    break
+    return b
+
+
 def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True):
     """The two envelope bounds ``(B_nu, B_mu)`` at anchor ``ell``, clamped to [0, 1].
 
@@ -239,25 +254,8 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: 
     pl, pl1 = mu.mass(ell), mu.mass(ell + 1)
     log_ratio = math.log(float(pl)) - math.log(float(ql))
     log_r = (math.log(float(pl1)) + math.log(float(ql))) - (math.log(float(pl)) + math.log(float(ql1)))
-    b_nu = 0.0
-    for i, q in enumerate(nu.masses):
-        if q <= 0:
-            continue
-        y = nu.offset + i
-        term = 1.0 - _safe_exp(log_ratio + (y - ell) * log_r)
-        if term > 0:
-            b_nu += term * float(q)
-    b_mu = 0.0
-    for i, p in enumerate(mu.masses):
-        if p <= 0:
-            continue
-        y = mu.offset + i
-        term = _safe_exp(-log_ratio - (y - ell) * log_r) - 1.0
-        if term > 0:
-            b_mu += term * float(p)
-            if b_mu > 1.0:
-                break
-    return clamp01(b_nu), clamp01(b_mu)
+    return (clamp01(_float_envelope(nu, ell, log_ratio, log_r, 1)),
+            clamp01(_float_envelope(mu, ell, log_ratio, log_r, -1)))
 
 
 def _scaled_products(a: float, b: float, c: float, d: float) -> tuple[float, float]:
@@ -338,15 +336,12 @@ def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, che
         raise InvalidAnchorError(
             f"anchor {ell} is not ratio matched (normalized gap {anc.ratio_gap:.3e})"
         )
-    ql, pl = nu.mass(ell), mu.mass(ell)
-    if mu.is_exact and nu.is_exact:
-        if ql < pl:
-            raise InvalidAnchorError("matched anchor with target mass below reference mass")
-        return clamp01(min(Fraction(ql) / Fraction(pl) - 1, 1 - Fraction(pl) / Fraction(ql)))
-    ql, pl = float(ql), float(pl)
-    if ql < pl * (1.0 - 1e-9):
+    # float cells may round q_l just below p_l; exact cells get no slack
+    cell, slack = (Fraction, 0) if mu.is_exact and nu.is_exact else (float, 1e-9)
+    ql, pl = cell(nu.mass(ell)), cell(mu.mass(ell))
+    if ql < pl * (1 - slack):
         raise InvalidAnchorError("matched anchor with target mass below reference mass")
-    return clamp01(min(ql / pl - 1.0, 1.0 - pl / ql))
+    return clamp01(min(ql / pl - 1, 1 - pl / ql))
 
 
 def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist, *, rows=None):

@@ -305,13 +305,15 @@ def _run_matroid(ns: argparse.Namespace) -> dict:
     else:
         prof = mat.profile_from_set_system(mat.SetSystem.from_json(_load_json(ns.sets)))
     m, include_zero = ns.m, ns.include_zero
+    binomial = mat.matroid_binomial_bound(prof, m, include_zero).to_json()
     out = {
         "kind": "matroid",
         "profile": list(prof.counts),
         "n": prof.n,
         "rank": prof.rank,
-        "mason": mat.mason_check(prof).to_json(),
-        "binomial": mat.matroid_binomial_bound(prof, m, include_zero).to_json(),
+        # the binomial report's hypothesis is the Mason certificate
+        "mason": binomial["hypothesis"],
+        "binomial": binomial,
         "poisson": mat.matroid_poisson_bound(prof, m, include_zero).to_json(),
     }
     if ns.half and partition is not None:

@@ -414,15 +414,6 @@ def _support_interval(masses: Sequence[Scalar], base: int) -> tuple[bool, int | 
     return True, None, base + lo, base + hi
 
 
-def _leq_with_slack(lhs, rhs, exact: bool) -> bool:
-    """``lhs <= rhs``: exactly when ``exact``, else with ``CERT_REL_TOL``
-    slack relative to the larger side."""
-    if exact:
-        return lhs <= rhs
-    scale = max(abs(lhs), abs(rhs))
-    return lhs <= rhs + CERT_REL_TOL * scale
-
-
 def _log2_cells(cells: Sequence[Scalar]) -> tuple[list[float], float]:
     """``log2`` of each positive ``int``/``Fraction`` cell, taken as
     ``math.log2`` of its numerator minus that of its denominator (``float``

@@ -3,9 +3,11 @@ distribution, and Poisson approximation bounds.
 
 ``V_j`` measures the j-dimensional content of a convex body; ``V_0 = 1`` for
 non-empty bodies and ``W = sum_j V_j`` is the total intrinsic volume.  The
-normalized sequence ``V_j / W`` is ultra log-concave (Alexandrov-Fenchel), so
-the same ratio-matched Poisson comparison used for independence profiles
-applies verbatim.
+normalized sequence ``V_j / W`` is ultra log-concave of infinite order for
+every convex body (McMullen 1991), so the same ratio-matched Poisson
+comparison used for independence profiles applies verbatim.  The report
+certifies it, not the constructors: a float sequence that fails it, a
+numerical defect, gives a failed ``hypothesis``, not an input error.
 """
 
 from __future__ import annotations
@@ -67,18 +69,6 @@ class ProductFactor:
         return float(self.scale) * float(self.body.V[1]) if self.body.n >= 1 else 0.0
 
 
-def _assert_ulc(iv: IVSequence) -> IVSequence:
-    # balls satisfy only the infinite-order form (the disk has pi^2 < 4 pi),
-    # which is the hypothesis the Poisson comparison needs; boxes and cubes
-    # additionally satisfy the order-n form
-    cert = is_ulc_infinity(iv.V)
-    if not cert.holds:
-        raise InvalidDistributionError(
-            f"intrinsic volumes fail infinite-order ULC at {cert.first_violation}"
-        )
-    return iv
-
-
 def iv_box(s: Sequence[Scalar]) -> IVSequence:
     """Axis-aligned box with side lengths ``s_i``: ``V_j`` is the j-th
     elementary symmetric function of the sides, built by the Poisson-binomial
@@ -100,7 +90,7 @@ def iv_box(s: Sequence[Scalar]) -> IVSequence:
         assert iv.W == total
     elif abs(float(iv.W) - float(total)) > 1e-12 * float(total):
         raise AssertionError("symmetric-function total disagrees with product form")
-    return _assert_ulc(iv)
+    return iv
 
 
 def iv_cube(n: int, s: Scalar) -> IVSequence:
@@ -120,7 +110,7 @@ def iv_cube(n: int, s: Scalar) -> IVSequence:
         finite = False
     if not finite:
         raise InvalidDistributionError(f"intrinsic volumes of the cube in dimension {n} leave the float range")
-    return _assert_ulc(IVSequence(n, V))
+    return IVSequence(n, V)
 
 
 def ball_volume(m: int) -> float:
@@ -138,7 +128,7 @@ def iv_ball(n: int) -> IVSequence:
         raise InvalidDistributionError("dimension must be >= 1")
     kn = ball_volume(n)
     V = tuple(math.comb(n, j) * kn / ball_volume(n - j) for j in range(n + 1))
-    return _assert_ulc(IVSequence(n, V))
+    return IVSequence(n, V)
 
 
 def z_dist(iv: IVSequence) -> DiscreteDist:
@@ -162,6 +152,9 @@ def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
     nu = z_dist(iv)
     bound_nu = 1.0 - float(gamma.mass(m)) / float(nu.mass(m))
     details = {"lambda": lam, "m": m, "W": w}
+    # balls satisfy only the infinite-order form (the disk has pi^2 < 4 pi),
+    # which is the hypothesis the Poisson comparison needs; boxes and cubes
+    # additionally satisfy the order-n form
     return anchored_report(gamma, nu, m, is_ulc_infinity(iv.V), closed_forms=(bound_nu, bound_mu), details=details)
 
 

@@ -201,16 +201,13 @@ def nu_distribution(prof: IndepProfile, include_zero: bool = False) -> DiscreteD
     return make_dist(0, (0,) * start + prof.counts[start:])
 
 
-def _profile_bound_report(
-    nu: DiscreteDist,
-    target: DiscreteDist,
-    m: int,
-    bound_mu_side,
-    bound_nu_side,
-    cert: LogConcavityCertificate,
-    details: dict,
-) -> BoundReport:
-    return anchored_report(target, nu, m, cert, closed_forms=(bound_nu_side, bound_mu_side), details=details)
+def _profile_bound_report(prof: IndepProfile, m: int, include_zero: bool, nu: DiscreteDist, target: DiscreteDist,
+                          closed_forms: tuple, details: dict) -> BoundReport:
+    """The report of ``nu`` against ``target`` at anchor ``m``: its hypothesis
+    is the profile's Mason certificate, and its details add ``m``,
+    ``include_zero`` and the profile to the caller's."""
+    details = dict(details, m=m, include_zero=include_zero, profile=list(prof.counts))
+    return anchored_report(target, nu, m, mason_check(prof), closed_forms=closed_forms, details=details)
 
 
 def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = False) -> BoundReport:
@@ -229,16 +226,9 @@ def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = Fals
     p = 1 / (1 + Fraction(n - m, m + 1) * Fraction(c[m], c[m + 1]))
     gamma = family_binomial(n, p)
     nu = nu_distribution(prof, include_zero)
-    num = Fraction(nu.mass(m))
-    den = Fraction(gamma.mass(m))
-    if num > 0:
-        bound_mu = num / den - 1
-        bound_nu = 1 - den / num
-    else:
-        bound_mu = bound_nu = None
-    cert = is_ulc(c, n)
-    details = {"p": float(p), "m": m, "include_zero": include_zero, "profile": list(c)}
-    return _profile_bound_report(nu, gamma, m, bound_mu, bound_nu, cert, details)
+    num, den = Fraction(nu.mass(m)), Fraction(gamma.mass(m))
+    closed_forms = (1 - den / num, num / den - 1) if num > 0 else (None, None)
+    return _profile_bound_report(prof, m, include_zero, nu, gamma, closed_forms, {"p": float(p)})
 
 
 def matroid_poisson_bound(prof: IndepProfile, m: int, include_zero: bool = False) -> BoundReport:
@@ -255,13 +245,9 @@ def matroid_poisson_bound(prof: IndepProfile, m: int, include_zero: bool = False
     nu = nu_distribution(prof, include_zero)
     total = sum(c) if include_zero else sum(c[1:])
     bound_mu = _safe_exp(math.lgamma(m + 1) + float(lam) + math.log(c[m]) - m * math.log(lam) - math.log(total)) - 1
-    bound_nu = None
-    if nu.mass(m) > 0:
-        # reciprocal companion computed from the same exact atoms
-        bound_nu = 1 - float(gamma.mass(m)) / float(nu.mass(m))
-    cert = is_ulc(c, n)
-    details = {"lambda": float(lam), "m": m, "include_zero": include_zero, "profile": list(c)}
-    return _profile_bound_report(nu, gamma, m, bound_mu, bound_nu, cert, details)
+    # reciprocal companion computed from the same exact atoms
+    bound_nu = 1 - float(gamma.mass(m)) / float(nu.mass(m)) if nu.mass(m) > 0 else None
+    return _profile_bound_report(prof, m, include_zero, nu, gamma, (bound_nu, bound_mu), {"lambda": float(lam)})
 
 
 def partition_half_bound(spec: PartitionMatroidSpec):

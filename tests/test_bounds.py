@@ -24,7 +24,7 @@ from tvbounds import (
     tv_distance,
 )
 from tvbounds import bounds
-from tvbounds.bounds import _scaled_products, anchor_at, anchored_report
+from tvbounds.bounds import _float_envelope, _safe_exp, _scaled_products, anchor_at, anchored_report, clamp01
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
 from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
 
@@ -78,7 +78,78 @@ def _matched_instance(rng):
     return make_dist(0, mu_raw), make_dist(0, nu_raw), ell
 
 
+def _two_loop_envelopes(mu, nu, ell):
+    """The float envelope sums as two separate loops, the form that
+    ``_float_envelope`` replaced, kept as its bit-for-bit oracle."""
+    ql, ql1 = nu.mass(ell), nu.mass(ell + 1)
+    pl, pl1 = mu.mass(ell), mu.mass(ell + 1)
+    log_ratio = math.log(float(pl)) - math.log(float(ql))
+    log_r = (math.log(float(pl1)) + math.log(float(ql))) - (math.log(float(pl)) + math.log(float(ql1)))
+    b_nu = 0.0
+    for i, q in enumerate(nu.masses):
+        if q <= 0:
+            continue
+        y = nu.offset + i
+        term = 1.0 - _safe_exp(log_ratio + (y - ell) * log_r)
+        if term > 0:
+            b_nu += term * float(q)
+    b_mu = 0.0
+    for i, p in enumerate(mu.masses):
+        if p <= 0:
+            continue
+        y = mu.offset + i
+        term = _safe_exp(-log_ratio - (y - ell) * log_r) - 1.0
+        if term > 0:
+            b_mu += term * float(p)
+            if b_mu > 1.0:
+                break
+    return clamp01(b_nu), clamp01(b_mu)
+
+
+@st.composite
+def float_envelope_cases(draw):
+    """A float law and a convex tilt of it, steep enough that the mu-side sum
+    can pass 1, in either orientation, with zero cells inside and around each
+    window, and an anchor where both laws have mass."""
+    n = draw(st.integers(3, 12))
+    base = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    slopes = accumulate(draw(st.lists(st.floats(0.0, 3.0), min_size=n - 2, max_size=n - 2)),
+                        initial=draw(st.floats(-4.0, 4.0)))
+    tilted = [m * math.exp(-v) for m, v in zip(base, accumulate(slopes, initial=0.0))]
+    laws = []
+    for cells in (base, tilted):
+        cells = list(cells)
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            cells[i] = 0.0
+        if not any(cells):
+            cells[0] = 1.0
+        left, right = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        laws.append(make_dist(-left, [0.0] * left + cells + [0.0] * right))
+    mu, nu = laws if draw(st.booleans()) else laws[::-1]
+    ells = [k for k in range(n - 1) if all(d.mass(k) > 0 and d.mass(k + 1) > 0 for d in (mu, nu))]
+    if not ells:
+        mu = nu = make_dist(0, [1.0, 1.0])
+        ells = [0]
+    return mu, nu, draw(st.sampled_from(ells))
+
+
 class TestEnvelopeBounds:
+    @settings(max_examples=150, deadline=None)
+    @given(float_envelope_cases())
+    def test_float_envelope_is_the_two_loops_bit_for_bit(self, case):
+        mu, nu, ell = case
+        got = tv_bounds_at_anchor(mu, nu, ell, check=False)
+        assert [b.hex() for b in got] == [b.hex() for b in _two_loop_envelopes(mu, nu, ell)]
+
+    def test_float_envelope_stops_past_one_on_the_mu_side(self):
+        mu = make_dist(0, [1.0] * 8)
+        nu = make_dist(0, [math.exp(-k * k) for k in range(8)])
+        log_ratio = math.log(mu.mass(5)) - math.log(nu.mass(5))
+        log_r = (math.log(mu.mass(6)) + math.log(nu.mass(5))) - (math.log(mu.mass(5)) + math.log(nu.mass(6)))
+        assert _float_envelope(mu, 5, log_ratio, log_r, -1) > 1.0
+        assert tv_bounds_at_anchor(mu, nu, 5) == _two_loop_envelopes(mu, nu, 5)
+        assert tv_bounds_at_anchor(mu, nu, 5)[1] == 1.0
+
     def test_identical_is_zero(self):
         d = family_binomial(5, 0.37)
         assert tv_bounds_at_anchor(d, d, 2) == (0.0, 0.0)
@@ -138,6 +209,15 @@ class TestMatchedAnchor:
         assert val == min(F(193, 432), F(193, 625))
         assert val == F(193, 625)  # = 0.3088, the smaller (nu-side) term
         assert tv_distance(mu, nu).hi == F(193, 625)
+
+    @pytest.mark.parametrize("float_side", ["mu", "nu"])
+    def test_one_exact_and_one_float_law_take_float_cells(self, float_side):
+        mu, nu = (B_MATCH.to_float(), PB) if float_side == "mu" else (B_MATCH, PB.to_float())
+        val = tv_bound_matched_anchor(mu, nu, 0)
+        ql, pl = float(nu.mass(0)), float(mu.mass(0))
+        assert type(val) is float
+        assert val == min(ql / pl - 1.0, 1.0 - pl / ql)
+        assert val == pytest.approx(1 / 289, rel=1e-12)
 
     def test_mismatch_rejected(self):
         mu = family_geometric(0.3, 1e-10)

@@ -92,6 +92,16 @@ def test_ball_anchor_beyond_truncated_reference():
     assert report["dominated"] is True
 
 
+def test_iv_failing_its_float_ulc_certificate_reports_the_failed_hypothesis():
+    # every convex body is ULC of infinite order; the float volumes of this
+    # ball fail the certificate at 284, which the report says, exit 2
+    code, text = run(["iv", "--ball", "300", "--m", "2"])
+    assert code == 2
+    report = json.loads(text)
+    assert report["hypothesis"] == {"holds": False, "first_violation": 284, "support_is_interval": True}
+    assert report["kind"] == "iv"
+
+
 @pytest.mark.parametrize("body, message", [
     (["--cube", "1100,0.5"], "intrinsic volumes of the cube in dimension 1100 leave the float range"),
     (["--cube", "2000,0.01"], "intrinsic volumes of the cube in dimension 2000 leave the float range"),

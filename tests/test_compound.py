@@ -100,6 +100,13 @@ class TestLogConcaveCriterion:
     def test_bernoulli_severity_holds(self):
         assert log_concave_criterion(CompoundPoissonSpec(3.0, make_dist(0, (0.7, 0.3)))).holds
 
+    def test_tie_within_cert_rel_tol_holds(self):
+        # lam F_1^2 below 2 F_2 by 1e-13 relative holds; by 1e-11 it fails
+        sev = make_dist(0, (0.2, 0.5, 0.3))
+        lam = 2 * 0.3 / 0.5**2
+        assert log_concave_criterion(CompoundPoissonSpec(lam * (1 - 1e-13), sev)).holds
+        assert not log_concave_criterion(CompoundPoissonSpec(lam * (1 - 1e-11), sev)).holds
+
     def test_severity_not_log_concave_is_distinct_failure(self):
         with pytest.raises(HypothesisError):
             log_concave_criterion(CompoundPoissonSpec(0.1, make_dist(0, (0.5, 0.2, 0.3))))

@@ -169,6 +169,12 @@ class TestPoissonBound:
         assert rep.dominated is True  # clamped at 1, vacuous
         assert rep.bound_mu_side == 1.0
 
+    def test_failed_ulc_certificate_is_a_report(self):
+        # 1 * 1^2 < 2 * 1 * 1: not ULC of infinite order at 1
+        rep = poisson_iv_bound(IVSequence(3, (1.0, 1.0, 1.0, 1.0)), 0)
+        assert rep.hypothesis.holds is False and rep.hypothesis.first_violation == 1
+        assert rep.details["lambda"] == 1.0 and rep.oracle_tv is not None
+
     def test_zero_volume_rejected(self):
         with pytest.raises(NotApplicableError):
             poisson_iv_bound(IVSequence(2, (1.0, 0.8, 0.0)), 1)
