@@ -126,7 +126,7 @@ class DiscreteDist:
         if self.tail_deficit < 0:
             raise InvalidDistributionError("negative tail deficit")
         total = (Fraction(sum(cells), den) if exact else sum(cells)) + self.tail_deficit
-        if abs(total - 1) > _NORMALIZATION_GUARD:
+        if not abs(total - 1) <= _NORMALIZATION_GUARD:  # NaN fails too
             raise InvalidDistributionError(f"masses + tail_deficit sum to {float(total)!r}, not 1")
 
     # -- window geometry ----------------------------------------------------

@@ -53,6 +53,14 @@ class TestMakeDist:
         with pytest.raises(InvalidDistributionError):
             make_dist(0, [])
 
+    @pytest.mark.parametrize("build", [
+        lambda: DiscreteDist(0, (math.nan, 1.0)),
+        lambda: DiscreteDist(0, (1.0,), math.nan),
+    ], ids=["nan-mass", "nan-deficit"])
+    def test_nan_rejected(self, build):
+        with pytest.raises(InvalidDistributionError, match="sum to nan, not 1"):
+            build()
+
 
 class TestFamilies:
     def test_binomial_small(self):
