@@ -57,13 +57,6 @@ class BernoulliVector:
         return all(_is_exact(v) for v in self.p)
 
     @cached_property
-    def m_n(self) -> Scalar:
-        """The arithmetic mean of the ``1/alpha_i``, exact on rational input."""
-        if self.is_exact:
-            return 1 + self.lambda_n / self.n  # 1/alpha_i = 1 + p_i/alpha_i
-        return math.fsum(1.0 / a for a in self.alphas) / self.n
-
-    @cached_property
     def lambda_n(self) -> Scalar:
         """``sum p_i/alpha_i = n (m_n - 1)``, the ratio the references match,
         summed directly: ``n (m_n - 1)`` cancels for small ``p_i``."""
@@ -148,14 +141,16 @@ def binomial_target(bv: BernoulliVector) -> DiscreteDist:
 
 
 def binomial_bound_primary(bv: BernoulliVector):
-    """``min(t - 1, 1 - 1/t)`` with ``t = (m_n/g_n)^n = m_n^n prod alpha_i``
-    (``g_n`` the geometric mean of the ``1/alpha_i``), exact on rational
-    input, log-space otherwise, where ``1 - 1/t`` is taken once ``t - 1``
-    leaves the float range."""
+    """``min(t - 1, 1 - 1/t)`` with ``t = (m_n/g_n)^n = (1 + lambda_n/n)^n
+    prod alpha_i`` (``m_n = 1 + lambda_n/n`` and ``g_n`` the arithmetic and
+    geometric means of the ``1/alpha_i``), exact on rational input, log-space
+    otherwise: ``log t = n log1p(lambda_n/n) + sum log1p(-p_i)``, which does
+    not cancel for small ``p_i``, clamped at 0 because ``t >= 1`` (AM-GM), with
+    ``1 - 1/t`` taken once ``t - 1`` leaves the float range."""
     if bv.is_exact:
-        t = bv.m_n**bv.n * math.prod(bv.alphas)
+        t = (1 + bv.lambda_n / bv.n) ** bv.n * math.prod(bv.alphas)
         return min(t - 1, 1 - 1 / t)
-    log_t = bv.n * math.log(bv.m_n) + math.fsum(math.log(a) for a in bv.alphas)
+    log_t = max(bv.n * math.log1p(bv.lambda_n / bv.n) + math.fsum(math.log1p(-float(v)) for v in bv.p), 0.0)
     return min(_safe_expm1(log_t), -math.expm1(-log_t))
 
 

@@ -301,8 +301,13 @@ class TestBinomialBounds:
         expect = math.expm1(0.5 * sum((xi - r) ** 2 for xi in x) + sum(x) ** 3 / 27.0)
         assert binomial_bound_secondary(BernoulliVector(ps), proof_tight=True) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("ps", [[1e-6] * 5, [1e-9] * 2, [0.3] * 7])
+    def test_float_primary_of_equal_probs_is_zero(self, ps):
+        # equal p_i make t exactly 1; log t no longer cancels below 0 or above
+        assert binomial_bound_primary(BernoulliVector(ps)) == 0.0
+
     def test_primary_beyond_float_range_is_one(self):
-        # log t = 2000 log m_n + log 1e-4 is about 3574, so t - 1 overflows
+        # log t = 2000 log1p(lambda_n/2000) + log 1e-4 is about 3574, so t - 1 overflows
         assert binomial_bound_primary(BernoulliVector([0.9999] + [0.0] * 1999)) == 1.0
 
     def test_secondary_beyond_float_range_saturates(self):
@@ -327,10 +332,12 @@ class TestPoissonBounds:
 
     def test_exact_rate_and_binomial_p_are_the_mean_forms(self):
         # summed directly, lambda_n and lambda_n / (n + lambda_n) are still
-        # exactly n (m_n - 1) and 1 - 1/m_n on rational input
+        # exactly n (m_n - 1) and 1 - 1/m_n on rational input, with m_n the
+        # arithmetic mean of the 1/alpha_i
         bv = BernoulliVector((F(1, 3), F(2, 7), F(0), F(11, 23)))
-        assert bv.lambda_n == bv.n * (bv.m_n - 1)
-        assert binomial_target(bv).masses == family_binomial(bv.n, 1 - 1 / bv.m_n).masses
+        m_n = sum(1 / (1 - p) for p in bv.p) / bv.n
+        assert bv.lambda_n == bv.n * (m_n - 1)
+        assert binomial_target(bv).masses == family_binomial(bv.n, 1 - 1 / m_n).masses
 
     def test_mixed_dominates(self):
         bv = BernoulliVector((0.1, 0.2))
