@@ -211,14 +211,14 @@ def _envelope_sum(cells, den: int, a: tuple[int, int], r: tuple[int, int], sign:
     return Fraction(sign * (sum(kept) * ad * hd - an * hn), ad * hd * den)
 
 
-def _float_envelope(d: DiscreteDist, ell: int, log_a: float, log_r: float, sign: int) -> float:
+def _float_envelope(d: DiscreteDist, ell: int, log_a: float, log_r: float, sign: float) -> float:
     """``sum_y (sign (1 - exp(sign (log_a + (y - ell) log_r))))_+ d_y``, the
-    float ``_envelope_sum``; negation is exact, so ``sign = -1`` is bit for bit
-    ``exp(-log_a - (y - ell) log_r) - 1``.  It stops past 1, where the clamp takes it."""
-    b = 0.0
+    float ``_envelope_sum``; negation is exact, so ``sign = -1.0`` is bit for
+    bit ``exp(-log_a - (y - ell) log_r) - 1``.  It stops past 1, where the clamp takes it."""
+    a, r, b = sign * log_a, sign * log_r, 0.0
     for k, m in enumerate(d.masses, d.offset - ell):
         if m > 0:
-            term = sign * (1.0 - _safe_exp(sign * (log_a + k * log_r)))
+            term = sign - sign * _safe_exp(a + k * r)
             if term > 0:
                 b += term * float(m)
                 if b > 1.0:
@@ -254,8 +254,8 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: 
     pl, pl1 = mu.mass(ell), mu.mass(ell + 1)
     log_ratio = math.log(float(pl)) - math.log(float(ql))
     log_r = (math.log(float(pl1)) + math.log(float(ql))) - (math.log(float(pl)) + math.log(float(ql1)))
-    return (clamp01(_float_envelope(nu, ell, log_ratio, log_r, 1)),
-            clamp01(_float_envelope(mu, ell, log_ratio, log_r, -1)))
+    return (clamp01(_float_envelope(nu, ell, log_ratio, log_r, 1.0)),
+            clamp01(_float_envelope(mu, ell, log_ratio, log_r, -1.0)))
 
 
 def _scaled_products(a: float, b: float, c: float, d: float) -> tuple[float, float]:
