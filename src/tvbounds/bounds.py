@@ -39,10 +39,8 @@ from .distributions import (
     DiscreteDist,
     Interval,
     LogConcavityCertificate,
-    _aligned,
-    _kernel_cells,
+    _pair_cells,
     _support_interval,
-    _union_window,
     is_log_concave_relative,
     tv_distance,
 )
@@ -284,15 +282,13 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[in
     scaled by one common power of two, so two products below the float range
     do not both round to the same subnormal and fake a match.
     """
-    exact = mu.is_exact and nu.is_exact
-    window = _union_window(mu, nu)
-    p, q = _aligned(mu, window, exact), _aligned(nu, window, exact)
-    den = _kernel_cells(mu, exact)[1] * _kernel_cells(nu, exact)[1]
+    exact, start, p, d_mu, q, d_nu = _pair_cells(mu, nu)
+    den = d_mu * d_nu
     if ells is None:
-        ells = [window.start + i for i, (a, b) in enumerate(zip(q, q[1:])) if a > 0 and b > 0]
+        ells = [start + i for i, (a, b) in enumerate(zip(q, q[1:])) if a > 0 and b > 0]
     out = []
     for ell in ells:
-        i = ell - window.start
+        i = ell - start
         lhs, rhs = p[i + 1] * q[i], q[i + 1] * p[i]
         if exact:
             # both vanish when the reference does

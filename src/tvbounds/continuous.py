@@ -8,9 +8,9 @@ e^{-lam x} / Gamma(kap)``, so the score (log-density derivative) at ``z`` is
 mass ratio plays on the integers.
 
 The numerics are pure Python and import nothing outside the standard
-library: a series or continued fraction for the Gamma CDF, Brent's method
-(``_brentq``, step for step scipy's ``brentq``) on a sign-changing bracket for
-every density crossing, and closed forms for the ``expquad`` normalizer and
+library: a series or continued fraction for the Gamma CDF, bisection
+(``_bisect``) down to adjacent floats on a sign-changing bracket for every
+density crossing, and closed forms for the ``expquad`` normalizer and
 CDF and for the envelope integrals of ``tv_bound_continuous``, each a Gamma
 mass of an exponentially tilted law.  No quadrature runs anywhere.
 """
@@ -209,54 +209,21 @@ def gamma_density_model(g: GammaParams) -> DensityModel:
 # ---------------------------------------------------------------------------
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-12) -> float:
-    """A root of ``f`` in ``[xa, xb]`` by Brent's method (*Algorithms for
-    Minimization without Derivatives*, 1973), transcribed step for step from
-    scipy's ``brentq.c`` with its default ``rtol = 4 eps`` and 100 iterations,
-    so its iterates and roots are bit-identical to ``scipy.optimize.brentq``
-    with the same ``xtol``.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 * delta
-        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _bisect(f: Callable[[float], float], a: float, b: float) -> float:
+    """A root of ``f`` in the sign-changing bracket ``a < b``: the bracket is
+    halved until its ends are adjacent floats, and the end where ``|f|`` is
+    smaller is returned, or an end where ``f`` is 0 as soon as one is met."""
+    fa, fb = f(a), f(b)
+    while fa and fb:
+        m = a + (b - a) / 2
+        if m == a or m == b:
+            return a if abs(fa) <= abs(fb) else b
+        fm = f(m)
+        if (fm < 0) == (fa < 0):
+            a, fa = m, fm
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
+            b, fb = m, fm
+    return a if fa == 0 else b
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +267,7 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
     gaps = [dens_gap(x) for x in grid]
     for a, b, ga, gb in zip(grid, grid[1:], gaps, gaps[1:]):
         if ga * gb < 0:
-            best = max(best, abs(diff(_brentq(dens_gap, a, b))))
+            best = max(best, abs(diff(_bisect(dens_gap, a, b))))
     # |F - F_exp| peaks where the densities cross; only crossings hidden
     # inside a single grid cell are missed, so a small pad suffices
     oracle = Interval(best, best + 1e-11)
@@ -410,7 +377,7 @@ def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
     The log-density gap ``h(x) = dk log x - dl x + C`` is monotone on each
     side of ``x* = dk/dl`` (everywhere when ``x* <= 0``, then split at 1), so
     a side holds a root iff ``h`` at its start and at its far end differ in
-    sign; doubling away from the start brackets it for ``brentq``.  Below
+    sign; doubling away from the start brackets it for ``_bisect``.  Below
     ``_TINY``, ``dl x`` is under the rounding of ``dk log x + C`` (unless
     ``|dl/dk| > 1e260``), so a root there is ``e^u`` with ``u = -C/dk``.  A
     root above the float range is not reported.
@@ -434,7 +401,7 @@ def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
         while h(x) * h0 > 0 and _TINY < x * step < math.inf:
             x *= step
         if h(x) * h0 <= 0:
-            roots.append(_brentq(h, *sorted((x / step, x)), xtol=1e-300))
+            roots.append(_bisect(h, *sorted((x / step, x))))
         elif x * step <= _TINY:
             # with dk = 0, h is linear
             roots.append(math.exp(-const / dk) if dk else const / dl)

@@ -118,7 +118,7 @@ class DiscreteDist:
         if not self.masses:
             raise InvalidDistributionError("empty mass sequence")
         self.is_exact = exact = _is_exact(self.tail_deficit) and all(map(_is_exact, self.masses))
-        cells, den = _kernel_cells(self, exact)
+        cells, den = self.integer_masses if exact else (self.masses, 1)
         if any(m < 0 for m in cells):
             raise InvalidDistributionError("negative mass")
         if not any(m > 0 for m in cells):
@@ -316,21 +316,16 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
 # ---------------------------------------------------------------------------
 
 
-def _union_window(x: DiscreteDist, y: DiscreteDist) -> range:
-    return range(min(x.offset, y.offset), max(x.end, y.end))
-
-
-def _kernel_cells(d: DiscreteDist, exact: bool) -> tuple[Sequence[Scalar], int]:
-    """The cells a kernel computes on and the denominator they share: the
-    integer numerators when ``exact``, else the stored masses over 1."""
-    return d.integer_masses if exact else (d.masses, 1)
-
-
-def _aligned(d: DiscreteDist, window: range, exact: bool) -> list:
-    """``_kernel_cells(d, exact)[0]`` zero-padded to ``window`` (a superset of
-    ``d``'s own window)."""
-    cells = _kernel_cells(d, exact)[0]
-    return [0] * (d.offset - window.start) + list(cells) + [0] * (window.stop - d.end)
+def _pair_cells(mu: DiscreteDist, nu: DiscreteDist) -> tuple[bool, int, list, int, list, int]:
+    """``(exact, start, p, d_mu, q, d_nu)``: the cells of ``mu`` (``p``) and
+    of ``nu`` (``q``) zero-padded to their union window, which begins at
+    ``start``, with the denominators they share.  They are the integer
+    numerators when both laws are exact, else the stored masses over 1."""
+    exact = mu.is_exact and nu.is_exact
+    start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
+    (p, d_mu), (q, d_nu) = (mu.integer_masses, nu.integer_masses) if exact else ((mu.masses, 1), (nu.masses, 1))
+    pad = lambda d, cells: [0] * (d.offset - start) + list(cells) + [0] * (stop - d.end)
+    return exact, start, pad(mu, p), d_mu, pad(nu, q), d_nu
 
 
 def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
@@ -342,11 +337,9 @@ def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
     ``(N_k d_mu - M_k d_nu)_+`` over their integer numerators ``N`` (of
     ``nu``) and ``M`` (of ``mu``) and divide once by ``d_mu d_nu``.
     """
-    exact = mu.is_exact and nu.is_exact
-    window = _union_window(mu, nu)
-    (_, d_mu), (_, d_nu) = _kernel_cells(mu, exact), _kernel_cells(nu, exact)
+    exact, _, p, d_mu, q, d_nu = _pair_cells(mu, nu)
     t = 0 if exact else 0.0
-    for m, n in zip(_aligned(mu, window, exact), _aligned(nu, window, exact)):
+    for m, n in zip(p, q):
         d = n * d_mu - m * d_nu
         if d > 0:
             t += d
@@ -513,19 +506,17 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
     log-ratio is minus infinity there, and the three-term inequality holds
     vacuously).
     """
-    exact = mu.is_exact and nu.is_exact
-    window = _union_window(mu, nu)
-    p, q = _aligned(mu, window, exact), _aligned(nu, window, exact)
+    exact, start, p, _, q, _ = _pair_cells(mu, nu)
     for i, (pk, qk) in enumerate(zip(p, q)):
         if qk > 0 and pk == 0:
-            k = window.start + i
+            k = start + i
             raise AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
-    return _three_term(q, exact, ref=p, base=window.start)
+    return _three_term(q, exact, ref=p, base=start)
 
 
 def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:
     """Log-concavity against the counting measure on the distribution's window."""
-    return _three_term(_kernel_cells(nu, nu.is_exact)[0], nu.is_exact, base=nu.offset)
+    return _three_term(nu.integer_masses[0] if nu.is_exact else nu.masses, nu.is_exact, base=nu.offset)
 
 
 def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:

@@ -82,8 +82,12 @@ CASES = [
      0, "467a472d2fe34a02ce6f39342da591f024e4bb2e786facbdaed6049164abc58b"),
     ("gamma-case-ii", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"],
      0, "88126319b892692c03c8da978d46cb74d68e681e8e23fd75de454dfc45a3ebe3"),
+    # re-pinned when the density crossings came to be found by bisection: the
+    # crossing moved one ulp, nearer the true root, and the last digits of the
+    # oracle_tv repr moved (0.05155629237546822 to 0.05155629237546811, where
+    # the true TV minus the 1e-10 pad is 0.05155629237546820, far inside it)
     ("gamma-case-ii-table", ["gamma", "--a", "2,1", "--b", "2,1.1", "--case", "ii", "--z", "1", "--format", "table"],
-     0, "627e675f18a5e1b652a196390dbed0e1a6c50c4b2483ce3cd584e583ab7d4bee"),
+     0, "147696e22beabdeb81977de395f6dd001e3d78bf6d40f7b9d037161a36f56557"),
     ("gamma-case-ii-needs-z", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii"],
      1, "1fe94946c0ecf1c30aac80162100fc3232f6e7e2a2a01e061867c68df6e62a45"),
     ("expapprox", ["expapprox", "--density", "builtin:expquad"],

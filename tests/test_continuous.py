@@ -1,6 +1,6 @@
 """Continuous regime against mpmath: density crossings, the incomplete gamma,
 the Gamma TV oracle, the Gamma and score-anchored bounds, and the Kolmogorov
-oracle; Brent's method against scipy's; plus a guard that the benchmark
+oracle; bisection against scipy's ``brentq``; plus a guard that the benchmark
 tracer's entry points still exist and that the tracer installs over them.
 """
 
@@ -382,43 +382,62 @@ def test_kolmogorov_oracle_brackets_mpmath_sup(name):
 
 
 # ---------------------------------------------------------------------------
-# Brent's method against scipy's
+# bisection against scipy's brentq
 # ---------------------------------------------------------------------------
 
 
-def _brentq_calls(monkeypatch, work):
-    """Every ``(f, xa, xb)`` that ``work()`` hands to ``_brentq``."""
-    calls, real = [], cont._brentq
+def _bisect_calls(monkeypatch, work):
+    """Every ``(f, a, b)`` that ``work()`` hands to ``_bisect``."""
+    calls, real = [], cont._bisect
 
-    def record(f, xa, xb, **kw):
-        calls.append((f, xa, xb))
-        return real(f, xa, xb, **kw)
+    def record(f, a, b):
+        calls.append((f, a, b))
+        return real(f, a, b)
 
     with monkeypatch.context() as m:
-        m.setattr(cont, "_brentq", record)
+        m.setattr(cont, "_bisect", record)
         work()
     return calls
 
 
-@pytest.mark.parametrize("tol", [{}, {"xtol": 1e-300}], ids=["default", "crossings"])
-def test_brentq_matches_scipy_on_gamma_gaps(monkeypatch, tol):
+def _assert_sign_change(f, a, b, x):
+    """``x`` is a zero of ``f`` or ends an adjacent-float pair inside
+    ``[a, b]`` across which ``f`` changes sign."""
+    fx = f(x)
+    assert fx == 0 or any(a <= y <= b and f(y) * fx <= 0 for y in (math.nextafter(x, a), math.nextafter(x, b))), (a, b)
+
+
+@pytest.mark.parametrize("xtol", [2e-12, 1e-300], ids=["default", "crossings"])
+def test_bisect_root_on_gamma_gaps(monkeypatch, xtol):
     rng = random.Random(12)
     pairs = _same_sign_pairs(100, 11)
     pairs += [(GammaParams(rng.uniform(0.3, 8.0), rng.uniform(0.2, 5.0)),
                GammaParams(rng.uniform(0.3, 8.0), rng.uniform(0.2, 5.0))) for _ in range(60)]
-    calls = _brentq_calls(monkeypatch, lambda: [cont.gamma_density_crossings(a, b) for a, b in pairs])
-    assert len(calls) > len(pairs)
-    for f, xa, xb in calls:
-        assert cont._brentq(f, xa, xb, **tol) == optimize.brentq(f, xa, xb, **tol), (xa, xb)
+    seen = 0
+    for a, b in pairs:
+        dk, dl, const = cont._log_gap(a, b)
+        for f, lo, hi in _bisect_calls(monkeypatch, lambda: cont.gamma_density_crossings(a, b)):
+            seen += 1
+            x = cont._bisect(f, lo, hi)
+            _assert_sign_change(f, lo, hi, x)
+            # brentq's tolerance, plus the rounding of h = dk log x - dl x + C
+            # over |h'|: any two sign changes of the rounded h lie that close
+            noise = 4 * cont._EPS * (abs(dk * math.log(x)) + abs(dl * x) + abs(const)) / abs(dk / x - dl)
+            assert abs(x - optimize.brentq(f, lo, hi, xtol=xtol)) <= 2 * (xtol + 4 * cont._EPS * x) + noise, (lo, hi)
+    assert seen > len(pairs)
 
 
 @pytest.mark.parametrize("name", ["expquad", "exp:0.5", "exp:2", "exp:7.3"])
-def test_brentq_matches_scipy_on_kolmogorov_density_gaps(monkeypatch, name):
-    # for exp:<rate> the gap is rounding noise around 0, so the steps are erratic
-    calls = _brentq_calls(monkeypatch, lambda: cont.exp_kolmogorov_bound(cont.builtin_density(name)))
+def test_bisect_root_on_kolmogorov_density_gaps(monkeypatch, name):
+    calls = _bisect_calls(monkeypatch, lambda: cont.exp_kolmogorov_bound(cont.builtin_density(name)))
     assert calls
-    for f, xa, xb in calls:
-        assert cont._brentq(f, xa, xb) == optimize.brentq(f, xa, xb), (xa, xb)
+    for f, a, b in calls:
+        x = cont._bisect(f, a, b)
+        _assert_sign_change(f, a, b, x)
+        # for exp:<rate> both densities are one law, so the gap is rounding
+        # noise around 0: every sign change is a root, and brentq's may be another
+        if name == "expquad":
+            assert abs(x - optimize.brentq(f, a, b)) <= 2 * (2e-12 + 4 * cont._EPS * x), (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,65 @@ class TestSetSystems:
             assert profile_from_set_system(SetSystem(spec.n, sets)).counts == profile_partition(spec).counts
 
 
+def _all_pairs_exchange(sys):
+    """The exchange axiom checked between every pair of sizes, as
+    ``profile_from_set_system`` once did: its profile counts, or the message
+    of the first violation."""
+    by_size = {}
+    for s in sys.sets:
+        by_size.setdefault(s.bit_count(), []).append(s)
+    sizes = sorted(by_size)
+    for small in sizes:
+        for big in (b for b in sizes if b > small):
+            for s in by_size[small]:
+                for t in by_size[big]:
+                    if not any((s | 1 << e) in sys.sets for e in range(sys.n) if (t & ~s) >> e & 1):
+                        return (f"exchange violation: no element of {tuple(e for e in range(sys.n) if t >> e & 1)}"
+                                f" extends {tuple(e for e in range(sys.n) if s >> e & 1)}")
+    return tuple(sum(1 for s in sys.sets if s.bit_count() == k) for k in range(sys.n + 1))
+
+
+def _random_family(rng):
+    """A downward-closed family: the linearly independent subsets of 1-6
+    random GF(2) vectors (a matroid), or the subsets of a few random
+    generators on 3-7 elements (most often not one)."""
+    if rng.random() < 0.5:
+        n = rng.randint(1, 6)
+        vecs = [rng.randrange(1 << rng.randint(1, 4)) for _ in range(n)]
+
+        def independent(mask):
+            basis = []
+            for e in range(n):
+                if mask >> e & 1:
+                    v = vecs[e]
+                    for b in basis:
+                        v = min(v, v ^ b)
+                    if not v:
+                        return False
+                    basis = sorted(basis + [v], reverse=True)  # distinct leading bits, highest first
+            return True
+
+        return SetSystem(n, (m for m in range(1 << n) if independent(m)))
+    n = rng.randint(3, 7)
+    gens = [rng.randrange(1 << n) for _ in range(rng.randint(2, 5))]
+    return SetSystem(n, (m for m in range(1 << n) if any(m & g == m for g in gens)))
+
+
+def test_adjacent_size_exchange_matches_all_pairs():
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(300):
+        sys = _random_family(rng)
+        expected = _all_pairs_exchange(sys)
+        try:
+            got = profile_from_set_system(sys).counts
+        except MatroidAxiomError as e:
+            got = str(e)
+        assert got == expected
+        outcomes.add(type(got))
+    assert outcomes == {str, tuple}
+
+
 class TestMason:
     def test_binomial_profile_equality(self):
         assert mason_check(profile_uniform(4, 4)).holds
