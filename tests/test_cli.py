@@ -395,6 +395,18 @@ def test_bernoulli_sum_references_match_for_small_p(argv):
     assert payload.get("rate", payload.get("target_p")) == pytest.approx(float(argv[-1].split(",")[0]), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", ["0.99999999,0.5", "0.99999999,0"])
+def test_binomial_reference_near_p_one_gives_a_report(p):
+    # 1 - p cancels near p = 1, so the target misses the ratio match by a few
+    # 1e-9: the report says so in its anchor, and the envelope bounds still hold
+    code, text = run(["pb-binomial", "--p", p])
+    payload = json.loads(text)
+    assert code == 0
+    assert payload["anchor"]["ratio_matched"] is False
+    assert payload["hypothesis"]["holds"] is True
+    assert payload["dominated"] is True
+
+
 class TestSumGeometricSmallMasses:
     # t = sum p_i/alpha_i is summed from the masses above 0, not as
     # n (m_n - 1), and the geometric reference is built from t itself
