@@ -121,7 +121,7 @@ class DiscreteDist:
         cells, den = self.integer_masses if exact else (self.masses, 1)
         if any(m < 0 for m in cells):
             raise InvalidDistributionError("negative mass")
-        if not any(m > 0 for m in cells):
+        if all(m == 0 for m in cells):  # a NaN cell goes on to the sum check
             raise InvalidDistributionError("all masses zero")
         if self.tail_deficit < 0:
             raise InvalidDistributionError("negative tail deficit")

@@ -46,7 +46,7 @@ class TestMakeDist:
             make_dist(0, [1, -1])
 
     def test_all_zero_rejected(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(InvalidDistributionError, match="all masses zero"):
             make_dist(0, [0, 0])
 
     def test_empty_rejected(self):
@@ -56,7 +56,10 @@ class TestMakeDist:
     @pytest.mark.parametrize("build", [
         lambda: DiscreteDist(0, (math.nan, 1.0)),
         lambda: DiscreteDist(0, (1.0,), math.nan),
-    ], ids=["nan-mass", "nan-deficit"])
+        # the total is NaN or inf, so every normalized mass is NaN or 0
+        lambda: make_dist(0, [math.nan, 1.0]),
+        lambda: make_dist(0, [math.inf, 1.0]),
+    ], ids=["nan-mass", "nan-deficit", "make-dist-nan", "make-dist-inf"])
     def test_nan_rejected(self, build):
         with pytest.raises(InvalidDistributionError, match="sum to nan, not 1"):
             build()
