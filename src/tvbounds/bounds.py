@@ -19,13 +19,18 @@ At a ratio-matched anchor ``q_ell >= p_ell`` necessarily holds and the
 simplified bound equals ``1 - p_ell/q_ell``, the smaller of the two terms.
 
 Every discrete report, from ``certify`` and from the application modules, is
-built by ``anchored_report``: the oracle TV and the bounds are computed there
-and nowhere else, and every report derives its dominance verdict from them.
-``certify`` scans a pair's gaps once: ``_anchor_gaps`` gives every valid
-anchor's cross-product gap in one pass over the aligned cells, the search
-chooses ``ell`` by ``gap <= ANCHOR_MATCH_TOL``, and ``anchor_at`` turns the
-chosen row into the report's anchor record, ratio matched on exact equality
-of the cross products for exact laws and within that tolerance for floats.
+built by ``anchored_report``: the bounds are computed there and nowhere else,
+beside the oracle TV that ``tv_distance`` gives or the caller brings, and
+every report derives its dominance verdict from them.  ``certify`` reads a
+pair in one walk over its aligned cells, ``_pair_scan``: absolute
+continuity, the target's support gap, the three-term certificate (exact
+triples go to ``_three_term``), the oracle TV and the cross-product gap of
+every valid anchor.  Without a given ``ell`` it takes the anchor of smallest gap, ties to
+the smaller index, and ``anchor_at`` turns that row into the report's anchor
+record, ratio matched on exact equality of the cross products for exact laws
+and on ``gap <= ANCHOR_MATCH_TOL`` for floats.  ``is_log_concave_relative``,
+``_anchor_gaps``, ``find_ratio_anchor`` and ``tv_distance`` give the same
+answers one at a time.
 """
 
 from __future__ import annotations
@@ -36,11 +41,13 @@ from fractions import Fraction
 from typing import Mapping
 
 from .distributions import (
+    CERT_REL_TOL,
     DiscreteDist,
     Interval,
     LogConcavityCertificate,
     _pair_cells,
     _support_interval,
+    _three_term,
     is_log_concave_relative,
     tv_distance,
 )
@@ -54,6 +61,9 @@ from .errors import (
 #: |p_{l+1} q_l - q_{l+1} p_l| / max(...) falls below this
 ANCHOR_MATCH_TOL = 1e-12
 _MIN_NORMAL = sys.float_info.min
+
+_NOT_RELATIVE = "target is not log-concave relative to the reference"
+_REF_GAP = "reference support is not a contiguous interval"
 
 #: slack used both by the randomized sweeps and by dominance verdicts; absorbs
 #: truncation deficits on the oracle side of exact-equality instances
@@ -162,12 +172,10 @@ def _hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> tuple[LogConcavityCertifi
         # without its traceback, whose frames would hold it in a reference cycle
         return LogConcavityCertificate(False, e.details["index"], True), e.with_traceback(None)
     if not cert.holds:
-        return cert, HypothesisError("target is not log-concave relative to the reference",
-                                     {"certificate": cert.to_json()})
+        return cert, HypothesisError(_NOT_RELATIVE, {"certificate": cert.to_json()})
     ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
     if not ok:
-        return (LogConcavityCertificate(False, gap, False),
-                HypothesisError("reference support is not a contiguous interval", {"gap_at": gap}))
+        return LogConcavityCertificate(False, gap, False), HypothesisError(_REF_GAP, {"gap_at": gap})
     return cert, None
 
 
@@ -387,6 +395,7 @@ def anchored_report(
     stated_bound: float | None = None,
     details: Mapping[str, object] = {},
     anchor: Anchor | None = None,
+    tv: Interval | None = None,
 ) -> BoundReport:
     """The report for target ``nu`` against reference ``mu`` at anchor ``ell``.
 
@@ -396,9 +405,10 @@ def anchored_report(
     ratio-matched anchor, when ``hypothesis`` holds and both laws have mass at
     ``ell`` and ``ell+1``. A target without mass at both anchor cells has no
     anchor record; ``details["anchor_outside_target_support"]`` names ``ell``.
-    ``anchor`` is the record at ``ell`` when the caller's search built it.
+    ``anchor`` is the record at ``ell`` and ``tv`` the oracle TV when the
+    caller has them.
     """
-    tv = tv_distance(mu, nu)
+    tv = tv_distance(mu, nu) if tv is None else tv
     details = dict(details)
     simplified = b_nu = b_mu = None
     if anchor is None and _positive_at(nu, ell):
@@ -416,33 +426,90 @@ def anchored_report(
     return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, stated_bound, details)
 
 
-def _not_applicable(reason: str, cert: LogConcavityCertificate, mu: DiscreteDist, nu: DiscreteDist) -> BoundReport:
-    return BoundReport(None, None, None, None, cert, tv_distance(mu, nu), None, {"not_applicable": reason})
+def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
+    """What ``certify`` reads off a pair, in one walk over the cells ``p`` (of
+    ``mu``) and ``q`` (of ``nu``) that ``_pair_cells`` aligns: the first index
+    where ``nu`` has mass and ``mu`` has none (or None), the certificate
+    ``is_log_concave_relative`` gives without that, the ``_anchor_gaps`` row
+    at ``ell`` or, without ``ell``, the row of smallest gap, ties to the
+    smaller index (None without a valid anchor), and ``tv_distance(mu, nu)``.
+    Float triples are checked here with ``_three_term``'s products and slack;
+    exact ones go to ``_three_term``, whose log2 pre-check needs the whole run.
+    """
+    exact, start, p, d_mu, q, d_nu = _pair_cells(mu, nu)
+    den, at = d_mu * d_nu, None if ell is None else ell - start + 1
+    ac = violation = row = hi = hole = None
+    t, pa, qa, pb, qb = 0 if exact else 0.0, 0, 0, 0, 0  # cells i - 2 (pa, qa) and i - 1 (pb, qb)
+    for i, (pc, qc) in enumerate(zip(p, q)):
+        d = qc * d_mu - pc * d_nu
+        if d > 0:
+            t += d
+        if qc > 0:
+            if ac is None and pc == 0:
+                ac = start + i
+            if qb > 0 and (at is None or at == i):  # the _anchor_gaps row at i - 1
+                fl, fr = lhs, rhs = pc * qb, qc * pb
+                if exact:
+                    fl, fr = float(lhs / den), float(rhs / den)
+                elif lhs < _MIN_NORMAL or rhs < _MIN_NORMAL:
+                    fl, fr = _scaled_products(pc, qb, qc, pb)
+                scale = fl if fl > fr else fr
+                gap = math.inf if scale == 0 else abs(fl - fr) / scale
+                if row is None or gap < row[2]:
+                    row = (start + i - 1, fl - fr, gap, lhs == rhs != 0 if exact else None)
+            if qa > 0 and qb > 0 and violation is None and not exact:
+                lhs, rhs = qa * qc * (pb * pb), qb * qb * (pa * pc)
+                if not lhs <= rhs + CERT_REL_TOL * (rhs if rhs > lhs else lhs):
+                    violation = start + i - 1
+            hi = i
+        elif hole is None and hi is not None:
+            hole = i
+        pa, qa, pb, qb = pb, qb, pc, qc
+    if exact:
+        cert = None if ac is not None else _three_term(q, True, ref=p, base=start)
+    elif hole is not None and hole < hi:
+        cert = LogConcavityCertificate(False, start + hole, False)
+    else:
+        cert = LogConcavityCertificate(violation is None, violation, True)
+    slack = mu.tail_deficit + nu.tail_deficit
+    t, slack = (Fraction(t, den), slack) if exact else (float(t), float(slack))
+    return ac, cert, row, Interval(t, t + slack if slack else t)
+
+
+def _not_applicable(reason: str, cert: LogConcavityCertificate, tv: Interval) -> BoundReport:
+    return BoundReport(None, None, None, None, cert, tv, None, {"not_applicable": reason})
 
 
 def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> BoundReport:
     """Full pipeline: hypothesis check and anchor selection, then
-    ``anchored_report``.  Hypothesis failures and invalid anchors come back as
-    a structured not-applicable report (with the oracle TV) instead of an
-    exception.
+    ``anchored_report``, all read off one ``_pair_scan``.  Hypothesis
+    failures and invalid anchors come back as a structured not-applicable
+    report (with the oracle TV) instead of an exception; so does a float
+    anchor ``ell`` on subnormal cells, which carry too few digits for a slope.
     """
-    cert, error = _hypothesis(mu, nu)
-    if error is not None:
-        reason = "absolute continuity violated" if isinstance(error, AbsoluteContinuityError) else str(error)
-        return _not_applicable(reason, cert, mu, nu)
+    ac, cert, row, tv = _pair_scan(mu, nu, ell)
+    if ac is not None:
+        return _not_applicable("absolute continuity violated", LogConcavityCertificate(False, ac, True), tv)
+    if not cert.holds:
+        return _not_applicable(_NOT_RELATIVE, cert, tv)
+    ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
+    if not ok:
+        return _not_applicable(_REF_GAP, LogConcavityCertificate(False, gap, False), tv)
 
-    anc = None
     if ell is None:
-        anc = _best_effort_anchor(mu, nu)
-        if anc is not None:
-            ell = anc.ell
-        elif tv_distance(mu, nu).hi == 0:
+        if row is not None:
+            ell = row[0]
+        elif tv.hi == 0:
             ell = nu.support_min  # the single atom both laws share: the bound is 0
         else:
-            return _not_applicable("no valid anchor (target support is a single atom)", cert, mu, nu)
+            return _not_applicable("no valid anchor (target support is a single atom)", cert, tv)
     else:
         try:
             _check_anchor(nu, ell)
         except InvalidAnchorError as e:
-            return _not_applicable(str(e), cert, mu, nu)
-    return anchored_report(mu, nu, ell, cert, anchor=anc)
+            return _not_applicable(str(e), cert, tv)
+        if not (mu.is_exact and nu.is_exact) and any(
+                0 < c < _MIN_NORMAL for c in (mu.mass(ell), mu.mass(ell + 1), nu.mass(ell), nu.mass(ell + 1))):
+            return _not_applicable(f"anchor {ell} has subnormal float cells", cert, tv)
+    anc = None if row is None else anchor_at(mu, nu, ell, row=row)
+    return anchored_report(mu, nu, ell, cert, anchor=anc, tv=tv)

@@ -150,7 +150,8 @@ def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
     bound_mu = _safe_exp(math.lgamma(m + 1) + lam + math.log(vm) - m * math.log(lam) - math.log(w)) - 1.0
     gamma = family_poisson(lam)
     nu = z_dist(iv)
-    bound_nu = 1.0 - float(gamma.mass(m)) / float(nu.mass(m))
+    # V_m / W can underflow to 0.0 although V_m > 0
+    bound_nu = 1.0 - float(gamma.mass(m)) / float(nu.mass(m)) if nu.mass(m) > 0 else None
     details = {"lambda": lam, "m": m, "W": w}
     # balls satisfy only the infinite-order form (the disk has pi^2 < 4 pi),
     # which is the hypothesis the Poisson comparison needs; boxes and cubes

@@ -10,26 +10,14 @@ from __future__ import annotations
 
 import math
 import random
+from typing import TYPE_CHECKING
 
 from .bounds import DOMINANCE_SLACK, certify
 from .distributions import DiscreteDist, tv_distance
 from .errors import BoundNotApplicable
-from .matroids import (
-    PartitionMatroidSpec,
-    enumerate_partition_profile,
-    mason_check,
-    matroid_binomial_bound,
-    matroid_poisson_bound,
-    profile_partition,
-)
-from .sums import (
-    BernoulliVector,
-    binomial_bound_primary,
-    binomial_target,
-    poisson_binomial_pmf,
-    poisson_bound,
-    poisson_target,
-)
+
+if TYPE_CHECKING:
+    from .matroids import PartitionMatroidSpec
 
 
 class SweepReport:
@@ -102,6 +90,9 @@ def run_dominance_sweep(n: int, seed: int) -> SweepReport:
 
 
 def _sums_instance(rng: random.Random):
+    from .sums import (BernoulliVector, binomial_bound_primary, binomial_target, poisson_binomial_pmf, poisson_bound,
+                       poisson_target)
+
     bv = BernoulliVector(tuple(rng.uniform(0.0, 0.5) for _ in range(rng.randint(1, 30))))
     s = poisson_binomial_pmf(bv)
     tv_b = tv_distance(binomial_target(bv), s)
@@ -119,6 +110,8 @@ def run_sums_sweep(n: int, seed: int) -> SweepReport:
 
 
 def random_partition_spec(rng: random.Random) -> PartitionMatroidSpec:
+    from .matroids import PartitionMatroidSpec
+
     cats = []
     left = rng.randint(2, 12)
     while left > 0:
@@ -132,6 +125,9 @@ def random_partition_spec(rng: random.Random) -> PartitionMatroidSpec:
 
 
 def _matroid_instance(rng: random.Random):
+    from .matroids import (enumerate_partition_profile, mason_check, matroid_binomial_bound, matroid_poisson_bound,
+                           profile_partition)
+
     spec = random_partition_spec(rng)
     prof = profile_partition(spec)
     fail, slack = None, math.inf

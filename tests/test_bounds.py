@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 from itertools import accumulate
@@ -10,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tvbounds import (
+    AbsoluteContinuityError,
+    DiscreteDist,
     HypothesisError,
     InvalidAnchorError,
     certify,
@@ -104,6 +107,71 @@ def _two_loop_envelopes(mu, nu, ell):
             if b_mu > 1.0:
                 break
     return clamp01(b_nu), clamp01(b_mu)
+
+
+def _scan_law(rng, kind, tilted=None):
+    """A float, exact or mixed (``Fraction`` masses, float deficit) law on
+    1-10 cells with zeros inside and outside its support, or, given a law
+    ``tilted``, that law on its window tilted by a random concave ``-V``,
+    steep enough now and then to leave subnormal cells."""
+    if tilted is None:
+        offset = rng.randint(-3, 3)
+        cells = [0 if rng.random() < 0.15 else rng.randint(1, 40) for _ in range(rng.randint(1, 10))]
+        cells[rng.randrange(len(cells))] = rng.randint(1, 40)
+    else:
+        n, steep = len(tilted.masses), rng.random() < 0.3
+        # a steep V rises by 700-745 across the window: e^-V ends below the normal range
+        slope = rng.choice((-1, 1)) * rng.uniform(700, 745) / max(n - 1, 1) if steep else rng.uniform(-2, 2)
+        offset, curve = tilted.offset, rng.uniform(0, 0.05 if steep else 1)
+        v = [i * slope + i * i * curve for i in range(n)]
+        cells = [float(m) * math.exp(min(v) - x) for m, x in zip(tilted.masses, v)]
+        if kind != "float":
+            cells = [F(round(c / max(cells) * 2**40)) for c in cells]
+    if kind == "float":
+        return make_dist(offset, [float(c) for c in cells])
+    law = make_dist(offset, [F(c) for c in cells])
+    return law if kind == "exact" else DiscreteDist(offset, law.masses, 0.0)
+
+
+def _scan_pairs(rng, count):
+    """Float, exact and mixed pairs: tilts that certify, identical laws,
+    unrelated laws with support gaps and absolute-continuity failures, and
+    single atoms, in either order."""
+    kinds = ("float", "exact", "mixed")
+    for _ in range(count):
+        mu = _scan_law(rng, rng.choice(kinds))
+        if rng.random() < 0.25:  # tilted twice: cross products can leave the normal range where cells do not
+            mu = _scan_law(rng, "float", mu)
+        draw = rng.random()
+        nu = mu if draw < 0.1 else _scan_law(rng, rng.choice(kinds), mu if draw < 0.6 else None)
+        yield (mu, nu) if rng.random() < 0.8 else (nu, mu)
+
+
+def _decomposed_certify(mu, nu, ell=None):
+    """``certify`` from the kernels it reads in one scan: ``_hypothesis``,
+    ``_smallest_gap_anchor`` over ``_anchor_gaps``, then ``anchored_report``."""
+    cert, error = bounds._hypothesis(mu, nu)
+    tv = tv_distance(mu, nu)
+    reason, anchor = None, None
+    if error is not None:
+        reason = "absolute continuity violated" if isinstance(error, AbsoluteContinuityError) else str(error)
+    elif ell is None:
+        rows = bounds._anchor_gaps(mu, nu)
+        if rows:
+            anchor = bounds._smallest_gap_anchor(mu, nu, rows)
+            ell = anchor.ell
+        elif tv.hi == 0:
+            ell = nu.support_min
+        else:
+            reason = "no valid anchor (target support is a single atom)"
+    elif not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
+        reason = f"anchor {ell} needs positive target mass at {ell} and {ell + 1}"
+    elif not (mu.is_exact and nu.is_exact) and any(
+            0 < c < sys.float_info.min for c in (mu.mass(ell), mu.mass(ell + 1), nu.mass(ell), nu.mass(ell + 1))):
+        reason = f"anchor {ell} has subnormal float cells"
+    if reason is not None:
+        return bounds.BoundReport(None, None, None, None, cert, tv, None, {"not_applicable": reason})
+    return anchored_report(mu, nu, ell, cert, anchor=anchor)
 
 
 @st.composite
@@ -323,18 +391,35 @@ class TestAnchoredReport:
             assert rep.anchor.to_json() == anchor_at(mu, nu, ell).to_json()
         assert rep.to_json() == anchored_report(mu, nu, ell, rep.hypothesis).to_json()
 
-    @pytest.mark.parametrize("pair", [
-        (B_MATCH, PB),
-        NEAR_TIE,
-        random_envelope_instance(random.Random(11), 30),
-        _geometric_pair(),
-    ], ids=["exact-matched", "exact-near-tie", "float-tilt", "float-fallback"])
-    def test_certify_scans_the_gaps_once(self, pair, monkeypatch):
+    @pytest.mark.parametrize("pair, ell", [
+        ((B_MATCH, PB), None),
+        (NEAR_TIE, None),
+        (random_envelope_instance(random.Random(11), 30), None),
+        (_geometric_pair(), None),
+        ((B_MATCH, PB), 1),
+        ((make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 1.0, 1.0])), None),
+    ], ids=["exact-matched", "exact-near-tie", "float-tilt", "float-fallback", "exact-given-anchor",
+            "absolute-continuity"])
+    def test_certify_scans_the_gaps_once(self, pair, ell, monkeypatch):
+        # one _pair_scan gives certify the certificate, the anchor row and
+        # the oracle TV; the separate kernels would walk the cells again
         calls = []
-        scan = bounds._anchor_gaps
-        monkeypatch.setattr(bounds, "_anchor_gaps", lambda *args: calls.append(args) or scan(*args))
-        assert certify(*pair).anchor is not None
+        scan = bounds._pair_scan
+        monkeypatch.setattr(bounds, "_pair_scan", lambda *args: calls.append(args) or scan(*args))
+        for name in ("_anchor_gaps", "is_log_concave_relative", "tv_distance"):
+            monkeypatch.setattr(bounds, name, lambda *args, name=name: pytest.fail(f"certify called {name}"))
+        assert certify(*pair, ell).oracle_tv is not None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certify_is_its_decomposition(self, seed):
+        # the one scan against the kernels it replaces, at the default anchor,
+        # one left of the window and three given ones inside it
+        pick = random.Random(seed)
+        for mu, nu in _scan_pairs(random.Random(seed), 100):
+            lo, hi = min(mu.offset, nu.offset), max(mu.end, nu.end)
+            for ell in (None, lo - 1, *pick.sample(range(lo, hi), min(3, hi - lo))):
+                assert certify(mu, nu, ell).to_json() == _decomposed_certify(mu, nu, ell).to_json()
 
     def test_closed_forms_are_clamped_and_replace_the_envelope(self):
         rep = anchored_report(B_MATCH, PB, 0, certify(B_MATCH, PB).hypothesis, closed_forms=(F(-1, 5), 7))
@@ -391,6 +476,17 @@ class TestCertify:
         rep = certify(B_MATCH, PB, ell=0)
         assert rep.simplified == pytest.approx(1 / 289, abs=1e-15)
         assert rep.dominated is True
+
+    @pytest.mark.parametrize("n, ell", [(1000, 881), (700, 680), (800, 750), (800, 751)])
+    def test_given_anchor_on_subnormal_cells_is_not_applicable(self, n, ell):
+        # the cells at ell and ell + 1 carry one or two significant digits,
+        # too few for the slope log r: at n = 1000 both envelope bounds came
+        # out 0.0, below an oracle TV of 4.7e-4
+        rng = random.Random(n)
+        bv = BernoulliVector([0.3 * (1 + rng.uniform(-0.02, 0.02)) for _ in range(n)])
+        rep = certify(binomial_target(bv), poisson_binomial_pmf(bv), ell)
+        assert rep.details == {"not_applicable": f"anchor {ell} has subnormal float cells"}
+        assert rep.hypothesis.holds and rep.core_bounds() == [] and rep.oracle_tv.hi > 0
 
     def test_point_mass_target_not_applicable(self):
         rep = certify(make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 0.0]))

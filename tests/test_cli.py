@@ -102,6 +102,16 @@ def test_iv_failing_its_float_ulc_certificate_reports_the_failed_hypothesis():
     assert report["kind"] == "iv"
 
 
+def test_iv_box_whose_size_mass_underflows_gives_a_report():
+    # V_79 > 0, but V_79 / W underflows to 0.0 in the size law: the nu-side
+    # closed form, which divides by it, is left out and the mu side remains
+    code, text = run(["iv", "--box", ",".join(["1000"] * 10 + ["1e-5"] * 70), "--m", "79"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["bound_nu_side"] is None and report["bound_mu_side"] == 1.0
+    assert report["dominated"] is True
+
+
 @pytest.mark.parametrize("body, message", [
     (["--cube", "1100,0.5"], "intrinsic volumes of the cube in dimension 1100 leave the float range"),
     (["--cube", "2000,0.01"], "intrinsic volumes of the cube in dimension 2000 leave the float range"),
