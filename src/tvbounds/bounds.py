@@ -20,47 +20,37 @@ simplified bound equals ``1 - p_ell/q_ell``, the smaller of the two terms.
 
 Every discrete report, from ``certify`` and from the application modules, is
 built by ``anchored_report``: the bounds are computed there and nowhere else,
-beside the oracle TV that ``tv_distance`` gives or the caller brings, and
-every report derives its dominance verdict from them.  ``certify`` reads a
-pair in one walk over its aligned cells, ``_pair_scan``: absolute
-continuity, the target's support gap, the three-term certificate (exact
-triples go to ``_three_term``), the oracle TV and the cross-product gap of
-every valid anchor.  Without a given ``ell`` it takes the anchor of smallest gap, ties to
-the smaller index, and ``anchor_at`` turns that row into the report's anchor
-record, ratio matched on exact equality of the cross products for exact laws
-and on ``gap <= ANCHOR_MATCH_TOL`` for floats.  ``is_log_concave_relative``,
-``_anchor_gaps``, ``find_ratio_anchor`` and ``tv_distance`` give the same
-answers one at a time.
+and every report derives its dominance verdict from them.  A report reads
+its pair in one ``distributions._pair_scan``: absolute continuity, the
+certificate, the oracle TV and the gap rows of the valid anchors (or of the
+anchor asked for).  Without a given ``ell``, ``certify`` takes the row of
+smallest gap, ties to the smaller index, and ``anchor_at`` turns a row into
+the anchor record, ratio matched on exact equality of the cross products for
+exact laws and on ``gap <= ANCHOR_MATCH_TOL`` for floats.  The anchor
+functions below are each a few lines over the same scan.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .distributions import (
-    CERT_REL_TOL,
     DiscreteDist,
     Interval,
     LogConcavityCertificate,
-    _pair_cells,
+    _MIN_NORMAL,
+    _continuity_error,
+    _pair_scan,
     _support_interval,
-    _three_term,
-    is_log_concave_relative,
-    tv_distance,
 )
-from .errors import (
-    AbsoluteContinuityError,
-    HypothesisError,
-    InvalidAnchorError,
-)
+from .errors import HypothesisError, InvalidAnchorError
 
 #: an anchor counts as ratio matched when the normalized cross-product gap
 #: |p_{l+1} q_l - q_{l+1} p_l| / max(...) falls below this
 ANCHOR_MATCH_TOL = 1e-12
-_MIN_NORMAL = sys.float_info.min
 
 _NOT_RELATIVE = "target is not log-concave relative to the reference"
 _REF_GAP = "reference support is not a contiguous interval"
@@ -163,14 +153,11 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> tuple[LogConcavityCertificate, HypothesisError | None]:
-    """The certificate of ``nu`` against ``mu``, and the error saying why the
-    envelope bounds do not apply (returned, not raised) or ``None``."""
-    try:
-        cert = is_log_concave_relative(nu, mu)
-    except AbsoluteContinuityError as e:
-        # without its traceback, whose frames would hold it in a reference cycle
-        return LogConcavityCertificate(False, e.details["index"], True), e.with_traceback(None)
+def _verdict(mu: DiscreteDist, ac: int | None, cert: LogConcavityCertificate | None):
+    """The certificate a report carries, from a ``_pair_scan``'s ``ac`` and
+    ``cert``, and the error why the bounds do not apply (returned) or None."""
+    if ac is not None:
+        return LogConcavityCertificate(False, ac, True), _continuity_error(ac)
     if not cert.holds:
         return cert, HypothesisError(_NOT_RELATIVE, {"certificate": cert.to_json()})
     ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
@@ -180,7 +167,7 @@ def _hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> tuple[LogConcavityCertifi
 
 
 def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> LogConcavityCertificate:
-    cert, error = _hypothesis(mu, nu)
+    cert, error = _verdict(mu, *_pair_scan(mu, nu)[:2])
     if error is not None:
         raise error
     return cert
@@ -264,64 +251,18 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: 
             clamp01(_float_envelope(mu, ell, log_ratio, log_r, -1.0)))
 
 
-def _scaled_products(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """``a b`` and ``c d``, both times ``2**-e`` for the larger product's
-    binary exponent ``e``: each product is formed on ``math.frexp`` mantissas,
-    so it is rounded as in the normal range however small it is."""
-    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
-    x, y, ex, ey = ma * mb, mc * md, ea + eb, ec + ed
-    e = max(ex, ey) if x and y else ex if x else ey
-    return math.ldexp(x, ex - e), math.ldexp(y, ey - e)
-
-
-def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[int, float, float, bool | None]]:
-    """Per anchor ``ell``: ``(ell, diff, gap, matched)`` for the cross
-    products ``lhs = p_{l+1} q_l`` and ``rhs = q_{l+1} p_l``, whose equality is
-    the ratio-match condition.  Without ``ells``, every valid anchor (both
-    target cells positive), found in the same scan of the aligned cells.
-
-    ``diff`` has the sign of ``lhs - rhs`` and the normalized gap
-    ``|lhs - rhs| / max(lhs, rhs)`` is a float; ``matched`` says whether
-    ``lhs == rhs != 0`` exactly, or is ``None`` for float laws.  Exact laws
-    multiply their integer numerators, so both products carry the positive
-    factor ``d_mu d_nu``; each float is one correctly rounded int division by
-    it, the same division ``Fraction.__float__`` performs.  Float laws whose
-    products leave the normal range take both from ``math.frexp`` mantissas,
-    scaled by one common power of two, so two products below the float range
-    do not both round to the same subnormal and fake a match.
-    """
-    exact, start, p, d_mu, q, d_nu = _pair_cells(mu, nu)
-    den = d_mu * d_nu
-    if ells is None:
-        ells = [start + i for i, (a, b) in enumerate(zip(q, q[1:])) if a > 0 and b > 0]
-    out = []
-    for ell in ells:
-        i = ell - start
-        lhs, rhs = p[i + 1] * q[i], q[i + 1] * p[i]
-        if exact:
-            # both vanish when the reference does
-            fl, fr, matched = float(lhs / den), float(rhs / den), lhs == rhs != 0
-        else:
-            fl, fr, matched = lhs, rhs, None
-            if min(lhs, rhs) < _MIN_NORMAL:  # zero, subnormal or rounded to either
-                fl, fr = _scaled_products(p[i + 1], q[i], q[i + 1], p[i])
-        scale = max(fl, fr)
-        gap = math.inf if scale == 0 else abs(fl - fr) / scale
-        out.append((ell, fl - fr, gap, matched))
-    return out
-
-
 def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, row=None) -> Anchor:
-    """Build the anchor record at a specific index, from its ``_anchor_gaps``
-    row when the caller has it: ratio matched on exact equality of the cross
-    products for exact laws, on ``gap <= ANCHOR_MATCH_TOL`` for float laws.
+    """Build the anchor record at a specific index from its ``_pair_scan``
+    gap row, the caller's when given: ratio matched on exact equality of the
+    cross products for exact laws, on ``gap <= ANCHOR_MATCH_TOL`` for float
+    laws.
 
     Only the target's cells are checked; a reference without mass at both
     anchor cells gives an infinite gap.
     """
     if row is None:
         _check_anchor(nu, ell)
-        [row] = _anchor_gaps(mu, nu, [ell])
+        [row] = _pair_scan(mu, nu, ell)[2]
     _, _, gap, matched = row
     return Anchor(ell, gap <= ANCHOR_MATCH_TOL if matched is None else matched, gap)
 
@@ -348,41 +289,42 @@ def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, che
     return clamp01(min(ql / pl - 1, 1 - pl / ql))
 
 
-def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist, *, rows=None):
+def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist):
     """All valid anchors (both target cells positive) as ``(ell, diff, gap)``:
-    the gap rows, given or computed, without their match flag."""
-    return [row[:3] for row in (_anchor_gaps(mu, nu) if rows is None else rows)]
+    the ``_pair_scan`` gap rows without their match flag."""
+    return [row[:3] for row in _pair_scan(mu, nu)[2]]
 
 
 def _smallest_gap_anchor(mu: DiscreteDist, nu: DiscreteDist, rows) -> Anchor:
-    """The anchor of the gap row with the smallest gap, ties broken by smaller index."""
-    row = min(rows, key=lambda row: (row[2], row[0]))
+    """The anchor of the gap row with the smallest gap; rows come in
+    increasing ``ell``, so ties go to the smaller index."""
+    row = min(rows, key=itemgetter(2))
     return anchor_at(mu, nu, row[0], row=row)
 
 
-def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist, *, rows=None) -> Anchor | None:
-    """Scan consecutive support pairs for a ratio-matched anchor.
+def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
+    """Scan consecutive support pairs for a ratio-matched anchor, on the
+    ``_pair_scan`` gap rows.
 
     Returns the anchor with the smallest normalized gap (ties broken by
     smaller index) when some gap is at most ``ANCHOR_MATCH_TOL`` or the
     cross-product difference changes sign without vanishing, or ``None`` when
     neither happens (e.g. two distinct geometric laws, whose ratios never
-    meet).  ``rows``: the caller's gap rows.
+    meet).
     """
-    rows = _anchor_gaps(mu, nu) if rows is None else rows
-    cands = _candidate_anchors(mu, nu, rows=rows)
-    signs = [d for _, d, _ in cands]
-    if (any(gap <= ANCHOR_MATCH_TOL for _, _, gap in cands)
+    rows = _pair_scan(mu, nu)[2]
+    signs = [d for _, d, _, _ in rows]
+    if (any(gap <= ANCHOR_MATCH_TOL for _, _, gap, _ in rows)
             or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:]))):
         return _smallest_gap_anchor(mu, nu, rows)
     return None
 
 
 def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
-    """Smallest-gap valid anchor even without a crossing; any valid index
-    yields a correct (possibly weak) bound.  One gap scan serves both."""
-    rows = _anchor_gaps(mu, nu)
-    return find_ratio_anchor(mu, nu, rows=rows) or (_smallest_gap_anchor(mu, nu, rows) if rows else None)
+    """The smallest-gap valid anchor of the ``_pair_scan`` gap rows, matched
+    or not: any valid index yields a correct (possibly weak) bound."""
+    rows = _pair_scan(mu, nu)[2]
+    return _smallest_gap_anchor(mu, nu, rows) if rows else None
 
 
 def anchored_report(
@@ -406,14 +348,16 @@ def anchored_report(
     ``ell`` and ``ell+1``. A target without mass at both anchor cells has no
     anchor record; ``details["anchor_outside_target_support"]`` names ``ell``.
     ``anchor`` is the record at ``ell`` and ``tv`` the oracle TV when the
-    caller has them.
+    caller has them; one ``_pair_scan`` at ``ell`` gives those it lacks.
     """
-    tv = tv_distance(mu, nu) if tv is None else tv
     details = dict(details)
     simplified = b_nu = b_mu = None
-    if anchor is None and _positive_at(nu, ell):
-        anchor = anchor_at(mu, nu, ell)
-    elif anchor is None:
+    if tv is None or anchor is None and _positive_at(nu, ell):
+        _, _, rows, scanned = _pair_scan(mu, nu, ell)
+        tv = scanned if tv is None else tv
+        if anchor is None and rows:
+            anchor = anchor_at(mu, nu, ell, row=rows[0])
+    if anchor is None and not _positive_at(nu, ell):
         details["anchor_outside_target_support"] = ell
     if closed_forms is not None:
         b_nu, b_mu = (None if b is None else float(clamp01(b)) for b in closed_forms)
@@ -424,56 +368,6 @@ def anchored_report(
         if anchor.ratio_matched:
             simplified = float(tv_bound_matched_anchor(mu, nu, ell, check=False, anchor=anchor))
     return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, stated_bound, details)
-
-
-def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
-    """What ``certify`` reads off a pair, in one walk over the cells ``p`` (of
-    ``mu``) and ``q`` (of ``nu``) that ``_pair_cells`` aligns: the first index
-    where ``nu`` has mass and ``mu`` has none (or None), the certificate
-    ``is_log_concave_relative`` gives without that, the ``_anchor_gaps`` row
-    at ``ell`` or, without ``ell``, the row of smallest gap, ties to the
-    smaller index (None without a valid anchor), and ``tv_distance(mu, nu)``.
-    Float triples are checked here with ``_three_term``'s products and slack;
-    exact ones go to ``_three_term``, whose log2 pre-check needs the whole run.
-    """
-    exact, start, p, d_mu, q, d_nu = _pair_cells(mu, nu)
-    den, at = d_mu * d_nu, None if ell is None else ell - start + 1
-    ac = violation = row = hi = hole = None
-    t, pa, qa, pb, qb = 0 if exact else 0.0, 0, 0, 0, 0  # cells i - 2 (pa, qa) and i - 1 (pb, qb)
-    for i, (pc, qc) in enumerate(zip(p, q)):
-        d = qc * d_mu - pc * d_nu
-        if d > 0:
-            t += d
-        if qc > 0:
-            if ac is None and pc == 0:
-                ac = start + i
-            if qb > 0 and (at is None or at == i):  # the _anchor_gaps row at i - 1
-                fl, fr = lhs, rhs = pc * qb, qc * pb
-                if exact:
-                    fl, fr = float(lhs / den), float(rhs / den)
-                elif lhs < _MIN_NORMAL or rhs < _MIN_NORMAL:
-                    fl, fr = _scaled_products(pc, qb, qc, pb)
-                scale = fl if fl > fr else fr
-                gap = math.inf if scale == 0 else abs(fl - fr) / scale
-                if row is None or gap < row[2]:
-                    row = (start + i - 1, fl - fr, gap, lhs == rhs != 0 if exact else None)
-            if qa > 0 and qb > 0 and violation is None and not exact:
-                lhs, rhs = qa * qc * (pb * pb), qb * qb * (pa * pc)
-                if not lhs <= rhs + CERT_REL_TOL * (rhs if rhs > lhs else lhs):
-                    violation = start + i - 1
-            hi = i
-        elif hole is None and hi is not None:
-            hole = i
-        pa, qa, pb, qb = pb, qb, pc, qc
-    if exact:
-        cert = None if ac is not None else _three_term(q, True, ref=p, base=start)
-    elif hole is not None and hole < hi:
-        cert = LogConcavityCertificate(False, start + hole, False)
-    else:
-        cert = LogConcavityCertificate(violation is None, violation, True)
-    slack = mu.tail_deficit + nu.tail_deficit
-    t, slack = (Fraction(t, den), slack) if exact else (float(t), float(slack))
-    return ac, cert, row, Interval(t, t + slack if slack else t)
 
 
 def _not_applicable(reason: str, cert: LogConcavityCertificate, tv: Interval) -> BoundReport:
@@ -487,15 +381,12 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
     report (with the oracle TV) instead of an exception; so does a float
     anchor ``ell`` on subnormal cells, which carry too few digits for a slope.
     """
-    ac, cert, row, tv = _pair_scan(mu, nu, ell)
-    if ac is not None:
-        return _not_applicable("absolute continuity violated", LogConcavityCertificate(False, ac, True), tv)
-    if not cert.holds:
-        return _not_applicable(_NOT_RELATIVE, cert, tv)
-    ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
-    if not ok:
-        return _not_applicable(_REF_GAP, LogConcavityCertificate(False, gap, False), tv)
-
+    ac, cert, rows, tv = _pair_scan(mu, nu, ell)
+    cert, error = _verdict(mu, ac, cert)
+    if error is not None:
+        reason = "absolute continuity violated" if ac is not None else str(error)
+        return _not_applicable(reason, cert, tv)
+    row = min(rows, key=itemgetter(2), default=None)
     if ell is None:
         if row is not None:
             ell = row[0]

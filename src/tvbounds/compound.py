@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import math
 
-from .bounds import BoundReport, anchored_report, clamp01
+from .bounds import BoundReport, anchor_at, anchored_report, clamp01
 from .distributions import (
     CERT_REL_TOL,
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     LogConcavityCertificate,
+    _continuity_error,
     _geometric_law,
+    _pair_scan,
     convolve,
     family_geometric,
     is_log_concave,
-    is_log_concave_relative,
     point_mass,
 )
 from .errors import HypothesisError, InvalidDistributionError, NotApplicableError
@@ -116,12 +117,16 @@ def _matched_report(
     The envelope bounds are reported only when the aggregate law certifies
     log-concave relative to the target; the raw anchor-atom arithmetic
     ``min(nu_0/mu_0 - 1, 1 - mu_0/nu_0)`` is always carried in ``details``
-    (it can be negative when the certificate fails).
+    (it can be negative when the certificate fails).  One ``_pair_scan``
+    gives the certificate, the anchor row and the oracle TV.
     """
     n0, m0 = float(nu.mass(0)), float(target.mass(0))
     details = dict(details, matched_atom_bound_raw=min(n0 / m0 - 1.0, 1.0 - m0 / n0))
-    hypothesis = is_log_concave_relative(nu, target)
-    return anchored_report(target, nu, 0, hypothesis, stated_bound=stated, details=details)
+    ac, hypothesis, rows, tv = _pair_scan(target, nu, 0)
+    if ac is not None:
+        raise _continuity_error(ac)
+    anchor = anchor_at(target, nu, 0, row=rows[0]) if rows else None
+    return anchored_report(target, nu, 0, hypothesis, stated_bound=stated, details=details, anchor=anchor, tv=tv)
 
 
 def geometric_bound_compound_poisson(spec: CompoundPoissonSpec) -> BoundReport:

@@ -17,21 +17,28 @@ for rational cells and with relative slack ``CERT_REL_TOL`` for floats.  The
 weights ``(L_i, R_i)`` are ``(p_i^2, p_{i-1} p_{i+1})`` relative to a
 reference ``p``, ``(1, 1)`` for the counting measure, ``((k+1)(m-k+1),
 k(m-k))`` for ultra log-concavity of order ``m`` and ``(k+1, k)`` for
-infinite order.  The exact kernels (validation, certificates, TV, anchor gaps
-and envelope sums) never add or multiply ``Fraction`` cells: they run on
-``DiscreteDist.integer_masses``, the masses as integer numerators over their
-least common denominator, cached per instance, and build one ``Fraction`` per
-result.  An exact certificate multiplies even those integers only where it
-must: it first compares each inequality on sums of ``math.log2`` of its
-factors (the reference's cells, not their products), taken once per cell,
-and forms the big-integer products only at the cells whose two sides lie
-within a proven error margin of each other, in practice near ties.  Its
-verdicts are those of the products; ``_three_term`` derives the margin.
+infinite order.
+
+Every fact about a pair of laws, from absolute continuity to the anchor gap
+rows, comes from one walk over their aligned cells, ``_pair_scan``, which
+``tv_distance``, ``is_log_concave_relative`` and the reports all read.
+The exact kernels (validation, ``_three_term``, ``_pair_scan`` and the
+envelope sums of ``bounds``) never add or multiply ``Fraction`` cells: they
+run on ``DiscreteDist.integer_masses``, the masses as integer numerators over
+their least common denominator, cached per instance, and build one
+``Fraction`` per result.  An exact certificate multiplies even those integers
+only where it must: it first compares each inequality on sums of
+``math.log2`` of its factors (the reference's cells, not their products),
+taken once per cell, and forms the big-integer products only at the cells
+whose two sides lie within a proven error margin of each other, in practice
+near ties.  Its verdicts are those of the products; ``_three_term`` derives
+the margin.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -299,8 +306,12 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
             return DiscreteDist(0, tuple(masses), Fraction(0))
         return point_mass(0)
     exact = _is_exact(theta) and _is_exact(r)
+    # float(r) of an exact r can underflow, so its log is taken as in _log2_cells
+    log_r = math.log(r.numerator) - math.log(r.denominator) if exact else math.log(r)
+    if log_r == 0:
+        raise InvalidDistributionError(f"geometric ratio 1 - theta = {float(r)!r} is too close to 1 to truncate")
     # residual after masses 0..K is r^(K+1)
-    need = math.ceil(math.log(tail_budget) / math.log(float(r)))
+    need = math.ceil(math.log(tail_budget) / log_r)
     length = max(need, min_length, 1)
     masses = []
     term = theta
@@ -316,20 +327,9 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
 # ---------------------------------------------------------------------------
 
 
-def _pair_cells(mu: DiscreteDist, nu: DiscreteDist) -> tuple[bool, int, list, int, list, int]:
-    """``(exact, start, p, d_mu, q, d_nu)``: the cells of ``mu`` (``p``) and
-    of ``nu`` (``q``) zero-padded to their union window, which begins at
-    ``start``, with the denominators they share.  They are the integer
-    numerators when both laws are exact, else the stored masses over 1."""
-    exact = mu.is_exact and nu.is_exact
-    start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
-    (p, d_mu), (q, d_nu) = (mu.integer_masses, nu.integer_masses) if exact else ((mu.masses, 1), (nu.masses, 1))
-    pad = lambda d, cells: [0] * (d.offset - start) + list(cells) + [0] * (stop - d.end)
-    return exact, start, pad(mu, p), d_mu, pad(nu, q), d_nu
-
-
 def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
-    """Total variation as an interval absorbing both truncation deficits.
+    """Total variation as an interval absorbing both truncation deficits,
+    read off ``_pair_scan``.
 
     The point value is ``sum_k (nu_k - mu_k)_+`` over the union window; the
     true distance of the untruncated laws lies within
@@ -337,18 +337,7 @@ def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
     ``(N_k d_mu - M_k d_nu)_+`` over their integer numerators ``N`` (of
     ``nu``) and ``M`` (of ``mu``) and divide once by ``d_mu d_nu``.
     """
-    exact, _, p, d_mu, q, d_nu = _pair_cells(mu, nu)
-    t = 0 if exact else 0.0
-    for m, n in zip(p, q):
-        d = n * d_mu - m * d_nu
-        if d > 0:
-            t += d
-    slack = mu.tail_deficit + nu.tail_deficit
-    if exact:
-        t = Fraction(t, d_mu * d_nu)
-    else:
-        t, slack = float(t), float(slack)
-    return Interval(t, t + slack if slack else t)
+    return _pair_scan(mu, nu)[3]
 
 
 def _neumaier_sum(values) -> float:
@@ -492,26 +481,106 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
     return LogConcavityCertificate(True, None, True)
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
+def _scaled_products(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """``a b`` and ``c d``, both times ``2**-e`` for the larger product's
+    binary exponent ``e``: each product is formed on ``math.frexp`` mantissas,
+    so it is rounded as in the normal range however small it is."""
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
+    x, y, ex, ey = ma * mb, mc * md, ea + eb, ec + ed
+    e = max(ex, ey) if x and y else ex if x else ey
+    return math.ldexp(x, ex - e), math.ldexp(y, ey - e)
+
+
+def _continuity_error(k: int) -> AbsoluteContinuityError:
+    return AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
+
+
+def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
+    """Everything a report reads off a pair, in one walk over the cells
+    ``p`` of ``mu`` and ``q`` of ``nu`` zero-padded to their union window
+    (integer numerators when both laws are exact, else the stored masses):
+    ``(ac, cert, rows, tv)``.  ``ac`` is the first index where ``nu`` has
+    mass and ``mu`` has none, or None; ``cert`` says whether ``nu`` is
+    log-concave relative to ``mu`` (None for exact laws when ``ac`` is set);
+    ``tv`` is ``tv_distance(mu, nu)``.  ``rows`` holds, per valid anchor
+    (both target cells positive), in increasing order, or only at ``ell``
+    when given, the gap row ``(ell, diff, gap, matched)`` of the cross
+    products ``lhs = p_{l+1} q_l`` and ``rhs = q_{l+1} p_l``: ``diff`` has
+    the sign of ``lhs - rhs``, the float ``gap`` is ``|lhs - rhs| / max(lhs,
+    rhs)`` and ``matched`` is ``lhs == rhs != 0`` for exact laws, None for
+    floats.  Exact products carry the factor ``d_mu d_nu``, taken out by
+    one correctly rounded int division each, as ``Fraction.__float__``
+    does; float products below the normal range come from
+    ``_scaled_products``, so two of them do not round to one subnormal and
+    fake a match.  Float triples are checked in the walk; exact ones go to
+    ``_three_term``, whose log2 pre-check needs the whole run.
+    """
+    exact = mu.is_exact and nu.is_exact
+    start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
+    (p, d_mu), (q, d_nu) = (mu.integer_masses, nu.integer_masses) if exact else ((mu.masses, 1), (nu.masses, 1))
+    pad = lambda d, cells: [0] * (d.offset - start) + list(cells) + [0] * (stop - d.end)
+    p, q = pad(mu, p), pad(nu, q)
+    den, at = d_mu * d_nu, None if ell is None else ell + 1
+    ac = violation = hi = hole = None
+    rows = []
+    t, pa, qa, pb, qb = 0 if exact else 0.0, 0, 0, 0, 0  # cells k - 2 (pa, qa) and k - 1 (pb, qb)
+    for k, (pc, qc) in enumerate(zip(p, q), start):
+        d = qc * d_mu - pc * d_nu
+        if d > 0:
+            t += d
+        if qc > 0:
+            if ac is None and pc == 0:
+                ac = k
+            if qb > 0 and (at is None or at == k):  # the gap row at k - 1
+                fl, fr = lhs, rhs = pc * qb, qc * pb
+                if exact:
+                    fl, fr = float(lhs / den), float(rhs / den)  # both vanish when the reference does
+                elif lhs < _MIN_NORMAL or rhs < _MIN_NORMAL:  # zero, subnormal or rounded to either
+                    fl, fr = _scaled_products(pc, qb, qc, pb)
+                scale = fl if fl > fr else fr
+                gap = math.inf if scale == 0 else abs(fl - fr) / scale
+                rows.append((k - 1, fl - fr, gap, lhs == rhs != 0 if exact else None))
+            if qa > 0 and qb > 0 and violation is None and not exact:
+                lhs, rhs = qa * qc * (pb * pb), qb * qb * (pa * pc)
+                if not lhs <= rhs + CERT_REL_TOL * (rhs if rhs > lhs else lhs):
+                    violation = k - 1
+            hi = k
+        elif hole is None and hi is not None:
+            hole = k
+        pa, qa, pb, qb = pb, qb, pc, qc
+    if exact:
+        cert = None if ac is not None else _three_term(q, True, ref=p, base=start)
+    elif hole is not None and hole < hi:
+        cert = LogConcavityCertificate(False, hole, False)
+    else:
+        cert = LogConcavityCertificate(violation is None, violation, True)
+    slack = mu.tail_deficit + nu.tail_deficit
+    t, slack = (Fraction(t, den), slack) if exact else (float(t), float(slack))
+    return ac, cert, rows, Interval(t, t + slack if slack else t)
+
+
 def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityCertificate:
-    """Certify that ``nu`` is log-concave relative to ``mu``.
+    """Certify that ``nu`` is log-concave relative to ``mu``, read off
+    ``_pair_scan``.
 
     Requires absolute continuity (``nu_k > 0`` implies ``mu_k > 0``); raises
-    :class:`AbsoluteContinuityError` otherwise, which is distinct from a
-    concavity failure.  The check is (a) the support of ``nu`` is a contiguous
-    interval, (b) at every interior index of that interval
-    ``q_{k-1} q_{k+1} p_k^2 <= q_k^2 p_{k-1} p_{k+1}`` in cross-multiplied
-    form, exact for rational inputs (on their integer numerators: both sides
-    carry the same positive factor ``d_nu^2 d_mu^2``) and with relative slack
-    for floats.  Positions where ``nu`` vanishes constrain nothing (the
-    log-ratio is minus infinity there, and the three-term inequality holds
-    vacuously).
+    :class:`AbsoluteContinuityError` at the first index where it fails,
+    which is distinct from a concavity failure.  The check is (a) the support
+    of ``nu`` is a contiguous interval, (b) at every interior index of that
+    interval ``q_{k-1} q_{k+1} p_k^2 <= q_k^2 p_{k-1} p_{k+1}`` in
+    cross-multiplied form, exact for rational inputs (on their integer
+    numerators: both sides carry the same positive factor ``d_nu^2 d_mu^2``)
+    and with relative slack for floats.  Positions where ``nu`` vanishes
+    constrain nothing (the log-ratio is minus infinity there, and the
+    three-term inequality holds vacuously).
     """
-    exact, start, p, _, q, _ = _pair_cells(mu, nu)
-    for i, (pk, qk) in enumerate(zip(p, q)):
-        if qk > 0 and pk == 0:
-            k = start + i
-            raise AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
-    return _three_term(q, exact, ref=p, base=start)
+    ac, cert, _, _ = _pair_scan(mu, nu)
+    if ac is not None:
+        raise _continuity_error(ac)
+    return cert
 
 
 def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tvbounds import (
     AbsoluteContinuityError,
+    BoundNotApplicable,
     DiscreteDist,
     HypothesisError,
     InvalidAnchorError,
@@ -26,8 +27,9 @@ from tvbounds import (
     tv_bounds_at_anchor,
     tv_distance,
 )
-from tvbounds import bounds
-from tvbounds.bounds import _float_envelope, _safe_exp, _scaled_products, anchor_at, anchored_report, clamp01
+from tvbounds import bounds, compound, distributions, intrinsic_volumes, matroids, sums
+from tvbounds.bounds import _float_envelope, _safe_exp, anchor_at, anchored_report, clamp01
+from tvbounds.distributions import Interval, LogConcavityCertificate, _scaled_products, _support_interval, _three_term
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
 from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
 
@@ -147,31 +149,163 @@ def _scan_pairs(rng, count):
         yield (mu, nu) if rng.random() < 0.8 else (nu, mu)
 
 
+# The pair kernels that ``distributions._pair_scan`` replaced, kept verbatim
+# as its independent reference: the cell alignment, the anchor gap rows, the
+# TV loop and the absolute-continuity loop, each a walk of its own.
+
+
+def _pair_cells(mu: DiscreteDist, nu: DiscreteDist) -> tuple[bool, int, list, int, list, int]:
+    """``(exact, start, p, d_mu, q, d_nu)``: the cells of ``mu`` (``p``) and
+    of ``nu`` (``q``) zero-padded to their union window, which begins at
+    ``start``, with the denominators they share.  They are the integer
+    numerators when both laws are exact, else the stored masses over 1."""
+    exact = mu.is_exact and nu.is_exact
+    start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
+    (p, d_mu), (q, d_nu) = (mu.integer_masses, nu.integer_masses) if exact else ((mu.masses, 1), (nu.masses, 1))
+    pad = lambda d, cells: [0] * (d.offset - start) + list(cells) + [0] * (stop - d.end)
+    return exact, start, pad(mu, p), d_mu, pad(nu, q), d_nu
+
+
+def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[int, float, float, bool | None]]:
+    """Per anchor ``ell``: ``(ell, diff, gap, matched)`` for the cross
+    products ``lhs = p_{l+1} q_l`` and ``rhs = q_{l+1} p_l``, whose equality is
+    the ratio-match condition.  Without ``ells``, every valid anchor (both
+    target cells positive), found in the same scan of the aligned cells.
+
+    ``diff`` has the sign of ``lhs - rhs`` and the normalized gap
+    ``|lhs - rhs| / max(lhs, rhs)`` is a float; ``matched`` says whether
+    ``lhs == rhs != 0`` exactly, or is ``None`` for float laws.  Exact laws
+    multiply their integer numerators, so both products carry the positive
+    factor ``d_mu d_nu``; each float is one correctly rounded int division by
+    it, the same division ``Fraction.__float__`` performs.  Float laws whose
+    products leave the normal range take both from ``math.frexp`` mantissas,
+    scaled by one common power of two, so two products below the float range
+    do not both round to the same subnormal and fake a match.
+    """
+    exact, start, p, d_mu, q, d_nu = _pair_cells(mu, nu)
+    den = d_mu * d_nu
+    if ells is None:
+        ells = [start + i for i, (a, b) in enumerate(zip(q, q[1:])) if a > 0 and b > 0]
+    out = []
+    for ell in ells:
+        i = ell - start
+        lhs, rhs = p[i + 1] * q[i], q[i + 1] * p[i]
+        if exact:
+            # both vanish when the reference does
+            fl, fr, matched = float(lhs / den), float(rhs / den), lhs == rhs != 0
+        else:
+            fl, fr, matched = lhs, rhs, None
+            if min(lhs, rhs) < sys.float_info.min:  # zero, subnormal or rounded to either
+                fl, fr = _scaled_products(p[i + 1], q[i], q[i + 1], p[i])
+        scale = max(fl, fr)
+        gap = math.inf if scale == 0 else abs(fl - fr) / scale
+        out.append((ell, fl - fr, gap, matched))
+    return out
+
+
+def _reference_tv(mu, nu):
+    exact, _, p, d_mu, q, d_nu = _pair_cells(mu, nu)
+    t = 0 if exact else 0.0
+    for m, n in zip(p, q):
+        d = n * d_mu - m * d_nu
+        if d > 0:
+            t += d
+    slack = mu.tail_deficit + nu.tail_deficit
+    if exact:
+        t = F(t, d_mu * d_nu)
+    else:
+        t, slack = float(t), float(slack)
+    return Interval(t, t + slack if slack else t)
+
+
+def _reference_relative(nu, mu):
+    exact, start, p, _, q, _ = _pair_cells(mu, nu)
+    for i, (pk, qk) in enumerate(zip(p, q)):
+        if qk > 0 and pk == 0:
+            k = start + i
+            raise AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
+    return _three_term(q, exact, ref=p, base=start)
+
+
+def _reference_anchor(row):
+    ell, _, gap, matched = row
+    return bounds.Anchor(ell, gap <= bounds.ANCHOR_MATCH_TOL if matched is None else matched, gap)
+
+
+def _reference_anchor_at(mu, nu, ell):
+    if not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
+        raise InvalidAnchorError(f"anchor {ell} needs positive target mass at {ell} and {ell + 1}")
+    [row] = _anchor_gaps(mu, nu, [ell])
+    return _reference_anchor(row)
+
+
+def _reference_smallest_gap(rows):
+    return _reference_anchor(min(rows, key=lambda row: (row[2], row[0])))
+
+
+def _reference_find_ratio_anchor(mu, nu):
+    rows = _anchor_gaps(mu, nu)
+    signs = [d for _, d, _, _ in rows]
+    if (any(gap <= bounds.ANCHOR_MATCH_TOL for _, _, gap, _ in rows)
+            or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:]))):
+        return _reference_smallest_gap(rows)
+    return None
+
+
+def _reference_hypothesis(mu, nu):
+    """The certificate a report carries and why the envelope bounds do not
+    apply, or ``None``."""
+    try:
+        cert = _reference_relative(nu, mu)
+    except AbsoluteContinuityError as e:
+        return LogConcavityCertificate(False, e.details["index"], True), "absolute continuity violated"
+    if not cert.holds:
+        return cert, "target is not log-concave relative to the reference"
+    ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
+    if not ok:
+        return LogConcavityCertificate(False, gap, False), "reference support is not a contiguous interval"
+    return cert, None
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` gives, in JSON form when it has one, or the type,
+    message and details of the ``BoundNotApplicable`` it raises."""
+    try:
+        out = f(*args)
+    except BoundNotApplicable as e:
+        return type(e), str(e), e.details
+    return out.to_json() if hasattr(out, "to_json") else out
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
 def _decomposed_certify(mu, nu, ell=None):
-    """``certify`` from the kernels it reads in one scan: ``_hypothesis``,
-    ``_smallest_gap_anchor`` over ``_anchor_gaps``, then ``anchored_report``."""
-    cert, error = bounds._hypothesis(mu, nu)
-    tv = tv_distance(mu, nu)
-    reason, anchor = None, None
-    if error is not None:
-        reason = "absolute continuity violated" if isinstance(error, AbsoluteContinuityError) else str(error)
-    elif ell is None:
-        rows = bounds._anchor_gaps(mu, nu)
+    """``certify`` from the reference kernels above: the hypothesis, the TV
+    loop and the smallest-gap row of ``_anchor_gaps``, then
+    ``anchored_report`` with all of them given."""
+    cert, reason = _reference_hypothesis(mu, nu)
+    tv, anchor = _reference_tv(mu, nu), None
+    if reason is None and ell is None:
+        rows = _anchor_gaps(mu, nu)
         if rows:
-            anchor = bounds._smallest_gap_anchor(mu, nu, rows)
+            anchor = _reference_smallest_gap(rows)
             ell = anchor.ell
         elif tv.hi == 0:
             ell = nu.support_min
         else:
             reason = "no valid anchor (target support is a single atom)"
-    elif not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
+    elif reason is None and not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
         reason = f"anchor {ell} needs positive target mass at {ell} and {ell + 1}"
-    elif not (mu.is_exact and nu.is_exact) and any(
+    elif reason is None and not (mu.is_exact and nu.is_exact) and any(
             0 < c < sys.float_info.min for c in (mu.mass(ell), mu.mass(ell + 1), nu.mass(ell), nu.mass(ell + 1))):
         reason = f"anchor {ell} has subnormal float cells"
+    elif reason is None:
+        anchor = _reference_anchor_at(mu, nu, ell)
     if reason is not None:
         return bounds.BoundReport(None, None, None, None, cert, tv, None, {"not_applicable": reason})
-    return anchored_report(mu, nu, ell, cert, anchor=anchor)
+    return anchored_report(mu, nu, ell, cert, anchor=anchor, tv=tv)
 
 
 @st.composite
@@ -391,25 +525,49 @@ class TestAnchoredReport:
             assert rep.anchor.to_json() == anchor_at(mu, nu, ell).to_json()
         assert rep.to_json() == anchored_report(mu, nu, ell, rep.hypothesis).to_json()
 
-    @pytest.mark.parametrize("pair, ell", [
-        ((B_MATCH, PB), None),
-        (NEAR_TIE, None),
-        (random_envelope_instance(random.Random(11), 30), None),
-        (_geometric_pair(), None),
-        ((B_MATCH, PB), 1),
-        ((make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 1.0, 1.0])), None),
+    @pytest.mark.parametrize("report", [
+        lambda: certify(B_MATCH, PB),
+        lambda: certify(*NEAR_TIE),
+        lambda: certify(*random_envelope_instance(random.Random(11), 30)),
+        lambda: certify(*_geometric_pair()),
+        lambda: certify(B_MATCH, PB, 1),
+        lambda: certify(make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 1.0, 1.0])),
+        lambda: compound.geometric_bound_compound_poisson(
+            compound.CompoundPoissonSpec(0.4, make_dist(0, [0.3, 0.65, 0.05]))),
+        lambda: compound.geometric_bound_compound_geometric(
+            compound.CompoundGeometricSpec(make_dist(0, [0, 0.7, 0.3]), 0.3)),
+        lambda: matroids.matroid_binomial_bound(matroids.profile_uniform(8, 4), 2),
+        lambda: matroids.matroid_poisson_bound(matroids.profile_uniform(8, 4), 2),
+        lambda: intrinsic_volumes.poisson_iv_bound(intrinsic_volumes.iv_box([0.5, 1, 2]), 1),
+        lambda: sums.geometric_sum_bound([family_geometric(0.9), make_dist(0, [0.95, 0.05])]),
     ], ids=["exact-matched", "exact-near-tie", "float-tilt", "float-fallback", "exact-given-anchor",
-            "absolute-continuity"])
-    def test_certify_scans_the_gaps_once(self, pair, ell, monkeypatch):
-        # one _pair_scan gives certify the certificate, the anchor row and
-        # the oracle TV; the separate kernels would walk the cells again
-        calls = []
-        scan = bounds._pair_scan
-        monkeypatch.setattr(bounds, "_pair_scan", lambda *args: calls.append(args) or scan(*args))
-        for name in ("_anchor_gaps", "is_log_concave_relative", "tv_distance"):
-            monkeypatch.setattr(bounds, name, lambda *args, name=name: pytest.fail(f"certify called {name}"))
-        assert certify(*pair, ell).oracle_tv is not None
+            "absolute-continuity", "compound-poisson", "compound-geometric", "matroid-binomial", "matroid-poisson",
+            "iv", "sum-geometric"])
+    def test_certify_scans_the_gaps_once(self, report, monkeypatch):
+        # every report reads its certificate (where it reads one), the anchor
+        # row and the oracle TV off one _pair_scan; no other kernel walks the pair
+        calls, scan = [], distributions._pair_scan
+        for module in (distributions, bounds, compound):
+            monkeypatch.setattr(module, "_pair_scan", lambda *args: calls.append(args) or scan(*args))
+        assert report().oracle_tv is not None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_reading_functions_are_the_reference_kernels(self, seed):
+        # each function that reads _pair_scan against the separate walk it
+        # replaced; the geometric laws carry tail deficits
+        for mu, nu in (*_scan_pairs(random.Random(seed), 60), _geometric_pair()):
+            assert _typed(tv_distance(mu, nu)) == _typed(_reference_tv(mu, nu))
+            assert _outcome(is_log_concave_relative, nu, mu) == _outcome(_reference_relative, nu, mu)
+            lo, hi = min(mu.offset, nu.offset), max(mu.end, nu.end)
+            for ell in range(lo - 1, hi):
+                assert _outcome(anchor_at, mu, nu, ell) == _outcome(_reference_anchor_at, mu, nu, ell)
+            rows = _anchor_gaps(mu, nu)
+            assert bounds._candidate_anchors(mu, nu) == [row[:3] for row in rows]
+            found = _reference_find_ratio_anchor(mu, nu)
+            assert _outcome(find_ratio_anchor, mu, nu) == (found and found.to_json())
+            best = found or (_reference_smallest_gap(rows) if rows else None)
+            assert _outcome(bounds._best_effort_anchor, mu, nu) == (best and best.to_json())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_certify_is_its_decomposition(self, seed):

@@ -199,6 +199,16 @@ def test_product_bound_beyond_float_range_saturates(tmp_path, factor):
     assert code == 0 and json.loads(text)["bound"] == "inf"
 
 
+def test_box_product_beyond_float_range_saturates(tmp_path):
+    # e^270000 - 1 is inf, clamped to 1; no law of rate 900 is built for it
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"mode": "box", "factors": [{"segment": 300}] * 3}))
+    code, text = run(["iv", "--product", str(path)])
+    assert code == 0
+    out = json.loads(text)
+    assert out["bound"] == "inf" and out["bound_clamped"] == 1.0
+
+
 @pytest.mark.parametrize("p, message", [
     ("1.5", "p_0 = 1.5 must lie in [0, 1]"),
     ("-0.2", "p_0 = -0.2 must lie in [0, 1]"),

@@ -103,6 +103,18 @@ class TestFamilies:
         assert 0 < d.tail_deficit <= 1e-12
         assert abs(sum(d.masses) + d.tail_deficit - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("theta", [1e-300, F(1, 10**400)], ids=["float", "exact"])
+    def test_geometric_ratio_indistinguishable_from_one_is_an_input_error(self, theta):
+        # r = 1 - theta rounds to 1.0, or its log does: no window reaches the budget
+        with pytest.raises(InvalidDistributionError, match="too close to 1"):
+            family_geometric(theta)
+
+    def test_geometric_exact_ratio_below_the_float_range(self):
+        # float(r) underflows to 0.0; one cell leaves a tail of r itself
+        r = F(1, 10**400)
+        d = family_geometric(1 - r)
+        assert d.masses == (1 - r,) and d.tail_deficit == r
+
     def test_poisson_series(self):
         d = family_poisson(1.0, 1e-12)
         for k in range(6):
