@@ -22,12 +22,17 @@ Every discrete report, from ``certify`` and from the application modules, is
 built by ``anchored_report``: the bounds are computed there and nowhere else,
 and every report derives its dominance verdict from them.  A report reads
 its pair in one ``distributions._pair_scan``: absolute continuity, the
-certificate, the oracle TV and the gap rows of the valid anchors (or of the
-anchor asked for).  Without a given ``ell``, ``certify`` takes the row of
-smallest gap, ties to the smaller index, and ``anchor_at`` turns a row into
-the anchor record, ratio matched on exact equality of the cross products for
-exact laws and on ``gap <= ANCHOR_MATCH_TOL`` for floats.  The anchor
-functions below are each a few lines over the same scan.
+oracle TV and the gap rows of the valid anchors (or of the anchor asked
+for).  The scan decides no certificate.  The readers that need the
+relative one, ``certify`` and ``_check_hypothesis`` (through ``_verdict``),
+``is_log_concave_relative`` and the compound reports, have it decided by
+``distributions._three_term`` on the scan's aligned cells; the other
+application reports bring the certificate of their own hypothesis.  Without
+a given ``ell``, ``certify`` takes the row of smallest gap, ties to the
+smaller index, and ``anchor_at`` turns a row into the anchor record, ratio
+matched on exact equality of the cross products for exact laws and on
+``gap <= ANCHOR_MATCH_TOL`` for floats.  The anchor functions below are
+each a few lines over the same scan.
 """
 
 from __future__ import annotations
@@ -153,11 +158,13 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _verdict(mu: DiscreteDist, ac: int | None, cert: LogConcavityCertificate | None):
+def _verdict(mu: DiscreteDist, ac: int | None, relative):
     """The certificate a report carries, from a ``_pair_scan``'s ``ac`` and
-    ``cert``, and the error why the bounds do not apply (returned) or None."""
+    ``relative`` (called only when ``ac`` is None), and the error why the
+    bounds do not apply (returned) or None."""
     if ac is not None:
         return LogConcavityCertificate(False, ac, True), _continuity_error(ac)
+    cert = relative()
     if not cert.holds:
         return cert, HypothesisError(_NOT_RELATIVE, {"certificate": cert.to_json()})
     ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
@@ -381,8 +388,8 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
     report (with the oracle TV) instead of an exception; so does a float
     anchor ``ell`` on subnormal cells, which carry too few digits for a slope.
     """
-    ac, cert, rows, tv = _pair_scan(mu, nu, ell)
-    cert, error = _verdict(mu, ac, cert)
+    ac, relative, rows, tv = _pair_scan(mu, nu, ell)
+    cert, error = _verdict(mu, ac, relative)
     if error is not None:
         reason = "absolute continuity violated" if ac is not None else str(error)
         return _not_applicable(reason, cert, tv)

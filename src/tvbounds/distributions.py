@@ -21,7 +21,9 @@ infinite order.
 
 Every fact about a pair of laws, from absolute continuity to the anchor gap
 rows, comes from one walk over their aligned cells, ``_pair_scan``, which
-``tv_distance``, ``is_log_concave_relative`` and the reports all read.
+``tv_distance``, ``is_log_concave_relative`` and the reports all read.  The
+scan decides no certificate: it hands its aligned cells to ``_three_term``
+for the readers that need the relative one.
 The exact kernels (validation, ``_three_term``, ``_pair_scan`` and the
 envelope sums of ``bounds``) never add or multiply ``Fraction`` cells: they
 run on ``DiscreteDist.integer_masses``, the masses as integer numerators over
@@ -502,21 +504,21 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
     """Everything a report reads off a pair, in one walk over the cells
     ``p`` of ``mu`` and ``q`` of ``nu`` zero-padded to their union window
     (integer numerators when both laws are exact, else the stored masses):
-    ``(ac, cert, rows, tv)``.  ``ac`` is the first index where ``nu`` has
-    mass and ``mu`` has none, or None; ``cert`` says whether ``nu`` is
-    log-concave relative to ``mu`` (None for exact laws when ``ac`` is set);
-    ``tv`` is ``tv_distance(mu, nu)``.  ``rows`` holds, per valid anchor
-    (both target cells positive), in increasing order, or only at ``ell``
-    when given, the gap row ``(ell, diff, gap, matched)`` of the cross
-    products ``lhs = p_{l+1} q_l`` and ``rhs = q_{l+1} p_l``: ``diff`` has
-    the sign of ``lhs - rhs``, the float ``gap`` is ``|lhs - rhs| / max(lhs,
-    rhs)`` and ``matched`` is ``lhs == rhs != 0`` for exact laws, None for
-    floats.  Exact products carry the factor ``d_mu d_nu``, taken out by
-    one correctly rounded int division each, as ``Fraction.__float__``
-    does; float products below the normal range come from
-    ``_scaled_products``, so two of them do not round to one subnormal and
-    fake a match.  Float triples are checked in the walk; exact ones go to
-    ``_three_term``, whose log2 pre-check needs the whole run.
+    ``(ac, relative, rows, tv)``.  ``ac`` is the first index where ``nu`` has
+    mass and ``mu`` has none, or None; ``relative`` is a function of no
+    arguments that runs ``_three_term`` on the aligned cells, so only a
+    reader that needs the certificate of ``nu`` relative to ``mu`` pays for
+    it, and only once ``ac`` is None; ``tv`` is ``tv_distance(mu, nu)``.
+    ``rows`` holds, per valid anchor (both target cells positive), in
+    increasing order, or only at ``ell`` when given, the gap row ``(ell,
+    diff, gap, matched)`` of the cross products ``lhs = p_{l+1} q_l`` and
+    ``rhs = q_{l+1} p_l``: ``diff`` has the sign of ``lhs - rhs``, the float
+    ``gap`` is ``|lhs - rhs| / max(lhs, rhs)`` and ``matched`` is ``lhs ==
+    rhs != 0`` for exact laws, None for floats.  Exact products carry the
+    factor ``d_mu d_nu``, taken out by one correctly rounded int division
+    each, as ``Fraction.__float__`` does; float products below the normal
+    range come from ``_scaled_products``, so two of them do not round to one
+    subnormal and fake a match.
     """
     exact = mu.is_exact and nu.is_exact
     start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
@@ -524,9 +526,9 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
     pad = lambda d, cells: [0] * (d.offset - start) + list(cells) + [0] * (stop - d.end)
     p, q = pad(mu, p), pad(nu, q)
     den, at = d_mu * d_nu, None if ell is None else ell + 1
-    ac = violation = hi = hole = None
+    ac = None
     rows = []
-    t, pa, qa, pb, qb = 0 if exact else 0.0, 0, 0, 0, 0  # cells k - 2 (pa, qa) and k - 1 (pb, qb)
+    t, pb, qb = 0 if exact else 0.0, 0, 0  # cells k - 1
     for k, (pc, qc) in enumerate(zip(p, q), start):
         d = qc * d_mu - pc * d_nu
         if d > 0:
@@ -543,28 +545,15 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
                 scale = fl if fl > fr else fr
                 gap = math.inf if scale == 0 else abs(fl - fr) / scale
                 rows.append((k - 1, fl - fr, gap, lhs == rhs != 0 if exact else None))
-            if qa > 0 and qb > 0 and violation is None and not exact:
-                lhs, rhs = qa * qc * (pb * pb), qb * qb * (pa * pc)
-                if not lhs <= rhs + CERT_REL_TOL * (rhs if rhs > lhs else lhs):
-                    violation = k - 1
-            hi = k
-        elif hole is None and hi is not None:
-            hole = k
-        pa, qa, pb, qb = pb, qb, pc, qc
-    if exact:
-        cert = None if ac is not None else _three_term(q, True, ref=p, base=start)
-    elif hole is not None and hole < hi:
-        cert = LogConcavityCertificate(False, hole, False)
-    else:
-        cert = LogConcavityCertificate(violation is None, violation, True)
+        pb, qb = pc, qc
     slack = mu.tail_deficit + nu.tail_deficit
     t, slack = (Fraction(t, den), slack) if exact else (float(t), float(slack))
-    return ac, cert, rows, Interval(t, t + slack if slack else t)
+    return ac, lambda: _three_term(q, exact, ref=p, base=start), rows, Interval(t, t + slack if slack else t)
 
 
 def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityCertificate:
-    """Certify that ``nu`` is log-concave relative to ``mu``, read off
-    ``_pair_scan``.
+    """Certify that ``nu`` is log-concave relative to ``mu``: ``_three_term``
+    on the cells ``_pair_scan`` aligns.
 
     Requires absolute continuity (``nu_k > 0`` implies ``mu_k > 0``); raises
     :class:`AbsoluteContinuityError` at the first index where it fails,
@@ -577,10 +566,10 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
     constrain nothing (the log-ratio is minus infinity there, and the
     three-term inequality holds vacuously).
     """
-    ac, cert, _, _ = _pair_scan(mu, nu)
+    ac, relative, _, _ = _pair_scan(mu, nu)
     if ac is not None:
         raise _continuity_error(ac)
-    return cert
+    return relative()
 
 
 def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:

@@ -552,6 +552,33 @@ class TestAnchoredReport:
         assert report().oracle_tv is not None
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("call, certificates", [
+        (lambda: tv_distance(B_MATCH, PB), 0),
+        (lambda: anchor_at(B_MATCH, PB, 0), 0),
+        (lambda: find_ratio_anchor(B_MATCH, PB), 0),
+        (lambda: find_ratio_anchor(*random_envelope_instance(random.Random(11), 30)), 0),
+        (lambda: anchored_report(B_MATCH, PB, 0, LogConcavityCertificate(True, None, True)), 0),
+        (lambda: matroids.matroid_binomial_bound(matroids.profile_uniform(8, 4), 2), 1),
+        (lambda: matroids.matroid_poisson_bound(matroids.profile_uniform(8, 4), 2), 1),
+        (lambda: intrinsic_volumes.poisson_iv_bound(intrinsic_volumes.iv_box([0.5, 1, 2]), 1), 1),
+        (lambda: certify(B_MATCH, PB), 1),
+        (lambda: certify(*random_envelope_instance(random.Random(11), 30)), 1),
+        (lambda: certify(B_MATCH, PB, 1), 1),
+        (lambda: certify(make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 1.0, 1.0])), 0),
+        (lambda: certify(make_dist(0, [F(1), F(1)]), make_dist(0, [F(1), F(1), F(1)])), 0),
+    ], ids=["tv", "anchor-at", "find-anchor-exact", "find-anchor-float", "anchored-report", "matroid-binomial",
+            "matroid-poisson", "iv", "certify-exact", "certify-float", "certify-given-anchor",
+            "certify-absolute-continuity-float", "certify-absolute-continuity-exact"])
+    def test_only_readers_of_a_hypothesis_certify(self, call, certificates, monkeypatch):
+        # every certificate verdict comes from _three_term; the scan, the TV
+        # and the anchor search decide none, a report that brings its own
+        # hypothesis certifies only that one, and certify certifies once
+        # unless absolute continuity already failed
+        calls, kernel = [], distributions._three_term
+        monkeypatch.setattr(distributions, "_three_term", lambda *args, **kw: calls.append(args) or kernel(*args, **kw))
+        call()
+        assert len(calls) == certificates
+
     @pytest.mark.parametrize("seed", range(2))
     def test_reading_functions_are_the_reference_kernels(self, seed):
         # each function that reads _pair_scan against the separate walk it

@@ -262,11 +262,21 @@ def test_gamma_anchor_where_both_densities_underflow():
 
 
 def test_gamma_at_shape_1e7():
-    # the closed form and the density cross-check part by rounding alone here
+    # the log-densities at the anchor sum terms near 3e8
     code, text = run(["gamma", "--a", "1e7,1e7", "--b", "2e7,2.00001e7", "--case", "i"])
     assert code == 0
     report = json.loads(text)
     assert report["dominated"] is True
+
+
+def test_gamma_near_identical_laws_at_shape_1e9():
+    # log R = 1.5000000040e-9 at 50 digits; summing the closed form's terms
+    # near 2e10 gave -3.8e-6, and the density ratio "below 1" exited 2
+    code, text = run(["gamma", "--a", "1000000003,1000000001", "--b", "1000000000,999999998"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["dominated"] is True
+    assert report["simplified"] == pytest.approx(1.5000000029e-9, rel=1e-6)
 
 
 @pytest.mark.parametrize("a, b", [("2,1", "1,1e-310"), ("1,1e-310", "2,1")])

@@ -212,6 +212,11 @@ class TestCompoundGeometricPMF:
                 for k in range(1, kmax + 1):
                     expect += float(count.mass(k)) * math.comb(k + j - 1, j) * (1 - p) ** k * p**j
                 assert pmf.mass(j) == pytest.approx(expect, abs=1e-12)
+            # the closed atom identities P[X=0] = sum F_k (1-p)^k and P[X=1] = sum k F_k p (1-p)^k
+            f = [float(count.mass(k)) for k in range(kmax + 1)]
+            assert pmf.mass(0) == pytest.approx(math.fsum(fk * (1 - p) ** k for k, fk in enumerate(f)), abs=1e-12)
+            assert pmf.mass(1) == pytest.approx(math.fsum(k * fk * p * (1 - p) ** k for k, fk in enumerate(f)),
+                                                abs=1e-12)
 
 
 class TestGeometricBoundCompoundGeometric:

@@ -245,10 +245,9 @@ def test_anchored_bound_dominates_mpmath_tv(same_sign):
 
 
 def test_anchored_bound_at_shape_1e7_dominates_mpmath_tv():
-    # both log-ratios sum terms near 3e8, so rounding parts them by ~4e-9; the
-    # cross-check must allow for it.  The densities are too peaked for the
-    # quadrature over the half-line: the TV is |int (f_a - f_b)| between the
-    # two crossings, at 50 digits.
+    # the log-densities sum terms near 3e8.  The densities are too peaked for
+    # the quadrature over the half-line: the TV is |int (f_a - f_b)| between
+    # the two crossings, at 50 digits.
     a, b = GammaParams(1e7, 1e7), GammaParams(2e7, 2.00001e7)
     report = cont.gamma_tv_bound_anchored(a, b)
     x1, x2 = _mp_crossings(a, b)
@@ -258,15 +257,54 @@ def test_anchored_bound_at_shape_1e7_dominates_mpmath_tv():
     assert report.oracle_tv.lo <= tv <= report.oracle_tv.hi
 
 
-@pytest.mark.parametrize("shift", [1e-6, -1e-6])
-def test_anchored_cross_check_catches_a_disagreement(monkeypatch, shift):
-    # at ordinary shapes a 1e-6 error in one log-ratio still raises
-    a, b = GammaParams(3.0, 2.0), GammaParams(2.0, 1.0)
-    cont.gamma_tv_bound_anchored(a, b)
-    log_density = cont.gamma_log_density
-    monkeypatch.setattr(cont, "gamma_log_density", lambda g, x: log_density(g, x) + (shift if g is a else 0.0))
-    with pytest.raises(AssertionError, match="disagree"):
-        cont.gamma_tv_bound_anchored(a, b)
+def tv_bound_matched(mu, nu, z):
+    """Closed-form TV bound at a score-matched point from the two
+    log-densities: ``min(f_nu(z)/f_mu(z) - 1, 1 - f_mu(z)/f_nu(z))``, clamped
+    to [0, 1].  ``gamma_log_density`` sums ``kap log lam``, ``(kap - 1) log
+    z``, ``lam z`` and ``lgamma(kap)``, another route to the density ratio
+    than ``gamma_tv_bound_anchored``'s, so it serves as its oracle."""
+    s_nu, s_mu = cont._score(nu, z), cont._score(mu, z)
+    # each score is the difference of (kap - 1)/z and lam: it is good to a few ulps of those
+    assert abs(s_nu - s_mu) <= 1e-10 * max(1.0, *(abs(g.kappa - 1.0) / z + g.lam for g in (mu, nu)))
+    ratio = cont._safe_exp(cont.gamma_log_density(nu, z) - cont.gamma_log_density(mu, z))
+    return min(max(min(ratio - 1.0, 1.0 - 1.0 / ratio), 0.0), 1.0)
+
+
+def _mp_matched_bound(lo, hi):
+    """``min(R - 1, 1 - 1/R)`` clamped to [0, 1] at 50 digits, for the density
+    ratio ``R = f_hi(z)/f_lo(z)`` at the score-matched point of the float
+    inputs."""
+    kl, ll, kh, lh = (mp.mpf(v) for v in (lo.kappa, lo.lam, hi.kappa, hi.lam))
+    dk = kh - kl
+    z = dk / (lh - ll)
+    log_r = kh * mp.log(lh) - kl * mp.log(ll) + mp.loggamma(kl) - mp.loggamma(kh) + dk * mp.log(z) - dk
+    return float(min(max(min(mp.expm1(log_r), -mp.expm1(-log_r)), 0), 1))
+
+
+def test_anchored_bound_against_the_density_oracle_at_shapes_to_1e9():
+    # random same-sign pairs, each difference a relative 1e-9 to 1 of its
+    # parameter, so that many bounds lie inside (0, 1); the last pair's log R
+    # is 1.5e-9, summed from terms near 2e10
+    rng = random.Random(2024)
+    pairs = []
+    for _ in range(300):
+        kappa, lam = 10 ** rng.uniform(-1, 9), 10 ** rng.uniform(-3, 3)
+        lo = GammaParams(kappa, lam)
+        hi = GammaParams(kappa * (1 + 10 ** rng.uniform(-9, 0)), lam * (1 + 10 ** rng.uniform(-9, 0)))
+        pairs.append((hi, lo) if rng.random() < 0.5 else (lo, hi))
+    pairs.append((GammaParams(1000000003.0, 1000000001.0), GammaParams(1000000000.0, 999999998.0)))
+    for a, b in pairs:
+        report = cont.gamma_tv_bound_anchored(a, b)
+        lo, hi = sorted((a, b), key=lambda g: g.kappa)
+        z = report.details["z"]
+        # the oracle sums terms as large as kap log kap: allow a few ulps of them
+        rounding = 4.0 * cont._EPS * sum(
+            abs(g.kappa * math.log(g.lam)) + abs((g.kappa - 1.0) * math.log(z)) + g.lam * z
+            + abs(math.lgamma(g.kappa)) for g in (lo, hi))
+        assert abs(report.simplified - tv_bound_matched(lo, hi, z)) <= 1e-9 + rounding, (a, b)
+        want = _mp_matched_bound(lo, hi)
+        assert abs(report.simplified - want) <= 2e-5 * want + 1e-15, (a, b, report.simplified, want)
+        assert report.simplified == min(report.bound_nu_side, report.bound_mu_side)
 
 
 def test_perturbative_bound_dominates_mpmath_tv():
@@ -294,7 +332,7 @@ def test_score_matched_envelopes_reduce_to_closed_form():
     mu_side, nu_side = cont.tv_bound_continuous(mu, nu, 2.0)
     assert mu_side == pytest.approx(c - 1.0, abs=1e-9)
     assert nu_side == pytest.approx(1.0 - 1.0 / c, abs=1e-9)
-    assert min(mu_side, nu_side) == pytest.approx(cont.tv_bound_matched(mu, nu, 2.0), abs=1e-9)
+    assert min(mu_side, nu_side) == pytest.approx(tv_bound_matched(mu, nu, 2.0), abs=1e-9)
 
 
 def _mp_envelopes(mu, nu, z):

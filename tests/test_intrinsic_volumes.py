@@ -40,11 +40,18 @@ class TestConstructors:
         assert iv.W == pytest.approx(1.32, abs=1e-15)
 
     def test_total_is_product(self):
+        # W = prod (1 + s_i): exactly on Fraction sides, to 1e-12 on float
+        # boxes up to 3,000 sides, whose small sides keep W in float range
         rng = random.Random(6)
         for _ in range(15):
             s = [rng.uniform(0.05, 3.0) for _ in range(rng.randint(1, 8))]
             iv = iv_box(s)
             assert float(iv.W) == pytest.approx(math.prod(1 + v for v in s), rel=1e-12)
+            s = [F(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(rng.randint(1, 12))]
+            assert iv_box(s).W == math.prod(1 + v for v in s)
+        for n in (300, 1000, 3000):
+            s = [rng.uniform(1e-3, 0.2) for _ in range(n)]
+            assert float(iv_box(s).W) == pytest.approx(math.prod(1 + v for v in s), rel=1e-12)
 
     def test_cube_powers(self):
         iv = iv_cube(2, 0.5)
