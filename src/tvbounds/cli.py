@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, certify, clamp01, dominance_verdict
@@ -55,34 +54,10 @@ SUITE_NAMES = ("dominance", "matroids", "sums")
 # ---------------------------------------------------------------------------
 
 
-def _canon(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, Fraction):
-        return float(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if hasattr(obj, "to_json"):
-        return _canon(obj.to_json())
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _render_json(obj) -> str:
     """Sorted keys, floats as %.12e (the documented comparison precision)."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
             return json.dumps(str(obj))
@@ -90,7 +65,7 @@ def _render_json(obj) -> str:
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{_render_json(v)}" for k, v in sorted(obj.items()))
         return "{" + inner + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render_json(v) for v in obj) + "]"
     raise TypeError(f"cannot render {type(obj)!r}")
 
@@ -100,8 +75,8 @@ def _flatten(obj, prefix="") -> dict:
     if isinstance(obj, dict):
         for k, v in sorted(obj.items()):
             out.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        out[prefix.rstrip(".")] = json.dumps(_canon(obj))
+    elif isinstance(obj, (list, tuple)):
+        out[prefix.rstrip(".")] = json.dumps(obj)
     else:
         out[prefix.rstrip(".")] = obj
     return out
@@ -109,14 +84,13 @@ def _flatten(obj, prefix="") -> dict:
 
 def emit(report, fmt: str) -> str:
     """Render a report dict in the requested output format."""
-    data = _canon(report)
     if fmt == "json":
-        return _render_json(data)
+        return _render_json(report)
     if fmt == "csv":
         import csv
         import io
 
-        flat = _flatten(data)
+        flat = _flatten(report)
         cells = []
         for v in flat.values():
             if isinstance(v, float):
@@ -129,7 +103,7 @@ def emit(report, fmt: str) -> str:
         writer.writerow(cells)
         return buf.getvalue().rstrip("\n")
     if fmt == "table":
-        flat = _flatten(data)
+        flat = _flatten(report)
         width = max(len(k) for k in flat)
         lines = []
         for k, v in flat.items():
@@ -453,7 +427,7 @@ def run(argv) -> tuple[int, str]:
         report = _RUNNERS[ns.subcommand](ns)
     except BoundNotApplicable as e:
         payload = {"kind": "not_applicable", "error": "bound not applicable",
-                   "reason": str(e), "details": _canon(e.details)}
+                   "reason": str(e), "details": e.details}
         return 2, emit(payload, fmt)
     except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError, argparse.ArgumentTypeError) as e:
         return 1, f"error: {e}"

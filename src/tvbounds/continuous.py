@@ -180,8 +180,20 @@ def gamma_cdf(g: GammaParams, x: float) -> float:
     return regularized_gamma_p(g.kappa, g.lam * x)
 
 
-def gamma_log_density(g: GammaParams, x: float) -> float:
-    return g.kappa * math.log(g.lam) + (g.kappa - 1.0) * math.log(x) - g.lam * x - math.lgamma(g.kappa)
+def _log_scaled_density(g: GammaParams, x: float) -> float:
+    """``log(x f_g(x))`` at ``x > 0``, ``_log_gamma_prefactor(kappa, lam x)``;
+    below ``_TINY``, where ``e^{-lam x}`` is 1 and ``lam x`` may underflow,
+    ``log(lam x)`` is taken as ``log lam + log x``."""
+    y = g.lam * x
+    if y < _TINY:
+        return g.kappa * (math.log(g.lam) + math.log(x)) - math.lgamma(g.kappa)
+    return _log_gamma_prefactor(g.kappa, y)
+
+
+def _log_density_gap(a: GammaParams, b: GammaParams, x: float) -> float:
+    """``log f_a(x) - log f_b(x)``, the difference of the two prefactors (the
+    ``log x`` cancels), which keeps its digits at large shapes."""
+    return _log_scaled_density(a, x) - _log_scaled_density(b, x)
 
 
 def gamma_density_model(g: GammaParams) -> DensityModel:
@@ -191,7 +203,7 @@ def gamma_density_model(g: GammaParams) -> DensityModel:
     def f(x: float) -> float:
         if x == 0:
             return lam if kap == 1 else 0.0 if kap > 1 else math.inf
-        return math.exp(gamma_log_density(g, x))
+        return math.exp(_log_scaled_density(g, x) - math.log(x))
 
     def fprime(x: float) -> float:
         if x == 0:
@@ -329,8 +341,7 @@ def tv_bound_continuous(mu: GammaParams, nu: GammaParams, z: float) -> tuple[flo
     clamped to [0, 1].
     """
     delta = _score(nu, z) - _score(mu, z)
-    # log f(z) = log((lam z)^k e^{-lam z} / Gamma(k)) - log z, and the log z cancels
-    log_c = _log_gamma_prefactor(nu.kappa, nu.lam * z) - _log_gamma_prefactor(mu.kappa, mu.lam * z)
+    log_c = _log_density_gap(nu, mu, z)
     upper = delta > 0 or (delta == 0 and log_c > 0)
     x0 = max(z - log_c / delta, 0.0) if delta else 0.0
     if not upper and x0 == 0.0:
@@ -345,36 +356,28 @@ def tv_bound_continuous(mu: GammaParams, nu: GammaParams, z: float) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
-def _log_gap(a: GammaParams, b: GammaParams) -> tuple[float, float, float]:
-    """``(dk, dl, C)`` with ``log f_a(x) - log f_b(x) = dk log x - dl x + C``."""
-    const = a.kappa * math.log(a.lam) - b.kappa * math.log(b.lam) - math.lgamma(a.kappa) + math.lgamma(b.kappa)
-    return a.kappa - b.kappa, a.lam - b.lam, const
-
-
 def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
     """The (at most two) crossing points of the two densities, ascending.
 
-    The log-density gap ``h(x) = dk log x - dl x + C`` is monotone on each
-    side of ``x* = dk/dl`` (everywhere when ``x* <= 0``, then split at 1), so
-    a side holds a root iff ``h`` at its start and at its far end differ in
-    sign; doubling away from the start brackets it for ``_bisect``.  Below
-    ``_TINY``, ``dl x`` is under the rounding of ``dk log x + C`` (unless
-    ``|dl/dk| > 1e260``), so a root there is ``e^u`` with ``u = -C/dk``.  A
-    root above the float range is not reported.
+    The log-density gap ``h``, the prefactor difference ``_log_density_gap``,
+    is ``dk log x - dl x + C``: monotone on each side of ``x* = dk/dl``
+    (everywhere when ``x* <= 0``, then split at 1), so a side holds a root
+    iff ``h`` at its start and at its far end differ in sign; doubling away
+    from the start brackets it for ``_bisect``.  Below ``_TINY``, ``dl x`` is
+    under the rounding of ``dk log x + C`` (unless ``|dl/dk| > 1e260``), so a
+    root there is ``e^u``, ``u = log _TINY - h(_TINY)/dk``.  A root above the
+    float range is not reported.
     """
     if a == b:
         return []
-    dk, dl, const = _log_gap(a, b)
-
-    def h(x: float) -> float:
-        return dk * math.log(x) - dl * x + const
-
+    dk, dl = a.kappa - b.kappa, a.lam - b.lam
+    h = lambda x: _log_density_gap(a, b, x)
     start = dk / dl if dk * dl > 0 else 1.0
     h0 = h(start)
     # a zero at the extremum x* is a touch, not a crossing
     roots = [start] if h0 == 0.0 and dk * dl <= 0 else []
-    # the sign of h as x -> 0 and as x -> inf
-    for step, limit in ((0.5, -dk if dk else const), (2.0, -dl if dl else dk)):
+    # the sign of h as x -> 0 and as x -> inf; with dk = 0, C = kappa log(lam_a/lam_b) has the sign of dl
+    for step, limit in ((0.5, -dk if dk else dl), (2.0, -dl if dl else dk)):
         if h0 * limit >= 0:
             continue
         x = start * step
@@ -384,16 +387,17 @@ def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
             roots.append(_bisect(h, *sorted((x / step, x))))
         elif x * step <= _TINY:
             # with dk = 0, h is linear
-            roots.append(math.exp(-const / dk) if dk else const / dl)
+            roots.append(math.exp(math.log(_TINY) - h(_TINY) / dk) if dk else _TINY + h(_TINY) / dl)
     return sorted(roots)
 
 
 def tv_gamma_quadrature(a: GammaParams, b: GammaParams) -> Interval:
     """Exact-oracle TV between two Gamma laws, error below 1e-10: the CDFs
     differenced across the density crossings, kept where positive (where
-    ``f_a > f_b``).  At a crossing ``x = e^u`` below ``_TINY`` (``u = -C/dk``,
-    see ``gamma_density_crossings``), ``P(kappa, lam x)`` is
-    ``e^{kappa (log lam + u)} / Gamma(kappa + 1)`` to relative ``O(lam x)``.
+    ``f_a > f_b``).  At a crossing ``x = e^u`` below ``_TINY`` (``u`` from the
+    prefactor difference ``h``, see ``gamma_density_crossings``), ``P(kappa,
+    lam x)`` is ``e^{kappa (log lam + u)} / Gamma(kappa + 1)`` to relative
+    ``O(lam x)``.
 
     No quadrature runs; the name is kept because ``bench/tracing.py`` traces
     this entry point under it.
@@ -404,8 +408,8 @@ def tv_gamma_quadrature(a: GammaParams, b: GammaParams) -> Interval:
     def cdfs(x: float) -> tuple[float, float]:
         if x >= _TINY:
             return gamma_cdf(a, x), gamma_cdf(b, x)
-        dk, _, const = _log_gap(a, b)
-        u = -const / dk if dk else math.log(x)
+        dk = a.kappa - b.kappa
+        u = math.log(_TINY) - _log_density_gap(a, b, _TINY) / dk if dk else math.log(x)
         return tuple(math.exp(g.kappa * (math.log(g.lam) + u) - math.lgamma(g.kappa + 1.0)) for g in (a, b))
 
     pts = [(0.0, 0.0)] + [cdfs(x) for x in gamma_density_crossings(a, b)] + [(1.0, 1.0)]
@@ -436,8 +440,7 @@ def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
     hiP, loP = (b, a) if swapped else (a, b)
     dk, dl = hiP.kappa - loP.kappa, hiP.lam - loP.lam
     z = dk / dl
-    # log f(z) = log((lam z)^k e^{-lam z} / Gamma(k)) - log z, and the log z cancels
-    log_r = _log_gamma_prefactor(hiP.kappa, hiP.lam * z) - _log_gamma_prefactor(loP.kappa, loP.lam * z)
+    log_r = _log_density_gap(hiP, loP, z)
     ratio = _safe_exp(log_r)
     mu_side = ratio - 1.0
     nu_side = 1.0 - 1.0 / ratio

@@ -331,7 +331,8 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
 
 def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
     """Total variation as an interval absorbing both truncation deficits,
-    read off ``_pair_scan``.
+    read off ``_pair_scan`` at an anchor left of both windows, so that the
+    scan builds no gap row.
 
     The point value is ``sum_k (nu_k - mu_k)_+`` over the union window; the
     true distance of the untruncated laws lies within
@@ -339,7 +340,7 @@ def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
     ``(N_k d_mu - M_k d_nu)_+`` over their integer numerators ``N`` (of
     ``nu``) and ``M`` (of ``mu``) and divide once by ``d_mu d_nu``.
     """
-    return _pair_scan(mu, nu)[3]
+    return _pair_scan(mu, nu, min(mu.offset, nu.offset) - 1)[3]
 
 
 def _neumaier_sum(values) -> float:
@@ -461,13 +462,7 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
     2^-52``, and rounds five times, each time by at most ``2^-53`` of a
     partial sum no larger than ``8 mag``, ``20 mag 2^-52``: under ``(mag +
     1) 2^-47`` in all.  The margin is 128 times that, so a cell it accepts
-    holds."""
-    if not a:
-        raise InvalidDistributionError("empty sequence")
-    if any(v < 0 for v in a):
-        raise InvalidDistributionError("negative entries")
-    if not any(v > 0 for v in a):
-        raise InvalidDistributionError("all entries zero")
+    holds.  ``a`` holds a law's cells, or ones ``_check_raw_cells`` passed."""
     ok, gap, lo, hi = _support_interval(a, 0)
     if not ok:
         return LogConcavityCertificate(False, base + gap, False)
@@ -577,6 +572,16 @@ def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:
     return _three_term(nu.integer_masses[0] if nu.is_exact else nu.masses, nu.is_exact, base=nu.offset)
 
 
+def _check_raw_cells(a: list) -> None:
+    """Raise unless ``a`` could be a law's cells: not empty, none negative, not all zero."""
+    if not a:
+        raise InvalidDistributionError("empty sequence")
+    if any(v < 0 for v in a):
+        raise InvalidDistributionError("negative entries")
+    if not any(v > 0 for v in a):
+        raise InvalidDistributionError("all entries zero")
+
+
 def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:
     """Ultra log-concavity of order ``m``: ``a_k / C(m, k)`` is log-concave.
 
@@ -587,6 +592,7 @@ def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:
     a = list(a)
     if len(a) > m + 1:
         raise InvalidDistributionError(f"sequence longer than m+1 = {m + 1}")
+    _check_raw_cells(a)
     return _three_term(a, all(map(_is_exact, a)), weights=([(k + 1) * (m - k + 1) for k in range(len(a))],
                                                              [k * (m - k) for k in range(len(a))]))
 
@@ -598,4 +604,5 @@ def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
     to any Poisson reference.
     """
     a = list(a)
+    _check_raw_cells(a)
     return _three_term(a, all(map(_is_exact, a)), weights=(range(1, len(a) + 1), range(len(a))))

@@ -186,7 +186,7 @@ def geometric_sum_bound(xis: Sequence[DiscreteDist]) -> BoundReport:
     xis = list(xis)
     if not xis:
         raise InvalidDistributionError("no summands")
-    alphas = []
+    ratios = []
     for i, xi in enumerate(xis):
         if xi.offset != 0:
             raise InvalidDistributionError(f"summand {i} must start at 0")
@@ -196,23 +196,18 @@ def geometric_sum_bound(xis: Sequence[DiscreteDist]) -> BoundReport:
         cert = is_log_concave(xi)
         if not cert.holds:
             raise HypothesisError(f"summand {i} is not log-concave", {"certificate": cert.to_json()})
-        alphas.append(a)
-    # t = sum (1 - alpha_i)/alpha_i, with 1 - alpha_i taken as the mass above 0
-    # plus the tail deficit: 1.0 - alpha_i would cancel for small masses
-    if all(_is_exact(a) for a in alphas):
-        t = sum((1 - Fraction(a)) / Fraction(a) for a in alphas)
-    else:
-        above = (math.fsum(map(float, (*xi.masses[1:], xi.tail_deficit))) for xi in xis)
-        t = math.fsum(m / float(a) for m, a in zip(above, alphas))
+        # (1 - alpha_i)/alpha_i, with 1 - alpha_i taken as the mass above 0
+        # plus the tail deficit: 1.0 - alpha_i would cancel for small masses
+        ratios.append(math.fsum(map(float, (*xi.masses[1:], xi.tail_deficit))) / float(a))
+    t = math.fsum(ratios)
     if t >= 1:
         raise NotApplicableError(
-            f"n (m_n - 1) = {float(t):.6g} >= 1, geometric parameter would leave (0, 1]",
+            f"n (m_n - 1) = {t:.6g} >= 1, geometric parameter would leave (0, 1]",
             {"enforced_condition": "n*(m_n - 1) < 1"},
         )
     sum_dist = reduce(convolve, xis)
-    theta = 1 - t
+    theta = 1.0 - t
     # masses theta t^k from t itself: family_geometric(theta) would cancel again
-    target = _geometric_law(float(theta), float(t), DEFAULT_TAIL_BUDGET, len(sum_dist.masses))
-    stated = float(t) / (1.0 - float(t))
-    details = {"theta": float(theta), "m_minus_one_times_n": float(t)}
-    return anchored_report(target, sum_dist, 0, is_log_concave(sum_dist), stated_bound=stated, details=details)
+    target = _geometric_law(theta, t, DEFAULT_TAIL_BUDGET, len(sum_dist.masses))
+    details = {"theta": theta, "m_minus_one_times_n": t}
+    return anchored_report(target, sum_dist, 0, is_log_concave(sum_dist), stated_bound=t / theta, details=details)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -271,12 +272,19 @@ def test_gamma_at_shape_1e7():
 
 def test_gamma_near_identical_laws_at_shape_1e9():
     # log R = 1.5000000040e-9 at 50 digits; summing the closed form's terms
-    # near 2e10 gave -3.8e-6, and the density ratio "below 1" exited 2
+    # near 2e10 gave -3.8e-6, and the density ratio "below 1" exited 2.  The
+    # oracle's log-density gap summed the same terms, found no crossing and
+    # read the TV as [0, 1e-10]; at 50 digits the crossings are
+    # 0.999968377556689 and 1.00003162310998 and the TV is 7.26e-10
     code, text = run(["gamma", "--a", "1000000003,1000000001", "--b", "1000000000,999999998"])
     assert code == 0
     report = json.loads(text)
     assert report["dominated"] is True
     assert report["simplified"] == pytest.approx(1.5000000029e-9, rel=1e-6)
+    assert len(report["crossings"]) == 2
+    for x, want in zip(report["crossings"], (0.999968377556689, 1.00003162310998)):
+        assert abs(x - want) <= 1e-8
+    assert report["oracle_tv"][0] <= 7.26e-10 <= report["oracle_tv"][1]
 
 
 @pytest.mark.parametrize("a, b", [("2,1", "1,1e-310"), ("1,1e-310", "2,1")])
@@ -375,6 +383,17 @@ def test_reader_closing_the_pipe_early_gets_no_traceback():
         err = proc.stderr.read().decode()
     assert proc.returncode == 1
     assert err == ""
+
+
+def test_main_with_no_reader_on_stdout_exits_1(monkeypatch, capsys):
+    # the read end is closed before the report is written, so the flush
+    # raises BrokenPipeError, which main turns into exit 1
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["pb-binomial", "--p", "0.1,0.2,0.3"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [["matroid", "--uniform", "200,190", "--m", "180"],

@@ -199,12 +199,16 @@ class TestCompoundGeometricPMF:
         assert pmf.mass(1) == pytest.approx(0.168, abs=1e-13)
 
     def test_matches_negative_binomial_oracle(self):
-        # independent route: k-fold geometric convolutions in closed form
+        # independent route: k-fold geometric convolutions in closed form.  The
+        # last count law, uniform on 1..10 at p = 0.5, misses the tail budget
+        # with the first summand budget and is rebuilt with a tighter one
         rng = random.Random(41)
+        cases = []
         for _ in range(8):
             p = rng.uniform(0.1, 0.7)
-            weights = [rng.random() for _ in range(rng.randint(2, 5))]
-            count = make_dist(0, weights)
+            cases.append((make_dist(0, [rng.random() for _ in range(rng.randint(2, 5))]), p))
+        cases.append((make_dist(0, [0.0] + [1.0] * 10), 0.5))
+        for count, p in cases:
             pmf = compound_geometric_pmf(CompoundGeometricSpec(count, p))
             kmax = count.support_max
             for j in range(min(len(pmf.masses), 25)):

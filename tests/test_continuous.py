@@ -260,13 +260,15 @@ def test_anchored_bound_at_shape_1e7_dominates_mpmath_tv():
 def tv_bound_matched(mu, nu, z):
     """Closed-form TV bound at a score-matched point from the two
     log-densities: ``min(f_nu(z)/f_mu(z) - 1, 1 - f_mu(z)/f_nu(z))``, clamped
-    to [0, 1].  ``gamma_log_density`` sums ``kap log lam``, ``(kap - 1) log
-    z``, ``lam z`` and ``lgamma(kap)``, another route to the density ratio
-    than ``gamma_tv_bound_anchored``'s, so it serves as its oracle."""
+    to [0, 1].  Each log-density sums ``kap log lam``, ``(kap - 1) log z``,
+    ``lam z`` and ``lgamma(kap)``, another route to the density ratio than
+    ``gamma_tv_bound_anchored``'s prefactor difference, so it serves as its
+    oracle."""
     s_nu, s_mu = cont._score(nu, z), cont._score(mu, z)
     # each score is the difference of (kap - 1)/z and lam: it is good to a few ulps of those
     assert abs(s_nu - s_mu) <= 1e-10 * max(1.0, *(abs(g.kappa - 1.0) / z + g.lam for g in (mu, nu)))
-    ratio = cont._safe_exp(cont.gamma_log_density(nu, z) - cont.gamma_log_density(mu, z))
+    log_density = lambda g: g.kappa * math.log(g.lam) + (g.kappa - 1.0) * math.log(z) - g.lam * z - math.lgamma(g.kappa)
+    ratio = cont._safe_exp(log_density(nu) - log_density(mu))
     return min(max(min(ratio - 1.0, 1.0 - 1.0 / ratio), 0.0), 1.0)
 
 
@@ -453,14 +455,17 @@ def test_bisect_root_on_gamma_gaps(monkeypatch, xtol):
                GammaParams(rng.uniform(0.3, 8.0), rng.uniform(0.2, 5.0))) for _ in range(60)]
     seen = 0
     for a, b in pairs:
-        dk, dl, const = cont._log_gap(a, b)
+        dk, dl = a.kappa - b.kappa, a.lam - b.lam
         for f, lo, hi in _bisect_calls(monkeypatch, lambda: cont.gamma_density_crossings(a, b)):
             seen += 1
             x = cont._bisect(f, lo, hi)
             _assert_sign_change(f, lo, hi, x)
-            # brentq's tolerance, plus the rounding of h = dk log x - dl x + C
-            # over |h'|: any two sign changes of the rounded h lie that close
-            noise = 4 * cont._EPS * (abs(dk * math.log(x)) + abs(dl * x) + abs(const)) / abs(dk / x - dl)
+            # brentq's tolerance, plus the rounding of h, the difference of
+            # the prefactors kap log(lam x) - lam x - lgamma(kap) (shapes
+            # below 20), over |h'|: any two sign changes of the rounded h lie
+            # that close
+            terms = sum(g.kappa * abs(math.log(g.lam * x)) + g.lam * x + abs(math.lgamma(g.kappa)) for g in (a, b))
+            noise = 4 * cont._EPS * terms / abs(dk / x - dl)
             assert abs(x - optimize.brentq(f, lo, hi, xtol=xtol)) <= 2 * (xtol + 4 * cont._EPS * x) + noise, (lo, hi)
     assert seen > len(pairs)
 

@@ -263,8 +263,11 @@ class TestULC:
         assert not is_ulc([1, 2, 4], 4).holds
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(InvalidDistributionError):
-            is_ulc([1, -1], 3)
+        # and the other sequences that are no law's cells, by both checks
+        for seq, message in (([1, -1], "negative entries"), ([], "empty sequence"), ([0, 0.0], "all entries zero")):
+            for check in (lambda a: is_ulc(a, 3), is_ulc_infinity):
+                with pytest.raises(InvalidDistributionError, match=message):
+                    check(seq)
 
     def test_too_long_rejected(self):
         with pytest.raises(InvalidDistributionError):

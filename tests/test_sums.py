@@ -376,16 +376,18 @@ class TestGeometricSumBound:
         assert rep.dominated is True
 
     def test_two_bernoullis(self):
-        rep = geometric_sum_bound([family_bernoulli(0.05), family_bernoulli(0.05)])
-        t = 2 * (1 / 0.95 - 1)
-        assert rep.details["m_minus_one_times_n"] == pytest.approx(t, rel=1e-12)
-        assert rep.stated_bound == pytest.approx(t / (1 - t), rel=1e-12)
-        assert rep.stated_bound == pytest.approx(0.11765, abs=1e-5)
-        assert rep.details["theta"] == pytest.approx(0.894737, abs=1e-6)
-        assert float(rep.oracle_tv.lo) == pytest.approx(0.00858, abs=1e-5)
-        assert rep.anchor.ratio_matched  # Bernoulli summands match the ratio exactly
-        assert rep.dominated is True
-        assert rep.stated_bound >= min(rep.core_bounds())
+        # float summands, then exact ones, whose ratio t is summed in floats too
+        for p in (0.05, F(1, 20)):
+            rep = geometric_sum_bound([family_bernoulli(p), family_bernoulli(p)])
+            t = 2 * (1 / 0.95 - 1)
+            assert rep.details["m_minus_one_times_n"] == pytest.approx(t, rel=1e-12)
+            assert rep.stated_bound == pytest.approx(t / (1 - t), rel=1e-12)
+            assert rep.stated_bound == pytest.approx(0.11765, abs=1e-5)
+            assert rep.details["theta"] == pytest.approx(0.894737, abs=1e-6)
+            assert float(rep.oracle_tv.lo) == pytest.approx(0.00858, abs=1e-5)
+            assert rep.anchor.ratio_matched  # Bernoulli summands match the ratio exactly
+            assert rep.dominated is True
+            assert rep.stated_bound >= min(rep.core_bounds())
 
     def test_mixed_summands(self):
         xi1 = family_bernoulli(0.02)
