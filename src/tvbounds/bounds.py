@@ -30,9 +30,11 @@ relative one, ``certify`` and ``_check_hypothesis`` (through ``_verdict``),
 application reports bring the certificate of their own hypothesis.  Without
 a given ``ell``, ``certify`` takes the row of smallest gap, ties to the
 smaller index, and ``anchor_at`` turns a row into the anchor record, ratio
-matched on exact equality of the cross products for exact laws and on
-``gap <= ANCHOR_MATCH_TOL`` for floats.  The anchor functions below are
-each a few lines over the same scan.
+matched as the row's flag says: on exact equality of the cross products for
+exact laws and within ``distributions.ANCHOR_MATCH_TOL`` for floats.  The
+anchor functions below are each a few lines over the same scan.  Every
+dominance verdict, of the reports and of the ``verify`` sweeps, is
+``dominance_verdict``, the one reader of ``DOMINANCE_SLACK``.
 """
 
 from __future__ import annotations
@@ -53,15 +55,12 @@ from .distributions import (
 )
 from .errors import HypothesisError, InvalidAnchorError
 
-#: an anchor counts as ratio matched when the normalized cross-product gap
-#: |p_{l+1} q_l - q_{l+1} p_l| / max(...) falls below this
-ANCHOR_MATCH_TOL = 1e-12
-
 _NOT_RELATIVE = "target is not log-concave relative to the reference"
 _REF_GAP = "reference support is not a contiguous interval"
 
-#: slack used both by the randomized sweeps and by dominance verdicts; absorbs
-#: truncation deficits on the oracle side of exact-equality instances
+#: slack of every dominance verdict, of the reports and of the randomized
+#: sweeps; absorbs truncation deficits on the oracle side of exact-equality
+#: instances
 DOMINANCE_SLACK = 1e-10
 
 
@@ -96,9 +95,8 @@ class BoundReport:
     caller's closed-form pair (clamped to [0, 1]), ``simplified`` the
     ratio-matched closed form when available, ``stated_bound`` an unclamped
     corollary-style closed form carried verbatim by the application modules.
-    ``dominated`` is derived, not stored: the verdict
-    ``oracle_tv.hi <= min(core bounds) + 1e-10`` when an oracle was computed
-    (the slack absorbs truncation deficits on exact-equality instances).
+    ``dominated`` is derived, not stored: ``dominance_verdict`` of the
+    oracle and the core bounds.
     """
 
     __slots__ = ("bound_nu_side", "bound_mu_side", "simplified", "anchor", "hypothesis", "oracle_tv",
@@ -260,9 +258,7 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: 
 
 def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, row=None) -> Anchor:
     """Build the anchor record at a specific index from its ``_pair_scan``
-    gap row, the caller's when given: ratio matched on exact equality of the
-    cross products for exact laws, on ``gap <= ANCHOR_MATCH_TOL`` for float
-    laws.
+    gap row, the caller's when given, ratio matched as the row says.
 
     Only the target's cells are checked; a reference without mass at both
     anchor cells gives an infinite gap.
@@ -271,7 +267,7 @@ def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, row=None) -> Anch
         _check_anchor(nu, ell)
         [row] = _pair_scan(mu, nu, ell)[2]
     _, _, gap, matched = row
-    return Anchor(ell, gap <= ANCHOR_MATCH_TOL if matched is None else matched, gap)
+    return Anchor(ell, matched, gap)
 
 
 def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True, anchor=None):
@@ -314,14 +310,13 @@ def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     ``_pair_scan`` gap rows.
 
     Returns the anchor with the smallest normalized gap (ties broken by
-    smaller index) when some gap is at most ``ANCHOR_MATCH_TOL`` or the
-    cross-product difference changes sign without vanishing, or ``None`` when
-    neither happens (e.g. two distinct geometric laws, whose ratios never
-    meet).
+    smaller index) when some row is matched or the cross-product difference
+    changes sign without vanishing, or ``None`` when neither happens (e.g.
+    two distinct geometric laws, whose ratios never meet).
     """
     rows = _pair_scan(mu, nu)[2]
     signs = [d for _, d, _, _ in rows]
-    if (any(gap <= ANCHOR_MATCH_TOL for _, _, gap, _ in rows)
+    if (any(matched for _, _, _, matched in rows)
             or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:]))):
         return _smallest_gap_anchor(mu, nu, rows)
     return None

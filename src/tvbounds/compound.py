@@ -20,13 +20,13 @@ import math
 
 from .bounds import BoundReport, anchor_at, anchored_report, clamp01
 from .distributions import (
-    CERT_REL_TOL,
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     LogConcavityCertificate,
     _continuity_error,
     _geometric_law,
     _pair_scan,
+    _three_term,
     convolve,
     family_geometric,
     is_log_concave,
@@ -70,6 +70,8 @@ def compound_poisson_pmf(spec: CompoundPoissonSpec) -> DiscreteDist:
     lam, f = spec.lam, spec.severity
     f0 = float(f.mass(0))
     p0 = math.exp(-lam * (1.0 - f0))
+    if not p0:
+        raise NotApplicableError(f"P[X=0] = exp(-{lam * (1.0 - f0):.6g}) underflows")
     masses = [p0]
     cum = p0
     jmax = len(f.masses) - 1
@@ -92,18 +94,19 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
     """The aggregate law is log-concave iff ``lam F_1^2 >= 2 F_2`` (given the
     severity itself is log-concave with support in the non-negative integers).
 
-    A severity that is not log-concave is a hypothesis failure, raised as a
-    distinct error rather than reported as a criterion outcome.
+    That is the aggregate's three-term inequality at 1: over ``P[X=0]`` its
+    first cells are ``1``, ``lam F_1`` and ``lam (lam F_1^2 + 2 F_2) / 2``,
+    which ``_three_term`` compares in floats.  A severity that is not
+    log-concave is a hypothesis failure, raised as a distinct error rather
+    than reported as a criterion outcome.
     """
     f = spec.severity
     cert = is_log_concave(f)
     if not cert.holds:
         raise HypothesisError("severity mass function is not log-concave",
                               {"certificate": cert.to_json()})
-    lhs = spec.lam * float(f.mass(1)) ** 2
-    rhs = 2.0 * float(f.mass(2))
-    # both sides are non-negative: CERT_REL_TOL slack relative to the larger
-    return LogConcavityCertificate(rhs <= lhs + CERT_REL_TOL * max(lhs, rhs), None, True)
+    lam, f1, f2 = spec.lam, float(f.mass(1)), float(f.mass(2))
+    return _three_term((1.0, lam * f1, lam * (lam * f1 * f1 / 2 + f2)), False)
 
 
 def _matched_report(

@@ -10,7 +10,8 @@ mass ratio plays on the integers.
 The numerics are pure Python and import nothing outside the standard
 library: a series or continued fraction for the Gamma CDF, bisection
 (``_bisect``) down to adjacent floats on a sign-changing bracket for every
-density crossing, and closed forms for the ``expquad`` normalizer and
+density crossing (the Kolmogorov oracle reads ``|F - F_exp|`` at its one
+crossing, no grid), and closed forms for the ``expquad`` normalizer and
 CDF and for the envelope integrals of ``tv_bound_continuous``, each a Gamma
 mass of an exponentially tilted law.  No quadrature runs anywhere.
 """
@@ -20,15 +21,18 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .bounds import BoundReport, _safe_exp, clamp01
-from .distributions import Interval, LogConcavityCertificate
+from .bounds import BoundReport, _safe_exp, _safe_expm1, clamp01
+from .distributions import Interval, LogConcavityCertificate, _MIN_NORMAL
 from .errors import InvalidDistributionError, NotApplicableError
 
-_KS_GRID_POINTS = 2001
 _PROBE_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 _TINY = 1e-280  # below it a density crossing is solved, and CDFs taken, in log x
+_LOG_TINY = math.log(_TINY)
 _EPS = math.ulp(1.0)
 _LENTZ_TINY = 1e-300  # keeps the continued fraction's denominators off zero
+# near x = a the series and the continued fraction take about 10 sqrt(a) terms: this many
+# reach a = 1e10, where one rounding of x moves the CDF by 4e-12, inside the oracle's 1e-10 pad
+_MAX_TERMS = 2**20
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -92,8 +96,8 @@ def _log_gamma_prefactor(a: float, x: float) -> float:
     if a < 20.0:
         return a * math.log(x) - x - math.lgamma(a)
     t = (x - a) / a
-    # log1p loses accuracy as t -> -1, where log(x/a) does not
-    lead = math.log1p(t) - t if t > -0.5 else math.log(x / a) - t
+    # log1p loses accuracy as t -> -1, where log(x/a) does not, unless x/a underflows
+    lead = math.log1p(t) - t if t > -0.5 else (math.log(x / a) if x / a else math.log(x) - math.log(a)) - t
     r = 1.0 / (a * a)
     stirling = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a
     return a * lead + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
@@ -102,7 +106,7 @@ def _log_gamma_prefactor(a: float, x: float) -> float:
 def regularized_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma ``P(a, x)``.
 
-    For ``x < a + 1`` the power series ``sum_n x^n / (a (a+1) ... (a+n))``;
+    For ``x - a < 1`` the power series ``sum_n x^n / (a (a+1) ... (a+n))``;
     otherwise ``1 - Q`` with ``Q`` from Legendre's continued fraction, run by
     the modified Lentz method (Numerical Recipes, 3rd ed., section 6.2).  Both
     are scaled by ``x^a e^{-x} / Gamma(a)``, taken in log space.  Exactly 0 at
@@ -112,7 +116,8 @@ def regularized_gamma_p(a: float, x: float) -> float:
     1e-14 on 2,000 with ``x/a`` in [0.9, 1.1], and 1.6e-13 on 300 with ``a``
     in [1e3, 1e6] and ``x`` within three standard deviations of ``a``; at
     ``a = 1`` it stays within 3.4e-15 of ``-expm1(-x)`` on [1e-8, 300].
-    Both loops take ``O(sqrt(a))`` terms near ``x = a``.
+    Both loops take ``O(sqrt(a))`` terms near ``x = a``; past ``_MAX_TERMS``
+    the value is not applicable (``NotApplicableError``).
     """
     if not a > 0:
         raise InvalidDistributionError("shape must be positive")
@@ -131,21 +136,21 @@ def _incomplete_gamma(a: float, x: float) -> tuple[float, float, bool]:
     """``(log g, s, upper)`` of ``regularized_gamma_p``: ``g s`` is ``Q(a, x)``
     from the continued fraction if ``upper``, else ``P(a, x)`` from the series."""
     log_prefactor = _log_gamma_prefactor(a, x)
-    if x < a + 1.0:
+    if x - a < 1.0:
         term = total = 1.0 / a
         n = a
-        while term > _EPS * total:
+        for _ in range(_MAX_TERMS):
             n += 1.0
             term *= x / n
             total += term
-        return log_prefactor, total, False
+            if term <= _EPS * total:
+                return log_prefactor, total, False
+        raise NotApplicableError(f"P({a:.6g}, {x:.6g}) needs more than {_MAX_TERMS} series terms")
     b = x + 1.0 - a
     c = 1.0 / _LENTZ_TINY
     d = 1.0 / b
     q = d
-    i = 0
-    while True:
-        i += 1
+    for i in range(1, _MAX_TERMS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -159,6 +164,7 @@ def _incomplete_gamma(a: float, x: float) -> tuple[float, float, bool]:
         q *= step
         if abs(step - 1.0) <= _EPS:
             return log_prefactor, q, True
+    raise NotApplicableError(f"Q({a:.6g}, {x:.6g}) needs more than {_MAX_TERMS} continued-fraction terms")
 
 
 def _log_gamma_mass(a: float, x: float, upper: bool) -> float:
@@ -247,10 +253,13 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
     """Kolmogorov-distance bound against the exponential law whose rate is the
     density's score at zero.
 
-    Requires ``f(0) > 0`` finite, ``f'(0) < 0`` and a log-concavity
+    Requires ``f(0) > 0`` finite, ``f'(0) < 0`` normal and a log-concavity
     attestation; the rate is ``r = -f'(0)/f(0)`` and the bound ``f(0)/r - 1``.
-    The oracle distance is the grid supremum of ``|F - F_exp|``, raised to
-    its value at each density crossing that the grid brackets.
+    ``log f(x) + r x`` is concave with zero slope at 0, so ``f(x) / (r e^{-r
+    x})`` falls from ``f(0)/r``: at most 1, the laws are one and the distance
+    0; above 1, the densities cross once, where ``|F - F_exp|`` peaks.  The
+    oracle is ``|F - F_exp|`` there, at the root ``_bisect`` finds on a
+    bracket doubled from ``1/r``.
     """
     if not model.log_concave:
         raise NotApplicableError("density is not attested log-concave")
@@ -258,32 +267,22 @@ def exp_kolmogorov_bound(model: DensityModel) -> BoundReport:
     fp0 = model.fprime(0.0)
     if not (math.isfinite(f0) and f0 > 0):
         raise NotApplicableError("need finite positive density at 0")
-    if not (math.isfinite(fp0) and fp0 < 0):
-        raise NotApplicableError("need finite negative density derivative at 0")
+    if not (math.isfinite(fp0) and fp0 <= -_MIN_NORMAL):
+        # a subnormal derivative carries too few digits for the rate
+        raise NotApplicableError("need finite negative density derivative at 0, below -2.2e-308")
     rate = -fp0 / f0
     raw = f0 / rate - 1.0
-    bound = float(clamp01(raw))
-    details = {"rate": rate, "f0": f0, "metric": "kolmogorov"}
-    cert = LogConcavityCertificate(True, None, True)
-
-    exp_cdf = lambda x: -math.expm1(-rate * x)
-    hi = 1.0 / rate
-    for _ in range(60):
-        if exp_cdf(hi) >= 1.0 - 1e-12 and model.cdf(hi) >= 1.0 - 1e-10:
-            break
-        hi *= 2.0
-    grid = [hi * i / (_KS_GRID_POINTS - 1) for i in range(_KS_GRID_POINTS)]
-    diff = lambda x: model.cdf(x) - exp_cdf(x)
-    best = max(abs(diff(x)) for x in grid)
-    dens_gap = lambda x: model.f(x) - rate * math.exp(-rate * x)
-    gaps = [dens_gap(x) for x in grid]
-    for a, b, ga, gb in zip(grid, grid[1:], gaps, gaps[1:]):
-        if ga * gb < 0:
-            best = max(best, abs(diff(_bisect(dens_gap, a, b))))
-    # |F - F_exp| peaks where the densities cross; only crossings hidden
-    # inside a single grid cell are missed, so a small pad suffices
-    oracle = Interval(best, best + 1e-11)
-    return BoundReport(None, None, bound, None, cert, oracle, raw, details)
+    best = 0.0
+    if f0 > rate:
+        dens_gap = lambda x: model.f(x) - rate * math.exp(-rate * x)
+        a, b = 0.0, 1.0 / rate
+        while dens_gap(b) > 0:
+            a, b = b, 2.0 * b
+        x = _bisect(dens_gap, a, b)
+        best = abs(model.cdf(x) + math.expm1(-rate * x))
+    # the pad covers the rounding of the two CDFs at the crossing
+    return BoundReport(None, None, float(clamp01(raw)), None, LogConcavityCertificate(True, None, True),
+                       Interval(best, best + 1e-11), raw, {"rate": rate, "f0": f0, "metric": "kolmogorov"})
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +362,19 @@ def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
     is ``dk log x - dl x + C``: monotone on each side of ``x* = dk/dl``
     (everywhere when ``x* <= 0``, then split at 1), so a side holds a root
     iff ``h`` at its start and at its far end differ in sign; doubling away
-    from the start brackets it for ``_bisect``.  Below ``_TINY``, ``dl x`` is
-    under the rounding of ``dk log x + C`` (unless ``|dl/dk| > 1e260``), so a
-    root there is ``e^u``, ``u = log _TINY - h(_TINY)/dk``.  A root above the
-    float range is not reported.
+    from the start brackets it for ``_bisect``.  Below ``_TINY``, left of an
+    ``x*`` above it, ``dl x`` is under the rounding of ``dk log x + C``, so a
+    root there is ``e^u``, ``u = log _TINY - h(_TINY)/dk``; an ``x*`` below
+    ``_TINY`` is not applicable.  A root above the float range is not
+    reported.
     """
     if a == b:
         return []
     dk, dl = a.kappa - b.kappa, a.lam - b.lam
     h = lambda x: _log_density_gap(a, b, x)
     start = dk / dl if dk * dl > 0 else 1.0
+    if start < _TINY:
+        raise NotApplicableError(f"the densities' extremum dk/dl = {start!r} lies below {_TINY}")
     h0 = h(start)
     # a zero at the extremum x* is a touch, not a crossing
     roots = [start] if h0 == 0.0 and dk * dl <= 0 else []
@@ -387,36 +389,39 @@ def gamma_density_crossings(a: GammaParams, b: GammaParams) -> list[float]:
             roots.append(_bisect(h, *sorted((x / step, x))))
         elif x * step <= _TINY:
             # with dk = 0, h is linear
-            roots.append(math.exp(math.log(_TINY) - h(_TINY) / dk) if dk else _TINY + h(_TINY) / dl)
+            roots.append(math.exp(_LOG_TINY - h(_TINY) / dk) if dk else _TINY + h(_TINY) / dl)
     return sorted(roots)
 
 
 def tv_gamma_quadrature(a: GammaParams, b: GammaParams) -> Interval:
     """Exact-oracle TV between two Gamma laws, error below 1e-10: the CDFs
     differenced across the density crossings, kept where positive (where
-    ``f_a > f_b``).  At a crossing ``x = e^u`` below ``_TINY`` (``u`` from the
-    prefactor difference ``h``, see ``gamma_density_crossings``), ``P(kappa,
-    lam x)`` is ``e^{kappa (log lam + u)} / Gamma(kappa + 1)`` to relative
-    ``O(lam x)``.
+    ``f_a > f_b``), the upper end capped at 1.  Where ``lam x`` is below
+    ``_TINY``, ``P(kappa, lam x)`` is ``e^{kappa (log lam + log x)} /
+    Gamma(kappa + 1)`` to relative ``O(lam x)``; at a crossing ``x = e^u``
+    that underflowed to 0, ``u`` comes from the prefactor difference ``h``
+    (see ``gamma_density_crossings``).
 
     No quadrature runs; the name is kept because ``bench/tracing.py`` traces
     this entry point under it.
     """
     if a == b:
         return Interval(0.0, 0.0)
+    dk = a.kappa - b.kappa
 
-    def cdfs(x: float) -> tuple[float, float]:
-        if x >= _TINY:
-            return gamma_cdf(a, x), gamma_cdf(b, x)
-        dk = a.kappa - b.kappa
-        u = math.log(_TINY) - _log_density_gap(a, b, _TINY) / dk if dk else math.log(x)
-        return tuple(math.exp(g.kappa * (math.log(g.lam) + u) - math.lgamma(g.kappa + 1.0)) for g in (a, b))
+    def cdf(g: GammaParams, x: float) -> float:
+        # log(lam x) from log x, or from h for a crossing that underflowed to 0
+        log_y = math.log(g.lam) + (math.log(x) if x else _LOG_TINY - _log_density_gap(a, b, _TINY) / dk)
+        if log_y < _LOG_TINY:
+            return math.exp(g.kappa * log_y - math.lgamma(g.kappa + 1.0))
+        return gamma_cdf(g, x) if x else regularized_gamma_p(g.kappa, math.exp(log_y))
 
-    pts = [(0.0, 0.0)] + [cdfs(x) for x in gamma_density_crossings(a, b)] + [(1.0, 1.0)]
+    pts = [(0.0, 0.0)] + [(cdf(a, x), cdf(b, x)) for x in gamma_density_crossings(a, b)] + [(1.0, 1.0)]
     tv = 0.0
     for (left_a, left_b), (right_a, right_b) in zip(pts, pts[1:]):
         tv += max((right_a - left_a) - (right_b - left_b), 0.0)
-    return Interval(max(tv - 1e-10, 0.0), tv + 1e-10)
+    # no TV exceeds 1, which a sum near 1 may round above
+    return Interval(max(tv - 1e-10, 0.0), min(tv + 1e-10, 1.0))
 
 
 def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
@@ -429,8 +434,10 @@ def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
     e^{-(kap_1-kap_2)}`` and the bound ``min(R - 1, 1 - 1/R)``.  ``log R`` is
     the difference of the two densities' ``_log_gamma_prefactor`` at ``z``,
     whose Stirling form cancels the ``kap log kap`` terms exactly, so ``R``
-    near 1 keeps its digits at large shapes.  Orientation is chosen
-    internally so the larger shape plays the target.
+    near 1 keeps its digits at large shapes; the two sides are
+    ``expm1(log R)`` and ``-expm1(-log R)``, which do not cancel there.
+    Orientation is chosen internally so the larger shape plays the target.
+    A ``z`` that overflows or underflows is not applicable.
     """
     dk = a.kappa - b.kappa
     dl = a.lam - b.lam
@@ -438,17 +445,14 @@ def gamma_tv_bound_anchored(a: GammaParams, b: GammaParams) -> BoundReport:
         raise NotApplicableError("need nonzero same-sign shape and rate differences")
     swapped = dk < 0
     hiP, loP = (b, a) if swapped else (a, b)
-    dk, dl = hiP.kappa - loP.kappa, hiP.lam - loP.lam
     z = dk / dl
+    if not 0 < z < math.inf:
+        raise NotApplicableError(f"the anchor z = dk/dl = {z!r} leaves the positive float range")
     log_r = _log_density_gap(hiP, loP, z)
-    ratio = _safe_exp(log_r)
-    mu_side = ratio - 1.0
-    nu_side = 1.0 - 1.0 / ratio
-    cert = LogConcavityCertificate(True, None, True)
-    tv = tv_gamma_quadrature(a, b)
-    bound = float(clamp01(min(mu_side, nu_side)))
-    details = {"z": z, "density_ratio": ratio, "swapped": swapped}
-    return BoundReport(float(clamp01(nu_side)), float(clamp01(mu_side)), bound, None, cert, tv, None, details)
+    mu_side, nu_side = _safe_expm1(log_r), -_safe_expm1(-log_r)
+    details = {"z": z, "density_ratio": _safe_exp(log_r), "swapped": swapped}
+    return BoundReport(float(clamp01(nu_side)), float(clamp01(mu_side)), float(clamp01(min(mu_side, nu_side))), None,
+                       LogConcavityCertificate(True, None, True), tv_gamma_quadrature(a, b), None, details)
 
 
 def gamma_tv_bound_perturbative(a: GammaParams, b: GammaParams, z: float) -> float:

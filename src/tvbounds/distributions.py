@@ -13,17 +13,19 @@ exact rational (used for oracles and certificates); anything constructed from
 floats stays float.  Every certificate is one kernel, ``_three_term``:
 interval support of ``a`` and ``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` at each
 interior ``i``, cross-multiplied so that no logarithm of zero misfires, exact
-for rational cells and with relative slack ``CERT_REL_TOL`` for floats.  The
-weights ``(L_i, R_i)`` are ``(p_i^2, p_{i-1} p_{i+1})`` relative to a
-reference ``p``, ``(1, 1)`` for the counting measure, ``((k+1)(m-k+1),
-k(m-k))`` for ultra log-concavity of order ``m`` and ``(k+1, k)`` for
-infinite order.
+for rational cells and with relative slack ``CERT_REL_TOL`` (read nowhere
+else) for floats.  The weights ``(L_i, R_i)`` are ``(p_i^2, p_{i-1}
+p_{i+1})`` relative to a reference ``p``, ``(1, 1)`` for the counting
+measure, ``((k+1)(m-k+1), k(m-k))`` for ultra log-concavity of order ``m``
+and ``(k+1, k)`` for infinite order.
 
 Every fact about a pair of laws, from absolute continuity to the anchor gap
 rows, comes from one walk over their aligned cells, ``_pair_scan``, which
 ``tv_distance``, ``is_log_concave_relative`` and the reports all read.  The
 scan decides no certificate: it hands its aligned cells to ``_three_term``
-for the readers that need the relative one.
+for the readers that need the relative one.  It does decide which anchors
+are ratio matched, the one reader of ``ANCHOR_MATCH_TOL``.
+
 The exact kernels (validation, ``_three_term``, ``_pair_scan`` and the
 envelope sums of ``bounds``) never add or multiply ``Fraction`` cells: they
 run on ``DiscreteDist.integer_masses``, the masses as integer numerators over
@@ -53,6 +55,10 @@ Scalar = Union[int, float, Fraction]
 
 #: relative slack used by float-mode certificates; exact mode uses none
 CERT_REL_TOL = 1e-12
+
+#: a float anchor counts as ratio matched when the normalized cross-product
+#: gap |p_{l+1} q_l - q_{l+1} p_l| / max(...) falls below this
+ANCHOR_MATCH_TOL = 1e-12
 
 #: truncation budget for infinite-support families; the one every application
 #: reference is built at
@@ -509,11 +515,12 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
     diff, gap, matched)`` of the cross products ``lhs = p_{l+1} q_l`` and
     ``rhs = q_{l+1} p_l``: ``diff`` has the sign of ``lhs - rhs``, the float
     ``gap`` is ``|lhs - rhs| / max(lhs, rhs)`` and ``matched`` is ``lhs ==
-    rhs != 0`` for exact laws, None for floats.  Exact products carry the
-    factor ``d_mu d_nu``, taken out by one correctly rounded int division
-    each, as ``Fraction.__float__`` does; float products below the normal
-    range come from ``_scaled_products``, so two of them do not round to one
-    subnormal and fake a match.
+    rhs != 0`` for exact laws, ``gap <= ANCHOR_MATCH_TOL`` for floats; no
+    other code reads that tolerance.  Exact products carry the factor ``d_mu
+    d_nu``, taken out by one correctly rounded int division each, as
+    ``Fraction.__float__`` does; float products below the normal range come
+    from ``_scaled_products``, so two of them do not round to one subnormal
+    and fake a match.
     """
     exact = mu.is_exact and nu.is_exact
     start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
@@ -539,7 +546,7 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
                     fl, fr = _scaled_products(pc, qb, qc, pb)
                 scale = fl if fl > fr else fr
                 gap = math.inf if scale == 0 else abs(fl - fr) / scale
-                rows.append((k - 1, fl - fr, gap, lhs == rhs != 0 if exact else None))
+                rows.append((k - 1, fl - fr, gap, lhs == rhs != 0 if exact else gap <= ANCHOR_MATCH_TOL))
         pb, qb = pc, qc
     slack = mu.tail_deficit + nu.tail_deficit
     t, slack = (Fraction(t, den), slack) if exact else (float(t), float(slack))

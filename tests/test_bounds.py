@@ -229,7 +229,7 @@ def _reference_relative(nu, mu):
 
 def _reference_anchor(row):
     ell, _, gap, matched = row
-    return bounds.Anchor(ell, gap <= bounds.ANCHOR_MATCH_TOL if matched is None else matched, gap)
+    return bounds.Anchor(ell, gap <= distributions.ANCHOR_MATCH_TOL if matched is None else matched, gap)
 
 
 def _reference_anchor_at(mu, nu, ell):
@@ -246,7 +246,7 @@ def _reference_smallest_gap(rows):
 def _reference_find_ratio_anchor(mu, nu):
     rows = _anchor_gaps(mu, nu)
     signs = [d for _, d, _, _ in rows]
-    if (any(gap <= bounds.ANCHOR_MATCH_TOL for _, _, gap, _ in rows)
+    if (any(gap <= distributions.ANCHOR_MATCH_TOL for _, _, gap, _ in rows)
             or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:]))):
         return _reference_smallest_gap(rows)
     return None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvbounds.cli import SUITE_NAMES, main, run
 
@@ -295,8 +298,88 @@ def test_gamma_density_ratio_beyond_float_range(a, b):
     report = json.loads(text)
     assert report["bound_nu_side"] == report["bound_mu_side"] == report["simplified"] == 1.0
     assert report["details"]["density_ratio"] == "inf"
-    assert report["oracle_tv"] == [0.9999999999, 1.0000000001]
+    # the oracle's upper end is capped at 1, which no TV exceeds
+    assert report["oracle_tv"] == [0.9999999999, 1.0]
     assert report["dominated"] is True
+
+
+@pytest.mark.parametrize("a, b", [("1e45,1e-300", "2e45,2e-300"), ("1e-300,1e300", "2e-300,2e300")],
+                         ids=["z-overflows", "z-underflows"])
+def test_gamma_anchor_outside_float_range_is_not_applicable(a, b):
+    # z = dk/dl is 1e345 (inf) or 1e-600 (0.0): the first used to exit 0
+    # with "nan" bounds, the second to exit 1 with "math domain error"
+    code, text = run(["gamma", "--a", a, "--b", b])
+    assert code == 2 and '"nan"' not in text
+    assert "z = dk/dl" in json.loads(text)["reason"]
+
+
+def _assert_valid_outcome(argv):
+    """Exit 0 or 2 with canonical JSON holding no NaN, an exit-0 report with
+    an oracle dominated, or exit 1 with an input error."""
+    code, text = run(argv)
+    if code == 1:
+        assert text.startswith("error:"), (argv, text)
+        return
+    assert code in (0, 2) and '"nan"' not in text, (argv, code, text)
+    report = json.loads(text)
+    assert code == 2 or report.get("oracle_tv") is None or report["dominated"] is not False, (argv, text)
+    return report
+
+
+# valid inputs that raised, ran without end or reported NaN or an undominated
+# bound, found by a fuzz over the ranges of the property test below
+@pytest.mark.parametrize("argv", [
+    # the continued fraction divided by x + 1 - a == 0 (ZeroDivisionError)
+    ["gamma", "--a", "0.0018241151702338225,4.950383827795312e-31", "--b", "9.031993859512396e+90,1.7139994621560496e+173"],
+    # the incomplete gamma at x = a = 3.5e202 ran without end
+    ["gamma", "--a", "3.5219679336636546e+202,7.45750565674983e+33", "--b", "2.380223613938927e+85,3.4975146060174276e-189"],
+    # the CDF sum rounded above 1, over a bound one ulp below 1
+    ["gamma", "--a", "9.729103594148738,105711099017.40561", "--b", "2.099494603113222e-16,8628240846.542465"],
+    # x/a underflowed to 0 in Stirling's series (math domain error)
+    ["gamma", "--a", "6.7058772039489165e+249,7.506821272245752e+206", "--b", "5.1236295372499295e+110,3.255912203897036e-259"],
+    # the extremum dk/dl = 1.3e-288: the closed-form crossing overflowed (OverflowError)
+    ["gamma", "--a", "1.4448136191454214e-64,1.620011559394035e-198", "--b", "22.03611651852593,1.7619051423946478e+289"],
+    # dk/dl = 5e-324: the crossing search took log(0) (math domain error)
+    ["gamma", "--a", "1.9457388571706766e-87,1.4656975540621758e+237", "--b", "2.5977544379704423e-237,8.334727521006977e+236"],
+    # P[X=0] underflowed, and the recursion ran on to a cap of 2e224 steps
+    ["compound", "poisson", "--lambda", "1.0474972568181603e+223", "--severity", "0.0,0.0,0.0,1.5730804996917085e-73,1.0"],
+    # f'(0) = -lam^2 is subnormal: the rate was off by 4e-4, over a bound of 0
+    ["expapprox", "--density", "builtin:exp:7.0903905021667015e-161"],
+])
+def test_fuzz_repro_gives_a_valid_outcome(argv):
+    _assert_valid_outcome(argv)
+
+
+def test_gamma_crossing_where_lam_x_underflows():
+    # at the crossing 1.4e-211, lam x = 2.2e-402 underflowed to 0 for the
+    # shape-1e-34 law, whose CDF there is near 1, not 0: the oracle read
+    # [1 - 1e-10, 1 + 1e-10] against a bound of 0.9995 (50 digits: 0.99600576200133)
+    report = _assert_valid_outcome(["gamma", "--a", "1.0776666895614802e-34,1.5568876116056598e-191",
+                                    "--b", "2.3389632136765343e-31,5.453000493718016e+211"])
+    lo, hi = report["oracle_tv"]
+    assert lo <= 0.99600576200133 <= hi and report["dominated"] is True
+
+
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_PAIR = st.tuples(_LOG_UNIFORM, _LOG_UNIFORM).map(lambda t: "%r,%r" % t)
+_SEVERITY = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any).map(
+    lambda w: ",".join(repr(v / math.fsum(w)) for v in w))
+_ARGV = st.one_of(
+    st.tuples(_PAIR, _PAIR).map(lambda ab: ["gamma", "--a", ab[0], "--b", ab[1]]),
+    _LOG_UNIFORM.map(lambda rate: ["expapprox", "--density", f"builtin:exp:{rate!r}"]),
+    st.tuples(_LOG_UNIFORM, _SEVERITY).map(lambda t: ["compound", "poisson", "--lambda", repr(t[0]), "--severity", t[1]]),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=60).map(
+        lambda p: ["pb-binomial", "--p", ",".join(map(repr, p))]),
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_ARGV)
+def test_valid_input_gives_a_report_a_not_applicable_result_or_an_input_error(argv):
+    # gamma shapes and rates, exponential and compound rates log-uniform in
+    # [1e-300, 1e300]; compound severities of 1 to 6 cells and Bernoulli sums
+    # of up to 60 summands
+    _assert_valid_outcome(argv)
 
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")

@@ -107,6 +107,20 @@ class TestLogConcaveCriterion:
         assert log_concave_criterion(CompoundPoissonSpec(lam * (1 - 1e-13), sev)).holds
         assert not log_concave_criterion(CompoundPoissonSpec(lam * (1 - 1e-11), sev)).holds
 
+    @pytest.mark.parametrize("lam, severity", [
+        (2.0, (F(1, 4), F(1, 2), F(1, 4))),  # cells 1, 1, 1
+        (4.0, (F(0), F(1, 2), F(1, 2))),  # cells 1, 2, 4
+    ], ids=["atom-at-0", "no-atom-at-0"])
+    def test_exact_severity_at_equality_holds(self, lam, severity):
+        # lam F_1^2 = 2 F_2 exactly: the aggregate's three-term inequality at 1 is a tie
+        assert log_concave_criterion(CompoundPoissonSpec(lam, make_dist(0, severity))).holds
+
+    def test_exact_severity_without_mass_at_1_fails(self):
+        # F_1 = 0 < F_2: P[X=1] = 0 < P[X=2], a gap in the aggregate's support
+        spec = CompoundPoissonSpec(3.0, make_dist(0, (F(0), F(0), F(1, 2), F(1, 2))))
+        assert not log_concave_criterion(spec).holds
+        assert not is_log_concave(compound_poisson_pmf(spec)).holds
+
     def test_severity_not_log_concave_is_distinct_failure(self):
         with pytest.raises(HypothesisError):
             log_concave_criterion(CompoundPoissonSpec(0.1, make_dist(0, (0.5, 0.2, 0.3))))

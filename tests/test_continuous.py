@@ -19,7 +19,7 @@ from scipy import optimize
 import tvbounds
 from tvbounds import continuous as cont
 from tvbounds.continuous import GammaParams
-from tvbounds.errors import InvalidDistributionError
+from tvbounds.errors import InvalidDistributionError, NotApplicableError
 
 mp = mpmath.mp.clone()
 mp.dps = 50
@@ -200,6 +200,15 @@ def test_regularized_gamma_p_rejects_bad_arguments(a, x):
         cont.regularized_gamma_p(a, x)
 
 
+@pytest.mark.parametrize("x", [2.0**60, 2.0**60 + 2**10], ids=["series", "continued-fraction"])
+def test_regularized_gamma_p_beyond_its_terms_is_not_applicable(x):
+    # near x = a = 2^60 each loop needs about 10 sqrt(a) = 1e10 terms.  The
+    # series used to run on, and x = a, where a + 1 rounds to a, went to the
+    # continued fraction, which divided by x + 1 - a = 0
+    with pytest.raises(NotApplicableError, match="needs more than"):
+        cont.regularized_gamma_p(2.0**60, x)
+
+
 # ---------------------------------------------------------------------------
 # Gamma TV oracle and bounds
 # ---------------------------------------------------------------------------
@@ -307,6 +316,24 @@ def test_anchored_bound_against_the_density_oracle_at_shapes_to_1e9():
         want = _mp_matched_bound(lo, hi)
         assert abs(report.simplified - want) <= 2e-5 * want + 1e-15, (a, b, report.simplified, want)
         assert report.simplified == min(report.bound_nu_side, report.bound_mu_side)
+
+
+def test_anchored_sides_keep_their_digits_at_shape_1e9():
+    # at log R = 1.5e-9, R - 1 and 1 - 1/R differ by (R - 1)^2 / R = 2.25e-18,
+    # but formed from the rounded R both read 1.500000124111e-09.  As
+    # expm1(log R) and -expm1(-log R) each side is, to an ulp, the 50-digit
+    # value at the report's own log R, which the prefactor difference gives
+    # to 1e-7 relative of the 50-digit one
+    a, b = GammaParams(1000000003.0, 1000000001.0), GammaParams(1000000000.0, 999999998.0)
+    report = cont.gamma_tv_bound_anchored(a, b)
+    mu_side, nu_side = report.bound_mu_side, report.bound_nu_side
+    log_r = mp.log1p(mp.mpf(mu_side))
+    assert nu_side == pytest.approx(float(-mp.expm1(-log_r)), rel=1e-15)
+    assert mu_side - nu_side == pytest.approx(mu_side**2 / (1.0 + mu_side), rel=1e-6)
+    kl, ll, kh, lh = (mp.mpf(v) for v in (b.kappa, b.lam, a.kappa, a.lam))
+    dk = kh - kl
+    want = kh * mp.log(lh) - kl * mp.log(ll) + mp.loggamma(kl) - mp.loggamma(kh) + dk * mp.log(dk / (lh - ll)) - dk
+    assert float(log_r) == pytest.approx(float(want), rel=1e-7)
 
 
 def test_perturbative_bound_dominates_mpmath_tv():
@@ -472,13 +499,14 @@ def test_bisect_root_on_gamma_gaps(monkeypatch, xtol):
 
 @pytest.mark.parametrize("name", ["expquad", "exp:0.5", "exp:2", "exp:7.3"])
 def test_bisect_root_on_kolmogorov_density_gaps(monkeypatch, name):
+    # the densities cross at most once: expquad once, on a bracket that
+    # brentq solves to the same root; exp:<rate> is its own exponential, so
+    # its gap is rounding noise, bisected at most once, at any sign change
     calls = _bisect_calls(monkeypatch, lambda: cont.exp_kolmogorov_bound(cont.builtin_density(name)))
-    assert calls
+    assert len(calls) == 1 if name == "expquad" else len(calls) <= 1
     for f, a, b in calls:
         x = cont._bisect(f, a, b)
         _assert_sign_change(f, a, b, x)
-        # for exp:<rate> both densities are one law, so the gap is rounding
-        # noise around 0: every sign change is a root, and brentq's may be another
         if name == "expquad":
             assert abs(x - optimize.brentq(f, a, b)) <= 2 * (2e-12 + 4 * cont._EPS * x), (a, b)
 

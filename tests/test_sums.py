@@ -245,7 +245,7 @@ class TestBinomialTarget:
 
     def test_float_target_ratio_matched_at_n_2000(self):
         # the target's m_1/m_0 is built to equal the sum's; the float build
-        # must keep that well inside bounds.ANCHOR_MATCH_TOL
+        # must keep that well inside distributions.ANCHOR_MATCH_TOL
         rng = random.Random(4127)
         bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(2000)))
         anchor = certify(binomial_target(bv), poisson_binomial_pmf(bv)).anchor
