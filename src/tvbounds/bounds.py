@@ -48,7 +48,6 @@ from .distributions import (
     DiscreteDist,
     Interval,
     LogConcavityCertificate,
-    _MIN_NORMAL,
     _continuity_error,
     _pair_scan,
     _support_interval,
@@ -57,6 +56,7 @@ from .errors import HypothesisError, InvalidAnchorError
 
 _NOT_RELATIVE = "target is not log-concave relative to the reference"
 _REF_GAP = "reference support is not a contiguous interval"
+_SUBNORMAL = "anchor {} has subnormal float cells"
 
 #: slack of every dominance verdict, of the reports and of the randomized
 #: sweeps; absorbs truncation deficits on the oracle side of exact-equality
@@ -261,11 +261,13 @@ def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, row=None) -> Anch
     gap row, the caller's when given, ratio matched as the row says.
 
     Only the target's cells are checked; a reference without mass at both
-    anchor cells gives an infinite gap.
+    anchor cells gives an infinite gap, and a subnormal float cell no row.
     """
     if row is None:
         _check_anchor(nu, ell)
-        [row] = _pair_scan(mu, nu, ell)[2]
+        row = next(iter(_pair_scan(mu, nu, ell)[2]), None)
+        if row is None:
+            raise InvalidAnchorError(_SUBNORMAL.format(ell))
     _, _, gap, matched = row
     return Anchor(ell, matched, gap)
 
@@ -274,8 +276,9 @@ def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, che
     """Closed-form bound ``min(q_l/p_l - 1, 1 - p_l/q_l)`` at a ratio-matched
     anchor (``anchor``, its record when the caller has built it).
 
-    Asserts ``q_l >= p_l`` (which any ratio-matched anchor of a valid instance
-    satisfies; the opposite orientation would make both terms negative).
+    Two probability laws have ``q_l >= p_l`` there, up to rounding; a target
+    stored short of its deficit can sit below, where both terms are negative
+    and the clamp gives 0, as the envelope sums do at such an anchor.
     """
     if check:
         _check_hypothesis(mu, nu)
@@ -284,11 +287,8 @@ def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, che
         raise InvalidAnchorError(
             f"anchor {ell} is not ratio matched (normalized gap {anc.ratio_gap:.3e})"
         )
-    # float cells may round q_l just below p_l; exact cells get no slack
-    cell, slack = (Fraction, 0) if mu.is_exact and nu.is_exact else (float, 1e-9)
+    cell = Fraction if mu.is_exact and nu.is_exact else float
     ql, pl = cell(nu.mass(ell)), cell(mu.mass(ell))
-    if ql < pl * (1 - slack):
-        raise InvalidAnchorError("matched anchor with target mass below reference mass")
     return clamp01(min(ql / pl - 1, 1 - pl / ql))
 
 
@@ -347,8 +347,10 @@ def anchored_report(
     clamped, when given. Without one they are 0 when the oracle TV is exactly
     0, and otherwise the two envelope sums, plus the matched closed form at a
     ratio-matched anchor, when ``hypothesis`` holds and both laws have mass at
-    ``ell`` and ``ell+1``. A target without mass at both anchor cells has no
-    anchor record; ``details["anchor_outside_target_support"]`` names ``ell``.
+    ``ell`` and ``ell+1``, each raised by the target's ``tail_deficit``: the
+    true TV exceeds the stored cells' TV by at most that. A target without mass
+    at both anchor cells has no anchor record (``details["anchor_outside_target_support"]``
+    names ``ell``); an anchor on a subnormal float cell has no ``_pair_scan`` row and is not applicable.
     ``anchor`` is the record at ``ell`` and ``tv`` the oracle TV when the
     caller has them; one ``_pair_scan`` at ``ell`` gives those it lacks.
     """
@@ -365,10 +367,13 @@ def anchored_report(
         b_nu, b_mu = (None if b is None else float(clamp01(b)) for b in closed_forms)
     elif tv.hi == 0:
         b_nu = b_mu = simplified = 0.0
+    elif anchor is None and _positive_at(nu, ell):
+        details["not_applicable"] = _SUBNORMAL.format(ell)
     elif hypothesis.holds and anchor is not None and _positive_at(mu, ell):
-        b_nu, b_mu = (float(b) for b in tv_bounds_at_anchor(mu, nu, ell, check=False))
+        lift = lambda b: min(float(b + nu.tail_deficit), 1.0)  # b >= 0
+        b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell, check=False))
         if anchor.ratio_matched:
-            simplified = float(tv_bound_matched_anchor(mu, nu, ell, check=False, anchor=anchor))
+            simplified = lift(tv_bound_matched_anchor(mu, nu, ell, check=False, anchor=anchor))
     return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, stated_bound, details)
 
 
@@ -381,7 +386,7 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
     ``anchored_report``, all read off one ``_pair_scan``.  Hypothesis
     failures and invalid anchors come back as a structured not-applicable
     report (with the oracle TV) instead of an exception; so does a float
-    anchor ``ell`` on subnormal cells, which carry too few digits for a slope.
+    anchor on subnormal cells: a given one, or the target's first when every row is on one.
     """
     ac, relative, rows, tv = _pair_scan(mu, nu, ell)
     cert, error = _verdict(mu, ac, relative)
@@ -392,8 +397,8 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
     if ell is None:
         if row is not None:
             ell = row[0]
-        elif tv.hi == 0:
-            ell = nu.support_min  # the single atom both laws share: the bound is 0
+        elif tv.hi == 0 or nu.support_min < nu.support_max:  # a bound of 0, or no row off subnormal cells
+            ell = nu.support_min
         else:
             return _not_applicable("no valid anchor (target support is a single atom)", cert, tv)
     else:
@@ -401,8 +406,5 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> Bound
             _check_anchor(nu, ell)
         except InvalidAnchorError as e:
             return _not_applicable(str(e), cert, tv)
-        if not (mu.is_exact and nu.is_exact) and any(
-                0 < c < _MIN_NORMAL for c in (mu.mass(ell), mu.mass(ell + 1), nu.mass(ell), nu.mass(ell + 1))):
-            return _not_applicable(f"anchor {ell} has subnormal float cells", cert, tv)
     anc = None if row is None else anchor_at(mu, nu, ell, row=row)
     return anchored_report(mu, nu, ell, cert, anchor=anc, tv=tv)

@@ -96,9 +96,9 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
 
     That is the aggregate's three-term inequality at 1: over ``P[X=0]`` its
     first cells are ``1``, ``lam F_1`` and ``lam (lam F_1^2 + 2 F_2) / 2``,
-    which ``_three_term`` compares in floats.  A severity that is not
-    log-concave is a hypothesis failure, raised as a distinct error rather
-    than reported as a criterion outcome.
+    which ``_three_term`` compares in floats; with ``F_1 = 0`` the third is 1
+    if the severity has mass above 1, a gap at 1.  A severity that is not
+    log-concave raises a distinct error instead of a criterion outcome.
     """
     f = spec.severity
     cert = is_log_concave(f)
@@ -106,7 +106,7 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
         raise HypothesisError("severity mass function is not log-concave",
                               {"certificate": cert.to_json()})
     lam, f1, f2 = spec.lam, float(f.mass(1)), float(f.mass(2))
-    return _three_term((1.0, lam * f1, lam * (lam * f1 * f1 / 2 + f2)), False)
+    return _three_term((1.0, lam * f1, lam * (lam * f1 * f1 / 2 + f2) if f1 else float(f.support_max > 1)), False)
 
 
 def _matched_report(

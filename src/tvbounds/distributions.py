@@ -2,11 +2,11 @@
 and log-concavity certificates.
 
 A :class:`DiscreteDist` stores masses on the window ``offset .. offset+L-1``.
-Families with infinite support (Poisson, geometric) are truncated at a tail
-budget and the mass left out is recorded in ``tail_deficit``, so that every
-distance computed downstream can be reported as an honest interval instead of
-a point estimate.  The application modules and the CLI always truncate at
-``DEFAULT_TAIL_BUDGET``; only the family constructors take another budget.
+Infinite families (Poisson, geometric) are truncated at a tail budget, the
+float Poisson-binomial pmf at a relative floor, and the mass left out is
+recorded in ``tail_deficit``: every distance downstream is an honest interval,
+and every envelope bound is raised by the target's.  The application modules
+and the CLI always truncate at ``DEFAULT_TAIL_BUDGET``; only the family constructors take another budget.
 
 Arithmetic is dual-path.  Masses built from ``int``/``Fraction`` inputs stay
 exact rational (used for oracles and certificates); anything constructed from
@@ -119,8 +119,8 @@ class LogConcavityCertificate:
 class DiscreteDist:
     """Masses on the integer window ``offset .. offset+len(masses)-1``.
 
-    ``tail_deficit`` is the (non-negative) probability mass lost to truncating
-    an infinite-support family; it is zero for finite families.  ``is_exact``
+    ``tail_deficit`` is the (non-negative) mass left out of the window, a
+    truncated or dropped tail; it is zero for a law stored whole.  ``is_exact``
     (every mass and the deficit are ``int``/``Fraction``) is set by
     ``__post_init__``, which validates the law.
     """
@@ -520,7 +520,8 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
     d_nu``, taken out by one correctly rounded int division each, as
     ``Fraction.__float__`` does; float products below the normal range come
     from ``_scaled_products``, so two of them do not round to one subnormal
-    and fake a match.
+    and fake a match.  An anchor with a subnormal float cell has no row: such
+    cells have too few digits for a slope, and two of them can read a gap of 0.
     """
     exact = mu.is_exact and nu.is_exact
     start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
@@ -543,10 +544,13 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
                 if exact:
                     fl, fr = float(lhs / den), float(rhs / den)  # both vanish when the reference does
                 elif lhs < _MIN_NORMAL or rhs < _MIN_NORMAL:  # zero, subnormal or rounded to either
-                    fl, fr = _scaled_products(pc, qb, qc, pb)
-                scale = fl if fl > fr else fr
-                gap = math.inf if scale == 0 else abs(fl - fr) / scale
-                rows.append((k - 1, fl - fr, gap, lhs == rhs != 0 if exact else gap <= ANCHOR_MATCH_TOL))
+                    # every subnormal cell lands here, since no cell exceeds about 1
+                    sub = any(0 < c < _MIN_NORMAL for c in (pc, qb, qc, pb))
+                    fl, fr = (None, None) if sub else _scaled_products(pc, qb, qc, pb)
+                if fl is not None:
+                    scale = fl if fl > fr else fr
+                    gap = math.inf if scale == 0 else abs(fl - fr) / scale
+                    rows.append((k - 1, fl - fr, gap, lhs == rhs != 0 if exact else gap <= ANCHOR_MATCH_TOL))
         pb, qb = pc, qc
     slack = mu.tail_deficit + nu.tail_deficit
     t, slack = (Fraction(t, den), slack) if exact else (float(t), float(slack))

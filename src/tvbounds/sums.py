@@ -31,6 +31,8 @@ from .distributions import (
 )
 from .errors import HypothesisError, InvalidDistributionError, NotApplicableError
 
+_FLOOR = 2.0**-200  # the float pmf keeps its cells at or above this fraction of the largest
+
 
 class BernoulliVector:
     """Success probabilities ``p_i`` in [0, 1); all failure masses positive."""
@@ -64,12 +66,12 @@ class BernoulliVector:
 
 
 def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
-    """Exact mass function of ``sum_i Bernoulli(p_i)`` on ``0..n``.
+    """Mass function of ``sum_i Bernoulli(p_i)``: on ``0..n`` when exact, its bulk on floats.
 
     Direct two-term recursion ``a'_k = a_{k-1} p_i + a_k q_i`` over the
     summands on one plain list, with no intermediate distributions; only the
-    result is validated.  The output is bit-identical to folding ``convolve``
-    over the Bernoulli laws, because the fold's compensated sum of two
+    result is validated.  Its bulk (below) is bit-identical to folding
+    ``convolve`` over the Bernoulli laws: the fold's compensated sum of two
     products returns exactly the rounded ``a_{k-1} p_i + a_k q_i``.  Rational
     summands run on integer numerators over one running denominator; a
     leading rational run in a mixed vector is rounded to floats once, at the
@@ -89,12 +91,14 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     they change no cell, and in front they run while the band is shortest.
     A leading rational run goes one summand per pass.
 
-    The float recursion runs only on the band of cells that are not exactly
-    0.0, so it costs O(n * band width) cells instead of O(n^2).  A sum of
-    Bernoullis is log-concave (Liggett 1997), so its cells that underflow
-    form two tails, and a cell whose two parents are 0.0 stays
-    ``0.0 p + 0.0 q = 0.0``: trimming the band's ends after each pass and
-    padding once at the end leaves every cell bit-identical.
+    After each pass the band's end cells below ``2^-200`` of its largest, the
+    thin tails of a log-concave law (Liggett 1997), are dropped: O(n * band
+    width) cells, not O(n^2).  Each summand's step is a positive, mass-preserving
+    kernel, so in exact arithmetic the kept cells are a pointwise lower bound of
+    the law, short by exactly the dropped mass, whose ``math.fsum`` rounded up is
+    ``tail_deficit``.  At ``2^-200`` the bulk that certificates and anchor gaps
+    read, every cell at or above ``2^-60`` of the largest, stays bit-identical to
+    the untrimmed recursion, and no kept cell is subnormal (the largest is ~1/n).
     """
     ps = bv.p
     k = next((i for i, x in enumerate(ps) if not _is_exact(x)), len(ps))
@@ -109,7 +113,7 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     pairs = [(float(x), float(1 - Fraction(x))) if _is_exact(x) else (float(x), 1.0 - float(x)) for x in ps[k:]]
     pairs = [(0.0, 1.0)] * (-len(pairs) % 16) + pairs  # identity summands: c * 0.0 + y * 1.0 == y
     # cells ``lo ..`` of the mass function
-    band, lo = [x / den for x in band], 0
+    band, lo, deficit = [x / den for x in band], 0, 0.0
     for ((p1, q1), (p2, q2), (p3, q3), (p4, q4), (p5, q5), (p6, q6), (p7, q7), (p8, q8), (p9, q9), (p10, q10),
          (p11, q11), (p12, q12), (p13, q13), (p14, q14), (p15, q15), (p16, q16)) in zip(*[iter(pairs)] * 16):
         c1 = c2 = c3 = c4 = c5 = c6 = c7 = c8 = c9 = c10 = c11 = c12 = c13 = c14 = c15 = c16 = 0.0
@@ -119,12 +123,14 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
                 c6 * p6 + (c6 := c5 * p5 + (c5 := c4 * p4 + (c4 := c3 * p3 + (c3 := c2 * p2 + (c2 :=
                 c1 * p1 + (c1 := y) * q1) * q2) * q3) * q4) * q5) * q6) * q7) * q8) * q9) * q10) * q11)
                 * q12) * q13) * q14) * q15) * q16 for y in band]
-        while band[-1] == 0.0:
-            band.pop()
-        while band[0] == 0.0:
-            del band[0]
-            lo += 1
-    return DiscreteDist(0, (0.0,) * lo + tuple(band) + (0.0,) * (bv.n + 1 - lo - len(band)), 0.0)
+        cut, i, j = max(band) * _FLOOR, 0, len(band)
+        while band[i] < cut:
+            i += 1
+        while band[j - 1] < cut:
+            j -= 1
+        dropped = math.fsum((deficit, *band[:i], *band[j:]))  # one rounding, so one ulp up covers it
+        band, lo, deficit = band[i:j], lo + i, math.nextafter(dropped, math.inf) if dropped else 0.0
+    return DiscreteDist(lo, tuple(band), deficit)
 
 
 def binomial_target(bv: BernoulliVector) -> DiscreteDist:

@@ -34,6 +34,7 @@ from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf
 from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
 
 from test_integer_kernels import law_pairs
+from test_sums import untrimmed_recursion
 
 
 PB = make_dist(0, [F(72, 100), F(26, 100), F(2, 100)])  # Bernoulli(0.1)+Bernoulli(0.2)
@@ -195,6 +196,8 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[in
             fl, fr, matched = float(lhs / den), float(rhs / den), lhs == rhs != 0
         else:
             fl, fr, matched = lhs, rhs, None
+            if any(0 < c < sys.float_info.min for c in (p[i], p[i + 1], q[i], q[i + 1])):
+                continue  # a subnormal cell carries too few digits for a slope: no row
             if min(lhs, rhs) < sys.float_info.min:  # zero, subnormal or rounded to either
                 fl, fr = _scaled_products(p[i + 1], q[i], q[i + 1], p[i])
         scale = max(fl, fr)
@@ -235,8 +238,10 @@ def _reference_anchor(row):
 def _reference_anchor_at(mu, nu, ell):
     if not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
         raise InvalidAnchorError(f"anchor {ell} needs positive target mass at {ell} and {ell + 1}")
-    [row] = _anchor_gaps(mu, nu, [ell])
-    return _reference_anchor(row)
+    rows = _anchor_gaps(mu, nu, [ell])
+    if not rows:
+        raise InvalidAnchorError(f"anchor {ell} has subnormal float cells")
+    return _reference_anchor(rows[0])
 
 
 def _reference_smallest_gap(rows):
@@ -292,17 +297,17 @@ def _decomposed_certify(mu, nu, ell=None):
         if rows:
             anchor = _reference_smallest_gap(rows)
             ell = anchor.ell
-        elif tv.hi == 0:
+        elif tv.hi == 0 or nu.support_min < nu.support_max:  # no row: each has a subnormal float cell
             ell = nu.support_min
         else:
             reason = "no valid anchor (target support is a single atom)"
     elif reason is None and not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
         reason = f"anchor {ell} needs positive target mass at {ell} and {ell + 1}"
-    elif reason is None and not (mu.is_exact and nu.is_exact) and any(
-            0 < c < sys.float_info.min for c in (mu.mass(ell), mu.mass(ell + 1), nu.mass(ell), nu.mass(ell + 1))):
-        reason = f"anchor {ell} has subnormal float cells"
-    elif reason is None:
+    elif reason is None and (mu.is_exact and nu.is_exact or not any(
+            0 < c < sys.float_info.min for c in (mu.mass(ell), mu.mass(ell + 1), nu.mass(ell), nu.mass(ell + 1)))):
         anchor = _reference_anchor_at(mu, nu, ell)
+    if reason is None and anchor is None and tv.hi != 0 and nu.mass(ell) > 0 and nu.mass(ell + 1) > 0:
+        reason = f"anchor {ell} has subnormal float cells"
     if reason is not None:
         return bounds.BoundReport(None, None, None, None, cert, tv, None, {"not_applicable": reason})
     return anchored_report(mu, nu, ell, cert, anchor=anchor, tv=tv)
@@ -495,12 +500,16 @@ class TestAnchorSearch:
         assert (x > y) == (lhs > rhs) and (x < y) == (lhs < rhs)
 
     def test_pb_binomial_subnormal_products_do_not_fake_a_match(self):
-        # n = 1500: at ell = 871 both cross products round to 5e-324, and that
-        # spurious match at a cell where the target is below the reference
-        # used to beat the true match at 0 and raise InvalidAnchorError
+        # n = 1500, on every cell of the recursion: at ell = 871 both cross
+        # products round to 5e-324, and that spurious match at a cell where the
+        # target is below the reference used to beat the true match at 0 and
+        # raise InvalidAnchorError (the float pmf now cuts those cells)
         rng = random.Random(1500)
         bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(1500)))
-        rep = certify(binomial_target(bv), poisson_binomial_pmf(bv))
+        mu, nu = binomial_target(bv), make_dist(0, untrimmed_recursion(bv.p))
+        lhs, rhs = mu.mass(872) * nu.mass(871), nu.mass(872) * mu.mass(871)
+        assert lhs == rhs == 5e-324 and min(mu.mass(871), nu.mass(872)) >= sys.float_info.min
+        rep = certify(mu, nu)
         assert rep.anchor.ell == 0 and rep.anchor.ratio_matched
         assert rep.dominated is True
 
@@ -664,14 +673,34 @@ class TestCertify:
 
     @pytest.mark.parametrize("n, ell", [(1000, 881), (700, 680), (800, 750), (800, 751)])
     def test_given_anchor_on_subnormal_cells_is_not_applicable(self, n, ell):
-        # the cells at ell and ell + 1 carry one or two significant digits,
-        # too few for the slope log r: at n = 1000 both envelope bounds came
-        # out 0.0, below an oracle TV of 4.7e-4
+        # on every cell of the recursion, which the float pmf now cuts: the
+        # cells at ell and ell + 1 carry one or two significant digits, too
+        # few for the slope log r; at n = 1000 both envelope bounds came out
+        # 0.0, below an oracle TV of 4.7e-4
         rng = random.Random(n)
         bv = BernoulliVector([0.3 * (1 + rng.uniform(-0.02, 0.02)) for _ in range(n)])
-        rep = certify(binomial_target(bv), poisson_binomial_pmf(bv), ell)
+        rep = certify(binomial_target(bv), make_dist(0, untrimmed_recursion(bv.p)), ell)
         assert rep.details == {"not_applicable": f"anchor {ell} has subnormal float cells"}
         assert rep.hypothesis.holds and rep.core_bounds() == [] and rep.oracle_tv.hi > 0
+
+    def test_smallest_gap_row_on_subnormal_cells_is_skipped(self):
+        # the four cells of the row at 2 are the same subnormal s, so its gap
+        # read 0: as the anchor it gave three bounds of 0 below a TV of 0.3
+        s = 1e-320
+        rep = certify(make_dist(0, [0.5, 0.5, s, s]), make_dist(0, [0.2, 0.8, s, s]))
+        assert rep.anchor.ell == 0 and rep.dominated is True
+        assert rep.bound_nu_side == pytest.approx(0.3, rel=1e-15)
+
+    def test_near_homogeneous_sum_anchor_skips_subnormal_cells(self):
+        # on every cell of the recursion, which the float pmf now cuts: the
+        # smallest gap, 0, lay on two subnormal cells at 765, and all three
+        # bounds came out 0 below a TV of 7.9e-5
+        bv = BernoulliVector([0.198, 0.199, 0.2, 0.201, 0.202] * 200)
+        nu = make_dist(0, untrimmed_recursion(bv.p))
+        assert 0 < nu.mass(765) < sys.float_info.min
+        rep = certify(binomial_target(bv), nu)
+        assert rep.anchor.ell == 0 and rep.anchor.ratio_matched
+        assert rep.dominated is True and rep.oracle_tv.lo > 7.8e-5
 
     def test_point_mass_target_not_applicable(self):
         rep = certify(make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 0.0]))
@@ -728,8 +757,11 @@ class TestDominanceSweep:
 
 
 class TestFloatPathDefects:
-    """Float-path defects still open (ROADMAP item 1, log-space backend); each
-    test states the correct behaviour and must start passing with the fix."""
+    """Float-path defects: each test states the correct behaviour.  The strict
+    xfails are still open: the float certificate (ROADMAP item 9) and the
+    Poisson reference's window at n=100 (items 3 and 11).  The binomial
+    report at n=3000 and the Poisson report at n=1000 pass since the float
+    pmf cut its tails below 2^-200 of its largest cell."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="float certificate products underflow and pass vacuously")
@@ -740,8 +772,6 @@ class TestFloatPathDefects:
         assert not exact.holds and exact.first_violation == 13
         assert not is_log_concave_relative(make_dist(0, [10.0**-e for e in ex]), flat).holds
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="binomial reference underflows where the sum has mass")
     def test_pb_binomial_certifies_at_n_3000(self):
         rng = random.Random(3000)
         bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(3000)))
@@ -749,9 +779,11 @@ class TestFloatPathDefects:
         assert "not_applicable" not in rep.details
         assert rep.dominated is True
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="truncated Poisson reference ends before the sum's support")
-    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("n", [
+        pytest.param(100, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                  reason="truncated Poisson reference ends before the sum's support")),
+        1000,
+    ])
     def test_pb_poisson_certifies(self, n):
         rng = random.Random(n)
         bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(n)))

@@ -501,6 +501,27 @@ def test_pb_closed_form_beyond_float_range_saturates(argv, key, capsys):
     assert json.loads(out)[key] == "inf"
 
 
+def test_compound_poisson_without_mass_at_1_or_2_fails_the_criterion():
+    # the aggregate lives on 3N; the criterion said it held and the report
+    # exited 2 only on absolute continuity against the geometric target
+    code, text = run(["compound", "poisson", "--lambda", "0.5", "--severity", "0,0,0,1"])
+    payload = json.loads(text)
+    assert code == 2
+    assert payload["reason"] == "aggregate law fails the log-concavity criterion lam F_1^2 >= 2 F_2"
+
+
+def test_pb_binomial_near_homogeneous_n1000_is_dominated():
+    # before the float pmf cut its tails below 2^-200 of its largest cell, the
+    # smallest gap, 0, lay on two subnormal cells at 765, and all three bounds
+    # came out 0 below a TV of 7.9e-5
+    code, text = run(["pb-binomial", "--p", ",".join(["0.198,0.199,0.2,0.201,0.202"] * 200)])
+    payload = json.loads(text)
+    assert code == 0
+    assert payload["dominated"] is True
+    assert payload["oracle_tv"][0] == pytest.approx(7.885e-5, rel=1e-3)
+    assert min(payload["bound_nu_side"], payload["bound_mu_side"]) > 7.885e-5
+
+
 def test_compound_poisson_geometric_target_keeps_a_tiny_ratio():
     # recomputing the ratio as 1 - (1 - lam F_1) left a gap of 2.8e-8 here
     code, text = run(["compound", "poisson", "--lambda", "1e-9", "--severity", "0,1"])

@@ -121,6 +121,20 @@ class TestLogConcaveCriterion:
         assert not log_concave_criterion(spec).holds
         assert not is_log_concave(compound_poisson_pmf(spec)).holds
 
+    @pytest.mark.parametrize("severity", [(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.5, 0.5), (F(0), F(0), F(0), F(1))],
+                             ids=["atom-at-3", "mass-at-3-and-4", "exact-atom-at-3"])
+    def test_no_mass_at_1_or_2_but_above_fails_at_1(self, severity):
+        # F_1 = F_2 = 0 made the three cells over P[X=0] 1, 0, 0, which held,
+        # while the aggregate has no mass at 1 and 2 but some above
+        spec = CompoundPoissonSpec(0.5, make_dist(0, severity))
+        cert = log_concave_criterion(spec)
+        assert (cert.holds, cert.first_violation, cert.support_is_interval) == (False, 1, False)
+        assert not is_log_concave(compound_poisson_pmf(spec)).holds
+
+    def test_point_mass_at_0_holds(self):
+        # F_1 = 0 and no mass above 1: the aggregate is the point mass at 0
+        assert log_concave_criterion(CompoundPoissonSpec(0.5, make_dist(0, (1.0,)))).holds
+
     def test_severity_not_log_concave_is_distinct_failure(self):
         with pytest.raises(HypothesisError):
             log_concave_criterion(CompoundPoissonSpec(0.1, make_dist(0, (0.5, 0.2, 0.3))))

@@ -106,6 +106,13 @@ def oracle_envelope(mu, nu, ell):
     return min(max(b_nu, F(0)), F(1)), min(max(b_mu, F(0)), F(1))
 
 
+def oracle_report_bounds(mu, nu, ell):
+    """The two envelope bounds a report carries at ``ell``: each bounds the TV
+    of the stored cells, so it is raised by the target's tail deficit, which
+    the true TV can exceed it by, and clamped again."""
+    return tuple(float(min(b + nu.tail_deficit, F(1))) for b in oracle_envelope(mu, nu, ell))
+
+
 # ---------------------------------------------------------------------------
 # random exact laws
 # ---------------------------------------------------------------------------
@@ -182,6 +189,32 @@ class TestIntegerKernelsEqualFractionOracle:
             assert (a.ell, a.ratio_matched, a.ratio_gap) == oracle_anchor(mu, nu, ell)
         for ell in _valid_anchors(mu, nu):
             assert tv_bounds_at_anchor(mu, nu, ell, check=False) == oracle_envelope(mu, nu, ell)
+        rep = certify(mu, nu)
+        if rep.bound_nu_side is not None and rep.oracle_tv.hi != 0:
+            assert (rep.bound_nu_side, rep.bound_mu_side) == oracle_report_bounds(mu, nu, rep.anchor.ell)
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_report_bounds_carry_the_target_deficit(self, cut):
+        # the target is a binomial with its top cells cut into its deficit
+        mu, full = family_binomial(6, F(1, 3)), family_binomial(6, F(2, 5))
+        nu = DiscreteDist(0, full.masses[:-cut], sum(full.masses[-cut:]))
+        rep = certify(mu, nu)
+        assert rep.hypothesis.holds and nu.tail_deficit > 0
+        assert (rep.bound_nu_side, rep.bound_mu_side) == oracle_report_bounds(mu, nu, rep.anchor.ell)
+        assert min(rep.bound_nu_side, rep.bound_mu_side) >= tv_distance(mu, full).hi
+        assert rep.dominated is True
+
+    def test_matched_anchor_with_the_target_below_the_reference_reports(self):
+        # the target's cells are the reference's times 17/20, short of its
+        # deficit 3/20: the anchor is matched with the target below the
+        # reference, where certify raised InvalidAnchorError; the closed form
+        # clamps to 0 there, as the envelope sums do, before the deficit
+        mu = DiscreteDist(2, (F(13, 17), F(4, 17)), F(0))
+        nu = DiscreteDist(2, (F(13, 20), F(1, 5)), F(3, 20))
+        rep = certify(mu, nu)
+        assert rep.anchor.ratio_matched
+        assert (rep.bound_nu_side, rep.bound_mu_side) == oracle_report_bounds(mu, nu, 2) == (0.15, 0.15)
+        assert rep.simplified == 0.15 and rep.dominated is True
 
     @pytest.mark.parametrize("n", [5, 20, 40])
     def test_poisson_binomial_against_binomial(self, n):

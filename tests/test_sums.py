@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 from functools import reduce
 
@@ -20,7 +21,6 @@ from tvbounds import (
     point_mass,
     tv_distance,
 )
-from tvbounds.bounds import certify
 from tvbounds.sums import (
     BernoulliVector,
     binomial_bound_primary,
@@ -90,15 +90,30 @@ def float_bits(d):
     return d.offset, [m.hex() for m in d.masses], d.tail_deficit.hex()
 
 
+def assert_cut_of(pmf, want):
+    """``pmf`` is the float pmf's cut of the untrimmed cells ``want`` on
+    ``0..n``: every cell at or above 2^-60 of the largest is stored, bit for
+    bit; no stored cell is subnormal or below 2^-200 of the largest; and the
+    untrimmed mass outside the stored window is at most ``tail_deficit``."""
+    top = max(want)
+    assert 0 <= pmf.offset and pmf.end <= len(want)
+    assert all(pmf.mass(k).hex() == m.hex() for k, m in enumerate(want) if m >= top * 2**-60)
+    assert min(pmf.masses) >= max(pmf.masses) * 2**-200 and min(pmf.masses) >= sys.float_info.min
+    assert type(pmf.tail_deficit) is float
+    assert math.fsum(want[: pmf.offset] + want[pmf.end :]) <= pmf.tail_deficit
+
+
 _FLOAT_P = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
 _EXACT_P = st.integers(1, 60).flatmap(lambda d: st.integers(0, d - 1).map(lambda k: F(k, d)))
 
 
 class TestPMFMatchesConvolutionFold:
+    """The fold keeps every cell; the float pmf is its cut (``assert_cut_of``)."""
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_FLOAT_P, min_size=1, max_size=80))
     def test_float_bit_identical(self, ps):
-        assert float_bits(poisson_binomial_pmf(BernoulliVector(ps))) == float_bits(convolution_fold_pmf(ps))
+        assert_cut_of(poisson_binomial_pmf(BernoulliVector(ps)), convolution_fold_pmf(ps).masses)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_EXACT_P, min_size=1, max_size=30))
@@ -116,12 +131,14 @@ class TestPMFMatchesConvolutionFold:
     )
     def test_mixed_bit_identical(self, exact_prefix, floats, exact_suffix):
         ps = exact_prefix + floats + exact_suffix
-        assert float_bits(poisson_binomial_pmf(BernoulliVector(ps))) == float_bits(convolution_fold_pmf(ps))
+        assert_cut_of(poisson_binomial_pmf(BernoulliVector(ps)), convolution_fold_pmf(ps).masses)
 
     def test_fixed_large_vector_bit_identical(self):
         rng = random.Random(2210)
         ps = [rng.uniform(0, 0.5) for _ in range(400)]
-        assert float_bits(poisson_binomial_pmf(BernoulliVector(ps))) == float_bits(convolution_fold_pmf(ps))
+        pmf = poisson_binomial_pmf(BernoulliVector(ps))
+        assert_cut_of(pmf, convolution_fold_pmf(ps).masses)
+        assert pmf.end < len(ps) + 1 and pmf.tail_deficit > 0  # the right tail was cut
 
 
 def untrimmed_recursion(ps):
@@ -178,31 +195,35 @@ _BAND_CASES = _band_cases()
 
 
 class TestPMFUnderflowedTails:
-    """The float recursion applies sixteen summands per pass and skips cells
-    that underflowed to 0.0; every cell must stay bit-identical to one summand
-    per pass over all n + 1 cells."""
+    """The float recursion applies sixteen summands per pass and cuts the
+    band's ends below 2^-200 of its largest cell after each pass; it must be
+    the cut (``assert_cut_of``) of one summand per pass over all n + 1 cells."""
 
     @pytest.mark.parametrize("name", list(_BAND_CASES))
     def test_bit_identical_to_untrimmed_recursion(self, name):
         ps = _BAND_CASES[name]
         pmf = poisson_binomial_pmf(BernoulliVector(ps))
         want = untrimmed_recursion(ps)
-        assert pmf.offset == 0 and len(pmf.masses) == len(ps) + 1
-        assert [m.hex() for m in pmf.masses] == [m.hex() for m in want]
-        zeros = sum(m == 0.0 for m in want)
-        assert sum(m == 0.0 for m in pmf.masses) == zeros
-        assert zeros > 0  # the trimming branch ran
+        assert_cut_of(pmf, want)
+        assert pmf.tail_deficit > 0  # the cut ran
+        assert sum(m == 0.0 for m in want) > 0  # and reached cells that underflowed
 
     def test_both_tails_underflow(self):
-        masses = poisson_binomial_pmf(BernoulliVector(_BAND_CASES["both-tails-1500"])).masses
-        assert masses[0] == masses[-1] == 0.0
+        ps = _BAND_CASES["both-tails-1500"]
+        want = untrimmed_recursion(ps)
+        assert want[0] == want[-1] == 0.0
+        pmf = poisson_binomial_pmf(BernoulliVector(ps))
+        assert pmf.offset > 0 and pmf.end < len(want)
 
     def test_n3000_cells_pinned(self):
-        # sha256 of the float.hex() cells, recorded with four summands per pass
+        # sha256 of the offset, the float.hex() cells and the deficit, recorded
+        # with the cut at 2^-200 of the largest cell
         rng = random.Random(3016)
-        masses = poisson_binomial_pmf(BernoulliVector([rng.uniform(0, 0.5) for _ in range(3000)])).masses
-        digest = hashlib.sha256(" ".join(m.hex() for m in masses).encode()).hexdigest()
-        assert digest == "45275dfed83aa2adf0594d6237bf72ecc0dab35b5cb349746027ed087cfd2103"
+        ps = [rng.uniform(0, 0.5) for _ in range(3000)]
+        pmf = poisson_binomial_pmf(BernoulliVector(ps))
+        assert_cut_of(pmf, untrimmed_recursion(ps))
+        digest = hashlib.sha256(" ".join(map(str, float_bits(pmf))).encode()).hexdigest()
+        assert digest == "68c7d5fea2df1157b490f0fd41dcf908917a65bb2e08ea2d9dc30e9237b2250c"
 
     def test_fraction_after_floats_rounds_its_complement(self):
         # 1 - 1/3 rounded once differs from 1.0 minus the rounded 1/3
@@ -244,13 +265,15 @@ class TestBinomialTarget:
         assert t.masses == family_binomial(4, F(2, 5)).masses
 
     def test_float_target_ratio_matched_at_n_2000(self):
-        # the target's m_1/m_0 is built to equal the sum's; the float build
-        # must keep that well inside distributions.ANCHOR_MATCH_TOL
+        # the target's m_1/m_0 is built to equal the sum's, lambda_n; the float
+        # build must keep that well inside distributions.ANCHOR_MATCH_TOL.  The
+        # sum's own cells 0 and 1 lie below 2^-200 of its largest and are cut
         rng = random.Random(4127)
         bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(2000)))
-        anchor = certify(binomial_target(bv), poisson_binomial_pmf(bv)).anchor
-        assert anchor.ell == 0 and anchor.ratio_matched
-        assert anchor.ratio_gap < 1e-14
+        target = binomial_target(bv)
+        assert target.mass(0) >= sys.float_info.min
+        assert abs(target.mass(1) / target.mass(0) - bv.lambda_n) < 1e-14 * bv.lambda_n
+        assert poisson_binomial_pmf(bv).offset > 1
 
 
 class TestBinomialBounds:
