@@ -22,7 +22,7 @@ import math
 from typing import Callable
 
 from .bounds import BoundReport, _safe_exp, _safe_expm1, clamp01
-from .distributions import Interval, LogConcavityCertificate, _MIN_NORMAL
+from .distributions import Interval, LogConcavityCertificate, _MIN_NORMAL, _log_gamma_prefactor
 from .errors import InvalidDistributionError, NotApplicableError
 
 _PROBE_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
@@ -33,7 +33,6 @@ _LENTZ_TINY = 1e-300  # keeps the continued fraction's denominators off zero
 # near x = a the series and the continued fraction take about 10 sqrt(a) terms: this many
 # reach a = 1e10, where one rounding of x moves the CDF by 4e-12, inside the oracle's 1e-10 pad
 _MAX_TERMS = 2**20
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class GammaParams:
@@ -84,23 +83,6 @@ class DensityModel:
 # ---------------------------------------------------------------------------
 # Gamma law
 # ---------------------------------------------------------------------------
-
-
-def _log_gamma_prefactor(a: float, x: float) -> float:
-    """``log(x^a e^{-x} / Gamma(a))`` for ``x > 0``.
-
-    From ``a = 20`` on, ``lgamma`` is replaced by Stirling's series, so the
-    ``a log a`` terms cancel exactly instead of leaving ``a log(a) eps`` of
-    rounding (3e-9 relative near ``a = 1e6``).
-    """
-    if a < 20.0:
-        return a * math.log(x) - x - math.lgamma(a)
-    t = (x - a) / a
-    # log1p loses accuracy as t -> -1, where log(x/a) does not, unless x/a underflows
-    lead = math.log1p(t) - t if t > -0.5 else (math.log(x / a) if x / a else math.log(x) - math.log(a)) - t
-    r = 1.0 / (a * a)
-    stirling = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a
-    return a * lead + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
 
 
 def regularized_gamma_p(a: float, x: float) -> float:

@@ -6,7 +6,7 @@ Infinite families (Poisson, geometric) are truncated at a tail budget, the
 float Poisson-binomial pmf at a relative floor, and the mass left out is
 recorded in ``tail_deficit``: every distance downstream is an honest interval,
 and every envelope bound is raised by the target's.  The application modules
-and the CLI always truncate at ``DEFAULT_TAIL_BUDGET``; only the family constructors take another budget.
+and the CLI truncate at ``DEFAULT_TAIL_BUDGET``; only ``family_geometric`` takes another budget.
 
 Arithmetic is dual-path.  Masses built from ``int``/``Fraction`` inputs stay
 exact rational (used for oracles and certificates); anything constructed from
@@ -63,6 +63,8 @@ ANCHOR_MATCH_TOL = 1e-12
 #: truncation budget for infinite-support families; the one every application
 #: reference is built at
 DEFAULT_TAIL_BUDGET = 1e-12
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # construction-time guard; the 1e-12 normalization invariant is asserted by
 # the test suite on every family, this is a looser safety net
@@ -263,27 +265,44 @@ def family_binomial(n: int, p: Scalar) -> DiscreteDist:
     return DiscreteDist(0, tuple(m / total for m in cells), 0.0)
 
 
-def family_poisson(lam: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> DiscreteDist:
-    """Poisson(``lam``) truncated at the smallest window with tail <= budget."""
-    if lam < 0:
-        raise InvalidDistributionError("Poisson rate must be >= 0")
-    if not 0 < tail_budget < 1:
-        raise InvalidDistributionError("tail budget must lie in (0, 1)")
-    if lam == 0:
-        return point_mass(0)
-    lam = float(lam)
-    if lam > 700:
-        raise InvalidDistributionError("Poisson rate too large for float truncation")
-    term = math.exp(-lam)
-    masses = [term]
-    cum = term
-    k = 0
-    while (1.0 - cum > tail_budget or k < lam) and k < 100_000:
-        k += 1
-        term *= lam / k
-        masses.append(term)
-        cum += term
-    return DiscreteDist(0, tuple(masses), max(1.0 - cum, 0.0))
+def _log_gamma_prefactor(a: float, x: float) -> float:
+    """``log(x^a e^{-x} / Gamma(a))`` for ``x > 0``, of Poisson masses and Gamma densities.
+
+    From ``a = 20`` on, ``lgamma`` is replaced by Stirling's series, so the
+    ``a log a`` terms cancel exactly instead of leaving ``a log(a) eps`` of
+    rounding (3e-9 relative near ``a = 1e6``).
+    """
+    if a < 20.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a
+    # log1p loses accuracy as t -> -1, where log(x/a) does not, unless x/a underflows
+    lead = math.log1p(t) - t if t > -0.5 else (math.log(x / a) if x / a else math.log(x) - math.log(a)) - t
+    r = 1.0 / (a * a)
+    stirling = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a
+    return a * lead + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
+
+
+def family_poisson(lam: float, min_length: int = 1) -> DiscreteDist:
+    """Poisson(``lam``) on the window ``0..K``, built as ``family_binomial``
+    is: one cell in closed form, the others by the mass ratios ``lam/(k+1)``
+    up and ``k/lam`` down (as ``c k / lam``: the rounded ``k/lam`` share a
+    bias), so only far tails underflow, to 0.0.  The closed-form cell is the
+    mode ``m = floor(lam)``, ``exp(_log_gamma_prefactor(m + 1, lam)) / lam``,
+    from a rate of 19 on, and ``P(0) = e^-lam`` below, where ``lgamma``
+    would round the mode's by up to 1e-14.  ``K`` is the smallest index with
+    ``K + 1 >= min_length`` and ``K + 1 > lam`` whose tail, at most
+    ``P(K) lam / (K + 1 - lam)``, is within ``DEFAULT_TAIL_BUDGET``; that
+    geometric series, one ulp up, is the ``tail_deficit``."""
+    if not 0 <= (lam := float(lam)) < math.inf:
+        raise InvalidDistributionError("Poisson rate must be finite and >= 0")
+    m = int(lam) if lam >= 19 else 0
+    top = math.exp(_log_gamma_prefactor(m + 1.0, lam)) / lam if m else math.exp(-lam)
+    down = list(accumulate(range(m, 0, -1), lambda c, k: c * k / lam, initial=top))
+    up = list(accumulate(range(m + 1, max(min_length, int(lam) + 1)), lambda c, k: c * lam / k, initial=top))
+    cells = down[:0:-1] + up
+    while (tail := cells[-1] * lam / (len(cells) - lam)) > DEFAULT_TAIL_BUDGET:
+        cells.append(cells[-1] * lam / len(cells))
+    return DiscreteDist(0, tuple(cells), math.nextafter(tail, math.inf) if tail else 0.0)
 
 
 def family_geometric(
@@ -340,9 +359,9 @@ def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
     read off ``_pair_scan`` at an anchor left of both windows, so that the
     scan builds no gap row.
 
-    The point value is ``sum_k (nu_k - mu_k)_+`` over the union window; the
-    true distance of the untruncated laws lies within
-    ``[t, t + mu.tail_deficit + nu.tail_deficit]``.  Exact laws sum
+    The point value is ``t = sum_k (nu_k - mu_k)_+`` over the union window.
+    Stored cells are at most the true ones, so the true distance lies within
+    ``[max(t - mu.tail_deficit, 0), min(t + nu.tail_deficit, 1)]``.  Exact laws sum
     ``(N_k d_mu - M_k d_nu)_+`` over their integer numerators ``N`` (of
     ``nu``) and ``M`` (of ``mu``) and divide once by ``d_mu d_nu``.
     """
@@ -513,14 +532,13 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
     ``rows`` holds, per valid anchor (both target cells positive), in
     increasing order, or only at ``ell`` when given, the gap row ``(ell,
     diff, gap, matched)`` of the cross products ``lhs = p_{l+1} q_l`` and
-    ``rhs = q_{l+1} p_l``: ``diff`` has the sign of ``lhs - rhs``, the float
+    ``rhs = q_{l+1} p_l``: ``diff`` is the sign of ``lhs - rhs``, the float
     ``gap`` is ``|lhs - rhs| / max(lhs, rhs)`` and ``matched`` is ``lhs ==
     rhs != 0`` for exact laws, ``gap <= ANCHOR_MATCH_TOL`` for floats; no
-    other code reads that tolerance.  Exact products carry the factor ``d_mu
-    d_nu``, taken out by one correctly rounded int division each, as
-    ``Fraction.__float__`` does; float products below the normal range come
-    from ``_scaled_products``, so two of them do not round to one subnormal
-    and fake a match.  An anchor with a subnormal float cell has no row: such
+    other code reads that tolerance.  An exact gap is one correctly rounded
+    int division; float products below the normal range come from
+    ``_scaled_products``, so two of them do not round to one subnormal and
+    fake a match.  An anchor with a subnormal float cell has no row: such
     cells have too few digits for a slope, and two of them can read a gap of 0.
     """
     exact = mu.is_exact and nu.is_exact
@@ -541,20 +559,20 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
                 ac = k
             if qb > 0 and (at is None or at == k):  # the gap row at k - 1
                 fl, fr = lhs, rhs = pc * qb, qc * pb
-                if exact:
-                    fl, fr = float(lhs / den), float(rhs / den)  # both vanish when the reference does
-                elif lhs < _MIN_NORMAL or rhs < _MIN_NORMAL:  # zero, subnormal or rounded to either
+                if not exact and (lhs < _MIN_NORMAL or rhs < _MIN_NORMAL):  # zero, subnormal or rounded to either
                     # every subnormal cell lands here, since no cell exceeds about 1
                     sub = any(0 < c < _MIN_NORMAL for c in (pc, qb, qc, pb))
                     fl, fr = (None, None) if sub else _scaled_products(pc, qb, qc, pb)
                 if fl is not None:
                     scale = fl if fl > fr else fr
                     gap = math.inf if scale == 0 else abs(fl - fr) / scale
-                    rows.append((k - 1, fl - fr, gap, lhs == rhs != 0 if exact else gap <= ANCHOR_MATCH_TOL))
+                    matched = lhs == rhs != 0 if exact else gap <= ANCHOR_MATCH_TOL
+                    rows.append((k - 1, (fl > fr) - (fl < fr), gap, matched))
         pb, qb = pc, qc
-    slack = mu.tail_deficit + nu.tail_deficit
-    t, slack = (Fraction(t, den), slack) if exact else (float(t), float(slack))
-    return ac, lambda: _three_term(q, exact, ref=p, base=start), rows, Interval(t, t + slack if slack else t)
+    t, zero = (Fraction(t, den), Fraction(0)) if exact else (float(t), 0.0)
+    lo = max(t - mu.tail_deficit, zero) if mu.tail_deficit else t
+    hi = min(t + nu.tail_deficit, zero + 1) if nu.tail_deficit else t
+    return ac, lambda: _three_term(q, exact, ref=p, base=start), rows, Interval(lo, hi)
 
 
 def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityCertificate:

@@ -173,18 +173,17 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[in
     the ratio-match condition.  Without ``ells``, every valid anchor (both
     target cells positive), found in the same scan of the aligned cells.
 
-    ``diff`` has the sign of ``lhs - rhs`` and the normalized gap
+    ``diff`` is the sign of ``lhs - rhs`` (-1, 0 or 1) and the normalized gap
     ``|lhs - rhs| / max(lhs, rhs)`` is a float; ``matched`` says whether
     ``lhs == rhs != 0`` exactly, or is ``None`` for float laws.  Exact laws
     multiply their integer numerators, so both products carry the positive
-    factor ``d_mu d_nu``; each float is one correctly rounded int division by
-    it, the same division ``Fraction.__float__`` performs.  Float laws whose
+    factor ``d_mu d_nu``, which the gap, one correctly rounded int division,
+    does not see.  Float laws whose
     products leave the normal range take both from ``math.frexp`` mantissas,
     scaled by one common power of two, so two products below the float range
     do not both round to the same subnormal and fake a match.
     """
     exact, start, p, d_mu, q, d_nu = _pair_cells(mu, nu)
-    den = d_mu * d_nu
     if ells is None:
         ells = [start + i for i, (a, b) in enumerate(zip(q, q[1:])) if a > 0 and b > 0]
     out = []
@@ -192,8 +191,7 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[in
         i = ell - start
         lhs, rhs = p[i + 1] * q[i], q[i + 1] * p[i]
         if exact:
-            # both vanish when the reference does
-            fl, fr, matched = float(lhs / den), float(rhs / den), lhs == rhs != 0
+            fl, fr, matched = lhs, rhs, lhs == rhs != 0
         else:
             fl, fr, matched = lhs, rhs, None
             if any(0 < c < sys.float_info.min for c in (p[i], p[i + 1], q[i], q[i + 1])):
@@ -202,7 +200,7 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[in
                 fl, fr = _scaled_products(p[i + 1], q[i], q[i + 1], p[i])
         scale = max(fl, fr)
         gap = math.inf if scale == 0 else abs(fl - fr) / scale
-        out.append((ell, fl - fr, gap, matched))
+        out.append((ell, (fl > fr) - (fl < fr), gap, matched))
     return out
 
 
@@ -213,12 +211,11 @@ def _reference_tv(mu, nu):
         d = n * d_mu - m * d_nu
         if d > 0:
             t += d
-    slack = mu.tail_deficit + nu.tail_deficit
-    if exact:
-        t = F(t, d_mu * d_nu)
-    else:
-        t, slack = float(t), float(slack)
-    return Interval(t, t + slack if slack else t)
+    t = F(t, d_mu * d_nu) if exact else float(t)
+    zero = F(0) if exact else 0.0
+    # the reference's missing mass can only lower the true TV, the target's only raise it
+    return Interval(max(t - mu.tail_deficit, zero) if mu.tail_deficit else t,
+                    min(t + nu.tail_deficit, zero + 1) if nu.tail_deficit else t)
 
 
 def _reference_relative(nu, mu):
@@ -368,7 +365,7 @@ class TestEnvelopeBounds:
         assert min(b_nu, b_mu) >= tv
 
     def test_thinned_poisson_vs_geometric(self):
-        nu = family_poisson(0.9, 1e-12)
+        nu = family_poisson(0.9)
         mu = family_geometric(0.1, 1e-12, min_length=len(nu.masses))
         b_nu, b_mu = tv_bounds_at_anchor(mu, nu, 0)
         tv = tv_distance(mu, nu)
@@ -643,6 +640,34 @@ class TestCertify:
         assert rep.dominated is True
         assert rep.bound_nu_side == rep.bound_mu_side == rep.simplified == 0.0
 
+    def test_identical_laws_with_a_deficit_are_dominated(self):
+        # the reference's missing mass can only lower the TV, so the oracle's
+        # top adds the target's deficit alone, as every bound does
+        g = family_geometric(0.3, 1e-3)
+        rep = certify(g, g)
+        assert rep.oracle_tv == (0.0, g.tail_deficit)
+        assert g.tail_deficit == pytest.approx(7.98e-4, rel=1e-3)
+        assert rep.bound_nu_side == rep.bound_mu_side == rep.simplified == g.tail_deficit
+        assert rep.dominated is True
+
+    def test_oracle_interval_stays_in_0_1(self):
+        # disjoint windows, so t = 1/2; each law's missing half could cancel it
+        # or double it, and the interval stays inside [0, 1]
+        mu = DiscreteDist(0, (F(1, 2),), F(1, 2))
+        nu = DiscreteDist(1, (F(1, 2),), F(1, 2))
+        assert tv_distance(mu, nu) == (0, 1)
+        assert tv_distance(mu, mu) == (0, F(1, 2))
+
+    def test_exact_anchor_below_the_float_range_has_a_finite_gap(self):
+        # the cross products over their common denominator underflowed to 0.0
+        # and the gap read inf, with ratio_matched true
+        tiny = F(1, 10**400)
+        law = make_dist(0, [tiny, tiny, 1 - 2 * tiny])
+        a = anchor_at(law, law, 0)
+        assert (a.ratio_matched, a.ratio_gap) == (True, 0.0)
+        other = make_dist(0, [tiny, 2 * tiny, 1 - 3 * tiny])
+        assert anchor_at(law, other, 0).ratio_gap == 0.5
+
     def test_structured_hypothesis_failure(self):
         bimodal = make_dist(0, [4.0, 1.0, 4.0])
         rep = certify(make_dist(0, [1.0, 1.0, 1.0]), bimodal)
@@ -758,10 +783,11 @@ class TestDominanceSweep:
 
 class TestFloatPathDefects:
     """Float-path defects: each test states the correct behaviour.  The strict
-    xfails are still open: the float certificate (ROADMAP item 9) and the
-    Poisson reference's window at n=100 (items 3 and 11).  The binomial
-    report at n=3000 and the Poisson report at n=1000 pass since the float
-    pmf cut its tails below 2^-200 of its largest cell."""
+    xfail is still open: the float certificate (ROADMAP item 9).  The
+    binomial report at n=3000 and the Poisson report at n=1000 pass since the
+    float pmf cut its tails below 2^-200 of its largest cell, and the Poisson
+    report at n=100 since the Poisson reference covers the sum's window: it
+    ended at 94, where the sum has mass up to 100."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="float certificate products underflow and pass vacuously")
@@ -779,11 +805,7 @@ class TestFloatPathDefects:
         assert "not_applicable" not in rep.details
         assert rep.dominated is True
 
-    @pytest.mark.parametrize("n", [
-        pytest.param(100, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                                  reason="truncated Poisson reference ends before the sum's support")),
-        1000,
-    ])
+    @pytest.mark.parametrize("n", [100, 1000])
     def test_pb_poisson_certifies(self, n):
         rng = random.Random(n)
         bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(n)))

@@ -50,10 +50,13 @@ class TestBernoulliSumGolden:
     # float binomial reference came to be built by its mass ratio: only
     # anchor.ratio_gap moved, from 1.76e-13 to 1.4e-15; and again when its p
     # came to be lambda_n / (n + lambda_n), with lambda_n = sum p_i/alpha_i
-    # summed directly: only anchor.ratio_gap moved, from 1.42e-15 to 1.22e-15
+    # summed directly: only anchor.ratio_gap moved, from 1.42e-15 to 1.22e-15.
+    # pb-poisson was re-pinned when the oracle interval came to take the
+    # reference's deficit off its floor, not onto its top: oracle_tv moved from
+    # [4.665595219194e-01, 4.665595219200e-01] to [4.665595219188e-01, 4.665595219194e-01]
     @pytest.mark.parametrize("subcommand, n, size, digest", [
         ("pb-binomial", 300, 6175, "fed61414d4d52ea29313d3ee3582b3b2852c19dcb2f93bdcc45833eff378d6a5"),
-        ("pb-poisson", 20, 813, "cb37428a7bd8f666aebff0abac16f71ff9b002f8fb2388476ac17728d6c035ef"),
+        ("pb-poisson", 20, 813, "3253d5afe15f7f2715549f8c857b06a54d1cf09ae79646ecb41d0e42218a7e0f"),
     ], ids=["pb-binomial-300", "pb-poisson-20"])
     def test_stdout_unchanged(self, subcommand, n, size, digest):
         code, text = run([subcommand, "--p", _uniform_draws(n)])
@@ -88,12 +91,41 @@ def test_tail_budget_option_removed(argv):
     assert code == 1
 
 
-def test_ball_anchor_beyond_truncated_reference():
+def test_ball_reference_covers_the_anchor():
+    # the Poisson reference covers the size law's window 0..20, so it has mass
+    # at the anchor's cells 19 and 20, where a reference cut at its own tail
+    # budget had none and the gap read "inf"
     code, text = run(["iv", "--ball", "20", "--m", "19"])
     assert code == 0
     report = json.loads(text)
-    assert report["anchor"]["ratio_gap"] == "inf"
+    assert report["anchor"]["ratio_matched"] is True
+    assert report["anchor"]["ratio_gap"] <= 1e-15
     assert report["dominated"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["matroid", "--uniform", "1000,900", "--m", "50"],
+    ["pb-poisson", "--p", ",".join(["0.45"] * 990)],
+], ids=["matroid-rate-950", "pb-poisson-rate-810"])
+def test_poisson_rate_past_700_gives_a_report(argv):
+    # the Poisson reference is built from its mode, so e^-lam underflowing
+    # (and the rate cap at 700 that guarded it) no longer turns these away
+    code, text = run(argv)
+    assert code == 0
+    report = json.loads(text)
+    poisson = report.get("poisson", report)
+    assert poisson["hypothesis"]["holds"] is True and poisson["dominated"] is True
+
+
+def test_exact_anchor_below_the_float_range_reports_gap_0():
+    # the binomial reference's cross products at 1100 are below the float
+    # range once divided by their denominator: the gap read "inf" while
+    # ratio_matched was true, and the Poisson oracle's top read 1.000000000001
+    code, text = run(["matroid", "--uniform", "1200,1150", "--m", "1100"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["binomial"]["anchor"] == {"ell": 1100, "ratio_gap": 0.0, "ratio_matched": True}
+    assert report["poisson"]["oracle_tv"] == [1.0, 1.0]
 
 
 def test_iv_failing_its_float_ulc_certificate_reports_the_failed_hypothesis():

@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,10 @@ from tvbounds import (
     point_mass,
     tv_distance,
 )
+from tvbounds.distributions import DEFAULT_TAIL_BUDGET
+
+_MP = mpmath.mp.clone()
+_MP.dps = 40
 
 
 def dists_equal(x, y, tol=0.0):
@@ -116,7 +122,7 @@ class TestFamilies:
         assert d.masses == (1 - r,) and d.tail_deficit == r
 
     def test_poisson_series(self):
-        d = family_poisson(1.0, 1e-12)
+        d = family_poisson(1.0)
         for k in range(6):
             assert d.mass(k) == pytest.approx(math.exp(-1) / math.factorial(k), rel=1e-13)
         assert d.tail_deficit <= 1e-12
@@ -124,6 +130,43 @@ class TestFamilies:
 
     def test_poisson_zero_rate(self):
         assert family_poisson(0.0).mass(0) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-3.0, 4.0), st.floats(0.0, 3.0))
+    def test_poisson_against_mpmath(self, log10_lam, length_per_lam):
+        # lam log-uniform in [1e-3, 1e4], min_length up to 3 lam.  The walk
+        # rounds twice per step out of its closed-form cell (the mode from 19
+        # on, cell 0 below), so a cell's error may grow by 2^-52 per step
+        lam = 10.0**log10_lam
+        min_length = max(1, int(length_per_lam * lam))
+        d = family_poisson(lam, min_length)
+        last, start = len(d.masses) - 1, int(lam) if lam >= 19 else 0
+        assert d.offset == 0 and last + 1 >= min_length
+        L = _MP.mpf(lam)
+        first = next(k for k, c in enumerate(d.masses) if c > 1e-300)
+        p = _MP.exp(first * _MP.log(L) - L - _MP.loggamma(first + 1))
+        for k in range(first, last + 1):
+            if d.masses[k] > 1e-300:
+                assert abs(d.masses[k] - p) <= p * (1e-14 + 2.0**-52 * abs(k - start))
+            p *= L / (k + 1)
+        tail = _MP.mpf(0)  # P(X > last), summed until its terms stop counting
+        for k in range(last + 2, 10**6):
+            if p <= tail * 1e-30:
+                break
+            tail, p = tail + p, p * L / k
+        assert d.tail_deficit <= DEFAULT_TAIL_BUDGET
+        if d.masses[-1] >= sys.float_info.min:  # a tail from a subnormal cell is stored as 0, as the cells are
+            assert d.tail_deficit >= tail
+
+    @pytest.mark.parametrize("lam", [810.0, 5000.0])
+    def test_poisson_rate_past_the_float_range_of_its_first_cell(self, lam):
+        # e^-lam, cell 0, underflows past a rate of 745; the walk from the mode
+        # does not need it, and the mode's mass is about 1/sqrt(2 pi lam)
+        d = family_poisson(lam)
+        assert d.mass(0) == 0.0
+        assert d.mass(int(lam)) == pytest.approx(1 / math.sqrt(2 * math.pi * lam), rel=1e-3)
+        assert 0 < d.tail_deficit <= DEFAULT_TAIL_BUDGET
+        assert abs(sum(d.masses) + d.tail_deficit - 1.0) < 1e-12
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidDistributionError):
@@ -146,9 +189,9 @@ class TestTV:
         assert iv.lo == iv.hi == 0.25
 
     def test_binomial_vs_poisson(self):
-        # oracle: direct positive-part summation, analytic tail below 1e-14
+        # oracle: direct positive-part summation; the tail past 19 is below 1e-18
         b = family_binomial(2, 0.5)
-        p = family_poisson(1.0, 1e-14)
+        p = family_poisson(1.0, 20)
         iv = tv_distance(b, p)
         expect = sum(
             max(0.25 * (k == 0) + 0.5 * (k == 1) + 0.25 * (k == 2) - math.exp(-1) / math.factorial(k), 0)
@@ -214,7 +257,7 @@ def random_log_concave(rng, length, offset=0):
 
 class TestRelativeLogConcavity:
     def test_poisson_vs_counting(self):
-        p = family_poisson(2.0, 1e-12)
+        p = family_poisson(2.0)
         assert is_log_concave(p).holds
 
     def test_support_gap_fails(self):
@@ -253,7 +296,7 @@ class TestULC:
             assert is_ulc([math.comb(m, k) for k in range(m + 1)], m).holds
 
     def test_poisson_masses_are_ulc_infinity(self):
-        p = family_poisson(1.7, 1e-12)
+        p = family_poisson(1.7)
         assert is_ulc_infinity(p.masses).holds
 
     def test_partition_profile_example(self):
@@ -380,7 +423,7 @@ def _poly_mul(a, b):
 
 class TestSerialization:
     def test_round_trip(self):
-        d = family_poisson(2.5, 1e-12)
+        d = family_poisson(2.5)
         j = d.to_json()
         back = DiscreteDist.from_json(j)
         assert back.offset == d.offset

@@ -60,7 +60,7 @@ def oracle_tv(mu, nu):
         d = nu.mass(k) - mu.mass(k)
         if d > 0:
             t += d
-    return Interval(t, t + mu.tail_deficit + nu.tail_deficit)
+    return Interval(max(t - mu.tail_deficit, F(0)), min(t + nu.tail_deficit, F(1)))
 
 
 def _oracle_products(mu, nu, ell):
@@ -68,16 +68,21 @@ def _oracle_products(mu, nu, ell):
 
 
 def _oracle_gap(lhs, rhs):
-    scale = max(float(lhs), float(rhs))
-    return math.inf if scale == 0 else abs(float(lhs) - float(rhs)) / scale
+    scale = max(lhs, rhs)
+    return math.inf if scale == 0 else float(abs(lhs - rhs) / scale)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 def oracle_candidates(mu, nu):
+    """``(ell, sign of lhs - rhs, gap)`` per valid anchor."""
     out = []
     for ell in range(nu.support_min, nu.support_max):
         if nu.mass(ell) > 0 and nu.mass(ell + 1) > 0:
             lhs, rhs = _oracle_products(mu, nu, ell)
-            out.append((ell, float(lhs) - float(rhs), _oracle_gap(lhs, rhs)))
+            out.append((ell, _sign(lhs - rhs), _oracle_gap(lhs, rhs)))
     return out
 
 

@@ -187,14 +187,15 @@ class TestPoissonBound:
             poisson_iv_bound(IVSequence(2, (1.0, 0.8, 0.0)), 1)
 
     @pytest.mark.parametrize("body, m", [(iv_ball(20), 19), (iv_box([0.001] * 8), 6)])
-    def test_anchor_beyond_truncated_reference(self, body, m):
-        # the truncated Poisson reference has no mass at m and m+1
+    def test_reference_covers_the_anchor(self, body, m):
+        # a Poisson reference cut at its own tail budget had no mass at m and
+        # m+1; the one built over the size law's window 0..n has
         rep = poisson_iv_bound(body, m)
-        gamma = family_poisson(rep.details["lambda"])
-        assert gamma.mass(m) == 0 and gamma.mass(m + 1) == 0
+        gamma = family_poisson(rep.details["lambda"], body.n + 1)
+        assert gamma.mass(m) > 0 and gamma.mass(m + 1) > 0
         assert rep.anchor.ell == m
-        assert rep.anchor.ratio_gap == math.inf
-        assert rep.anchor.ratio_matched is False
+        assert rep.anchor.ratio_matched is True
+        assert rep.anchor.ratio_gap <= 1e-15
         assert rep.dominated is True
 
 
