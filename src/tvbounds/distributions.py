@@ -282,19 +282,23 @@ def _log_gamma_prefactor(a: float, x: float) -> float:
     return a * lead + 0.5 * math.log(a) - _HALF_LOG_2PI - stirling
 
 
-def family_poisson(lam: float, min_length: int = 1) -> DiscreteDist:
+def family_poisson(lam: float, *, min_length: int = 1) -> DiscreteDist:
     """Poisson(``lam``) on the window ``0..K``, built as ``family_binomial``
     is: one cell in closed form, the others by the mass ratios ``lam/(k+1)``
     up and ``k/lam`` down (as ``c k / lam``: the rounded ``k/lam`` share a
     bias), so only far tails underflow, to 0.0.  The closed-form cell is the
-    mode ``m = floor(lam)``, ``exp(_log_gamma_prefactor(m + 1, lam)) / lam``,
-    from a rate of 19 on, and ``P(0) = e^-lam`` below, where ``lgamma``
-    would round the mode's by up to 1e-14.  ``K`` is the smallest index with
-    ``K + 1 >= min_length`` and ``K + 1 > lam`` whose tail, at most
-    ``P(K) lam / (K + 1 - lam)``, is within ``DEFAULT_TAIL_BUDGET``; that
-    geometric series, one ulp up, is the ``tail_deficit``."""
+    mode ``m = floor(lam)`` from a rate of 19 on, and ``P(0) = e^-lam``
+    below, where ``lgamma`` would round the mode's by up to 1e-14.  ``K`` is
+    the smallest index with ``K + 1 >= min_length`` and ``K + 1 > lam`` whose
+    tail, at most ``P(K) lam / (K + 1 - lam)``, is within
+    ``DEFAULT_TAIL_BUDGET``; that series, one ulp up, is the ``tail_deficit``.
+    A rate past the window whose largest cell ``P(min_length - 1)``
+    underflows is refused: no window cell would hold mass, and the cost
+    would grow with the rate, not with the window."""
     if not 0 <= (lam := float(lam)) < math.inf:
         raise InvalidDistributionError("Poisson rate must be finite and >= 0")
+    if lam >= min_length and math.exp(_log_gamma_prefactor(min_length, lam)) / lam == 0.0:
+        raise InvalidDistributionError(f"Poisson rate {lam!r} leaves no float mass on 0..{min_length - 1}")
     m = int(lam) if lam >= 19 else 0
     top = math.exp(_log_gamma_prefactor(m + 1.0, lam)) / lam if m else math.exp(-lam)
     down = list(accumulate(range(m, 0, -1), lambda c, k: c * k / lam, initial=top))
@@ -327,11 +331,7 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
     if not 0 < tail_budget < 1:
         raise InvalidDistributionError("tail budget must lie in (0, 1)")
     if r == 0:
-        if min_length > 1:
-            masses = [Fraction(0)] * min_length
-            masses[0] = Fraction(1)
-            return DiscreteDist(0, tuple(masses), Fraction(0))
-        return point_mass(0)
+        return DiscreteDist(0, (Fraction(1),) + (Fraction(0),) * (max(min_length, 1) - 1), Fraction(0))
     exact = _is_exact(theta) and _is_exact(r)
     # float(r) of an exact r can underflow, so its log is taken as in _log2_cells
     log_r = math.log(r.numerator) - math.log(r.denominator) if exact else math.log(r)

@@ -141,7 +141,7 @@ def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
     lam = (m + 1) * vm1 / vm
     w = float(iv.W)
     bound_mu = _safe_exp(math.lgamma(m + 1) + lam + math.log(vm) - m * math.log(lam) - math.log(w)) - 1.0
-    gamma = family_poisson(lam, iv.n + 1)
+    gamma = family_poisson(lam, min_length=iv.n + 1)
     nu = z_dist(iv)
     # V_m / W can underflow to 0.0 although V_m > 0
     bound_nu = 1.0 - float(gamma.mass(m)) / float(nu.mass(m)) if nu.mass(m) > 0 else None

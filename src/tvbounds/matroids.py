@@ -241,7 +241,7 @@ def matroid_poisson_bound(prof: IndepProfile, m: int, include_zero: bool = False
     if c[m] == 0 or c[m + 1] == 0:
         raise NotApplicableError(f"need I({m}) > 0 and I({m + 1}) > 0")
     lam = Fraction(m + 1) * Fraction(c[m + 1], c[m])
-    gamma = family_poisson(float(lam), n + 1)
+    gamma = family_poisson(float(lam), min_length=n + 1)
     nu = nu_distribution(prof, include_zero)
     total = sum(c) if include_zero else sum(c[1:])
     bound_mu = _safe_exp(math.lgamma(m + 1) + float(lam) + math.log(c[m]) - m * math.log(lam) - math.log(total)) - 1

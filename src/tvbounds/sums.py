@@ -172,7 +172,7 @@ def binomial_bound_secondary(bv: BernoulliVector, proof_tight: bool = False) -> 
 
 def poisson_target(bv: BernoulliVector) -> DiscreteDist:
     """Poisson(lambda_n) with ``lambda_n = n (m_n - 1)``, covering the sum's window ``0..n``."""
-    return family_poisson(float(bv.lambda_n), bv.n + 1)
+    return family_poisson(float(bv.lambda_n), min_length=bv.n + 1)
 
 
 def poisson_bound(bv: BernoulliVector) -> float:

@@ -377,6 +377,11 @@ def _assert_valid_outcome(argv):
     ["compound", "poisson", "--lambda", "1.0474972568181603e+223", "--severity", "0.0,0.0,0.0,1.5730804996917085e-73,1.0"],
     # f'(0) = -lam^2 is subnormal: the rate was off by 4e-4, over a bound of 0
     ["expapprox", "--density", "builtin:exp:7.0903905021667015e-161"],
+    # Poisson references at rates of 1e7 to 9e15 over windows of 2 cells,
+    # all of whose cells underflow: the reference walked out to its mode
+    ["pb-poisson", "--p", "0.9999999"],
+    ["pb-poisson", "--p", "0.9999999999999999"],
+    ["iv", "--box", "1e9", "--m", "0"],
 ])
 def test_fuzz_repro_gives_a_valid_outcome(argv):
     _assert_valid_outcome(argv)
@@ -400,8 +405,9 @@ _ARGV = st.one_of(
     st.tuples(_PAIR, _PAIR).map(lambda ab: ["gamma", "--a", ab[0], "--b", ab[1]]),
     _LOG_UNIFORM.map(lambda rate: ["expapprox", "--density", f"builtin:exp:{rate!r}"]),
     st.tuples(_LOG_UNIFORM, _SEVERITY).map(lambda t: ["compound", "poisson", "--lambda", repr(t[0]), "--severity", t[1]]),
-    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=60).map(
-        lambda p: ["pb-binomial", "--p", ",".join(map(repr, p))]),
+    st.tuples(st.sampled_from(["pb-binomial", "pb-poisson"]),
+              st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=60)).map(
+        lambda t: [t[0], "--p", ",".join(map(repr, t[1]))]),
 )
 
 
@@ -410,7 +416,7 @@ _ARGV = st.one_of(
 def test_valid_input_gives_a_report_a_not_applicable_result_or_an_input_error(argv):
     # gamma shapes and rates, exponential and compound rates log-uniform in
     # [1e-300, 1e300]; compound severities of 1 to 6 cells and Bernoulli sums
-    # of up to 60 summands
+    # of up to 60 summands against the binomial or the Poisson law
     _assert_valid_outcome(argv)
 
 

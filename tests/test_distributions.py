@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tvbounds import (
@@ -139,10 +139,17 @@ class TestFamilies:
         # on, cell 0 below), so a cell's error may grow by 2^-52 per step
         lam = 10.0**log10_lam
         min_length = max(1, int(length_per_lam * lam))
-        d = family_poisson(lam, min_length)
+        L = _MP.mpf(lam)
+        # the window's largest cell, when the mode lies past the window
+        top = _MP.exp((min_length - 1) * _MP.log(L) - L - _MP.loggamma(min_length)) if lam >= min_length else 1
+        if top < 2.0**-1080:  # it underflows
+            with pytest.raises(InvalidDistributionError, match="no float mass"):
+                family_poisson(lam, min_length=min_length)
+            return
+        assume(top > 2.0**-1070)  # or it lies within a few ulps of the smallest subnormal
+        d = family_poisson(lam, min_length=min_length)
         last, start = len(d.masses) - 1, int(lam) if lam >= 19 else 0
         assert d.offset == 0 and last + 1 >= min_length
-        L = _MP.mpf(lam)
         first = next(k for k, c in enumerate(d.masses) if c > 1e-300)
         p = _MP.exp(first * _MP.log(L) - L - _MP.loggamma(first + 1))
         for k in range(first, last + 1):
@@ -162,11 +169,31 @@ class TestFamilies:
     def test_poisson_rate_past_the_float_range_of_its_first_cell(self, lam):
         # e^-lam, cell 0, underflows past a rate of 745; the walk from the mode
         # does not need it, and the mode's mass is about 1/sqrt(2 pi lam)
-        d = family_poisson(lam)
+        d = family_poisson(lam, min_length=int(lam) + 1)
         assert d.mass(0) == 0.0
         assert d.mass(int(lam)) == pytest.approx(1 / math.sqrt(2 * math.pi * lam), rel=1e-3)
         assert 0 < d.tail_deficit <= DEFAULT_TAIL_BUDGET
         assert abs(sum(d.masses) + d.tail_deficit - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("lam, min_length", [(810.0, 1), (1e9, 2), (9e15, 2), (3000.0, 1000)])
+    def test_poisson_rate_whose_window_underflows_is_refused(self, lam, min_length):
+        # every cell of 0..min_length - 1 underflows, and the window would
+        # run to the mode: refused before any cell is built
+        with pytest.raises(InvalidDistributionError, match="no float mass"):
+            family_poisson(lam, min_length=min_length)
+
+    @pytest.mark.parametrize("lam, min_length", [(700.0, 1), (2000.0, 1000)])
+    def test_poisson_rate_past_the_window_with_float_mass_there(self, lam, min_length):
+        # the largest window cell, P(min_length - 1), is positive, so the law
+        # is built out to its tail budget past the mode
+        d = family_poisson(lam, min_length=min_length)
+        assert 0 < d.mass(min_length - 1) < 1e-100 and len(d.masses) > lam
+        assert d.tail_deficit <= DEFAULT_TAIL_BUDGET
+
+    def test_poisson_window_length_is_keyword_only(self):
+        # a positional second argument was a tail budget
+        with pytest.raises(TypeError):
+            family_poisson(2.0, 1e-14)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidDistributionError):
@@ -191,7 +218,7 @@ class TestTV:
     def test_binomial_vs_poisson(self):
         # oracle: direct positive-part summation; the tail past 19 is below 1e-18
         b = family_binomial(2, 0.5)
-        p = family_poisson(1.0, 20)
+        p = family_poisson(1.0, min_length=20)
         iv = tv_distance(b, p)
         expect = sum(
             max(0.25 * (k == 0) + 0.5 * (k == 1) + 0.25 * (k == 2) - math.exp(-1) / math.factorial(k), 0)

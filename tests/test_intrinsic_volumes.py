@@ -191,7 +191,7 @@ class TestPoissonBound:
         # a Poisson reference cut at its own tail budget had no mass at m and
         # m+1; the one built over the size law's window 0..n has
         rep = poisson_iv_bound(body, m)
-        gamma = family_poisson(rep.details["lambda"], body.n + 1)
+        gamma = family_poisson(rep.details["lambda"], min_length=body.n + 1)
         assert gamma.mass(m) > 0 and gamma.mass(m + 1) > 0
         assert rep.anchor.ell == m
         assert rep.anchor.ratio_matched is True
