@@ -18,23 +18,19 @@ forms in the two anchor masses alone.
 At a ratio-matched anchor ``q_ell >= p_ell`` necessarily holds and the
 simplified bound equals ``1 - p_ell/q_ell``, the smaller of the two terms.
 
-Every discrete report, from ``certify`` and from the application modules, is
-built by ``anchored_report``: the bounds are computed there and nowhere else,
-and every report derives its dominance verdict from them.  A report reads
-its pair in one ``distributions._pair_scan``: absolute continuity, the
-oracle TV and the gap rows of the valid anchors (or of the anchor asked
-for).  The scan decides no certificate.  The readers that need the
-relative one, ``certify`` and ``_check_hypothesis`` (through ``_verdict``),
-``is_log_concave_relative`` and the compound reports, have it decided by
-``distributions._three_term`` on the scan's aligned cells; the other
-application reports bring the certificate of their own hypothesis.  Without
-a given ``ell``, ``certify`` takes the row of smallest gap, ties to the
-smaller index, and ``anchor_at`` turns a row into the anchor record, ratio
-matched as the row's flag says: on exact equality of the cross products for
-exact laws and within ``distributions.ANCHOR_MATCH_TOL`` for floats.  The
-anchor functions below are each a few lines over the same scan.  Every
-dominance verdict, of the reports and of the ``verify`` sweeps, is
-``dominance_verdict``, the one reader of ``DOMINANCE_SLACK``.
+Every discrete report is built by ``certify``: the bounds are computed there
+and nowhere else, and every report derives its dominance verdict from them.
+It reads its pair in one ``distributions._pair_scan``: absolute continuity,
+the oracle TV and the gap rows of the valid anchors (or of the anchor asked
+for).  The scan decides no certificate: a report carries the caller's
+certificate of its own hypothesis or else, through ``_verdict``, the relative
+one, which ``distributions._three_term`` decides on the scan's aligned cells.
+``anchor_at`` turns a row into the anchor record, ratio matched as the row's
+flag says: on exact equality of the cross products for exact laws and within
+``distributions.ANCHOR_MATCH_TOL`` for floats.  The anchor functions below
+are each a few lines over the same scan.  Every dominance verdict, of the
+reports and of the ``verify`` sweeps, is ``dominance_verdict``, the one
+reader of ``DOMINANCE_SLACK``.
 """
 
 from __future__ import annotations
@@ -57,6 +53,7 @@ from .errors import HypothesisError, InvalidAnchorError
 _NOT_RELATIVE = "target is not log-concave relative to the reference"
 _REF_GAP = "reference support is not a contiguous interval"
 _SUBNORMAL = "anchor {} has subnormal float cells"
+_OUTSIDE = "anchor {0} needs positive {2} mass at {0} and {1}"
 
 #: slack of every dominance verdict, of the reports and of the randomized
 #: sweeps; absorbs truncation deficits on the oracle side of exact-equality
@@ -90,11 +87,13 @@ class Anchor:
 class BoundReport:
     """A computed bound with its certification context.
 
-    Every discrete report comes from ``anchored_report``.
-    ``bound_nu_side``/``bound_mu_side`` are the two envelope sums, or the
-    caller's closed-form pair (clamped to [0, 1]), ``simplified`` the
-    ratio-matched closed form when available, ``stated_bound`` an unclamped
-    corollary-style closed form carried verbatim by the application modules.
+    Every discrete report comes from ``certify``, the Gamma and exponential
+    ones from ``continuous``.  ``bound_nu_side``/``bound_mu_side`` are the
+    two envelope sums, or the caller's closed-form pair (clamped to [0, 1]),
+    ``simplified`` the ratio-matched closed form when available,
+    ``stated_bound`` an unclamped corollary-style closed form carried
+    verbatim by the application modules.  A not-applicable report has no
+    anchor and no bounds, and ``details["not_applicable"]`` names why.
     ``dominated`` is derived, not stored: ``dominance_verdict`` of the
     oracle and the core bounds.
     """
@@ -156,12 +155,15 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _verdict(mu: DiscreteDist, ac: int | None, relative):
-    """The certificate a report carries, from a ``_pair_scan``'s ``ac`` and
-    ``relative`` (called only when ``ac`` is None), and the error why the
-    bounds do not apply (returned) or None."""
+def _verdict(mu: DiscreteDist, ac: int | None, relative, hypothesis: LogConcavityCertificate | None = None):
+    """The certificate a report carries, the caller's ``hypothesis`` or else
+    the relative one from a ``_pair_scan``'s ``ac`` and ``relative`` (called
+    only when ``ac`` is None), and the error why the bounds do not apply
+    (returned) or None; absolute continuity is checked under either."""
     if ac is not None:
-        return LogConcavityCertificate(False, ac, True), _continuity_error(ac)
+        return hypothesis or LogConcavityCertificate(False, ac, True), _continuity_error(ac)
+    if hypothesis is not None:
+        return hypothesis, None
     cert = relative()
     if not cert.holds:
         return cert, HypothesisError(_NOT_RELATIVE, {"certificate": cert.to_json()})
@@ -184,7 +186,7 @@ def _positive_at(d: DiscreteDist, ell: int) -> bool:
 
 def _check_anchor(d: DiscreteDist, ell: int, role: str = "target"):
     if not _positive_at(d, ell):
-        raise InvalidAnchorError(f"anchor {ell} needs positive {role} mass at {ell} and {ell + 1}")
+        raise InvalidAnchorError(_OUTSIDE.format(ell, ell + 1, role))
 
 
 def _envelope_sum(cells, den: int, a: tuple[int, int], r: tuple[int, int], sign: int) -> Fraction:
@@ -329,82 +331,61 @@ def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     return _smallest_gap_anchor(mu, nu, rows) if rows else None
 
 
-def anchored_report(
-    mu: DiscreteDist,
-    nu: DiscreteDist,
-    ell: int,
-    hypothesis: LogConcavityCertificate,
-    *,
-    closed_forms=None,
-    stated_bound: float | None = None,
-    details: Mapping[str, object] = {},
-    anchor: Anchor | None = None,
-    tv: Interval | None = None,
-) -> BoundReport:
-    """The report for target ``nu`` against reference ``mu`` at anchor ``ell``.
+def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
+            hypothesis: LogConcavityCertificate | None = None, *, closed_forms=None,
+            stated_bound: float | None = None, details: Mapping[str, object] = {}) -> BoundReport:
+    """The report for target ``nu`` against reference ``mu`` at anchor
+    ``ell``, or at the gap row of smallest gap (ties to the smaller index).
 
-    The bounds are the caller's ``closed_forms`` pair ``(nu side, mu side)``,
-    clamped, when given. Without one they are 0 when the oracle TV is exactly
-    0, and otherwise the two envelope sums, plus the matched closed form at a
-    ratio-matched anchor, when ``hypothesis`` holds and both laws have mass at
-    ``ell`` and ``ell+1``, each raised by the target's ``tail_deficit``: the
-    true TV exceeds the stored cells' TV by at most that. A target without mass
-    at both anchor cells has no anchor record (``details["anchor_outside_target_support"]``
-    names ``ell``); an anchor on a subnormal float cell has no ``_pair_scan`` row and is not applicable.
-    ``anchor`` is the record at ``ell`` and ``tv`` the oracle TV when the
-    caller has them; one ``_pair_scan`` at ``ell`` gives those it lacks.
-    """
-    details = dict(details)
-    simplified = b_nu = b_mu = None
-    if tv is None or anchor is None and _positive_at(nu, ell):
-        _, _, rows, scanned = _pair_scan(mu, nu, ell)
-        tv = scanned if tv is None else tv
-        if anchor is None and rows:
-            anchor = anchor_at(mu, nu, ell, row=rows[0])
-    if anchor is None and not _positive_at(nu, ell):
-        details["anchor_outside_target_support"] = ell
-    if closed_forms is not None:
-        b_nu, b_mu = (None if b is None else float(clamp01(b)) for b in closed_forms)
-    elif tv.hi == 0:
-        b_nu = b_mu = simplified = 0.0
-    elif anchor is None and _positive_at(nu, ell):
-        details["not_applicable"] = _SUBNORMAL.format(ell)
-    elif hypothesis.holds and anchor is not None and _positive_at(mu, ell):
-        lift = lambda b: min(float(b + nu.tail_deficit), 1.0)  # b >= 0
-        b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell, check=False))
-        if anchor.ratio_matched:
-            simplified = lift(tv_bound_matched_anchor(mu, nu, ell, check=False, anchor=anchor))
-    return BoundReport(b_nu, b_mu, simplified, anchor, hypothesis, tv, stated_bound, details)
+    Its certificate is the caller's ``hypothesis``, or else that of ``nu``
+    relative to ``mu``; absolute continuity is checked under either.  The
+    bounds are the caller's ``closed_forms`` pair ``(nu side, mu side)``,
+    clamped; without one, 0 when the oracle TV is exactly 0, at any anchor,
+    and otherwise, when the certificate holds, the two envelope sums, plus
+    the matched closed form at a ratio-matched anchor, each raised by the
+    target's ``tail_deficit``: the true TV exceeds the stored cells' TV by at
+    most that.  A caller's failed certificate keeps the anchor and closed
+    forms.  An anchor without target mass at both cells has no record; where
+    the bounds need none, ``details["anchor_outside_target_support"]`` names it.
 
-
-def _not_applicable(reason: str, cert: LogConcavityCertificate, tv: Interval) -> BoundReport:
-    return BoundReport(None, None, None, None, cert, tv, None, {"not_applicable": reason})
-
-
-def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None) -> BoundReport:
-    """Full pipeline: hypothesis check and anchor selection, then
-    ``anchored_report``, all read off one ``_pair_scan``.  Hypothesis
-    failures and invalid anchors come back as a structured not-applicable
-    report (with the oracle TV) instead of an exception; so does a float
-    anchor on subnormal cells: a given one, or the target's first when every row is on one.
+    Otherwise the report is not applicable, in one shape: no anchor and no
+    bounds, the caller's ``details`` and ``stated_bound``, and
+    ``details["not_applicable"]`` the reason: absolute continuity, a failed
+    relative certificate or reference gap, a single target atom, an anchor
+    outside the target's support or on subnormal float cells, whose few
+    digits give no slope.
     """
     ac, relative, rows, tv = _pair_scan(mu, nu, ell)
-    cert, error = _verdict(mu, ac, relative)
-    if error is not None:
-        reason = "absolute continuity violated" if ac is not None else str(error)
-        return _not_applicable(reason, cert, tv)
+    cert, error = _verdict(mu, ac, relative, hypothesis)
+    reason = None if error is None else "absolute continuity violated" if ac is not None else str(error)
+    details = dict(details)
     row = min(rows, key=itemgetter(2), default=None)
-    if ell is None:
+    if reason is None and ell is None:
         if row is not None:
             ell = row[0]
         elif tv.hi == 0 or nu.support_min < nu.support_max:  # a bound of 0, or no row off subnormal cells
             ell = nu.support_min
         else:
-            return _not_applicable("no valid anchor (target support is a single atom)", cert, tv)
-    else:
-        try:
-            _check_anchor(nu, ell)
-        except InvalidAnchorError as e:
-            return _not_applicable(str(e), cert, tv)
-    anc = None if row is None else anchor_at(mu, nu, ell, row=row)
-    return anchored_report(mu, nu, ell, cert, anchor=anc, tv=tv)
+            reason = "no valid anchor (target support is a single atom)"
+    if reason is None and not _positive_at(nu, ell):
+        if tv.hi == 0 or closed_forms is not None:
+            details["anchor_outside_target_support"] = ell
+        else:
+            reason = _OUTSIDE.format(ell, ell + 1, "target")
+    elif reason is None and row is None and tv.hi != 0 and closed_forms is None:
+        reason = _SUBNORMAL.format(ell)
+    if reason is not None:
+        details["not_applicable"] = reason
+        return BoundReport(None, None, None, None, cert, tv, stated_bound, details)
+    anchor = None if row is None else anchor_at(mu, nu, ell, row=row)
+    simplified = b_nu = b_mu = None
+    if closed_forms is not None:
+        b_nu, b_mu = (None if b is None else float(clamp01(b)) for b in closed_forms)
+    elif tv.hi == 0:
+        b_nu = b_mu = simplified = 0.0
+    elif cert.holds:  # absolute continuity gives the reference mass at both anchor cells
+        lift = lambda b: min(float(b + nu.tail_deficit), 1.0)  # b >= 0
+        b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell, check=False))
+        if anchor.ratio_matched:
+            simplified = lift(tv_bound_matched_anchor(mu, nu, ell, check=False, anchor=anchor))
+    return BoundReport(b_nu, b_mu, simplified, anchor, cert, tv, stated_bound, details)

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 
-from .bounds import BoundReport, anchor_at, anchored_report, clamp01
+from .bounds import BoundReport, certify, clamp01
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
     LogConcavityCertificate,
-    _continuity_error,
     _geometric_law,
-    _pair_scan,
     _three_term,
     convolve,
     family_geometric,
@@ -109,28 +107,18 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
     return _three_term((1.0, lam * f1, lam * (lam * f1 * f1 / 2 + f2) if f1 else float(f.support_max > 1)), False)
 
 
-def _matched_report(
-    nu: DiscreteDist,
-    target: DiscreteDist,
-    stated: float,
-    details: dict,
-) -> BoundReport:
-    """Envelope bounds at anchor 0 plus the carried closed form.
+def _matched_report(nu: DiscreteDist, target: DiscreteDist, stated: float, details: dict) -> BoundReport:
+    """``certify``'s report at anchor 0 with the carried closed form.
 
-    The envelope bounds are reported only when the aggregate law certifies
-    log-concave relative to the target; the raw anchor-atom arithmetic
+    Its certificate is the aggregate law's relative to the target, so the
+    envelope bounds are reported only when that holds, and the report is
+    not applicable when it fails; the raw anchor-atom arithmetic
     ``min(nu_0/mu_0 - 1, 1 - mu_0/nu_0)`` is always carried in ``details``
-    (it can be negative when the certificate fails).  One ``_pair_scan``
-    gives the anchor row and the oracle TV, and ``_three_term`` on its
-    aligned cells the certificate.
+    (it can be negative when the certificate fails).
     """
     n0, m0 = float(nu.mass(0)), float(target.mass(0))
     details = dict(details, matched_atom_bound_raw=min(n0 / m0 - 1.0, 1.0 - m0 / n0))
-    ac, relative, rows, tv = _pair_scan(target, nu, 0)
-    if ac is not None:
-        raise _continuity_error(ac)
-    anchor = anchor_at(target, nu, 0, row=rows[0]) if rows else None
-    return anchored_report(target, nu, 0, relative(), stated_bound=stated, details=details, anchor=anchor, tv=tv)
+    return certify(target, nu, 0, stated_bound=stated, details=details)
 
 
 def geometric_bound_compound_poisson(spec: CompoundPoissonSpec) -> BoundReport:

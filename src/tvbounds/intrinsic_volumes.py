@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _safe_exp, _safe_expm1, anchored_report
+from .bounds import BoundReport, _safe_exp, _safe_expm1, certify
 from .distributions import (
     DiscreteDist,
     Scalar,
@@ -149,7 +149,7 @@ def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
     # balls satisfy only the infinite-order form (the disk has pi^2 < 4 pi),
     # which is the hypothesis the Poisson comparison needs; boxes and cubes
     # additionally satisfy the order-n form
-    return anchored_report(gamma, nu, m, is_ulc_infinity(iv.V), closed_forms=(bound_nu, bound_mu), details=details)
+    return certify(gamma, nu, m, is_ulc_infinity(iv.V), closed_forms=(bound_nu, bound_mu), details=details)
 
 
 def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:

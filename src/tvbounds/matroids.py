@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bounds import BoundReport, _safe_exp, anchored_report
+from .bounds import BoundReport, _safe_exp, certify
 from .distributions import (
     DiscreteDist,
     LogConcavityCertificate,
@@ -27,6 +27,16 @@ from .distributions import (
 from .errors import InvalidDistributionError, MatroidAxiomError, NotApplicableError
 
 _MAX_GROUND = 20
+#: largest ground set of a uniform or partition matroid: a report on ``n``
+#: elements builds exact laws on ``0..n``, and ``matroid --uniform n,1 --m 0``
+#: took 1.4 s at n = 5,000, 8.1 s at 10,000 and 53 s at 20,000 (Python 3.11,
+#: 2-vCPU Xeon VM)
+_MAX_PROFILE_GROUND = 5000
+
+
+def _check_ground(n: int) -> None:
+    if n > _MAX_PROFILE_GROUND:
+        raise InvalidDistributionError(f"ground set of {n} elements exceeds {_MAX_PROFILE_GROUND}")
 
 
 class IndepProfile:
@@ -74,6 +84,7 @@ class PartitionMatroidSpec:
         for c, d in cats:
             if c < 1 or not 0 <= d <= c:
                 raise InvalidDistributionError(f"invalid category ({c}, {d})")
+        _check_ground(self.n)
 
     @property
     def n(self) -> int:
@@ -125,6 +136,7 @@ def profile_uniform(n: int, r: int) -> IndepProfile:
     """Uniform matroid: every set of size at most ``r`` is independent."""
     if not 0 <= r <= n:
         raise InvalidDistributionError("rank must lie in 0..n")
+    _check_ground(n)
     return IndepProfile(n, tuple(math.comb(n, k) if k <= r else 0 for k in range(n + 1)))
 
 
@@ -203,11 +215,11 @@ def nu_distribution(prof: IndepProfile, include_zero: bool = False) -> DiscreteD
 
 def _profile_bound_report(prof: IndepProfile, m: int, include_zero: bool, nu: DiscreteDist, target: DiscreteDist,
                           closed_forms: tuple, details: dict) -> BoundReport:
-    """The report of ``nu`` against ``target`` at anchor ``m``: its hypothesis
-    is the profile's Mason certificate, and its details add ``m``,
+    """``certify``'s report of ``nu`` against ``target`` at anchor ``m``: its
+    hypothesis is the profile's Mason certificate, and its details add ``m``,
     ``include_zero`` and the profile to the caller's."""
     details = dict(details, m=m, include_zero=include_zero, profile=list(prof.counts))
-    return anchored_report(target, nu, m, mason_check(prof), closed_forms=closed_forms, details=details)
+    return certify(target, nu, m, mason_check(prof), closed_forms=closed_forms, details=details)
 
 
 def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = False) -> BoundReport:
@@ -245,8 +257,10 @@ def matroid_poisson_bound(prof: IndepProfile, m: int, include_zero: bool = False
     nu = nu_distribution(prof, include_zero)
     total = sum(c) if include_zero else sum(c[1:])
     bound_mu = _safe_exp(math.lgamma(m + 1) + float(lam) + math.log(c[m]) - m * math.log(lam) - math.log(total)) - 1
-    # reciprocal companion computed from the same exact atoms
-    bound_nu = 1 - float(gamma.mass(m)) / float(nu.mass(m)) if nu.mass(m) > 0 else None
+    # reciprocal companion computed from the same exact atoms; I(m) / sum_j I(j)
+    # can underflow to 0.0 although I(m) > 0
+    nu_m = float(nu.mass(m))
+    bound_nu = 1 - float(gamma.mass(m)) / nu_m if nu_m > 0 else None
     return _profile_bound_report(prof, m, include_zero, nu, gamma, (bound_nu, bound_mu), {"lambda": float(lam)})
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Sequence
 
-from .bounds import BoundReport, _safe_expm1, anchored_report
+from .bounds import BoundReport, _safe_expm1, certify
 from .distributions import (
     DEFAULT_TAIL_BUDGET,
     DiscreteDist,
@@ -216,4 +216,4 @@ def geometric_sum_bound(xis: Sequence[DiscreteDist]) -> BoundReport:
     # masses theta t^k from t itself: family_geometric(theta) would cancel again
     target = _geometric_law(theta, t, DEFAULT_TAIL_BUDGET, len(sum_dist.masses))
     details = {"theta": theta, "m_minus_one_times_n": t}
-    return anchored_report(target, sum_dist, 0, is_log_concave(sum_dist), stated_bound=t / theta, details=details)
+    return certify(target, sum_dist, 0, is_log_concave(sum_dist), stated_bound=t / theta, details=details)

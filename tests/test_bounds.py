@@ -28,7 +28,7 @@ from tvbounds import (
     tv_distance,
 )
 from tvbounds import bounds, compound, distributions, intrinsic_volumes, matroids, sums
-from tvbounds.bounds import _float_envelope, _safe_exp, anchor_at, anchored_report, clamp01
+from tvbounds.bounds import _float_envelope, _safe_exp, anchor_at, clamp01
 from tvbounds.distributions import Interval, LogConcavityCertificate, _scaled_products, _support_interval, _three_term
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
 from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
@@ -285,10 +285,12 @@ def _typed(values):
 
 def _decomposed_certify(mu, nu, ell=None):
     """``certify`` from the reference kernels above: the hypothesis, the TV
-    loop and the smallest-gap row of ``_anchor_gaps``, then
-    ``anchored_report`` with all of them given."""
+    loop and the smallest-gap row of ``_anchor_gaps``, then the envelope sums
+    and the matched closed form at the anchor, each raised by the target's
+    deficit."""
     cert, reason = _reference_hypothesis(mu, nu)
-    tv, anchor = _reference_tv(mu, nu), None
+    tv, anchor, details = _reference_tv(mu, nu), None, {}
+    positive = lambda ell: nu.mass(ell) > 0 and nu.mass(ell + 1) > 0
     if reason is None and ell is None:
         rows = _anchor_gaps(mu, nu)
         if rows:
@@ -298,16 +300,23 @@ def _decomposed_certify(mu, nu, ell=None):
             ell = nu.support_min
         else:
             reason = "no valid anchor (target support is a single atom)"
-    elif reason is None and not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
-        reason = f"anchor {ell} needs positive target mass at {ell} and {ell + 1}"
-    elif reason is None and (mu.is_exact and nu.is_exact or not any(
+    elif reason is None and positive(ell) and (mu.is_exact and nu.is_exact or not any(
             0 < c < sys.float_info.min for c in (mu.mass(ell), mu.mass(ell + 1), nu.mass(ell), nu.mass(ell + 1)))):
         anchor = _reference_anchor_at(mu, nu, ell)
-    if reason is None and anchor is None and tv.hi != 0 and nu.mass(ell) > 0 and nu.mass(ell + 1) > 0:
+    if reason is None and not positive(ell):
+        if tv.hi != 0:
+            reason = f"anchor {ell} needs positive target mass at {ell} and {ell + 1}"
+        details["anchor_outside_target_support"] = ell
+    elif reason is None and anchor is None and tv.hi != 0:
         reason = f"anchor {ell} has subnormal float cells"
     if reason is not None:
         return bounds.BoundReport(None, None, None, None, cert, tv, None, {"not_applicable": reason})
-    return anchored_report(mu, nu, ell, cert, anchor=anchor, tv=tv)
+    if tv.hi == 0:
+        return bounds.BoundReport(0.0, 0.0, 0.0, anchor, cert, tv, None, details)
+    lift = lambda b: min(float(b + nu.tail_deficit), 1.0)
+    b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell, check=False))
+    simplified = lift(tv_bound_matched_anchor(mu, nu, ell, check=False)) if anchor.ratio_matched else None
+    return bounds.BoundReport(b_nu, b_mu, simplified, anchor, cert, tv, None, details)
 
 
 @st.composite
@@ -519,17 +528,17 @@ class TestAnchoredReport:
         st.just(NEAR_TIE),
         st.integers(0, 2**32).map(lambda seed: random_envelope_instance(random.Random(seed), 30)),
     ))
-    def test_certify_is_anchored_report_at_the_chosen_anchor(self, pair):
+    def test_certify_is_itself_given_its_anchor_and_certificate(self, pair):
         mu, nu = pair
         rep = certify(mu, nu)
         if "not_applicable" in rep.details:
             return
-        if rep.anchor is None:  # the single atom both laws share
-            ell = rep.details["anchor_outside_target_support"]
+        if rep.anchor is None:  # the single atom both laws share, or no row off subnormal cells
+            ell = nu.support_min
         else:
             ell = rep.anchor.ell
             assert rep.anchor.to_json() == anchor_at(mu, nu, ell).to_json()
-        assert rep.to_json() == anchored_report(mu, nu, ell, rep.hypothesis).to_json()
+        assert rep.to_json() == certify(mu, nu, ell, rep.hypothesis).to_json()
 
     @pytest.mark.parametrize("report", [
         lambda: certify(B_MATCH, PB),
@@ -553,7 +562,7 @@ class TestAnchoredReport:
         # every report reads its certificate (where it reads one), the anchor
         # row and the oracle TV off one _pair_scan; no other kernel walks the pair
         calls, scan = [], distributions._pair_scan
-        for module in (distributions, bounds, compound):
+        for module in (distributions, bounds):
             monkeypatch.setattr(module, "_pair_scan", lambda *args: calls.append(args) or scan(*args))
         assert report().oracle_tv is not None
         assert len(calls) == 1
@@ -563,7 +572,7 @@ class TestAnchoredReport:
         (lambda: anchor_at(B_MATCH, PB, 0), 0),
         (lambda: find_ratio_anchor(B_MATCH, PB), 0),
         (lambda: find_ratio_anchor(*random_envelope_instance(random.Random(11), 30)), 0),
-        (lambda: anchored_report(B_MATCH, PB, 0, LogConcavityCertificate(True, None, True)), 0),
+        (lambda: certify(B_MATCH, PB, 0, LogConcavityCertificate(True, None, True)), 0),
         (lambda: matroids.matroid_binomial_bound(matroids.profile_uniform(8, 4), 2), 1),
         (lambda: matroids.matroid_poisson_bound(matroids.profile_uniform(8, 4), 2), 1),
         (lambda: intrinsic_volumes.poisson_iv_bound(intrinsic_volumes.iv_box([0.5, 1, 2]), 1), 1),
@@ -572,7 +581,7 @@ class TestAnchoredReport:
         (lambda: certify(B_MATCH, PB, 1), 1),
         (lambda: certify(make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 1.0, 1.0])), 0),
         (lambda: certify(make_dist(0, [F(1), F(1)]), make_dist(0, [F(1), F(1), F(1)])), 0),
-    ], ids=["tv", "anchor-at", "find-anchor-exact", "find-anchor-float", "anchored-report", "matroid-binomial",
+    ], ids=["tv", "anchor-at", "find-anchor-exact", "find-anchor-float", "given-hypothesis", "matroid-binomial",
             "matroid-poisson", "iv", "certify-exact", "certify-float", "certify-given-anchor",
             "certify-absolute-continuity-float", "certify-absolute-continuity-exact"])
     def test_only_readers_of_a_hypothesis_certify(self, call, certificates, monkeypatch):
@@ -613,7 +622,7 @@ class TestAnchoredReport:
                 assert certify(mu, nu, ell).to_json() == _decomposed_certify(mu, nu, ell).to_json()
 
     def test_closed_forms_are_clamped_and_replace_the_envelope(self):
-        rep = anchored_report(B_MATCH, PB, 0, certify(B_MATCH, PB).hypothesis, closed_forms=(F(-1, 5), 7))
+        rep = certify(B_MATCH, PB, 0, certify(B_MATCH, PB).hypothesis, closed_forms=(F(-1, 5), 7))
         assert (rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (0.0, 1.0, None)
         assert rep.anchor.ratio_matched and rep.anchor.ratio_gap == 0.0
         assert rep.dominated is False
@@ -621,13 +630,13 @@ class TestAnchoredReport:
     def test_failed_hypothesis_without_closed_forms_has_no_bounds(self):
         rep = certify(B_MATCH, PB)
         failed = type(rep.hypothesis)(False, 1, True)
-        rep = anchored_report(B_MATCH, PB, 0, failed, stated_bound=0.5)
+        rep = certify(B_MATCH, PB, 0, failed, stated_bound=0.5)
         assert rep.core_bounds() == [] and rep.dominated is None
         assert rep.anchor is not None and rep.stated_bound == 0.5
 
     def test_zero_oracle_outside_target_support(self):
         point = make_dist(0, [F(1), F(0)])
-        rep = anchored_report(point, point, 0, certify(B_MATCH, PB).hypothesis, details={"k": 1})
+        rep = certify(point, point, 0, certify(B_MATCH, PB).hypothesis, details={"k": 1})
         assert (rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (0.0, 0.0, 0.0)
         assert rep.anchor is None and rep.dominated is True
         assert rep.details == {"k": 1, "anchor_outside_target_support": 0}
@@ -743,6 +752,16 @@ class TestCertify:
         rep = certify(make_dist(0, [F(1), F(1)]), make_dist(0, [F(0), F(1)]))
         assert rep.core_bounds() == [] and rep.oracle_tv.hi == F(1, 2)
         assert "anchor" in rep.details["not_applicable"]
+
+    def test_absolute_continuity_is_checked_under_a_given_certificate(self):
+        # the reference is 0.0 at 2, where the target has mass: the caller's
+        # certificate holds, and its closed forms are not reported
+        holds = LogConcavityCertificate(True, None, True)
+        rep = certify(make_dist(0, [1.0, 1.0, 0.0]), make_dist(0, [1.0, 1.0, 1.0]), 0, holds,
+                      closed_forms=(0.1, 0.2), stated_bound=0.5, details={"k": 1})
+        assert rep.details == {"k": 1, "not_applicable": "absolute continuity violated"}
+        assert rep.anchor is None and rep.core_bounds() == [] and rep.dominated is None
+        assert rep.hypothesis == holds and rep.stated_bound == 0.5 and rep.oracle_tv.hi > 0
 
     def test_absolute_continuity_report_leaves_no_reference_cycle(self):
         # a returned exception that kept its traceback would hold its frames

@@ -103,18 +103,23 @@ def test_ball_reference_covers_the_anchor():
     assert report["dominated"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    ["matroid", "--uniform", "1000,900", "--m", "50"],
-    ["pb-poisson", "--p", ",".join(["0.45"] * 990)],
+@pytest.mark.parametrize("argv, not_applicable", [
+    (["matroid", "--uniform", "1000,900", "--m", "50"], "absolute continuity violated"),
+    (["pb-poisson", "--p", ",".join(["0.45"] * 990)], None),
 ], ids=["matroid-rate-950", "pb-poisson-rate-810"])
-def test_poisson_rate_past_700_gives_a_report(argv):
+def test_poisson_rate_past_700_gives_a_report(argv, not_applicable):
     # the Poisson reference is built from its mode, so e^-lam underflowing
-    # (and the rate cap at 700 that guarded it) no longer turns these away
+    # (and the rate cap at 700 that guarded it) no longer turns these away.
+    # At rate 950 its cells below about 300 are 0.0, where the size law has
+    # mass: the Mason certificate holds and the Poisson report is not
+    # applicable, and the matroid command exits 0 on its binomial report
     code, text = run(argv)
     assert code == 0
     report = json.loads(text)
     poisson = report.get("poisson", report)
-    assert poisson["hypothesis"]["holds"] is True and poisson["dominated"] is True
+    assert poisson["hypothesis"]["holds"] is True
+    assert poisson["details"].get("not_applicable") == not_applicable
+    assert poisson["dominated"] is (None if not_applicable else True)
 
 
 def test_exact_anchor_below_the_float_range_reports_gap_0():
@@ -139,13 +144,15 @@ def test_iv_failing_its_float_ulc_certificate_reports_the_failed_hypothesis():
 
 
 def test_iv_box_whose_size_mass_underflows_gives_a_report():
-    # V_79 > 0, but V_79 / W underflows to 0.0 in the size law: the nu-side
-    # closed form, which divides by it, is left out and the mu side remains
+    # V_79 > 0, but V_79 / W underflows to 0.0 in the size law, which the
+    # nu-side closed form divides by; the Poisson reference, at rate 1.1e-5,
+    # is 0.0 on cells where the size law has mass, so the report is not applicable
     code, text = run(["iv", "--box", ",".join(["1000"] * 10 + ["1e-5"] * 70), "--m", "79"])
-    assert code == 0
+    assert code == 2
     report = json.loads(text)
-    assert report["bound_nu_side"] is None and report["bound_mu_side"] == 1.0
-    assert report["dominated"] is True
+    assert report["details"]["not_applicable"] == "absolute continuity violated"
+    assert report["hypothesis"]["holds"] is True and report["anchor"] is None
+    assert report["bound_nu_side"] is None and report["bound_mu_side"] is None and report["dominated"] is None
 
 
 @pytest.mark.parametrize("body, message", [
@@ -382,6 +389,9 @@ def _assert_valid_outcome(argv):
     ["pb-poisson", "--p", "0.9999999"],
     ["pb-poisson", "--p", "0.9999999999999999"],
     ["iv", "--box", "1e9", "--m", "0"],
+    # the size law's mass at 100 underflowed to 0.0 in floats, and the
+    # Poisson report's nu-side closed form divided by it (ZeroDivisionError)
+    ["matroid", "--uniform", "2000,1000", "--m", "100"],
 ])
 def test_fuzz_repro_gives_a_valid_outcome(argv):
     _assert_valid_outcome(argv)
@@ -504,6 +514,19 @@ def test_reader_closing_the_pipe_early_gets_no_traceback():
         err = proc.stderr.read().decode()
     assert proc.returncode == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("argv", [["matroid", "--partition", "1000000000:1", "--m", "0"],
+                                  ["matroid", "--uniform", "1000000000,1", "--m", "0"]])
+def test_oversize_matroid_is_an_input_error_within_bounded_memory(argv):
+    # a ground set of 1e9 elements was padded to 1e9 counts, a MemoryError
+    # under a 1.5 GB address-space limit; now it is refused before any is built
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+    with _bare_python(limit + f"from tvbounds.cli import main\nraise SystemExit(main({argv!r}))",
+                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and out == ""
+    assert err.startswith("error: ground set of 1000000000 elements exceeds") and "Traceback" not in err
 
 
 def test_main_with_no_reader_on_stdout_exits_1(monkeypatch, capsys):

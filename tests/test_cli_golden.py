@@ -85,14 +85,18 @@ CASES = [
     # geometric reference's deficit moved from the top of oracle_tv to its floor
     ("compound-poisson-csv", ["compound", "poisson", "--lambda", "0.4", "--severity", "0.3,0.65,0.05", "--format", "csv"],
      0, "9fb55a88ecb9a10acf86a593cb3c2e5def046aa4468a47fa4c38b8c843a83876"),
-    # exits 2: its report's certificate fails at 1, so the bound is not applicable
+    # exits 2: its report's certificate fails at 1, so the bound is not applicable.
+    # Re-pinned here and in compound-geometric-hypothesis-fails when every
+    # discrete report came to be built by certify: a failed relative
+    # certificate gives the one not-applicable shape, so anchor is null and
+    # details.not_applicable names the failure; nothing else moved
     ("compound-geometric", ["compound", "geometric", "--count-masses", "0.2,0.5,0.3", "--p", "0.2"],
-     2, "10bf6dde836728561976a9d2f1223b21f2320662cf9727c6cb5fec78d355fe07"),
+     2, "cb933e03017209b89e30eaa3dd840a94479c536cd999e1d24384ece6e61c26f8"),
     ("compound-geometric-f1-zero", ["compound", "geometric", "--count-masses", "0.5,0,0.5", "--p", "0.3"],
      2, "9f0d5243fb76e20cad0a6275fb7fbcf13aee1a74aec8a009021852ebbe593b99"),
     # the aggregate law is not log-concave relative to its geometric target
     ("compound-geometric-hypothesis-fails", ["compound", "geometric", "--count-masses", "0.3,0.5,0.2", "--p", "0.2"],
-     2, "80277a9904f1559db41b0b8b9f52798a1f9bb234ae45352e5560729ab9b48613"),
+     2, "7490339293a384018c73475d1c893c476d97a4494c77296cc57792db58e66f25"),
     ("gamma-case-i", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "i"],
      0, "467a472d2fe34a02ce6f39342da591f024e4bb2e786facbdaed6049164abc58b"),
     ("gamma-case-ii", ["gamma", "--a", "3,2", "--b", "2,1", "--case", "ii", "--z", "1"],

@@ -13,6 +13,7 @@ from tvbounds import (
     tv_distance,
 )
 from tvbounds.matroids import (
+    _MAX_PROFILE_GROUND,
     IndepProfile,
     PartitionMatroidSpec,
     SetSystem,
@@ -50,6 +51,16 @@ class TestProfiles:
 
     def test_single_category_is_uniform(self):
         assert profile_partition(PartitionMatroidSpec(((5, 2),))).counts == (1, 5, 10, 0, 0, 0)
+
+    def test_ground_set_above_the_cap_is_refused_before_any_count(self):
+        # a ground set of 1e9 elements would be padded to 1e9 counts; the
+        # check comes before any list is built, so it takes no time
+        for n in (_MAX_PROFILE_GROUND + 1, 10**9):
+            with pytest.raises(InvalidDistributionError, match=f"ground set of {n} elements exceeds"):
+                profile_uniform(n, 1)
+            with pytest.raises(InvalidDistributionError, match=f"ground set of {n} elements exceeds"):
+                PartitionMatroidSpec(((n - 1, 1), (1, 1)))
+        assert PartitionMatroidSpec(((_MAX_PROFILE_GROUND - 1, 1), (1, 1))).n == _MAX_PROFILE_GROUND
 
     def test_profile_validation(self):
         with pytest.raises(InvalidDistributionError):
