@@ -89,10 +89,9 @@ class BoundReport:
 
     Every discrete report comes from ``certify``, the Gamma and exponential
     ones from ``continuous``.  ``bound_nu_side``/``bound_mu_side`` are the
-    two envelope sums, or the caller's closed-form pair (clamped to [0, 1]),
-    ``simplified`` the ratio-matched closed form when available,
-    ``stated_bound`` an unclamped corollary-style closed form carried
-    verbatim by the application modules.  A not-applicable report has no
+    two envelope sums, ``simplified`` the ratio-matched closed form when
+    available, ``stated_bound`` an unclamped corollary-style closed form
+    carried verbatim by the application modules.  A not-applicable report has no
     anchor and no bounds, and ``details["not_applicable"]`` names why.
     ``dominated`` is derived, not stored: ``dominance_verdict`` of the
     oracle and the core bounds.
@@ -332,20 +331,19 @@ def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
 
 
 def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
-            hypothesis: LogConcavityCertificate | None = None, *, closed_forms=None,
+            hypothesis: LogConcavityCertificate | None = None, *,
             stated_bound: float | None = None, details: Mapping[str, object] = {}) -> BoundReport:
     """The report for target ``nu`` against reference ``mu`` at anchor
     ``ell``, or at the gap row of smallest gap (ties to the smaller index).
 
     Its certificate is the caller's ``hypothesis``, or else that of ``nu``
     relative to ``mu``; absolute continuity is checked under either.  The
-    bounds are the caller's ``closed_forms`` pair ``(nu side, mu side)``,
-    clamped; without one, 0 when the oracle TV is exactly 0, at any anchor,
-    and otherwise, when the certificate holds, the two envelope sums, plus
-    the matched closed form at a ratio-matched anchor, each raised by the
+    bounds are 0 when the oracle TV is exactly 0, at any anchor, and
+    otherwise, when the certificate holds, the two envelope sums, plus the
+    matched closed form at a ratio-matched anchor, each raised by the
     target's ``tail_deficit``: the true TV exceeds the stored cells' TV by at
-    most that.  A caller's failed certificate keeps the anchor and closed
-    forms.  An anchor without target mass at both cells has no record; where
+    most that.  A caller's failed certificate keeps the anchor and reports no
+    bounds.  An anchor without target mass at both cells has no record; where
     the bounds need none, ``details["anchor_outside_target_support"]`` names it.
 
     Otherwise the report is not applicable, in one shape: no anchor and no
@@ -367,21 +365,16 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
             ell = nu.support_min
         else:
             reason = "no valid anchor (target support is a single atom)"
-    if reason is None and not _positive_at(nu, ell):
-        if tv.hi == 0 or closed_forms is not None:
-            details["anchor_outside_target_support"] = ell
-        else:
-            reason = _OUTSIDE.format(ell, ell + 1, "target")
-    elif reason is None and row is None and tv.hi != 0 and closed_forms is None:
-        reason = _SUBNORMAL.format(ell)
+    if reason is None and tv.hi == 0 and not _positive_at(nu, ell):
+        details["anchor_outside_target_support"] = ell
+    elif reason is None and tv.hi != 0 and row is None:  # no row: outside the target's support, or subnormal
+        reason = (_SUBNORMAL if _positive_at(nu, ell) else _OUTSIDE).format(ell, ell + 1, "target")
     if reason is not None:
         details["not_applicable"] = reason
         return BoundReport(None, None, None, None, cert, tv, stated_bound, details)
     anchor = None if row is None else anchor_at(mu, nu, ell, row=row)
     simplified = b_nu = b_mu = None
-    if closed_forms is not None:
-        b_nu, b_mu = (None if b is None else float(clamp01(b)) for b in closed_forms)
-    elif tv.hi == 0:
+    if tv.hi == 0:
         b_nu = b_mu = simplified = 0.0
     elif cert.holds:  # absolute continuity gives the reference mass at both anchor cells
         lift = lambda b: min(float(b + nu.tail_deficit), 1.0)  # b >= 0

@@ -6,6 +6,8 @@ row per report), or a human table.
 
 Exit codes: 0 success, 2 when a bound's hypotheses fail ("bound not
 applicable", with the structured explanation on stdout), 1 for input errors.
+An output exits 2 when it holds reports (``matroid`` holds two) and none is
+certified: its hypothesis holds and it is applicable.
 
 Each subcommand imports its application module (``sums``, ``matroids``,
 ``intrinsic_volumes``, ``compound``, ``continuous`` or ``verify``) inside its
@@ -431,9 +433,9 @@ def run(argv) -> tuple[int, str]:
         return 2, emit(payload, fmt)
     except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError, argparse.ArgumentTypeError) as e:
         return 1, f"error: {e}"
-    if report.get("details", {}).get("not_applicable") or report.get("hypothesis", {}).get("holds") is False:
-        return 2, emit(report, fmt)
-    return 0, emit(report, fmt)
+    reports = [r for r in (report, *report.values()) if isinstance(r, dict) and "hypothesis" in r]
+    certified = any(r["hypothesis"]["holds"] and not r["details"].get("not_applicable") for r in reports)
+    return 2 if reports and not certified else 0, emit(report, fmt)
 
 
 def main(argv=None) -> int:

@@ -325,6 +325,11 @@ def family_geometric(
     return _geometric_law(theta, 1 - theta, tail_budget, min_length)
 
 
+#: longest geometric window: a compound Poisson report on 9.2e5 cells took 0.3 s
+#: and 107 MB, on 9.2e6 cells 3 s and 860 MB (Python 3.11, 2-vCPU Xeon VM)
+_MAX_GEOMETRIC_CELLS = 10**6
+
+
 def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int) -> DiscreteDist:
     """``family_geometric`` with its ratio ``r = 1 - theta`` given, for callers
     that know ``r`` more precisely than ``1 - theta`` would recompute it."""
@@ -335,10 +340,11 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
     exact = _is_exact(theta) and _is_exact(r)
     # float(r) of an exact r can underflow, so its log is taken as in _log2_cells
     log_r = math.log(r.numerator) - math.log(r.denominator) if exact else math.log(r)
-    if log_r == 0:
-        raise InvalidDistributionError(f"geometric ratio 1 - theta = {float(r)!r} is too close to 1 to truncate")
     # residual after masses 0..K is r^(K+1)
-    need = math.ceil(math.log(tail_budget) / log_r)
+    need = math.ceil(math.log(tail_budget) / log_r) if log_r else math.inf
+    if need > _MAX_GEOMETRIC_CELLS:
+        raise InvalidDistributionError(f"geometric ratio 1 - theta = {float(r)!r} is too close to 1 to truncate "
+                                       f"within {_MAX_GEOMETRIC_CELLS} cells")
     length = max(need, min_length, 1)
     masses = []
     term = theta

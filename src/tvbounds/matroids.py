@@ -5,8 +5,10 @@ genuine matroids satisfy the strong Mason inequality (ultra log-concavity of
 order ``n``), which is exactly the hypothesis needed to compare the induced
 distribution against a ratio-matched binomial or Poisson reference.
 
-All profile and bound arithmetic stays in exact integers/rationals until the
-final real-valued bound.
+Both reports' sides are ``certify``'s envelope sums at the ratio-matched
+anchor ``m``, the closed forms ``1 - gamma_m/nu_m`` and ``nu_m/gamma_m - 1``;
+the paper's Poisson corollary is ``stated_bound``.  Profiles and the binomial
+report stay exact until the final real-valued bound.
 """
 
 from __future__ import annotations
@@ -214,21 +216,21 @@ def nu_distribution(prof: IndepProfile, include_zero: bool = False) -> DiscreteD
 
 
 def _profile_bound_report(prof: IndepProfile, m: int, include_zero: bool, nu: DiscreteDist, target: DiscreteDist,
-                          closed_forms: tuple, details: dict) -> BoundReport:
+                          stated_bound: float | None, details: dict) -> BoundReport:
     """``certify``'s report of ``nu`` against ``target`` at anchor ``m``: its
     hypothesis is the profile's Mason certificate, and its details add ``m``,
     ``include_zero`` and the profile to the caller's."""
     details = dict(details, m=m, include_zero=include_zero, profile=list(prof.counts))
-    return certify(target, nu, m, mason_check(prof), closed_forms=closed_forms, details=details)
+    return certify(target, nu, m, mason_check(prof), stated_bound=stated_bound, details=details)
 
 
 def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = False) -> BoundReport:
     """Binomial approximation with the ratio-matched success probability
     ``p = (1 + ((n-m)/(m+1)) I(m)/I(m+1))^{-1}``.
 
-    Reports the pair ``nu_m / gamma_m - 1`` and ``1 - gamma_m / nu_m``
-    (reference mass ``gamma_m`` at the anchor), the exact oracle TV, and the
-    dominance verdict.
+    Reports the envelope sums at ``m``, exact here ``1 - gamma_m / nu_m`` and
+    ``nu_m / gamma_m - 1`` (reference mass ``gamma_m`` at the anchor), the
+    exact oracle TV, and the dominance verdict.
     """
     n, c = prof.n, prof.counts
     if not 0 <= m <= n - 1:
@@ -238,15 +240,14 @@ def matroid_binomial_bound(prof: IndepProfile, m: int, include_zero: bool = Fals
     p = 1 / (1 + Fraction(n - m, m + 1) * Fraction(c[m], c[m + 1]))
     gamma = family_binomial(n, p)
     nu = nu_distribution(prof, include_zero)
-    num, den = Fraction(nu.mass(m)), Fraction(gamma.mass(m))
-    closed_forms = (1 - den / num, num / den - 1) if num > 0 else (None, None)
-    return _profile_bound_report(prof, m, include_zero, nu, gamma, closed_forms, {"p": float(p)})
+    return _profile_bound_report(prof, m, include_zero, nu, gamma, None, {"p": float(p)})
 
 
 def matroid_poisson_bound(prof: IndepProfile, m: int, include_zero: bool = False) -> BoundReport:
     """Poisson approximation with the ratio-matched rate
-    ``lambda = (m+1) I(m+1)/I(m)`` and bound
-    ``m! e^lambda I(m) / (lambda^m sum_j I(j)) - 1``."""
+    ``lambda = (m+1) I(m+1)/I(m)``: the envelope sums at ``m``, and the
+    paper's bound ``m! e^lambda I(m) / (lambda^m sum_j I(j)) - 1`` as
+    ``stated_bound``, ``inf`` where it leaves the float range."""
     n, c = prof.n, prof.counts
     if not 0 <= m <= n - 1:
         raise InvalidDistributionError("m must lie in 0..n-1")
@@ -256,12 +257,8 @@ def matroid_poisson_bound(prof: IndepProfile, m: int, include_zero: bool = False
     gamma = family_poisson(float(lam), min_length=n + 1)
     nu = nu_distribution(prof, include_zero)
     total = sum(c) if include_zero else sum(c[1:])
-    bound_mu = _safe_exp(math.lgamma(m + 1) + float(lam) + math.log(c[m]) - m * math.log(lam) - math.log(total)) - 1
-    # reciprocal companion computed from the same exact atoms; I(m) / sum_j I(j)
-    # can underflow to 0.0 although I(m) > 0
-    nu_m = float(nu.mass(m))
-    bound_nu = 1 - float(gamma.mass(m)) / nu_m if nu_m > 0 else None
-    return _profile_bound_report(prof, m, include_zero, nu, gamma, (bound_nu, bound_mu), {"lambda": float(lam)})
+    stated = _safe_exp(math.lgamma(m + 1) + float(lam) + math.log(c[m]) - m * math.log(lam) - math.log(total)) - 1
+    return _profile_bound_report(prof, m, include_zero, nu, gamma, stated, {"lambda": float(lam)})
 
 
 def partition_half_bound(spec: PartitionMatroidSpec):

@@ -621,13 +621,44 @@ class TestAnchoredReport:
             for ell in (None, lo - 1, *pick.sample(range(lo, hi), min(3, hi - lo))):
                 assert certify(mu, nu, ell).to_json() == _decomposed_certify(mu, nu, ell).to_json()
 
-    def test_closed_forms_are_clamped_and_replace_the_envelope(self):
-        rep = certify(B_MATCH, PB, 0, certify(B_MATCH, PB).hypothesis, closed_forms=(F(-1, 5), 7))
-        assert (rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (0.0, 1.0, None)
-        assert rep.anchor.ratio_matched and rep.anchor.ratio_gap == 0.0
-        assert rep.dominated is False
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sides_at_a_ratio_matched_anchor_are_the_closed_forms(self, seed):
+        # at r = 1 each envelope sum is a constant times its law's mass, so the
+        # sides are 1 - p_l/q_l and q_l/p_l - 1, clamped: exactly against the
+        # exact binomial reference, whose window holds all its mass; the float
+        # Poisson reference misses at most its tail budget, 1e-12 relative, and
+        # the float sums round by about an ulp of 1
+        rng = random.Random(seed)
+        close = lambda want: pytest.approx(want, rel=distributions.DEFAULT_TAIL_BUDGET, abs=1e-15)
+        for _ in range(15):
+            cats = [(c, rng.randint(1, c)) for c in (rng.randint(1, 6) for _ in range(rng.randint(1, 8)))]
+            prof = matroids.profile_partition(matroids.PartitionMatroidSpec(cats))
+            (n, c), include_zero = (prof.n, prof.counts), rng.random() < 0.5
+            nu = matroids.nu_distribution(prof, include_zero)
+            for m in range(0 if include_zero else 1, prof.rank):
+                gamma = family_binomial(n, 1 / (1 + F(n - m, m + 1) * F(c[m], c[m + 1])))
+                pl, ql = gamma.mass(m), nu.mass(m)
+                closed = clamp01(1 - pl / ql), clamp01(ql / pl - 1)
+                assert tv_bounds_at_anchor(gamma, nu, m) == closed
+                rep = matroids.matroid_binomial_bound(prof, m, include_zero)
+                assert rep.anchor.ratio_matched
+                assert (rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (*map(float, closed), float(closed[0]))
+                gamma = family_poisson(float(F(m + 1) * F(c[m + 1], c[m])), min_length=n + 1)
+                pl, ql = float(gamma.mass(m)), float(ql)
+                rep = matroids.matroid_poisson_bound(prof, m, include_zero)
+                assert rep.anchor.ratio_matched
+                assert rep.bound_nu_side == close(max(1 - pl / ql, 0.0))
+                assert rep.bound_mu_side == close(min(ql / pl - 1, 1.0))
+            body = intrinsic_volumes.iv_box([10 ** rng.uniform(-3, 2) for _ in range(rng.randint(2, 8))])
+            for m in range(body.n):
+                gamma = family_poisson((m + 1) * body.V[m + 1] / body.V[m], min_length=body.n + 1)
+                pl, ql = float(gamma.mass(m)), float(intrinsic_volumes.z_dist(body).mass(m))
+                rep = intrinsic_volumes.poisson_iv_bound(body, m)
+                assert rep.anchor.ratio_matched
+                assert rep.bound_nu_side == close(max(1 - pl / ql, 0.0))
+                assert rep.bound_mu_side == close(min(ql / pl - 1, 1.0))
 
-    def test_failed_hypothesis_without_closed_forms_has_no_bounds(self):
+    def test_failed_caller_hypothesis_keeps_the_anchor_and_reports_no_bounds(self):
         rep = certify(B_MATCH, PB)
         failed = type(rep.hypothesis)(False, 1, True)
         rep = certify(B_MATCH, PB, 0, failed, stated_bound=0.5)
@@ -755,10 +786,10 @@ class TestCertify:
 
     def test_absolute_continuity_is_checked_under_a_given_certificate(self):
         # the reference is 0.0 at 2, where the target has mass: the caller's
-        # certificate holds, and its closed forms are not reported
+        # certificate holds, and the report is not applicable
         holds = LogConcavityCertificate(True, None, True)
         rep = certify(make_dist(0, [1.0, 1.0, 0.0]), make_dist(0, [1.0, 1.0, 1.0]), 0, holds,
-                      closed_forms=(0.1, 0.2), stated_bound=0.5, details={"k": 1})
+                      stated_bound=0.5, details={"k": 1})
         assert rep.details == {"k": 1, "not_applicable": "absolute continuity violated"}
         assert rep.anchor is None and rep.core_bounds() == [] and rep.dominated is None
         assert rep.hypothesis == holds and rep.stated_bound == 0.5 and rep.oracle_tv.hi > 0

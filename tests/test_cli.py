@@ -141,6 +141,31 @@ def test_iv_failing_its_float_ulc_certificate_reports_the_failed_hypothesis():
     report = json.loads(text)
     assert report["hypothesis"] == {"holds": False, "first_violation": 284, "support_is_interval": True}
     assert report["kind"] == "iv"
+    # a bound whose hypothesis failed is not reported
+    assert report["bound_nu_side"] is None and report["bound_mu_side"] is None and report["dominated"] is None
+
+
+def test_matroid_exits_2_when_neither_report_is_certified():
+    # at m = 0 without the empty set the size law has no mass at 0, so both
+    # reports are not applicable: the binomial one held with no bound and
+    # exited 0.  One certified report is enough for exit 0
+    code, text = run(["matroid", "--uniform", "6,3", "--m", "0"])
+    assert code == 2
+    report = json.loads(text)
+    for kind in ("binomial", "poisson"):
+        assert report[kind]["details"]["not_applicable"] == "anchor 0 needs positive target mass at 0 and 1"
+        assert report[kind]["hypothesis"]["holds"] is True
+    assert run(["matroid", "--uniform", "6,3", "--m", "0", "--include-zero"])[0] == 0
+
+
+def test_iv_box_whose_poisson_atom_is_subnormal_is_not_applicable():
+    # e^-715 is subnormal, too few digits for the envelope's slope: the report
+    # gave the vacuous bound 1.0 from the closed forms, and now none
+    code, text = run(["iv", "--box", "715", "--m", "0"])
+    assert code == 2
+    report = json.loads(text)
+    assert report["details"]["not_applicable"] == "anchor 0 has subnormal float cells"
+    assert report["bound_nu_side"] is None and report["bound_mu_side"] is None
 
 
 def test_iv_box_whose_size_mass_underflows_gives_a_report():
@@ -353,16 +378,24 @@ def test_gamma_anchor_outside_float_range_is_not_applicable(a, b):
 
 
 def _assert_valid_outcome(argv):
-    """Exit 0 or 2 with canonical JSON holding no NaN, an exit-0 report with
-    an oracle dominated, or exit 1 with an input error."""
+    """Exit 0 or 2 with canonical JSON holding no NaN, or exit 1 with an input
+    error.  Every report in the output (the top level, ``binomial`` and
+    ``poisson``) that holds and is applicable has a bound; the output exits 2
+    when it holds reports and none of them does, and on exit 0 no report with
+    an oracle is undominated."""
     code, text = run(argv)
     if code == 1:
         assert text.startswith("error:"), (argv, text)
         return
     assert code in (0, 2) and '"nan"' not in text, (argv, code, text)
-    report = json.loads(text)
-    assert code == 2 or report.get("oracle_tv") is None or report["dominated"] is not False, (argv, text)
-    return report
+    out = json.loads(text)
+    reports = [r for r in (out, out.get("binomial"), out.get("poisson")) if r is not None and "hypothesis" in r]
+    certified = [r for r in reports if r["hypothesis"]["holds"] and not r["details"].get("not_applicable")]
+    assert all(any(r[k] is not None for k in ("bound_nu_side", "bound_mu_side", "simplified"))
+               for r in certified), (argv, text)
+    assert not reports or (code == 2) == (not certified), (argv, code, text)
+    assert code == 2 or all(r.get("oracle_tv") is None or r["dominated"] is not False for r in reports), (argv, text)
+    return out
 
 
 # valid inputs that raised, ran without end or reported NaN or an undominated
@@ -389,6 +422,9 @@ def _assert_valid_outcome(argv):
     ["pb-poisson", "--p", "0.9999999"],
     ["pb-poisson", "--p", "0.9999999999999999"],
     ["iv", "--box", "1e9", "--m", "0"],
+    # lam F_1 = 1 - 7.8e-8: the geometric target was built out to its 1e-12
+    # tail budget, 3.5e8 cells, and ran out of memory
+    ["compound", "poisson", "--lambda", "1.0", "--severity", "7.83742146670436e-08,0.9999999216257853"],
     # the size law's mass at 100 underflowed to 0.0 in floats, and the
     # Poisson report's nu-side closed form divided by it (ZeroDivisionError)
     ["matroid", "--uniform", "2000,1000", "--m", "100"],
@@ -411,6 +447,39 @@ _LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 _PAIR = st.tuples(_LOG_UNIFORM, _LOG_UNIFORM).map(lambda t: "%r,%r" % t)
 _SEVERITY = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any).map(
     lambda w: ",".join(repr(v / math.fsum(w)) for v in w))
+_SIDE = st.floats(-6.0, 4.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _matroid_argv(draw):
+    """``matroid --uniform n,r`` (n <= 60) or ``--partition`` (1 to 8
+    categories of size <= 6), at an ``--m`` below the rank, where ``I(m+1) >
+    0``, with or without the empty set."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 60))
+        rank = draw(st.integers(0, n))
+        body, spec = "--uniform", f"{n},{rank}"
+    else:
+        cats = draw(st.lists(st.integers(1, 6).flatmap(lambda c: st.tuples(st.just(c), st.integers(0, c))),
+                             min_size=1, max_size=8))
+        rank, body, spec = sum(d for _, d in cats), "--partition", ",".join(f"{c}:{d}" for c, d in cats)
+    zero = ["--include-zero"] if draw(st.booleans()) else []
+    return ["matroid", body, spec, "--m", str(draw(st.integers(0, max(rank - 1, 0)))), *zero]
+
+
+@st.composite
+def _iv_argv(draw):
+    """``iv --box`` of 1 to 8 sides or ``iv --cube n,s`` (n <= 60), sides
+    log-uniform in [1e-6, 1e4], at an ``--m`` of 0..n-1."""
+    if draw(st.booleans()):
+        sides = draw(st.lists(_SIDE, min_size=1, max_size=8))
+        n, body, spec = len(sides), "--box", ",".join(map(repr, sides))
+    else:
+        n = draw(st.integers(1, 60))
+        body, spec = "--cube", f"{n},{draw(_SIDE)!r}"
+    return ["iv", body, spec, "--m", str(draw(st.integers(0, n - 1)))]
+
+
 _ARGV = st.one_of(
     st.tuples(_PAIR, _PAIR).map(lambda ab: ["gamma", "--a", ab[0], "--b", ab[1]]),
     _LOG_UNIFORM.map(lambda rate: ["expapprox", "--density", f"builtin:exp:{rate!r}"]),
@@ -418,15 +487,18 @@ _ARGV = st.one_of(
     st.tuples(st.sampled_from(["pb-binomial", "pb-poisson"]),
               st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=60)).map(
         lambda t: [t[0], "--p", ",".join(map(repr, t[1]))]),
+    _matroid_argv(),
+    _iv_argv(),
 )
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(_ARGV)
 def test_valid_input_gives_a_report_a_not_applicable_result_or_an_input_error(argv):
     # gamma shapes and rates, exponential and compound rates log-uniform in
-    # [1e-300, 1e300]; compound severities of 1 to 6 cells and Bernoulli sums
-    # of up to 60 summands against the binomial or the Poisson law
+    # [1e-300, 1e300]; compound severities of 1 to 6 cells, Bernoulli sums of
+    # up to 60 summands against the binomial or the Poisson law, and the
+    # matroid and intrinsic-volume reports of _matroid_argv and _iv_argv
     _assert_valid_outcome(argv)
 
 

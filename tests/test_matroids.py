@@ -287,10 +287,11 @@ class TestMatroidPoissonBound:
         prof = IndepProfile(4, (1, 4, 4, 0, 0))
         rep = matroid_poisson_bound(prof, 0)
         assert rep.details["lambda"] == pytest.approx(4.0)
-        assert rep.bound_mu_side == pytest.approx(min(math.exp(4.0) * 1 / 8 - 1, 1.0), rel=1e-12)
+        # the paper's corollary 0! e^4 I(0) / (4^0 (I(1) + I(2))) - 1, unclamped
+        assert rep.stated_bound == pytest.approx(math.exp(4.0) * 1 / 8 - 1, rel=1e-12)
         # the anchor falls outside the support of the empty-set-excluding law
-        assert rep.anchor is None
-        assert rep.details["anchor_outside_target_support"] == 0
+        assert rep.details["not_applicable"] == "anchor 0 needs positive target mass at 0 and 1"
+        assert rep.anchor is None and rep.core_bounds() == [] and rep.dominated is None
 
     def test_degenerate_error(self):
         with pytest.raises(NotApplicableError):
