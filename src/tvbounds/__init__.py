@@ -6,9 +6,6 @@ from .bounds import (
     Anchor,
     BoundReport,
     certify,
-    find_ratio_anchor,
-    tv_bound_matched_anchor,
-    tv_bounds_at_anchor,
 )
 from .distributions import (
     DiscreteDist,
@@ -51,15 +48,12 @@ __all__ = [
     "family_binomial",
     "family_geometric",
     "family_poisson",
-    "find_ratio_anchor",
     "is_log_concave",
     "is_log_concave_relative",
     "is_ulc",
     "is_ulc_infinity",
     "make_dist",
     "point_mass",
-    "tv_bound_matched_anchor",
-    "tv_bounds_at_anchor",
     "tv_distance",
     "AbsoluteContinuityError",
     "BoundNotApplicable",

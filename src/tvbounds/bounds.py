@@ -27,10 +27,12 @@ certificate of its own hypothesis or else, through ``_verdict``, the relative
 one, which ``distributions._three_term`` decides on the scan's aligned cells.
 ``anchor_at`` turns a row into the anchor record, ratio matched as the row's
 flag says: on exact equality of the cross products for exact laws and within
-``distributions.ANCHOR_MATCH_TOL`` for floats.  The anchor functions below
-are each a few lines over the same scan.  Every dominance verdict, of the
-reports and of the ``verify`` sweeps, is ``dominance_verdict``, the one
-reader of ``DOMINANCE_SLACK``.
+``distributions.ANCHOR_MATCH_TOL`` for floats.  ``certify`` is the one place
+where a bound's hypothesis is decided: the anchor evaluators
+``tv_bounds_at_anchor`` and ``tv_bound_matched_anchor`` trust it and check only
+their anchor's cells.  The anchor functions below are each a few lines over the
+same scan.  Every dominance verdict, of the reports and of the ``verify``
+sweeps, is ``dominance_verdict``, the one reader of ``DOMINANCE_SLACK``.
 """
 
 from __future__ import annotations
@@ -172,13 +174,6 @@ def _verdict(mu: DiscreteDist, ac: int | None, relative, hypothesis: LogConcavit
     return cert, None
 
 
-def _check_hypothesis(mu: DiscreteDist, nu: DiscreteDist) -> LogConcavityCertificate:
-    cert, error = _verdict(mu, *_pair_scan(mu, nu)[:2])
-    if error is not None:
-        raise error
-    return cert
-
-
 def _positive_at(d: DiscreteDist, ell: int) -> bool:
     return d.mass(ell) > 0 and d.mass(ell + 1) > 0
 
@@ -225,8 +220,9 @@ def _float_envelope(d: DiscreteDist, ell: int, log_a: float, log_r: float, sign:
     return b
 
 
-def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True):
-    """The two envelope bounds ``(B_nu, B_mu)`` at anchor ``ell``, clamped to [0, 1].
+def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int):
+    """The two envelope bounds ``(B_nu, B_mu)`` at anchor ``ell``, clamped to [0, 1],
+    under the hypothesis that ``certify`` decides: this function trusts it.
 
     Exact rational inputs are evaluated exactly on their integer numerators
     (``_envelope_sum``), with ``r`` and ``p_ell/q_ell`` each reduced by one
@@ -234,8 +230,6 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: 
     ``exp((y-ell) log r)``) with saturation instead of overflow, which is
     harmless because the sums are clamped at 1.
     """
-    if check:
-        _check_hypothesis(mu, nu)
     _check_anchor(nu, ell)
     _check_anchor(mu, ell, "reference")
 
@@ -273,16 +267,15 @@ def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, row=None) -> Anch
     return Anchor(ell, matched, gap)
 
 
-def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, check: bool = True, anchor=None):
+def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, anchor=None):
     """Closed-form bound ``min(q_l/p_l - 1, 1 - p_l/q_l)`` at a ratio-matched
-    anchor (``anchor``, its record when the caller has built it).
+    anchor (``anchor``, its record when the caller has built it), under the
+    hypothesis that ``certify`` decides, as the envelope sums are.
 
     Two probability laws have ``q_l >= p_l`` there, up to rounding; a target
     stored short of its deficit can sit below, where both terms are negative
     and the clamp gives 0, as the envelope sums do at such an anchor.
     """
-    if check:
-        _check_hypothesis(mu, nu)
     anc = anchor_at(mu, nu, ell) if anchor is None else anchor
     if not anc.ratio_matched:
         raise InvalidAnchorError(
@@ -299,13 +292,6 @@ def _candidate_anchors(mu: DiscreteDist, nu: DiscreteDist):
     return [row[:3] for row in _pair_scan(mu, nu)[2]]
 
 
-def _smallest_gap_anchor(mu: DiscreteDist, nu: DiscreteDist, rows) -> Anchor:
-    """The anchor of the gap row with the smallest gap; rows come in
-    increasing ``ell``, so ties go to the smaller index."""
-    row = min(rows, key=itemgetter(2))
-    return anchor_at(mu, nu, row[0], row=row)
-
-
 def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     """Scan consecutive support pairs for a ratio-matched anchor, on the
     ``_pair_scan`` gap rows.
@@ -319,15 +305,17 @@ def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     signs = [d for _, d, _, _ in rows]
     if (any(matched for _, _, _, matched in rows)
             or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:]))):
-        return _smallest_gap_anchor(mu, nu, rows)
+        row = min(rows, key=itemgetter(2))
+        return anchor_at(mu, nu, row[0], row=row)
     return None
 
 
 def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
-    """The smallest-gap valid anchor of the ``_pair_scan`` gap rows, matched
-    or not: any valid index yields a correct (possibly weak) bound."""
-    rows = _pair_scan(mu, nu)[2]
-    return _smallest_gap_anchor(mu, nu, rows) if rows else None
+    """The smallest-gap valid anchor of the ``_pair_scan`` gap rows (ties to
+    the smaller index), matched or not: any valid index yields a correct
+    (possibly weak) bound."""
+    row = min(_pair_scan(mu, nu)[2], key=itemgetter(2), default=None)
+    return None if row is None else anchor_at(mu, nu, row[0], row=row)
 
 
 def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
@@ -378,7 +366,7 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
         b_nu = b_mu = simplified = 0.0
     elif cert.holds:  # absolute continuity gives the reference mass at both anchor cells
         lift = lambda b: min(float(b + nu.tail_deficit), 1.0)  # b >= 0
-        b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell, check=False))
+        b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell))
         if anchor.ratio_matched:
-            simplified = lift(tv_bound_matched_anchor(mu, nu, ell, check=False, anchor=anchor))
+            simplified = lift(tv_bound_matched_anchor(mu, nu, ell, anchor=anchor))
     return BoundReport(b_nu, b_mu, simplified, anchor, cert, tv, stated_bound, details)

@@ -215,6 +215,7 @@ def geometric_bound_compound_geometric(spec: CompoundGeometricSpec) -> BoundRepo
         raise NotApplicableError(f"P[X=1]/P[X=0] = {rho:.6g} must be below 1")
     # mass ratio rho exactly: mu[k] = (1 - rho) rho^k
     target = _geometric_law(1.0 - rho, rho, DEFAULT_TAIL_BUDGET, len(nu.masses))
-    stated = (1.0 / f1) * (1.0 + (1.0 - f1) / (p * (1.0 - p))) ** 2 - 1.0
+    base = 1.0 + (1.0 - f1) / (p * (1.0 - p))  # from 1e154 on the bound is inf and ``** 2`` would raise
+    stated = (1.0 / f1) * base ** 2 - 1.0 if base < 1e154 else math.inf
     details = {"rho": rho, "stated_bound_clamped": float(clamp01(stated))}
     return _matched_report(nu, target, stated, details)

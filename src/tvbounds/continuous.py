@@ -442,17 +442,30 @@ def gamma_tv_bound_perturbative(a: GammaParams, b: GammaParams, z: float) -> flo
     ``(kap_1 - kap_2)/z + lam_2 - lam_1 <= lam_2 / 4``:
 
     ``|(z/e)^{dk} - 1| + (z/e)^{dk} (1 + kap_1 + kap_2) 2^{kap_1 + 1}
-    |dk/(lam_2 z) + (lam_2 - lam_1)/lam_2|^{1/2}``  (reported raw).
+    |dk/(lam_2 z) + (lam_2 - lam_1)/lam_2|^{1/2}``  (reported raw), the last
+    factor being ``|drift| / lam_2`` for the condition's left side ``drift``;
+    where this form leaves the float range, in log space, saturated to ``inf``.
     """
-    if z <= 0:
-        raise InvalidDistributionError("z must be positive")
+    if not 0 < z < math.inf:
+        raise InvalidDistributionError("z must be positive and finite")
     dk = a.kappa - b.kappa
     drift = dk / z + b.lam - a.lam
     if drift > b.lam / 4.0 + 1e-15:
         raise NotApplicableError("condition dk/z + lam_2 - lam_1 <= lam_2/4 not met")
-    lead = (z / math.e) ** dk
-    dev = abs(dk / (b.lam * z) + (b.lam - a.lam) / b.lam)
-    return abs(lead - 1.0) + lead * (1.0 + a.kappa + b.kappa) * 2.0 ** (a.kappa + 1.0) * math.sqrt(dev)
+    try:
+        lead = (z / math.e) ** dk
+        dev = abs(drift) / b.lam
+        bound = abs(lead - 1.0) + lead * (1.0 + a.kappa + b.kappa) * 2.0 ** (a.kappa + 1.0) * math.sqrt(dev)
+    except OverflowError:
+        bound = math.inf
+    if bound < math.inf:
+        return bound
+    # every log is finite but log_lead and log |drift|, which is finite wherever log_lead is -inf
+    log_lead = dk * (math.log(z) - 1.0)
+    log_tail = -math.inf if not drift else (log_lead + math.log1p(a.kappa) + math.log1p(b.kappa / (1.0 + a.kappa))
+                                            + (a.kappa + 1.0) * math.log(2.0)
+                                            + 0.5 * (math.log(abs(drift)) - math.log(b.lam)))
+    return abs(_safe_expm1(log_lead)) + _safe_exp(log_tail)
 
 
 # ---------------------------------------------------------------------------

@@ -159,14 +159,17 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
     mode ``scaled``: ``exp{d * theta * sum s_i^2} - 1`` for ``K_i = s_i k_i``
                      with common ambient dimension ``d``, scales in (0, 1] and
                      ``theta = sup_i W(k_i)``.
-    mode ``box``:    ``exp{sum s_i^2} - 1`` for segments ``[0, s_i]``.
+    mode ``box``:    ``exp{sum s_i^2} - 1`` for segments ``[0, s_i]``: mode
+                     ``rare``, since a segment's ``V_1`` is ``s_i``.
     """
     factors = list(factors)
     if not factors:
         raise InvalidDistributionError("no factors")
-    if mode == "rare":
-        # a V_1 of 1e154 or more makes the bound inf, where its ``** 2`` would raise
-        return _safe_expm1(math.fsum(f.v1 ** 2 if f.v1 < 1e154 else math.inf for f in factors))
+    if mode == "box" and any(f.body.n != 1 or tuple(float(v) for v in f.body.V) != (1, 1) for f in factors):
+        raise NotApplicableError("box mode expects unit-segment factors scaled by s_i")
+    if mode in ("rare", "box"):  # a segment [0, s] has V_1 = s
+        # a V_1 past 1e3 makes the bound inf; capped there, no square and no sum of them overflows
+        return _safe_expm1(math.fsum(min(f.v1, 1e3) ** 2 for f in factors))
     if mode == "scaled":
         dims = {f.body.n for f in factors}
         if len(dims) != 1:
@@ -176,13 +179,6 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
         d = dims.pop()
         theta = max(float(f.body.W) for f in factors)
         return _safe_expm1(d * theta * math.fsum(f.scale**2 for f in factors))
-    if mode == "box":
-        segment = (1, 1)
-        for f in factors:
-            if f.body.n != 1 or tuple(float(v) for v in f.body.V) != segment:
-                raise NotApplicableError("box mode expects unit-segment factors scaled by s_i")
-        scales = [float(f.scale) for f in factors]
-        return _safe_expm1(math.fsum(s * s for s in scales))
     raise InvalidDistributionError(f"unknown mode {mode!r}")
 
 

@@ -276,20 +276,6 @@ def partition_half_bound(spec: PartitionMatroidSpec):
     return Fraction(1 << n, (1 << n) - d_missing) - 1
 
 
-def uniform_rare_bound(n: int, k: int, eps: float) -> float:
-    """Closed-form tail bound ``2^{2-(1-eps) n}`` for nearly-free uniform
-    matroids, valid when ``k >= n - eps*n/log2(n) + 1`` and ``(1-eps) n >= 1``."""
-    if not 0 < eps < 1:
-        raise InvalidDistributionError("eps must lie in (0, 1)")
-    if n < 2 or not 0 <= k <= n:
-        raise InvalidDistributionError("need n >= 2 and 0 <= k <= n")
-    if k < n - eps * n / math.log2(n) + 1:
-        raise NotApplicableError("rank threshold k >= n - eps*n/log2(n) + 1 not met")
-    if (1 - eps) * n < 1:
-        raise NotApplicableError("(1 - eps) n >= 1 required")
-    return 2.0 ** (2.0 - (1.0 - eps) * n)
-
-
 def enumerate_partition_profile(spec: PartitionMatroidSpec) -> IndepProfile:
     """Exhaustive subset enumeration (independent oracle for the generating
     polynomial); exponential in ``n``, desk scale only."""

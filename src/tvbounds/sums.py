@@ -152,22 +152,13 @@ def binomial_bound_primary(bv: BernoulliVector):
     return min(_safe_expm1(log_t), -math.expm1(-log_t))
 
 
-def binomial_bound_secondary(bv: BernoulliVector, proof_tight: bool = False) -> float:
+def binomial_bound_secondary(bv: BernoulliVector) -> float:
     """Deviation-form bound ``exp{sum (p_i/a_i - r_n)^2 + (1/3n^2) sum (p_i/a_i)^3} - 1``
-    with ``r_n`` the mean of the ``p_i/a_i``.
-
-    ``proof_tight=True`` switches to the sharper exponent
-    ``(1/2) sum (p_i/a_i - r_n)^2 + (1/3n^2) (sum p_i/a_i)^3``.
-    """
+    with ``r_n`` the mean of the ``p_i/a_i``."""
     x = [float(v) / float(a) for v, a in zip(bv.p, bv.alphas)]
     n = bv.n
     r = math.fsum(x) / n
-    dev = math.fsum((xi - r) ** 2 for xi in x)
-    if proof_tight:
-        expo = 0.5 * dev + math.fsum(x) ** 3 / (3.0 * n * n)
-    else:
-        expo = dev + math.fsum(xi**3 for xi in x) / (3.0 * n * n)
-    return _safe_expm1(expo)
+    return _safe_expm1(math.fsum((xi - r) ** 2 for xi in x) + math.fsum(xi**3 for xi in x) / (3.0 * n * n))
 
 
 def poisson_target(bv: BernoulliVector) -> DiscreteDist:

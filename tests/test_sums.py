@@ -315,14 +315,10 @@ class TestBinomialBounds:
         bv = BernoulliVector((0.1, 0.2))
         tv = tv_distance(binomial_target(bv), poisson_binomial_pmf(bv))
         assert binomial_bound_secondary(bv) >= float(tv.hi)
-        assert binomial_bound_secondary(bv, proof_tight=True) >= float(tv.hi)
-
-    def test_proof_tight_exponent(self):
-        ps = (0.1, 0.3, 0.4)
-        x = [p / (1 - p) for p in ps]
-        r = sum(x) / 3
-        expect = math.expm1(0.5 * sum((xi - r) ** 2 for xi in x) + sum(x) ** 3 / 27.0)
-        assert binomial_bound_secondary(BernoulliVector(ps), proof_tight=True) == pytest.approx(expect, rel=1e-12)
+        # the paper's sharper exponent (1/2) sum (x_i - r_n)^2 + (1/3n^2) (sum x_i)^3 bounds it too
+        x = [p / (1 - p) for p in bv.p]
+        r = sum(x) / 2
+        assert math.expm1(0.5 * sum((xi - r) ** 2 for xi in x) + sum(x) ** 3 / 12.0) >= float(tv.hi)
 
     @pytest.mark.parametrize("ps", [[1e-6] * 5, [1e-9] * 2, [0.3] * 7])
     def test_float_primary_of_equal_probs_is_zero(self, ps):
