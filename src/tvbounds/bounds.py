@@ -90,13 +90,17 @@ class BoundReport:
     """A computed bound with its certification context.
 
     Every discrete report comes from ``certify``, the Gamma and exponential
-    ones from ``continuous``.  ``bound_nu_side``/``bound_mu_side`` are the
-    two envelope sums, ``simplified`` the ratio-matched closed form when
-    available, ``stated_bound`` an unclamped corollary-style closed form
-    carried verbatim by the application modules.  A not-applicable report has no
-    anchor and no bounds, and ``details["not_applicable"]`` names why.
-    ``dominated`` is derived, not stored: ``dominance_verdict`` of the
-    oracle and the core bounds.
+    ones from ``continuous``, and the product-body one, which has no oracle,
+    from ``intrinsic_volumes.product_bounds``.  ``bound_nu_side`` and
+    ``bound_mu_side`` are the two envelope sums, ``simplified`` the
+    ratio-matched closed form when available, ``stated_bound`` an unclamped
+    corollary-style closed form carried verbatim by the application modules.
+    A not-applicable report has no anchor and no bounds, and
+    ``details["not_applicable"]`` names why.
+    ``dominated`` and ``status`` are derived, not stored: ``dominance_verdict``
+    of the oracle and the core bounds, and ``hypothesis_failed`` when the
+    hypothesis fails, else ``not_applicable`` when ``details`` names a reason,
+    else ``certified``.
     """
 
     __slots__ = ("bound_nu_side", "bound_mu_side", "simplified", "anchor", "hypothesis", "oracle_tv",
@@ -116,6 +120,12 @@ class BoundReport:
     def dominated(self) -> bool | None:
         return dominance_verdict(self.oracle_tv, *self.core_bounds())
 
+    @property
+    def status(self) -> str:
+        if not self.hypothesis.holds:
+            return "hypothesis_failed"
+        return "not_applicable" if self.details.get("not_applicable") else "certified"
+
     def to_json(self) -> dict:
         return {
             "bound_nu_side": None if self.bound_nu_side is None else float(self.bound_nu_side),
@@ -125,6 +135,7 @@ class BoundReport:
             "hypothesis": self.hypothesis.to_json(),
             "oracle_tv": None if self.oracle_tv is None else self.oracle_tv.to_json(),
             "dominated": self.dominated,
+            "status": self.status,
             "stated_bound": None if self.stated_bound is None else float(self.stated_bound),
             "details": dict(self.details),
         }

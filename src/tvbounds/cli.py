@@ -4,10 +4,17 @@ Reports are emitted as canonical JSON (sorted keys, floats rendered as
 ``%.12e``, byte-identical for identical argv and seed), CSV (one flattened
 row per report), or a human table.
 
-Exit codes: 0 success, 2 when a bound's hypotheses fail ("bound not
-applicable", with the structured explanation on stdout), 1 for input errors.
-An output exits 2 when it holds reports (``matroid`` holds two) and none is
-certified: its hypothesis holds and it is applicable.
+Each runner parses its options, makes one library call and renders the
+report that its application module returns (``matroid`` renders two, under
+``binomial`` and ``poisson``) beside a ``kind``.  The CLI owns no other key:
+``kind``, the matroid pair with ``--half``'s ``half_bound`` or
+``half_not_applicable``, and ``verify``'s ``suite`` and ``seed``, since a sweep
+is not a report.
+
+Exit codes: 0 success, 1 for input errors, 2 when a bound does not apply: a
+``BoundNotApplicable`` raised ("bound not applicable", with the structured
+explanation on stdout), or an output that holds reports none of whose
+``status`` is ``certified``.
 
 Each subcommand imports its application module (``sums``, ``matroids``,
 ``intrinsic_volumes``, ``compound``, ``continuous`` or ``verify``) inside its
@@ -34,7 +41,6 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .bounds import BoundReport, certify, clamp01, dominance_verdict
 from .distributions import DiscreteDist, make_dist
 from .errors import BoundNotApplicable, InvalidDistributionError, MatroidAxiomError
 
@@ -213,41 +219,16 @@ def _load_json(path: str):
 # ---------------------------------------------------------------------------
 
 
-def _report_with_kind(kind: str, report: BoundReport, **extra) -> dict:
-    out = {"kind": kind}
-    out.update(report.to_json())
-    out.update(extra)
-    return out
-
-
 def _run_pb_binomial(ns: argparse.Namespace) -> dict:
     from . import sums
 
-    bv = sums.BernoulliVector(tuple(ns.p))
-    s = sums.poisson_binomial_pmf(bv)
-    target = sums.binomial_target(bv)
-    report = certify(target, s)
-    bound = float(sums.binomial_bound_primary(bv))
-    secondary = sums.binomial_bound_secondary(bv)
-    return _report_with_kind(
-        "pb_binomial", report,
-        bound=bound, bound_secondary=secondary, p=[float(v) for v in bv.p],
-        target_p=float(bv.lambda_n / (bv.n + bv.lambda_n)),
-    )
+    return {"kind": "pb_binomial", **sums.binomial_report(sums.BernoulliVector(tuple(ns.p))).to_json()}
 
 
 def _run_pb_poisson(ns: argparse.Namespace) -> dict:
     from . import sums
 
-    bv = sums.BernoulliVector(tuple(ns.p))
-    s = sums.poisson_binomial_pmf(bv)
-    target = sums.poisson_target(bv)
-    report = certify(target, s)
-    return _report_with_kind(
-        "pb_poisson", report,
-        bound=sums.poisson_bound(bv), p=[float(v) for v in bv.p],
-        rate=float(bv.lambda_n),
-    )
+    return {"kind": "pb_poisson", **sums.poisson_report(sums.BernoulliVector(tuple(ns.p))).to_json()}
 
 
 def _run_sum_geometric(ns: argparse.Namespace) -> dict:
@@ -263,8 +244,7 @@ def _run_sum_geometric(ns: argparse.Namespace) -> dict:
         if not isinstance(pmfs, list):
             raise InvalidDistributionError("--pmfs needs a list of distributions")
         xis = [DiscreteDist.from_json(d) for d in pmfs]
-    report = sums.geometric_sum_bound(xis)
-    return _report_with_kind("sum_geometric", report)
+    return {"kind": "sum_geometric", **sums.geometric_sum_bound(xis).to_json()}
 
 
 def _run_matroid(ns: argparse.Namespace) -> dict:
@@ -280,18 +260,9 @@ def _run_matroid(ns: argparse.Namespace) -> dict:
         prof = mat.profile_partition(partition)
     else:
         prof = mat.profile_from_set_system(mat.SetSystem.from_json(_load_json(ns.sets)))
-    m, include_zero = ns.m, ns.include_zero
-    binomial = mat.matroid_binomial_bound(prof, m, include_zero).to_json()
-    out = {
-        "kind": "matroid",
-        "profile": list(prof.counts),
-        "n": prof.n,
-        "rank": prof.rank,
-        # the binomial report's hypothesis is the Mason certificate
-        "mason": binomial["hypothesis"],
-        "binomial": binomial,
-        "poisson": mat.matroid_poisson_bound(prof, m, include_zero).to_json(),
-    }
+    # each report's details hold the profile, and the binomial one's hypothesis is the Mason certificate
+    out = {"kind": "matroid", "binomial": mat.matroid_binomial_bound(prof, ns.m, ns.include_zero).to_json(),
+           "poisson": mat.matroid_poisson_bound(prof, ns.m, ns.include_zero).to_json()}
     if ns.half and partition is not None:
         try:
             out["half_bound"] = float(mat.partition_half_bound(partition))
@@ -339,12 +310,8 @@ def _run_iv(ns: argparse.Namespace) -> dict:
         if not (isinstance(spec, dict) and isinstance(spec.get("mode"), str) and isinstance(spec.get("factors"), list)):
             raise InvalidDistributionError("--product needs {mode: string, factors: [objects]}")
         factors = [_factor_from_json(d) for d in spec["factors"]]
-        bound = iv.product_bounds(factors, spec["mode"])
-        return {"kind": "iv_product", "mode": spec["mode"], "bound": bound,
-                "bound_clamped": float(clamp01(bound))}
-    body = _iv_body(vars(ns))
-    report = iv.poisson_iv_bound(body, ns.m)
-    return _report_with_kind("iv", report, V=[float(v) for v in body.V], W=float(body.W), m=ns.m)
+        return {"kind": "iv_product", **iv.product_bounds(factors, spec["mode"]).to_json()}
+    return {"kind": "iv", **iv.poisson_iv_bound(_iv_body(vars(ns)), ns.m).to_json()}
 
 
 def _run_compound(ns: argparse.Namespace) -> dict:
@@ -352,15 +319,13 @@ def _run_compound(ns: argparse.Namespace) -> dict:
 
     if ns.kind == "poisson":
         spec = comp.CompoundPoissonSpec(ns.lam, make_dist(0, ns.severity))
-        report = comp.geometric_bound_compound_poisson(spec)
-        return _report_with_kind("compound_poisson", report)
+        return {"kind": "compound_poisson", **comp.geometric_bound_compound_poisson(spec).to_json()}
     if ns.count is not None:
         count = DiscreteDist.from_json(_load_json(ns.count))
     else:
         count = make_dist(0, ns.count_masses)
     spec = comp.CompoundGeometricSpec(count, ns.p)
-    report = comp.geometric_bound_compound_geometric(spec)
-    return _report_with_kind("compound_geometric", report)
+    return {"kind": "compound_geometric", **comp.geometric_bound_compound_geometric(spec).to_json()}
 
 
 def _run_gamma(ns: argparse.Namespace) -> dict:
@@ -370,15 +335,10 @@ def _run_gamma(ns: argparse.Namespace) -> dict:
     kb, lb = ns.b
     a, b = cont.GammaParams(ka, la), cont.GammaParams(kb, lb)
     if ns.case == "i":
-        report = cont.gamma_tv_bound_anchored(a, b)
-        return _report_with_kind("gamma_case_i", report,
-                                 crossings=cont.gamma_density_crossings(a, b))
+        return {"kind": "gamma_case_i", **cont.gamma_tv_bound_anchored(a, b).to_json()}
     if ns.z is None:
         raise InvalidDistributionError("--case ii requires --z")
-    bound = cont.gamma_tv_bound_perturbative(a, b, ns.z)
-    tv = cont.tv_gamma_quadrature(a, b)
-    return {"kind": "gamma_case_ii", "bound": bound, "bound_clamped": float(clamp01(bound)),
-            "z": ns.z, "oracle_tv": tv.to_json(), "dominated": dominance_verdict(tv, clamp01(bound))}
+    return {"kind": "gamma_case_ii", **cont.gamma_tv_bound_perturbative(a, b, ns.z).to_json()}
 
 
 def _run_expapprox(ns: argparse.Namespace) -> dict:
@@ -388,8 +348,7 @@ def _run_expapprox(ns: argparse.Namespace) -> dict:
     if not name.startswith("builtin:"):
         raise InvalidDistributionError("only builtin:<name> densities are supported")
     model = cont.builtin_density(name.split(":", 1)[1])
-    report = cont.exp_kolmogorov_bound(model)
-    return _report_with_kind("expapprox", report, density=model.name)
+    return {"kind": "expapprox", **cont.exp_kolmogorov_bound(model).to_json()}
 
 
 def _run_verify(ns: argparse.Namespace) -> dict:
@@ -433,9 +392,8 @@ def run(argv) -> tuple[int, str]:
         return 2, emit(payload, fmt)
     except (InvalidDistributionError, MatroidAxiomError, ValueError, OSError, argparse.ArgumentTypeError) as e:
         return 1, f"error: {e}"
-    reports = [r for r in (report, *report.values()) if isinstance(r, dict) and "hypothesis" in r]
-    certified = any(r["hypothesis"]["holds"] and not r["details"].get("not_applicable") for r in reports)
-    return 2 if reports and not certified else 0, emit(report, fmt)
+    statuses = [r["status"] for r in (report, *report.values()) if isinstance(r, dict) and "status" in r]
+    return 2 if statuses and "certified" not in statuses else 0, emit(report, fmt)
 
 
 def main(argv=None) -> int:

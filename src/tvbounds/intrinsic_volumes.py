@@ -16,9 +16,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _safe_exp, _safe_expm1, certify
+from .bounds import BoundReport, _safe_exp, _safe_expm1, certify, clamp01
 from .distributions import (
     DiscreteDist,
+    LogConcavityCertificate,
     Scalar,
     _bernoulli_step,
     _is_exact,
@@ -132,7 +133,8 @@ def z_dist(iv: IVSequence) -> DiscreteDist:
 def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
     """Poisson comparison at the ratio-matched rate
     ``lambda = (m+1) V_{m+1} / V_m``: the envelope sums at ``m``, the exact
-    oracle TV and, as ``stated_bound``, ``m! e^lambda V_m / (lambda^m W) - 1``."""
+    oracle TV and, as ``stated_bound``, ``m! e^lambda V_m / (lambda^m W) - 1``;
+    ``details`` holds the volumes ``V``."""
     if not 0 <= m <= iv.n - 1:
         raise InvalidDistributionError("m must lie in 0..n-1")
     vm, vm1 = float(iv.V[m]), float(iv.V[m + 1])
@@ -143,17 +145,18 @@ def poisson_iv_bound(iv: IVSequence, m: int) -> BoundReport:
     stated = _safe_exp(math.lgamma(m + 1) + lam + math.log(vm) - m * math.log(lam) - math.log(w)) - 1.0
     gamma = family_poisson(lam, min_length=iv.n + 1)
     nu = z_dist(iv)
-    details = {"lambda": lam, "m": m, "W": w}
+    details = {"lambda": lam, "m": m, "W": w, "V": tuple(map(float, iv.V))}  # a tuple: no spare slots
     # balls satisfy only the infinite-order form (the disk has pi^2 < 4 pi),
     # which is the hypothesis the Poisson comparison needs; boxes and cubes
     # additionally satisfy the order-n form
     return certify(gamma, nu, m, is_ulc_infinity(iv.V), stated_bound=stated, details=details)
 
 
-def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
-    """Rare-events bounds for the size distribution of a product body
-    ``K_1 x ... x K_n`` against Poisson(V_1(K)), ``inf`` where the closed
-    form leaves the float range.
+def product_bounds(factors: Sequence[ProductFactor], mode: str) -> BoundReport:
+    """Rare-events bound for the size distribution of a product body
+    ``K_1 x ... x K_n`` against Poisson(V_1(K)): a report with no oracle, the
+    closed form as ``stated_bound`` (``inf`` where it leaves the float range),
+    its clamp to [0, 1] as ``simplified`` and ``mode`` in ``details``.
 
     mode ``rare``:   ``exp{sum V_1(K_i)^2} - 1`` for arbitrary convex factors.
     mode ``scaled``: ``exp{d * theta * sum s_i^2} - 1`` for ``K_i = s_i k_i``
@@ -169,8 +172,8 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
         raise NotApplicableError("box mode expects unit-segment factors scaled by s_i")
     if mode in ("rare", "box"):  # a segment [0, s] has V_1 = s
         # a V_1 past 1e3 makes the bound inf; capped there, no square and no sum of them overflows
-        return _safe_expm1(math.fsum(min(f.v1, 1e3) ** 2 for f in factors))
-    if mode == "scaled":
+        bound = _safe_expm1(math.fsum(min(f.v1, 1e3) ** 2 for f in factors))
+    elif mode == "scaled":
         dims = {f.body.n for f in factors}
         if len(dims) != 1:
             raise NotApplicableError("scaled mode requires a common ambient dimension")
@@ -178,8 +181,11 @@ def product_bounds(factors: Sequence[ProductFactor], mode: str) -> float:
             raise NotApplicableError("scaled mode requires scales in (0, 1]")
         d = dims.pop()
         theta = max(float(f.body.W) for f in factors)
-        return _safe_expm1(d * theta * math.fsum(f.scale**2 for f in factors))
-    raise InvalidDistributionError(f"unknown mode {mode!r}")
+        bound = _safe_expm1(d * theta * math.fsum(f.scale**2 for f in factors))
+    else:
+        raise InvalidDistributionError(f"unknown mode {mode!r}")
+    cert = LogConcavityCertificate(True, None, True)
+    return BoundReport(None, None, float(clamp01(bound)), None, cert, None, bound, {"mode": mode})
 
 
 def segment_factor(s: Scalar) -> ProductFactor:

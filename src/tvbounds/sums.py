@@ -171,6 +171,22 @@ def poisson_bound(bv: BernoulliVector) -> float:
     return _safe_expm1(math.fsum((float(v) / float(a)) ** 2 for v, a in zip(bv.p, bv.alphas)))
 
 
+def binomial_report(bv: BernoulliVector) -> BoundReport:
+    """The sum against its ratio-matched binomial: ``binomial_bound_primary``
+    as ``stated_bound``, and the deviation form, the binomial's ``p`` and the
+    summands' in ``details``."""
+    s, target_p = poisson_binomial_pmf(bv), float(bv.lambda_n / (bv.n + bv.lambda_n))
+    details = {"bound_secondary": binomial_bound_secondary(bv), "target_p": target_p, "p": [float(v) for v in bv.p]}
+    return certify(binomial_target(bv), s, stated_bound=float(binomial_bound_primary(bv)), details=details)
+
+
+def poisson_report(bv: BernoulliVector) -> BoundReport:
+    """The sum against its ratio-matched Poisson law: ``poisson_bound`` as
+    ``stated_bound``, and the rate and the summands' ``p`` in ``details``."""
+    s, details = poisson_binomial_pmf(bv), {"lambda": float(bv.lambda_n), "p": [float(v) for v in bv.p]}
+    return certify(poisson_target(bv), s, stated_bound=poisson_bound(bv), details=details)
+
+
 def geometric_sum_bound(xis: Sequence[DiscreteDist]) -> BoundReport:
     """Geometric approximation for a sum of independent log-concave variables.
 

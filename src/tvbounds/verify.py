@@ -15,7 +15,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .bounds import certify, dominance_verdict
-from .distributions import DiscreteDist, tv_distance
+from .distributions import DiscreteDist
 from .errors import BoundNotApplicable
 
 if TYPE_CHECKING:
@@ -92,13 +92,11 @@ def run_dominance_sweep(n: int, seed: int) -> SweepReport:
 
 
 def _sums_instance(rng: random.Random):
-    from .sums import (BernoulliVector, binomial_bound_primary, binomial_target, poisson_binomial_pmf, poisson_bound,
-                       poisson_target)
+    from .sums import BernoulliVector, binomial_report, poisson_report
 
     bv = BernoulliVector(tuple(rng.uniform(0.0, 0.5) for _ in range(rng.randint(1, 30))))
-    s = poisson_binomial_pmf(bv)
-    pairs = ((tv_distance(binomial_target(bv), s), float(binomial_bound_primary(bv))),
-             (tv_distance(poisson_target(bv), s), poisson_bound(bv)))
+    # each report's closed form against its oracle TV, the sum that tv_distance also takes
+    pairs = [(r.oracle_tv, r.stated_bound) for r in (binomial_report(bv), poisson_report(bv))]
     slack = min(bound - float(tv.hi) for tv, bound in pairs)
     dominated = all(dominance_verdict(tv, bound) for tv, bound in pairs)
     return slack, None if dominated else {"p": list(bv.p), "slack": slack}

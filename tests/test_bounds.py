@@ -815,6 +815,38 @@ class TestCertify:
             gc.enable()
 
 
+class TestStatus:
+    """``status`` is derived from the hypothesis and ``details``, in that
+    order, and ``to_json`` carries it."""
+
+    def test_certified_tilt(self):
+        mu, nu = random_envelope_instance(random.Random(5), 20)
+        rep = certify(mu, nu)
+        assert rep.hypothesis.holds and rep.core_bounds()
+        assert rep.status == rep.to_json()["status"] == "certified"
+
+    def test_failed_relative_certificate(self):
+        rep = certify(make_dist(0, [1, 1, 1]), make_dist(0, [4, 1, 4]))
+        assert rep.details["not_applicable"] == "target is not log-concave relative to the reference"
+        assert rep.status == "hypothesis_failed"
+
+    def test_failed_caller_hypothesis(self):
+        # 1 * 3 * 2^2 < 2 * 4 * 1 * 6: no matroid has this profile
+        rep = matroids.matroid_binomial_bound(matroids.IndepProfile(4, (1, 2, 6, 0, 0)), 0, include_zero=True)
+        assert rep.hypothesis == LogConcavityCertificate(False, 1, True)
+        assert "not_applicable" not in rep.details
+        assert rep.status == "hypothesis_failed"
+        # the failed hypothesis is read first, also where a reason is named
+        rep = matroids.matroid_binomial_bound(matroids.IndepProfile(4, (1, 2, 6, 0, 0)), 0)
+        assert rep.details["not_applicable"] and rep.status == "hypothesis_failed"
+
+    def test_single_atom_target_is_not_applicable(self):
+        rep = certify(make_dist(0, [0.5, 0.5]), make_dist(0, [1.0]))
+        assert rep.hypothesis.holds
+        assert rep.details == {"not_applicable": "no valid anchor (target support is a single atom)"}
+        assert rep.status == rep.to_json()["status"] == "not_applicable"
+
+
 class TestDominanceSweep:
     def test_sweep_all_pass(self):
         t0 = time.perf_counter()

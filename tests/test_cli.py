@@ -53,10 +53,14 @@ class TestBernoulliSumGolden:
     # summed directly: only anchor.ratio_gap moved, from 1.42e-15 to 1.22e-15.
     # pb-poisson was re-pinned when the oracle interval came to take the
     # reference's deficit off its floor, not onto its top: oracle_tv moved from
-    # [4.665595219194e-01, 4.665595219200e-01] to [4.665595219188e-01, 4.665595219194e-01]
+    # [4.665595219194e-01, 4.665595219200e-01] to [4.665595219188e-01, 4.665595219194e-01].
+    # Both were re-pinned when the CLI came to render the sums module's
+    # reports: keys moved and no number changed ("status" is new, "bound" is
+    # "stated_bound", and "bound_secondary", "target_p", "rate" as "lambda"
+    # and "p" are in "details")
     @pytest.mark.parametrize("subcommand, n, size, digest", [
-        ("pb-binomial", 300, 6175, "fed61414d4d52ea29313d3ee3582b3b2852c19dcb2f93bdcc45833eff378d6a5"),
-        ("pb-poisson", 20, 813, "3253d5afe15f7f2715549f8c857b06a54d1cf09ae79646ecb41d0e42218a7e0f"),
+        ("pb-binomial", 300, 6182, "571679e40505930d47c8bdb102e5ae714ae36afefa5f76460694d37f470f5973"),
+        ("pb-poisson", 20, 822, "6fb7e072b47ed06c4d1c6399b9b9b6a381cd551356b04c2485a41e159e611e2c"),
     ], ids=["pb-binomial-300", "pb-poisson-20"])
     def test_stdout_unchanged(self, subcommand, n, size, digest):
         code, text = run([subcommand, "--p", _uniform_draws(n)])
@@ -72,7 +76,8 @@ def test_all_zero_probabilities_certify_bound_zero(subcommand):
     assert code == 0
     report = json.loads(text)
     assert report["bound_nu_side"] == report["bound_mu_side"] == 0.0
-    assert report["details"] == {"anchor_outside_target_support": 0}
+    assert report["details"]["anchor_outside_target_support"] == 0
+    assert report["status"] == "certified" and "not_applicable" not in report["details"]
     assert report["dominated"] is True
 
 
@@ -119,6 +124,8 @@ def test_poisson_rate_past_700_gives_a_report(argv, not_applicable):
     poisson = report.get("poisson", report)
     assert poisson["hypothesis"]["holds"] is True
     assert poisson["details"].get("not_applicable") == not_applicable
+    assert poisson["status"] == ("not_applicable" if not_applicable else "certified")
+    assert report.get("binomial", report)["status"] == "certified"
     assert poisson["dominated"] is (None if not_applicable else True)
 
 
@@ -140,7 +147,7 @@ def test_iv_failing_its_float_ulc_certificate_reports_the_failed_hypothesis():
     assert code == 2
     report = json.loads(text)
     assert report["hypothesis"] == {"holds": False, "first_violation": 284, "support_is_interval": True}
-    assert report["kind"] == "iv"
+    assert report["kind"] == "iv" and report["status"] == "hypothesis_failed"
     # a bound whose hypothesis failed is not reported
     assert report["bound_nu_side"] is None and report["bound_mu_side"] is None and report["dominated"] is None
 
@@ -154,7 +161,7 @@ def test_matroid_exits_2_when_neither_report_is_certified():
     report = json.loads(text)
     for kind in ("binomial", "poisson"):
         assert report[kind]["details"]["not_applicable"] == "anchor 0 needs positive target mass at 0 and 1"
-        assert report[kind]["hypothesis"]["holds"] is True
+        assert report[kind]["hypothesis"]["holds"] is True and report[kind]["status"] == "not_applicable"
     assert run(["matroid", "--uniform", "6,3", "--m", "0", "--include-zero"])[0] == 0
 
 
@@ -264,7 +271,7 @@ def test_factor_names_exactly_one_body(tmp_path, factor):
 @pytest.mark.parametrize("factor", [{"scale": 1e300, "ball": 3}, {"scale": 1e200, "segment": 1e200}])
 def test_product_bound_beyond_float_range_saturates(tmp_path, factor):
     code, text = _iv_product(tmp_path, factor)
-    assert code == 0 and json.loads(text)["bound"] == "inf"
+    assert code == 0 and json.loads(text)["stated_bound"] == "inf"
 
 
 def test_box_product_beyond_float_range_saturates(tmp_path):
@@ -274,7 +281,7 @@ def test_box_product_beyond_float_range_saturates(tmp_path):
     code, text = run(["iv", "--product", str(path)])
     assert code == 0
     out = json.loads(text)
-    assert out["bound"] == "inf" and out["bound_clamped"] == 1.0
+    assert out["stated_bound"] == "inf" and out["simplified"] == 1.0
 
 
 @pytest.mark.parametrize("p, message", [
@@ -348,8 +355,8 @@ def test_gamma_near_identical_laws_at_shape_1e9():
     report = json.loads(text)
     assert report["dominated"] is True
     assert report["simplified"] == pytest.approx(1.5000000029e-9, rel=1e-6)
-    assert len(report["crossings"]) == 2
-    for x, want in zip(report["crossings"], (0.999968377556689, 1.00003162310998)):
+    assert len(report["details"]["crossings"]) == 2
+    for x, want in zip(report["details"]["crossings"], (0.999968377556689, 1.00003162310998)):
         assert abs(x - want) <= 1e-8
     assert report["oracle_tv"][0] <= 7.26e-10 <= report["oracle_tv"][1]
 
@@ -377,20 +384,29 @@ def test_gamma_anchor_outside_float_range_is_not_applicable(a, b):
     assert "z = dk/dl" in json.loads(text)["reason"]
 
 
+def _status(report) -> str:
+    """The status that a report's hypothesis and ``details`` imply."""
+    if not report["hypothesis"]["holds"]:
+        return "hypothesis_failed"
+    return "not_applicable" if report["details"].get("not_applicable") else "certified"
+
+
 def _assert_valid_outcome(argv):
     """Exit 0 or 2 with canonical JSON holding no NaN, or exit 1 with an input
     error.  Every report in the output (the top level, ``binomial`` and
-    ``poisson``) that holds and is applicable has a bound; the output exits 2
-    when it holds reports and none of them does, and on exit 0 no report with
-    an oracle is undominated."""
+    ``poisson``) has the status its hypothesis and details imply, and a
+    certified one has a bound; the output exits 2 when it holds reports and
+    none of them is certified, and on exit 0 no report with an oracle is
+    undominated."""
     code, text = run(argv)
     if code == 1:
         assert text.startswith("error:"), (argv, text)
         return
     assert code in (0, 2) and '"nan"' not in text, (argv, code, text)
     out = json.loads(text)
-    reports = [r for r in (out, out.get("binomial"), out.get("poisson")) if r is not None and "hypothesis" in r]
-    certified = [r for r in reports if r["hypothesis"]["holds"] and not r["details"].get("not_applicable")]
+    reports = [r for r in (out, out.get("binomial"), out.get("poisson")) if r is not None and "status" in r]
+    assert all(r["status"] == _status(r) for r in reports), (argv, text)
+    certified = [r for r in reports if r["status"] == "certified"]
     assert all(any(r[k] is not None for k in ("bound_nu_side", "bound_mu_side", "simplified"))
                for r in certified), (argv, text)
     assert not reports or (code == 2) == (not certified), (argv, code, text)
@@ -438,6 +454,9 @@ def _assert_valid_outcome(argv):
      "--b", "3.6365019426581016e+90,2.895822915735515e-257", "--case", "ii", "--z", "3.3822256905787587e+21"],
     # (1 + (1 - F_1)/(p (1 - p)))^2 overflowed in the stated bound
     ["compound", "geometric", "--count-masses", "0,0.7,0.3", "--p", "1e-170"],
+    # the case-ii bound, 0.767, below the TV, 0.945, at shapes under 1: it
+    # exited 0 with "dominated": false, and now fails its hypothesis
+    ["gamma", "--a", "0.1,1.0", "--b", "0.001,1.0", "--case", "ii", "--z", "1.0"],
 ])
 def test_fuzz_repro_gives_a_valid_outcome(argv):
     _assert_valid_outcome(argv)
@@ -511,6 +530,9 @@ _ARGV = st.one_of(
     # at p = 0.99 the compound law's window takes seconds to build
     st.tuples(_law(5), st.floats(-300.0, math.log10(0.9)).map(lambda e: 10.0**e)).map(
         lambda t: ["compound", "geometric", "--count-masses", t[0], "--p", repr(t[1])]),
+    st.lists(st.floats(-300.0, 0.0).map(lambda e: 10.0**e), min_size=1, max_size=40).map(
+        lambda p: ["sum-geometric", "--p", ",".join(map(repr, p))]),
+    _PAIR.map(lambda shape_rate: ["expapprox", "--density", f"builtin:gamma:{shape_rate}"]),
 )
 
 
@@ -520,10 +542,12 @@ _ARGV = st.one_of(
 @given(_ARGV)
 def test_valid_input_gives_a_report_a_not_applicable_result_or_an_input_error(argv):
     # gamma shapes, rates and case-ii points, exponential and compound rates
-    # log-uniform in [1e-300, 1e300]; compound severities of 1 to 6 cells,
-    # compound geometric count laws of 1 to 5 cells at p log-uniform in
-    # [1e-300, 0.9], Bernoulli sums of up to 60 summands against the binomial
-    # or the Poisson law, and the matroid and intrinsic-volume reports of
+    # and the shapes and rates of builtin gamma densities log-uniform in
+    # [1e-300, 1e300]; compound severities of 1 to 6 cells, compound geometric
+    # count laws of 1 to 5 cells at p log-uniform in [1e-300, 0.9], Bernoulli
+    # sums of up to 60 summands against the binomial or the Poisson law, sums
+    # of 1 to 40 Bernoulli summands against the geometric law at p log-uniform
+    # in [1e-300, 1], and the matroid and intrinsic-volume reports of
     # _matroid_argv and _iv_argv
     _assert_valid_outcome(argv)
 
@@ -650,14 +674,16 @@ def test_poisson_closed_form_beyond_float_range_saturates(argv):
     assert poisson["bound_mu_side"] == 1.0
 
 
-@pytest.mark.parametrize("argv, key", [(["pb-binomial", "--p", "0.95,0.95"], "bound_secondary"),
-                                       (["pb-poisson", "--p", "0.968"], "bound")])
-def test_pb_closed_form_beyond_float_range_saturates(argv, key, capsys):
+@pytest.mark.parametrize("argv, read", [
+    (["pb-binomial", "--p", "0.95,0.95"], lambda r: r["details"]["bound_secondary"]),
+    (["pb-poisson", "--p", "0.968"], lambda r: r["stated_bound"]),
+])
+def test_pb_closed_form_beyond_float_range_saturates(argv, read, capsys):
     # the closed form's exponent passes 709, where expm1 raised OverflowError
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert json.loads(out)[key] == "inf"
+    assert read(json.loads(out)) == "inf"
 
 
 def test_compound_poisson_without_mass_at_1_or_2_fails_the_criterion():
@@ -676,7 +702,7 @@ def test_pb_binomial_near_homogeneous_n1000_is_dominated():
     code, text = run(["pb-binomial", "--p", ",".join(["0.198,0.199,0.2,0.201,0.202"] * 200)])
     payload = json.loads(text)
     assert code == 0
-    assert payload["dominated"] is True
+    assert payload["dominated"] is True and payload["status"] == "certified"
     assert payload["oracle_tv"][0] == pytest.approx(7.885e-5, rel=1e-3)
     assert min(payload["bound_nu_side"], payload["bound_mu_side"]) > 7.885e-5
 
@@ -704,7 +730,8 @@ def test_bernoulli_sum_references_match_for_small_p(argv):
     assert code == 0
     assert payload["anchor"]["ratio_matched"] is True
     assert payload["dominated"] is True
-    assert payload.get("rate", payload.get("target_p")) == pytest.approx(float(argv[-1].split(",")[0]), rel=1e-12)
+    details = payload["details"]
+    assert details.get("lambda", details.get("target_p")) == pytest.approx(float(argv[-1].split(",")[0]), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", ["0.99999999,0.5", "0.99999999,0"])

@@ -336,13 +336,33 @@ def test_anchored_sides_keep_their_digits_at_shape_1e9():
     assert float(log_r) == pytest.approx(float(want), rel=1e-7)
 
 
+def test_perturbative_report_needs_log_concave_laws():
+    # at shapes 0.1 and 0.001 the bound, 0.767, is below the TV, 0.945: a
+    # shape below 1 fails the report's hypothesis, which reports no simplified
+    rep = cont.gamma_tv_bound_perturbative(GammaParams(0.1, 1.0), GammaParams(0.001, 1.0), 1.0)
+    assert rep.stated_bound == pytest.approx(0.7668354473652, rel=1e-12)
+    assert rep.oracle_tv.lo > rep.stated_bound
+    assert not rep.hypothesis.holds and rep.simplified is None
+    assert rep.status == "hypothesis_failed" and rep.dominated is None
+    rep = cont.gamma_tv_bound_perturbative(GammaParams(3.0, 2.0), GammaParams(2.0, 1.0), 1.0)
+    assert rep.status == "certified" and rep.simplified == min(rep.stated_bound, 1.0)
+    assert rep.details == {"z": 1.0} and rep.dominated is True
+
+
+def test_anchored_report_reads_the_crossings_it_carries():
+    a, b = GammaParams(3.0, 2.0), GammaParams(2.0, 1.0)
+    rep = cont.gamma_tv_bound_anchored(a, b)
+    assert rep.details["crossings"] == cont.gamma_density_crossings(a, b)
+    assert rep.oracle_tv == cont.tv_gamma_quadrature(a, b)
+
+
 def test_perturbative_bound_dominates_mpmath_tv():
     # near-identical pairs, where the bound is below 1, and the golden CLI case
     cases = [((2.0, 1.0), (2.0, 1.00001), 1.0), ((2.001, 1.0), (2.0, 1.0), 2.0), ((1.0, 2.0), (1.0, 2.0005), 0.5),
              ((3.0, 1.5), (3.0002, 1.5), 2.0), ((0.5, 1.0), (0.5001, 1.0), 0.5), ((2.0, 1.0), (2.0, 1.1), 1.0)]
     for (ka, la), (kb, lb), z in cases:
         a, b = GammaParams(ka, la), GammaParams(kb, lb)
-        assert cont.gamma_tv_bound_perturbative(a, b, z) >= _mp_tv(a, b), (a, b, z)
+        assert cont.gamma_tv_bound_perturbative(a, b, z).stated_bound >= _mp_tv(a, b), (a, b, z)
 
 
 def test_score_anchored_envelopes_dominate_mpmath_tv(same_sign):

@@ -147,6 +147,7 @@ class TestPoissonBound:
     def test_box_example(self):
         rep = poisson_iv_bound(iv_box((0.1, 0.2)), 0)
         assert rep.details["lambda"] == pytest.approx(0.3, rel=1e-12)
+        assert rep.details["V"] == pytest.approx((1.0, 0.3, 0.02), rel=1e-15) and rep.details["W"] == 1.32
         assert rep.bound_mu_side == pytest.approx(math.exp(0.3) / 1.32 - 1, rel=1e-12)
         assert rep.bound_mu_side == pytest.approx(0.02262, abs=1e-5)
         assert float(rep.oracle_tv.lo) == pytest.approx(0.02179, abs=1e-5)
@@ -201,19 +202,24 @@ class TestPoissonBound:
 
 class TestProductBounds:
     def test_box_scales(self):
-        val = product_bounds([segment_factor(0.1), segment_factor(0.2)], "box")
+        val = product_bounds([segment_factor(0.1), segment_factor(0.2)], "box").stated_bound
         assert val == pytest.approx(math.expm1(0.05), rel=1e-12)
         assert val >= poisson_iv_bound(iv_box((0.1, 0.2)), 0).bound_mu_side
 
     def test_single_factor_rare(self):
         box = iv_box((0.3, 0.4))
-        val = product_bounds([ProductFactor(box, 1.0)], "rare")
+        val = product_bounds([ProductFactor(box, 1.0)], "rare").stated_bound
         assert val == pytest.approx(math.expm1(0.7**2), rel=1e-12)
 
     def test_scaled_unit_squares(self):
         sq = iv_box((1, 1))
-        val = product_bounds([ProductFactor(sq, 0.1), ProductFactor(sq, 0.1)], "scaled")
+        val = product_bounds([ProductFactor(sq, 0.1), ProductFactor(sq, 0.1)], "scaled").stated_bound
         assert val == pytest.approx(math.expm1(2 * 4 * 0.02), rel=1e-12)
+
+    def test_report_has_no_oracle(self):
+        rep = product_bounds([segment_factor(300.0)] * 3, "box")
+        assert (rep.stated_bound, rep.simplified, rep.details) == (math.inf, 1.0, {"mode": "box"})
+        assert rep.oracle_tv is None and rep.dominated is None and rep.status == "certified"
 
     def test_scaled_requires_unit_scales(self):
         sq = iv_box((1, 1))
@@ -229,14 +235,14 @@ class TestProductBounds:
                                               ("box", segment_factor(30.0))])
     def test_beyond_float_range_saturates(self, mode, factor):
         # each exponent is 900 or more, where expm1 raised OverflowError
-        assert product_bounds([factor], mode) == math.inf
+        assert product_bounds([factor], mode).stated_bound == math.inf
 
     @pytest.mark.parametrize("mode", ["rare", "box"])
     @pytest.mark.parametrize("sides", [[1.2e154] * 2, [9e153] * 3])
     def test_sum_of_squares_beyond_float_range_saturates(self, mode, sides):
         # each V_1^2 is finite and their sum is not: box mode's own copy of the
         # formula, and rare mode at three factors, raised OverflowError in fsum
-        assert product_bounds([segment_factor(s) for s in sides], mode) == math.inf
+        assert product_bounds([segment_factor(s) for s in sides], mode).stated_bound == math.inf
 
     def test_chain_poisson_box_product(self):
         # anchored bound <= box product bound, both dominate the oracle
@@ -245,7 +251,7 @@ class TestProductBounds:
             s = [rng.uniform(0.02, 0.9) for _ in range(rng.randint(1, 6))]
             box = iv_box(s)
             rep = poisson_iv_bound(box, 0)
-            prod = product_bounds([segment_factor(v) for v in s], "box")
+            prod = product_bounds([segment_factor(v) for v in s], "box").stated_bound
             assert rep.bound_mu_side <= prod + 1e-12
             tv = tv_distance(family_poisson(sum(s)), z_dist(box))
             assert prod >= float(tv.hi) - 1e-12

@@ -14,6 +14,7 @@ from tvbounds import (
     DiscreteDist,
     HypothesisError,
     NotApplicableError,
+    certify,
     convolve,
     family_bernoulli,
     family_binomial,
@@ -25,10 +26,12 @@ from tvbounds.sums import (
     BernoulliVector,
     binomial_bound_primary,
     binomial_bound_secondary,
+    binomial_report,
     binomial_target,
     geometric_sum_bound,
     poisson_binomial_pmf,
     poisson_bound,
+    poisson_report,
     poisson_target,
 )
 
@@ -385,6 +388,29 @@ class TestPoissonBounds:
             values.append(n * float(tv.hi))
         for prev, cur in zip(values, values[1:]):
             assert cur <= 1.2 * prev
+
+
+class TestReports:
+    """``binomial_report`` and ``poisson_report`` are ``certify``'s report on
+    the pipeline, with the closed forms and inputs that the CLI prints."""
+
+    @pytest.mark.parametrize("p", [(0.1, 0.2, 0.3), (F(1, 3), F(2, 7), F(11, 23)), (0.0, 0.0)])
+    def test_binomial_report(self, p):
+        bv = BernoulliVector(p)
+        rep = binomial_report(bv)
+        plain = certify(binomial_target(bv), poisson_binomial_pmf(bv))
+        assert rep.to_json() == dict(plain.to_json(), stated_bound=float(binomial_bound_primary(bv)),
+                                     details={**plain.details, "bound_secondary": binomial_bound_secondary(bv),
+                                              "target_p": float(bv.lambda_n / (bv.n + bv.lambda_n)),
+                                              "p": [float(v) for v in p]})
+
+    @pytest.mark.parametrize("p", [(0.05, 0.1, 0.02), (F(1, 3), F(2, 7)), (0.968,)])
+    def test_poisson_report(self, p):
+        bv = BernoulliVector(p)
+        rep = poisson_report(bv)
+        plain = certify(poisson_target(bv), poisson_binomial_pmf(bv))
+        assert rep.to_json() == dict(plain.to_json(), stated_bound=poisson_bound(bv),
+                                     details={**plain.details, "lambda": float(bv.lambda_n), "p": [float(v) for v in p]})
 
 
 class TestGeometricSumBound:
