@@ -119,14 +119,18 @@ def _incomplete_gamma(a: float, x: float) -> tuple[float, float, bool]:
     from the continued fraction if ``upper``, else ``P(a, x)`` from the series."""
     log_prefactor = _log_gamma_prefactor(a, x)
     if x - a < 1.0:
-        term = total = 1.0 / a
-        n = a
-        for _ in range(_MAX_TERMS):
-            n += 1.0
-            term *= x / n
-            total += term
-            if term <= _EPS * total:
-                return log_prefactor, total, False
+        # with M = _MAX_TERMS: as x/(a + j) < 1, after m <= M terms the total is at most (m + 1)/a and
+        # the last term at least (x/(a + M))^M / a, so unless this holds the stop fails at every m
+        # (the 2 covers the rounding) and the loop is not run
+        if _MAX_TERMS * (math.log(x) - math.log(a + _MAX_TERMS)) <= math.log(2.0 * _EPS * (_MAX_TERMS + 1)):
+            term = total = 1.0 / a
+            n = a
+            for _ in range(_MAX_TERMS):
+                n += 1.0
+                term *= x / n
+                total += term
+                if term <= _EPS * total:
+                    return log_prefactor, total, False
         raise NotApplicableError(f"P({a:.6g}, {x:.6g}) needs more than {_MAX_TERMS} series terms")
     b = x + 1.0 - a
     c = 1.0 / _LENTZ_TINY

@@ -70,13 +70,16 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
 
     Direct two-term recursion ``a'_k = a_{k-1} p_i + a_k q_i`` over the
     summands on one plain list, with no intermediate distributions; only the
-    result is validated.  Its bulk (below) is bit-identical to folding
-    ``convolve`` over the Bernoulli laws: the fold's compensated sum of two
-    products returns exactly the rounded ``a_{k-1} p_i + a_k q_i``.  Rational
-    summands run on integer numerators over one running denominator; a
-    leading rational run in a mixed vector is rounded to floats once, at the
-    first float summand, as the fold does, and a later rational summand
-    enters as ``float(p), float(1 - p)``.
+    result is validated.  Rational summands run on integer numerators over
+    one running denominator; a leading rational run in a mixed vector is
+    rounded to floats once, at the first float summand, as the fold does.
+    The float summands then run in increasing order of ``p * q``, ties by
+    ``p``, then ``q``, a later rational one as ``float(p), float(1 - p)``:
+    the band stays narrow for longer, and the result is invariant under any
+    reordering after the first float summand.  Its bulk (below) is
+    bit-identical to folding ``convolve`` over the Bernoulli laws in that
+    order: the fold's compensated sum of two products returns exactly the
+    rounded ``a_{k-1} p_i + a_k q_i``.
 
     On floats one pass applies sixteen summands.  Each of its sixteen stages
     reads cell ``k`` of the stage before and keeps it in a carry for cell
@@ -110,7 +113,8 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
         den *= d
     if k == len(ps):
         return DiscreteDist(0, tuple(Fraction(x, den) for x in band), Fraction(0))
-    pairs = [(float(x), float(1 - Fraction(x))) if _is_exact(x) else (float(x), 1.0 - float(x)) for x in ps[k:]]
+    pairs = sorted((float(x), float(1 - Fraction(x))) if _is_exact(x) else (float(x), 1.0 - float(x)) for x in ps[k:])
+    pairs.sort(key=lambda pq: pq[0] * pq[1])  # stable: increasing p * q, ties by p, then q
     pairs = [(0.0, 1.0)] * (-len(pairs) % 16) + pairs  # identity summands: c * 0.0 + y * 1.0 == y
     # cells ``lo ..`` of the mass function
     band, lo, deficit = [x / den for x in band], 0, 0.0

@@ -57,9 +57,11 @@ class TestBernoulliSumGolden:
     # Both were re-pinned when the CLI came to render the sums module's
     # reports: keys moved and no number changed ("status" is new, "bound" is
     # "stated_bound", and "bound_secondary", "target_p", "rate" as "lambda"
-    # and "p" are in "details")
+    # and "p" are in "details").  pb-binomial was re-pinned when the float pmf
+    # came to apply its summands in increasing order of p * q: only
+    # anchor.ratio_gap moved, from 1.22e-15 to 4.1e-16
     @pytest.mark.parametrize("subcommand, n, size, digest", [
-        ("pb-binomial", 300, 6182, "571679e40505930d47c8bdb102e5ae714ae36afefa5f76460694d37f470f5973"),
+        ("pb-binomial", 300, 6182, "820538ec2f31ba6c0c9b4c3514de3da6cf553413760d5c51409beafe39545425"),
         ("pb-poisson", 20, 822, "6fb7e072b47ed06c4d1c6399b9b9b6a381cd551356b04c2485a41e159e611e2c"),
     ], ids=["pb-binomial-300", "pb-poisson-20"])
     def test_stdout_unchanged(self, subcommand, n, size, digest):
@@ -533,7 +535,18 @@ _ARGV = st.one_of(
     st.lists(st.floats(-300.0, 0.0).map(lambda e: 10.0**e), min_size=1, max_size=40).map(
         lambda p: ["sum-geometric", "--p", ",".join(map(repr, p))]),
     _PAIR.map(lambda shape_rate: ["expapprox", "--density", f"builtin:gamma:{shape_rate}"]),
+    st.tuples(st.sampled_from(["dominance", "matroids", "sums"]), st.integers(1, 5), st.integers(0, 2**32)).map(
+        lambda t: ["verify", "--suite", t[0], "--n", str(t[1]), "--seed", str(t[2])]),
 )
+
+
+def _without_p(code, text):
+    """An outcome less the echoed summands, ``details.p``."""
+    if code == 1:
+        return code, text
+    out = json.loads(text)
+    out["details"].pop("p", None)
+    return code, out
 
 
 # a failure prints the blob that replays it with @reproduce_failure, also
@@ -548,8 +561,14 @@ def test_valid_input_gives_a_report_a_not_applicable_result_or_an_input_error(ar
     # sums of up to 60 summands against the binomial or the Poisson law, sums
     # of 1 to 40 Bernoulli summands against the geometric law at p log-uniform
     # in [1e-300, 1], and the matroid and intrinsic-volume reports of
-    # _matroid_argv and _iv_argv
-    _assert_valid_outcome(argv)
+    # _matroid_argv and _iv_argv; a Bernoulli sum gives the same outcome on its
+    # summands reversed, and a sweep of 1 to 5 instances passes every one
+    out = _assert_valid_outcome(argv)
+    if argv[0] in ("pb-binomial", "pb-poisson"):
+        reversed_argv = [argv[0], "--p", ",".join(argv[2].split(",")[::-1])]
+        assert _without_p(*run(reversed_argv)) == _without_p(*run(argv)), argv
+    elif argv[0] == "verify":
+        assert out["passes"] == out["instances"], (argv, out)
 
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")

@@ -209,6 +209,71 @@ def test_regularized_gamma_p_beyond_its_terms_is_not_applicable(x):
         cont.regularized_gamma_p(2.0**60, x)
 
 
+def _series_total(a, x, terms):
+    """Test-side copy of the incomplete gamma's series loop: its total, or
+    None if it has not stopped within ``terms`` terms."""
+    term = total = 1.0 / a
+    n = a
+    for _ in range(terms):
+        n += 1.0
+        term *= x / n
+        total += term
+        if term <= math.ulp(1.0) * total:
+            return total
+    return None
+
+
+def _lines_run(f, *args):
+    """The lines ``f`` runs in its own frame on ``args``, and its result or the error it raised."""
+    lines, old = [], sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is f.__code__:
+            return lambda frame, event, arg: lines.append(frame.f_lineno) if event == "line" else None
+        return None
+
+    sys.settrace(trace)
+    try:
+        out = f(*args)
+    except NotApplicableError as exc:
+        out = exc
+    finally:
+        sys.settrace(old)
+    return len(lines), out
+
+
+def test_series_is_refused_before_its_loop_only_when_it_cannot_stop(monkeypatch):
+    # with M terms, x/(a + j) < 1 bounds the total after m <= M terms by
+    # (m + 1)/a and the last term from below by (x/(a + M))^M / a: where
+    # M log(x/(a + M)) > log(2 eps (M + 1)) the stop fails at every m
+    terms = 2**10
+    monkeypatch.setattr(cont, "_MAX_TERMS", terms)
+    seen = {"refused before the loop": 0, "refused after the loop": 0, "converged": 0}
+    for a in (10.0 ** (e / 8) for e in range(24, 105)):  # 1e3 .. 1e13
+        for x in (a + 0.5, a, a - 1.0, a - math.sqrt(a), a - 3 * math.sqrt(a), a - 30 * math.sqrt(a), 0.9 * a):
+            hopeless = terms * math.log(x / (a + terms)) > math.log(2 * math.ulp(1.0) * (terms + 1))
+            total = _series_total(a, x, terms)
+            assert not (hopeless and total is not None), (a, x)
+            lines, out = _lines_run(cont._incomplete_gamma, a, x)
+            if total is not None:
+                assert out[1:] == (total, False), (a, x)
+                seen["converged"] += 1
+            else:
+                assert isinstance(out, NotApplicableError), (a, x)
+                assert str(out) == f"P({a:.6g}, {x:.6g}) needs more than {terms} series terms"
+                assert (lines < 10) == hopeless, (a, x, lines)
+                seen["refused before the loop" if hopeless else "refused after the loop"] += 1
+    assert min(seen.values()) > 10, seen
+
+
+def test_hopeless_series_is_refused_at_once():
+    # near x = a = 1e12 the series needs about 10 sqrt(a) = 1e7 terms; it ran
+    # all 2^20 before it refused, 0.09 s per call
+    lines, out = _lines_run(cont._incomplete_gamma, 1e12, 999983000000.0)
+    assert isinstance(out, NotApplicableError) and "needs more than 1048576 series terms" in str(out)
+    assert lines < 10
+
+
 # ---------------------------------------------------------------------------
 # Gamma TV oracle and bounds
 # ---------------------------------------------------------------------------

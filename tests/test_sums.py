@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -22,6 +23,7 @@ from tvbounds import (
     point_mass,
     tv_distance,
 )
+from tvbounds.errors import BoundNotApplicable
 from tvbounds.sums import (
     BernoulliVector,
     binomial_bound_primary,
@@ -84,9 +86,33 @@ class TestPMF:
         assert pmf.mass(1) == pytest.approx(pmf.mass(0) * factor, abs=1e-12)
 
 
-def convolution_fold_pmf(ps):
-    """Oracle: the n-1 two-term convolutions the direct recursion replaces."""
-    return reduce(convolve, (family_bernoulli(v) for v in ps))
+def _leading_rationals(ps):
+    return next((i for i, v in enumerate(ps) if isinstance(v, float)), len(ps))
+
+
+def convolution_fold_pmf(ps, k=None):
+    """Oracle: the n-1 two-term convolutions the direct recursion replaces,
+    in the order given.  A rational summand past the first ``k`` (by default
+    the leading rational run) is the float law ``float(1 - p), float(p)``,
+    as the fold takes one that follows a float."""
+    k = _leading_rationals(ps) if k is None else k
+    laws = [family_bernoulli(v) for v in ps[:k]]
+    laws += [family_bernoulli(v) if isinstance(v, float) else make_dist(0, [float(1 - v), float(v)]) for v in ps[k:]]
+    return reduce(convolve, laws)
+
+
+def applied_order(ps):
+    """The summands in the order the float pmf applies them, and the length
+    of the leading rational run: that run as given, then the rest by
+    increasing float ``p * q``, ties by ``p``, then ``q``, where a rational
+    enters as ``float(p), float(1 - p)``."""
+    k = _leading_rationals(ps)
+
+    def key(v):
+        p, q = float(v), (float(1 - v) if isinstance(v, F) else 1.0 - v)
+        return p * q, p, q
+
+    return list(ps[:k]) + sorted(ps[k:], key=key), k
 
 
 def float_bits(d):
@@ -111,12 +137,13 @@ _EXACT_P = st.integers(1, 60).flatmap(lambda d: st.integers(0, d - 1).map(lambda
 
 
 class TestPMFMatchesConvolutionFold:
-    """The fold keeps every cell; the float pmf is its cut (``assert_cut_of``)."""
+    """The fold in the applied order keeps every cell; the float pmf is its
+    cut (``assert_cut_of``)."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_FLOAT_P, min_size=1, max_size=80))
     def test_float_bit_identical(self, ps):
-        assert_cut_of(poisson_binomial_pmf(BernoulliVector(ps)), convolution_fold_pmf(ps).masses)
+        assert_cut_of(poisson_binomial_pmf(BernoulliVector(ps)), convolution_fold_pmf(*applied_order(ps)).masses)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_EXACT_P, min_size=1, max_size=30))
@@ -134,28 +161,50 @@ class TestPMFMatchesConvolutionFold:
     )
     def test_mixed_bit_identical(self, exact_prefix, floats, exact_suffix):
         ps = exact_prefix + floats + exact_suffix
-        assert_cut_of(poisson_binomial_pmf(BernoulliVector(ps)), convolution_fold_pmf(ps).masses)
+        assert_cut_of(poisson_binomial_pmf(BernoulliVector(ps)), convolution_fold_pmf(*applied_order(ps)).masses)
 
     def test_fixed_large_vector_bit_identical(self):
         rng = random.Random(2210)
         ps = [rng.uniform(0, 0.5) for _ in range(400)]
         pmf = poisson_binomial_pmf(BernoulliVector(ps))
-        assert_cut_of(pmf, convolution_fold_pmf(ps).masses)
+        assert_cut_of(pmf, convolution_fold_pmf(*applied_order(ps)).masses)
         assert pmf.end < len(ps) + 1 and pmf.tail_deficit > 0  # the right tail was cut
 
 
-def untrimmed_recursion(ps):
-    """Oracle: the float two-term recursion on all n + 1 cells, zeros included.
+def untrimmed_recursion(ps, k=None):
+    """Oracle: the float two-term recursion on all n + 1 cells, zeros included,
+    in the order given.
 
-    A leading rational run is summed exactly and rounded once, at the first
-    float summand; a later rational summand enters as ``float(p), float(1 - p)``.
+    The first ``k`` summands (by default the leading rational run) are summed
+    exactly and rounded once; a later rational summand enters as ``float(p),
+    float(1 - p)``.
     """
-    k = next((i for i, v in enumerate(ps) if isinstance(v, float)), len(ps))
+    k = _leading_rationals(ps) if k is None else k
     a = [float(m) for m in convolution_fold_pmf(ps[:k]).masses] if k else [1.0]
     for v in ps[k:]:
         p, q = float(v), (float(1 - v) if isinstance(v, F) else 1.0 - v)
         a = [x * p + y * q for x, y in zip([0.0] + a, a + [0.0])]
     return a
+
+
+def _slots(ps, which):
+    """``(pass, stage)`` of each summand ``which`` picks after the first float
+    one, in the applied order behind its identity padding."""
+    order, k = applied_order(ps)
+    pad = -(len(order) - k) % 16
+    return [divmod(pad + i, 16) for i, v in enumerate(order[k:]) if which(v)]
+
+
+def _rationals_at(ps, ranks):
+    """``ps`` with the float summands at ``ranks`` of the applied order replaced
+    by nearby rationals, which keep those ranks, each one's ``1 - p`` rounding
+    once to another float than ``1.0 - float(p)``."""
+    ps, (order, _) = list(ps), applied_order(ps)
+    d = 10**9 + 7
+    for r in ranks:
+        near = (F(round(order[r] * d) + j, d) for j in itertools.count())
+        ps[ps.index(order[r])] = next(v for v in near if float(1 - v) != 1.0 - float(v))
+    return ps
 
 
 def _band_cases():
@@ -172,22 +221,20 @@ def _band_cases():
     cases.update({f"n={n}": [rng.uniform(0, 0.5) for _ in range(n)] for n in (1201, 1202, 1203, 1204)})
     # a rational summand after floats enters as float(p), float(1 - p), here
     # at two stages of one pass
-    thirds = [rng.uniform(0, 0.5) for _ in range(500)]
-    thirds[5], thirds[10] = F(1, 3), F(2, 7)
-    cases["fraction-inside-a-pass"] = thirds
+    cases["fraction-inside-a-pass"] = _rationals_at([rng.uniform(0, 0.5) for _ in range(500)], (245, 250))
+    # zero summands are applied first, behind the identity padding: five
+    # within the first pass
     zero_run = [rng.uniform(0, 0.5) for _ in range(600)]
-    zero_run[301:306] = [0.0] * 5  # five zero summands within one pass
+    zero_run[301:306] = [0.0] * 5
     cases["zero-run-inside-a-pass"] = zero_run
     # at n of a few hundred: every remainder of n mod 16, so every count of
     # identity summands
     rng = random.Random(16061)
     cases.update({f"n=240+{r}": [rng.uniform(0, 0.1) for _ in range(240 + r)] for r in range(16)})
-    # rational summands 17 apart sit at each of the sixteen stages once, the
-    # middle and the last among them, wherever the passes begin
-    thirds = [rng.uniform(0, 0.3) for _ in range(400)]
-    for i in range(16):
-        thirds[100 + 17 * i] = F(1, 3 + i)
-    cases["fraction-at-every-stage"] = thirds
+    # rational summands 17 apart in the applied order sit at each of the
+    # sixteen stages once, the middle and the last among them
+    cases["fraction-at-every-stage"] = _rationals_at([rng.uniform(0, 0.3) for _ in range(400)],
+                                                     [100 + 17 * i for i in range(16)])
     zero_run = [rng.uniform(0, 0.3) for _ in range(400)]
     zero_run[190:210] = [0.0] * 20  # longer than a pass, so it crosses a pass boundary
     cases["zero-run-across-a-pass"] = zero_run
@@ -206,10 +253,19 @@ class TestPMFUnderflowedTails:
     def test_bit_identical_to_untrimmed_recursion(self, name):
         ps = _BAND_CASES[name]
         pmf = poisson_binomial_pmf(BernoulliVector(ps))
-        want = untrimmed_recursion(ps)
+        want = untrimmed_recursion(*applied_order(ps))
         assert_cut_of(pmf, want)
         assert pmf.tail_deficit > 0  # the cut ran
         assert sum(m == 0.0 for m in want) > 0  # and reached cells that underflowed
+
+    def test_cases_place_their_summands(self):
+        # the applied order, not the input order, sets where a summand runs
+        rational = lambda v: isinstance(v, F)  # noqa: E731
+        (p1, s1), (p2, s2) = _slots(_BAND_CASES["fraction-inside-a-pass"], rational)
+        assert p1 == p2 and s1 != s2
+        assert sorted(s for _, s in _slots(_BAND_CASES["fraction-at-every-stage"], rational)) == list(range(16))
+        assert _slots(_BAND_CASES["zero-run-inside-a-pass"], lambda v: v == 0.0) == [(0, s) for s in range(8, 13)]
+        assert _slots(_BAND_CASES["zero-run-across-a-pass"], lambda v: v == 0.0) == [divmod(i, 16) for i in range(20)]
 
     def test_both_tails_underflow(self):
         ps = _BAND_CASES["both-tails-1500"]
@@ -220,20 +276,21 @@ class TestPMFUnderflowedTails:
 
     def test_n3000_cells_pinned(self):
         # sha256 of the offset, the float.hex() cells and the deficit, recorded
-        # with the cut at 2^-200 of the largest cell
+        # with the cut at 2^-200 of the largest cell; re-pinned when the float
+        # summands came to be applied in increasing order of p * q
         rng = random.Random(3016)
         ps = [rng.uniform(0, 0.5) for _ in range(3000)]
         pmf = poisson_binomial_pmf(BernoulliVector(ps))
-        assert_cut_of(pmf, untrimmed_recursion(ps))
+        assert_cut_of(pmf, untrimmed_recursion(*applied_order(ps)))
         digest = hashlib.sha256(" ".join(map(str, float_bits(pmf))).encode()).hexdigest()
-        assert digest == "68c7d5fea2df1157b490f0fd41dcf908917a65bb2e08ea2d9dc30e9237b2250c"
+        assert digest == "2eb8369bda7a2f3f202c92921a4d081df2429361652b32f8843e83cb283643c4"
 
     def test_fraction_after_floats_rounds_its_complement(self):
         # 1 - 1/3 rounded once differs from 1.0 minus the rounded 1/3
         assert float(1 - F(1, 3)).hex() == "0x1.5555555555555p-1"
         assert (1.0 - float(F(1, 3))).hex() == "0x1.5555555555556p-1"
         ps = [0.25, 0.125, F(1, 3), 0.375, 0.0625]
-        want = [m.hex() for m in untrimmed_recursion(ps)]
+        want = [m.hex() for m in untrimmed_recursion(*applied_order(ps))]
         assert [m.hex() for m in poisson_binomial_pmf(BernoulliVector(ps)).masses] == want
         ps[2] = float(F(1, 3))
         assert [m.hex() for m in poisson_binomial_pmf(BernoulliVector(ps)).masses] != want
@@ -250,6 +307,71 @@ class TestPMFUnderflowedTails:
         pmf = poisson_binomial_pmf(bv)
         assert pmf.is_exact is exact
         assert len(calls) == 1
+
+
+_TIED_P = st.integers(0, 63).map(lambda k: k / 64)  # k/64 and 1 - k/64 tie on p * q
+_SHUFFLABLE = st.one_of(
+    st.lists(st.one_of(_FLOAT_P, _TIED_P), min_size=1, max_size=80),
+    # few distinct values, each repeated
+    st.lists(st.one_of(_FLOAT_P, _TIED_P), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80)),
+)
+
+
+def _report_without_p(report, ps):
+    """The report on ``ps`` as canonical JSON less ``details["p"]``, or the error it raised."""
+    try:
+        out = report(BernoulliVector(ps)).to_json()
+    except (BoundNotApplicable, ValueError) as exc:
+        return repr(exc)
+    del out["details"]["p"]
+    return json.dumps(out, sort_keys=True)
+
+
+class TestPermutationInvariance:
+    """The float pmf, and so every Bernoulli-sum report, is a function of the
+    multiset of summands after the first float one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SHUFFLABLE, st.randoms(use_true_random=False))
+    def test_float_shuffle(self, ps, rnd):
+        shuffled = list(ps)
+        rnd.shuffle(shuffled)
+        assert float_bits(poisson_binomial_pmf(BernoulliVector(shuffled))) == float_bits(
+            poisson_binomial_pmf(BernoulliVector(ps)))
+
+    def test_every_order_of_ties_and_repeats(self):
+        ps = (0.25, 0.75, 0.75, 0.0, 0.1, 0.1, 0.5)
+        bits = {str(float_bits(poisson_binomial_pmf(BernoulliVector(order)))) for order in itertools.permutations(ps)}
+        assert len(bits) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_EXACT_P, max_size=10), _FLOAT_P, st.lists(st.one_of(_FLOAT_P, _TIED_P, _EXACT_P), max_size=40),
+           st.randoms(use_true_random=False))
+    def test_mixed_shuffle_after_the_first_float(self, prefix, first, rest, rnd):
+        tail = [first, *rest]
+        rnd.shuffle(tail)
+        i = next(i for i, v in enumerate(tail) if isinstance(v, float))
+        tail.insert(0, tail.pop(i))  # a float still ends the leading rational run
+        assert float_bits(poisson_binomial_pmf(BernoulliVector(prefix + tail))) == float_bits(
+            poisson_binomial_pmf(BernoulliVector([*prefix, first, *rest])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_SHUFFLABLE)
+    def test_reports_equal_under_reversal(self, ps):
+        for report in (binomial_report, poisson_report):
+            assert _report_without_p(report, ps) == _report_without_p(report, ps[::-1])
+
+    @pytest.mark.parametrize("seed", [1005, 1006], ids=["binomial-anchor", "poisson-anchor"])
+    def test_reversal_of_a_uniform_draw(self, seed):
+        # n = 1000, U(0, 0.5): applied in input order, reversing the p_i moved
+        # the smallest-gap anchor by one cell, in the binomial report at seed
+        # 1005 (66 -> 65, bound_nu_side 0.99999985 -> 0.99999999) and in the
+        # Poisson one at seed 1006 (60 -> 61)
+        rng = random.Random(seed)
+        ps = [rng.uniform(0, 0.5) for _ in range(1000)]
+        for report in (binomial_report, poisson_report):
+            assert _report_without_p(report, ps) == _report_without_p(report, ps[::-1])
 
 
 class TestBinomialTarget:
