@@ -46,11 +46,10 @@ from .distributions import (
     DiscreteDist,
     Interval,
     LogConcavityCertificate,
-    _continuity_error,
     _pair_scan,
     _support_interval,
 )
-from .errors import HypothesisError, InvalidAnchorError
+from .errors import InvalidAnchorError
 
 _NOT_RELATIVE = "target is not log-concave relative to the reference"
 _REF_GAP = "reference support is not a contiguous interval"
@@ -170,18 +169,18 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 def _verdict(mu: DiscreteDist, ac: int | None, relative, hypothesis: LogConcavityCertificate | None = None):
     """The certificate a report carries, the caller's ``hypothesis`` or else
     the relative one from a ``_pair_scan``'s ``ac`` and ``relative`` (called
-    only when ``ac`` is None), and the error why the bounds do not apply
-    (returned) or None; absolute continuity is checked under either."""
+    only when ``ac`` is None), and the reason why the bounds do not apply or
+    None; absolute continuity is checked under either."""
     if ac is not None:
-        return hypothesis or LogConcavityCertificate(False, ac, True), _continuity_error(ac)
+        return hypothesis or LogConcavityCertificate(False, ac, True), "absolute continuity violated"
     if hypothesis is not None:
         return hypothesis, None
     cert = relative()
     if not cert.holds:
-        return cert, HypothesisError(_NOT_RELATIVE, {"certificate": cert.to_json()})
+        return cert, _NOT_RELATIVE
     ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
     if not ok:
-        return LogConcavityCertificate(False, gap, False), HypothesisError(_REF_GAP, {"gap_at": gap})
+        return LogConcavityCertificate(False, gap, False), _REF_GAP
     return cert, None
 
 
@@ -353,8 +352,7 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
     digits give no slope.
     """
     ac, relative, rows, tv = _pair_scan(mu, nu, ell)
-    cert, error = _verdict(mu, ac, relative, hypothesis)
-    reason = None if error is None else "absolute continuity violated" if ac is not None else str(error)
+    cert, reason = _verdict(mu, ac, relative, hypothesis)
     details = dict(details)
     row = min(rows, key=itemgetter(2), default=None)
     if reason is None and ell is None:

@@ -94,31 +94,21 @@ def emit(report, fmt: str) -> str:
     """Render a report dict in the requested output format."""
     if fmt == "json":
         return _render_json(report)
+    if fmt not in ("csv", "table"):
+        raise InvalidDistributionError(f"unknown format {fmt!r}")
+    # one text per flattened key, for both formats
+    none = "" if fmt == "csv" else "None"
+    cells = {k: f"{v:.12e}" if isinstance(v, float) else none if v is None else str(v)
+             for k, v in _flatten(report).items()}
     if fmt == "csv":
         import csv
         import io
 
-        flat = _flatten(report)
-        cells = []
-        for v in flat.values():
-            if isinstance(v, float):
-                cells.append(f"{v:.12e}")
-            else:
-                cells.append("" if v is None else str(v))
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(flat.keys()))
-        writer.writerow(cells)
+        csv.writer(buf, lineterminator="\n").writerows((cells.keys(), cells.values()))
         return buf.getvalue().rstrip("\n")
-    if fmt == "table":
-        flat = _flatten(report)
-        width = max(len(k) for k in flat)
-        lines = []
-        for k, v in flat.items():
-            sv = f"{v:.12e}" if isinstance(v, float) else str(v)
-            lines.append(f"{k:<{width}}  {sv}")
-        return "\n".join(lines)
-    raise InvalidDistributionError(f"unknown format {fmt!r}")
+    width = max(map(len, cells))
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in cells.items())
 
 
 # ---------------------------------------------------------------------------

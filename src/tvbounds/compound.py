@@ -28,7 +28,6 @@ from .distributions import (
     convolve,
     family_geometric,
     is_log_concave,
-    point_mass,
 )
 from .errors import HypothesisError, InvalidDistributionError, NotApplicableError
 
@@ -107,8 +106,10 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
     return _three_term((1.0, lam * f1, lam * (lam * f1 * f1 / 2 + f2) if f1 else float(f.support_max > 1)), False)
 
 
-def _matched_report(nu: DiscreteDist, target: DiscreteDist, stated: float, details: dict) -> BoundReport:
-    """``certify``'s report at anchor 0 with the carried closed form.
+def _matched_report(nu: DiscreteDist, rho: float, stated: float, details: dict) -> BoundReport:
+    """``certify``'s report at anchor 0 against the geometric target of mass
+    ratio ``rho``, ``mu[k] = (1 - rho) rho^k``, with the carried closed form
+    ``stated``, raw and clamped (``details["stated_bound_clamped"]``).
 
     Its certificate is the aggregate law's relative to the target, so the
     envelope bounds are reported only when that holds, and the report is
@@ -116,8 +117,10 @@ def _matched_report(nu: DiscreteDist, target: DiscreteDist, stated: float, detai
     ``min(nu_0/mu_0 - 1, 1 - mu_0/nu_0)`` is always carried in ``details``
     (it can be negative when the certificate fails).
     """
+    target = _geometric_law(1.0 - rho, rho, DEFAULT_TAIL_BUDGET, len(nu.masses))
     n0, m0 = float(nu.mass(0)), float(target.mass(0))
-    details = dict(details, matched_atom_bound_raw=min(n0 / m0 - 1.0, 1.0 - m0 / n0))
+    details = dict(details, stated_bound_clamped=float(clamp01(stated)),
+                   matched_atom_bound_raw=min(n0 / m0 - 1.0, 1.0 - m0 / n0))
     return certify(target, nu, 0, stated_bound=stated, details=details)
 
 
@@ -137,15 +140,9 @@ def geometric_bound_compound_poisson(spec: CompoundPoissonSpec) -> BoundReport:
     ratio = lam * float(f.mass(1))
     if ratio >= 1:
         raise NotApplicableError(f"lam F_1 = {ratio:.6g} must be below 1")
-    nu = compound_poisson_pmf(spec)
-    target = _geometric_law(1.0 - ratio, ratio, DEFAULT_TAIL_BUDGET, len(nu.masses))
     stated = math.expm1(lam * (1.0 - float(f.mass(0))))
-    details = {
-        "theta": 1.0 - ratio,
-        "stated_bound_clamped": float(clamp01(stated)),
-        "proof_form_bound": math.exp(lam * (1.0 - float(f.mass(0)))) * (1.0 - ratio) - 1.0,
-    }
-    return _matched_report(nu, target, stated, details)
+    details = {"theta": 1.0 - ratio, "proof_form_bound": math.exp(lam * (1.0 - float(f.mass(0)))) * (1.0 - ratio) - 1.0}
+    return _matched_report(compound_poisson_pmf(spec), ratio, stated, details)
 
 
 def compound_geometric_pmf(spec: CompoundGeometricSpec) -> DiscreteDist:
@@ -162,11 +159,11 @@ def compound_geometric_pmf(spec: CompoundGeometricSpec) -> DiscreteDist:
     kmax = f.support_max
     q = 1.0 - p
     if kmax == 0:
-        return point_mass(0).to_float()
+        return DiscreteDist(0, (1.0,), 0.0)
     sub_budget = DEFAULT_TAIL_BUDGET * 1e-4 / kmax
     for _ in range(6):
         # summand masses (1-p) p^j are a geometric law with success mass 1-p
-        summand = family_geometric(q, sub_budget).to_float()
+        summand = family_geometric(q, sub_budget)
         j_exact = len(summand.masses) - 1
         out = [0.0] * (kmax * j_exact + 1)
         out[0] += float(f.mass(0))
@@ -213,9 +210,6 @@ def geometric_bound_compound_geometric(spec: CompoundGeometricSpec) -> BoundRepo
     rho = float(nu.mass(1)) / float(nu.mass(0))
     if rho >= 1:
         raise NotApplicableError(f"P[X=1]/P[X=0] = {rho:.6g} must be below 1")
-    # mass ratio rho exactly: mu[k] = (1 - rho) rho^k
-    target = _geometric_law(1.0 - rho, rho, DEFAULT_TAIL_BUDGET, len(nu.masses))
     base = 1.0 + (1.0 - f1) / (p * (1.0 - p))  # from 1e154 on the bound is inf and ``** 2`` would raise
     stated = (1.0 / f1) * base ** 2 - 1.0 if base < 1e154 else math.inf
-    details = {"rho": rho, "stated_bound_clamped": float(clamp01(stated))}
-    return _matched_report(nu, target, stated, details)
+    return _matched_report(nu, rho, stated, {"rho": rho})

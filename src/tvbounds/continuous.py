@@ -450,13 +450,13 @@ def gamma_tv_bound_perturbative(a: GammaParams, b: GammaParams, z: float) -> Bou
 
     ``|(z/e)^{dk} - 1| + (z/e)^{dk} (1 + kap_1 + kap_2) 2^{kap_1 + 1}
     |dk/(lam_2 z) + (lam_2 - lam_1)/lam_2|^{1/2}``, the last factor being
-    ``|drift| / lam_2`` for the condition's left side ``drift``; where this
-    form leaves the float range, in log space, saturated to ``inf``.  The
-    report carries it raw as ``stated_bound``, clamped as ``simplified``, ``z``
-    in ``details`` and the oracle ``tv_gamma_quadrature``.  Its hypothesis is
-    that both laws are log-concave, shapes at least 1: below, it fell under the
-    oracle TV (shapes 0.1 and 0.001 at rate 1, ``z = 1``: 0.767 against 0.945),
-    and a failed hypothesis reports no ``simplified``.
+    ``|drift| / lam_2`` for the condition's left side ``drift``, evaluated in
+    log space and saturated to ``inf``.  The report carries it raw as
+    ``stated_bound``, clamped as ``simplified``, ``z`` in ``details`` and the
+    oracle ``tv_gamma_quadrature``.  Its hypothesis is that both laws are
+    log-concave, shapes at least 1: below, it fell under the oracle TV (shapes
+    0.1 and 0.001 at rate 1, ``z = 1``: 0.767 against 0.945), and a failed
+    hypothesis reports no ``simplified``.
     """
     if not 0 < z < math.inf:
         raise InvalidDistributionError("z must be positive and finite")
@@ -464,19 +464,12 @@ def gamma_tv_bound_perturbative(a: GammaParams, b: GammaParams, z: float) -> Bou
     drift = dk / z + b.lam - a.lam
     if drift > b.lam / 4.0 + 1e-15:
         raise NotApplicableError("condition dk/z + lam_2 - lam_1 <= lam_2/4 not met")
-    try:
-        lead = (z / math.e) ** dk
-        dev = abs(drift) / b.lam
-        bound = abs(lead - 1.0) + lead * (1.0 + a.kappa + b.kappa) * 2.0 ** (a.kappa + 1.0) * math.sqrt(dev)
-    except OverflowError:
-        bound = math.inf
-    if not bound < math.inf:  # inf, or NaN from inf * 0
-        # every log is finite but log_lead and log |drift|, which is finite wherever log_lead is -inf
-        log_lead = dk * (math.log(z) - 1.0)
-        log_tail = -math.inf if not drift else (log_lead + math.log1p(a.kappa) + math.log1p(b.kappa / (1.0 + a.kappa))
-                                                + (a.kappa + 1.0) * math.log(2.0)
-                                                + 0.5 * (math.log(abs(drift)) - math.log(b.lam)))
-        bound = abs(_safe_expm1(log_lead)) + _safe_exp(log_tail)
+    # every log is finite but log_lead and log |drift|, which is finite wherever log_lead is -inf
+    log_lead = dk * (math.log(z) - 1.0)
+    log_tail = -math.inf if not drift else (log_lead + math.log1p(a.kappa) + math.log1p(b.kappa / (1.0 + a.kappa))
+                                            + (a.kappa + 1.0) * math.log(2.0)
+                                            + 0.5 * (math.log(abs(drift)) - math.log(b.lam)))
+    bound = abs(_safe_expm1(log_lead)) + _safe_exp(log_tail)
     cert = LogConcavityCertificate(a.kappa >= 1 and b.kappa >= 1, None, True)
     return BoundReport(None, None, float(clamp01(bound)) if cert.holds else None, None, cert,
                        tv_gamma_quadrature(a, b), bound, {"z": z})

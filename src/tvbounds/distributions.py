@@ -477,7 +477,9 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
     (small positive integers) otherwise, or ``(1, 1)`` without either.
     Indices are reported as ``base + i``.
 
-    Float cells are compared with ``CERT_REL_TOL`` slack.  Exact cells first
+    Float cells are compared with ``CERT_REL_TOL`` slack, on
+    ``_scaled_products`` where a side leaves the normal range and none of the
+    triple's cells (of ``a`` and ``ref``) is subnormal.  Exact cells first
     go through a log2 pre-check, ``_log2_undecided``, which accepts ``i``
     when the computed ``c_i = l a[i-1] + l a[i+1] - 2 l a[i] - (l R_i - l
     L_i)``, ``l = log2``, is below ``-margin``; only the other cells form the
@@ -503,6 +505,10 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
         else:
             left, right = (1, 1) if weights is None else (weights[0][i], weights[1][i])
         lhs, rhs = a[i - 1] * a[i + 1] * left, a[i] * a[i] * right
+        if not exact and (rhs < _MIN_NORMAL or lhs == math.inf):  # a side left the normal range
+            ls, rs = ((ref[i], ref[i]), (ref[i - 1], ref[i + 1])) if ref is not None else ((left,), (right,))
+            if all(_MIN_NORMAL <= c < math.inf for c in (a[i - 1], a[i], a[i + 1], *ls, *rs)):
+                lhs, rhs = _scaled_products((a[i - 1], a[i + 1], *ls), (a[i], a[i], *rs))
         # float cells: CERT_REL_TOL slack relative to the larger side
         if not (lhs <= rhs if exact else lhs <= rhs + CERT_REL_TOL * (rhs if rhs > lhs else lhs)):
             return LogConcavityCertificate(False, base + i, True)
@@ -512,18 +518,15 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
 _MIN_NORMAL = sys.float_info.min
 
 
-def _scaled_products(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """``a b`` and ``c d``, both times ``2**-e`` for the larger product's
-    binary exponent ``e``: each product is formed on ``math.frexp`` mantissas,
-    so it is rounded as in the normal range however small it is."""
-    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
-    x, y, ex, ey = ma * mb, mc * md, ea + eb, ec + ed
+def _scaled_products(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """The products of the factors ``xs`` and of ``ys``, both times ``2**-e``
+    for the larger product's binary exponent ``e``: each is formed on
+    ``math.frexp`` mantissas, so it is rounded as in the normal range however
+    far outside that range it lies."""
+    frexps = [[math.frexp(v) for v in vs] for vs in (xs, ys)]
+    (x, ex), (y, ey) = ((math.prod(m for m, _ in f), sum(e for _, e in f)) for f in frexps)
     e = max(ex, ey) if x and y else ex if x else ey
     return math.ldexp(x, ex - e), math.ldexp(y, ey - e)
-
-
-def _continuity_error(k: int) -> AbsoluteContinuityError:
-    return AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
 
 
 def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
@@ -568,7 +571,7 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
                 if not exact and (lhs < _MIN_NORMAL or rhs < _MIN_NORMAL):  # zero, subnormal or rounded to either
                     # every subnormal cell lands here, since no cell exceeds about 1
                     sub = any(0 < c < _MIN_NORMAL for c in (pc, qb, qc, pb))
-                    fl, fr = (None, None) if sub else _scaled_products(pc, qb, qc, pb)
+                    fl, fr = (None, None) if sub else _scaled_products((pc, qb), (qc, pb))
                 if fl is not None:
                     scale = fl if fl > fr else fr
                     gap = math.inf if scale == 0 else abs(fl - fr) / scale
@@ -598,7 +601,7 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
     """
     ac, relative, _, _ = _pair_scan(mu, nu)
     if ac is not None:
-        raise _continuity_error(ac)
+        raise AbsoluteContinuityError(f"target has mass at {ac} where the reference has none", {"index": ac})
     return relative()
 
 

@@ -201,7 +201,7 @@ def _anchor_gaps(mu: DiscreteDist, nu: DiscreteDist, ells=None) -> list[tuple[in
             if any(0 < c < sys.float_info.min for c in (p[i], p[i + 1], q[i], q[i + 1])):
                 continue  # a subnormal cell carries too few digits for a slope: no row
             if min(lhs, rhs) < sys.float_info.min:  # zero, subnormal or rounded to either
-                fl, fr = _scaled_products(p[i + 1], q[i], q[i + 1], p[i])
+                fl, fr = _scaled_products((p[i + 1], q[i]), (q[i + 1], p[i]))
         scale = max(fl, fr)
         gap = math.inf if scale == 0 else abs(fl - fr) / scale
         out.append((ell, (fl > fr) - (fl < fr), gap, matched))
@@ -508,10 +508,32 @@ class TestAnchorSearch:
     @given(st.lists(st.floats(1e-150, 1.0), min_size=4, max_size=4))
     def test_normal_cross_products_give_the_plain_gap(self, cells):
         a, b, c, d = cells
-        x, y = _scaled_products(a, b, c, d)
+        x, y = _scaled_products((a, b), (c, d))
         lhs, rhs = a * b, c * d
         assert (abs(x - y) / max(x, y)).hex() == (abs(lhs - rhs) / max(lhs, rhs)).hex()
         assert (x > y) == (lhs > rhs) and (x < y) == (lhs < rhs)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ((1e-200, 1e-200), (3e-200, 1e-200)),  # both plain products 0.0
+        ((1e200, 1e200, 0.5), (1e200, 3e200, 0.25)),  # both plain products inf
+        ((1e-80, 1e-80, 1e-80, 1e-80), (1e-160, 7e-161)),  # lists of two lengths
+        ((0.0, 1e300), (1e-300, 1e-300)),  # a zero factor
+        ((1e-300, 1e-300), (5.0, 0.0)),
+        ((0.0,), (0.0, 1e300)),
+    ])
+    def test_scaled_products_of_factor_lists(self, xs, ys):
+        # each product times one power of two, the larger in [2^-len, 1):
+        # their ratio is that of the exact products, rounded as in the normal range
+        x, y = _scaled_products(xs, ys)
+        exact = [math.prod(map(F, fs)) for fs in (xs, ys)]
+        if not any(exact):
+            assert (x, y) == (0.0, 0.0)
+            return
+        i = exact.index(max(exact))
+        assert 2.0 ** -len((xs, ys)[i]) <= (x, y)[i] < 1.0
+        assert (x == 0.0) == (exact[0] == 0) and (y == 0.0) == (exact[1] == 0)
+        if all(exact):
+            assert x / y == pytest.approx(float(exact[0] / exact[1]), rel=1e-15)
 
     def test_pb_binomial_subnormal_products_do_not_fake_a_match(self):
         # n = 1500, on every cell of the recursion: at ell = 871 both cross
@@ -815,6 +837,22 @@ class TestCertify:
             gc.enable()
 
 
+@pytest.mark.parametrize("mu, nu, ell, reason", [
+    (make_dist(0, [1.0, 1.0]), make_dist(0, [1.0, 1.0, 1.0]), None, "absolute continuity violated"),
+    (make_dist(0, [1, 1, 1]), make_dist(0, [4, 1, 4]), None, "target is not log-concave relative to the reference"),
+    (make_dist(0, [1, 1, 0, 1]), make_dist(0, [1, 1, 0, 0]), None, "reference support is not a contiguous interval"),
+    (make_dist(0, [0.5, 0.5]), make_dist(0, [1.0]), None, "no valid anchor (target support is a single atom)"),
+    (make_dist(0, [1, 1, 1, 1]), make_dist(0, [1, 2, 1]), 2, "anchor 2 needs positive target mass at 2 and 3"),
+    (make_dist(0, [0.5, 0.5, 1e-320, 1e-320]), make_dist(0, [0.2, 0.8, 1e-320, 1e-320]), 2,
+     "anchor 2 has subnormal float cells"),
+], ids=["absolute-continuity", "not-relative", "reference-gap", "single-atom", "outside-support", "subnormal"])
+def test_certify_names_each_not_applicable_reason(mu, nu, ell, reason):
+    # one shape: no anchor and no bounds, the caller's details and the reason
+    rep = certify(mu, nu, ell, stated_bound=0.5, details={"k": 1})
+    assert rep.details == {"k": 1, "not_applicable": reason}
+    assert rep.anchor is None and rep.core_bounds() == [] and rep.stated_bound == 0.5
+
+
 class TestStatus:
     """``status`` is derived from the hypothesis and ``details``, in that
     order, and ``to_json`` carries it."""
@@ -872,15 +910,15 @@ class TestDominanceSweep:
 
 
 class TestFloatPathDefects:
-    """Float-path defects: each test states the correct behaviour.  The strict
-    xfail is still open: the float certificate (ROADMAP item 9).  The
-    binomial report at n=3000 and the Poisson report at n=1000 pass since the
-    float pmf cut its tails below 2^-200 of its largest cell, and the Poisson
-    report at n=100 since the Poisson reference covers the sum's window: it
-    ended at 94, where the sum has mass up to 100."""
+    """Float-path defects: each test states the correct behaviour.  The
+    certificate agrees with exact arithmetic since its products are formed on
+    frexp mantissas where they leave the normal range: 1e-144 * 1e-180 against
+    (1e-169)^2 read 0 <= 0.  The binomial report at n=3000 and the Poisson
+    report at n=1000 pass since the float pmf cut its tails below 2^-200 of
+    its largest cell, and the Poisson report at n=100 since the Poisson
+    reference covers the sum's window: it ended at 94, where the sum has mass
+    up to 100."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="float certificate products underflow and pass vacuously")
     def test_certificate_agrees_with_exact_arithmetic(self):
         ex = [k * k for k in range(14)] + [180, 191]
         flat = make_dist(0, [1] * len(ex))

@@ -308,6 +308,25 @@ class TestGeometricBoundCompoundGeometric:
             geometric_bound_compound_geometric(CompoundGeometricSpec(count, 0.3))
 
 
+@pytest.mark.parametrize("report, pmf, spec, own", [
+    (geometric_bound_compound_poisson, compound_poisson_pmf, CompoundPoissonSpec(3.0, make_dist(0, (0.7, 0.3))),
+     {"theta", "proof_form_bound"}),
+    (geometric_bound_compound_geometric, compound_geometric_pmf,
+     CompoundGeometricSpec(make_dist(0, (0.0, 0.5, 0.5)), 0.3), {"rho"}),
+    (geometric_bound_compound_geometric, compound_geometric_pmf,
+     CompoundGeometricSpec(make_dist(0, (0.2, 0.8)), 0.3), {"rho", "not_applicable"}),
+], ids=["poisson", "geometric", "geometric-not-applicable"])
+def test_both_compound_reports_carry_the_matched_report_keys(report, pmf, spec, own):
+    # both compare the aggregate with the geometric target of mass ratio rho,
+    # whose atom at 0 is 1 - rho, and carry their closed form clamped beside
+    # their own keys
+    rep = report(spec)
+    assert set(rep.details) == own | {"stated_bound_clamped", "matched_atom_bound_raw"}
+    assert rep.details["stated_bound_clamped"] == min(max(rep.stated_bound, 0.0), 1.0)
+    n0, m0 = float(pmf(spec).mass(0)), rep.details["theta"] if "theta" in own else 1.0 - rep.details["rho"]
+    assert rep.details["matched_atom_bound_raw"] == min(n0 / m0 - 1.0, 1.0 - m0 / n0)
+
+
 class TestParameterValidation:
     def test_summand_parameter_domain(self):
         with pytest.raises(InvalidDistributionError):

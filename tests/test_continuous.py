@@ -414,6 +414,49 @@ def test_perturbative_report_needs_log_concave_laws():
     assert rep.details == {"z": 1.0} and rep.dominated is True
 
 
+def _mp_perturbative(a, b, z):
+    """Case ii's formula at 50 digits."""
+    ka, la, kb, lb, z = (mp.mpf(v) for v in (a.kappa, a.lam, b.kappa, b.lam, z))
+    lead = (z / mp.e) ** (ka - kb)
+    return abs(lead - 1) + lead * (1 + ka + kb) * mp.mpf(2) ** (ka + 1) * mp.sqrt(abs((ka - kb) / z + lb - la) / lb)
+
+
+def _perturbative_draw(rng, far):
+    """Valid case-ii inputs: shapes 1-6, rates 0.2-3 and ``z`` 0.1-10, where
+    the direct form stays in the float range, or (``far``) shapes past 1023,
+    where ``2^(kap_1 + 1)`` alone overflows, with the lead term sized so that
+    the bound spans e^-720 .. e^720 around 1."""
+    while True:
+        z, lb = rng.uniform(0.1, 10), rng.uniform(0.2, 3)
+        if far:
+            ka, z = rng.uniform(1024, 3000), rng.uniform(0.1, 2.5)
+            kb = ka - ((ka + 1) * math.log(2.0) + rng.uniform(-720, 700)) / (1 - math.log(z))
+            la = (ka - kb) / z + lb - rng.uniform(-3, 0.24) * lb
+        else:
+            ka, kb, la = rng.uniform(1, 6), rng.uniform(1, 6), rng.uniform(0.2, 3)
+        if kb > 0 and la > 0 and (ka - kb) / z + lb - la <= lb / 4:
+            return GammaParams(ka, la), GammaParams(kb, lb), z
+
+
+def test_perturbative_bound_against_mpmath():
+    # the log-space form on both sides of where the direct form overflowed,
+    # within 1e-13 plus the rounding of its inputs: dk = kap_1 - kap_2, log z
+    # and the logs of size kap_1 are off by eps of their size, and the drift
+    # by eps of its terms, which cancel; a bound past e^709 saturates to inf
+    rng = random.Random(35)
+    for i in range(500):
+        a, b, z = _perturbative_draw(rng, far=i % 2 == 1)
+        got, want = cont.gamma_tv_bound_perturbative(a, b, z).stated_bound, _mp_perturbative(a, b, z)
+        if got == math.inf:
+            assert want > mp.exp(709), (a.kappa, b.kappa, z)
+            continue
+        dk = a.kappa - b.kappa
+        drift = dk / z + b.lam - a.lam
+        sizes = abs(dk) * (abs(math.log(z)) + 1.0) + (a.kappa + 1.0) * math.log(2.0) + (
+            abs(dk / z) + a.lam + b.lam) / abs(drift)
+        assert abs(got - want) <= (1e-13 + 8 * cont._EPS * sizes) * want, (a.kappa, a.lam, b.kappa, b.lam, z)
+
+
 def test_anchored_report_reads_the_crossings_it_carries():
     a, b = GammaParams(3.0, 2.0), GammaParams(2.0, 1.0)
     rep = cont.gamma_tv_bound_anchored(a, b)

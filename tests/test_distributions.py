@@ -400,11 +400,12 @@ class TestULC:
         # C(m, k)^2 leaves the float range from m ~ 520; the ratio form builds
         # no coefficient
         assert is_ulc(family_binomial(600, F(1, 2)).to_float().masses, 600).holds
-        # at m = 1200 the tail masses are subnormal and the products of the
-        # three-term check lose their precision, so the verdict there is not
-        # trustworthy in float (a log-space certificate is the fix); it must
-        # still come back as a certificate
-        assert is_ulc(family_binomial(1200, 0.5).masses, 1200).support_is_interval
+        # at m = 1200 the cells around 156 are about 5e-162, still normal, but
+        # the products of the three-term check there are subnormal (3.24e-318
+        # against 3.22e-318, which failed at 156): formed on frexp mantissas
+        # they keep their digits.  The cells 17..36 are subnormal themselves
+        # and keep the plain products
+        assert is_ulc(family_binomial(1200, 0.5).masses, 1200).holds
 
 
 def _random_exact_sequence(rng):

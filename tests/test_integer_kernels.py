@@ -20,9 +20,11 @@ from tvbounds import (
 )
 from tvbounds.bounds import anchor_at, _candidate_anchors, tv_bounds_at_anchor
 from tvbounds.distributions import (
+    CERT_REL_TOL,
     Interval,
     _log2_undecided,
     _three_term,
+    is_log_concave,
     is_log_concave_relative,
     is_ulc,
     is_ulc_infinity,
@@ -388,3 +390,89 @@ class TestLog2PreCheck:
         assert oracle_certificate(nu, mu) == (False, 29, True)
         (cells, _), (ref, _) = nu.integer_masses, mu.integer_masses
         assert 29 in _log2_undecided(cells, 0, 60, ref=ref)
+
+
+# ---------------------------------------------------------------------------
+# float certificates whose products leave the normal range
+# ---------------------------------------------------------------------------
+
+
+def _exact_unless_near_tie(a, weights):
+    """``(holds, first_violation)`` of the three-term inequality on the exact
+    values of the positive float cells ``a``, with ``(L, R) = weights(i)``, or
+    None where a triple whose sides lie within ``CERT_REL_TOL`` of a tie comes
+    first: the float slack may decide that one either way."""
+    cells = [F(v) for v in a]
+    for i in range(1, len(cells) - 1):
+        left, right = weights(i)
+        lhs, rhs = cells[i - 1] * cells[i + 1] * left, cells[i] ** 2 * right
+        if abs(lhs - rhs) <= F(CERT_REL_TOL) * max(lhs, rhs):
+            return None
+        if lhs > rhs:
+            return False, i
+    return True, None
+
+
+@st.composite
+def scaled_runs(draw, top=1000):
+    """Integer runs, log-concave (binomial coefficients over a geometric run)
+    or dented or arbitrary, times ``2^k`` for ``k`` in -1000..``top``: every
+    cell is normal, and the products of a three-term check leave the float
+    range once ``|k|`` passes about 512."""
+    n = draw(st.integers(3, 10))
+    if draw(st.booleans()):
+        m, x = draw(st.integers(n - 1, 12)), draw(st.integers(1, 4))
+        run = [math.comb(m, j) * x**j for j in range(n)]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, n - 1))
+            run[j] += draw(st.sampled_from([-1, 1])) * (run[j] // 3)
+    else:
+        run = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    # mostly far enough out that the products leave the float range
+    far = [st.integers(-1000, -520)] + ([st.integers(520, top)] if top >= 520 else [])
+    k = min(draw(st.one_of(*far, st.integers(-1000, top))), 1020 - max(run).bit_length())
+    return [math.ldexp(v, k) for v in run]
+
+
+@st.composite
+def scaled_pairs(draw):
+    """A target run and a positive reference run of its length, both small
+    enough to be a law's cells beside a tail deficit."""
+    q = draw(scaled_runs(top=-40))
+    k = draw(st.integers(-1000, -40))
+    return q, [math.ldexp(v, k) for v in draw(st.lists(st.integers(1, 60), min_size=len(q), max_size=len(q)))]
+
+
+def _law(cells):
+    return DiscreteDist(0, cells, 1.0 - math.fsum(cells))
+
+
+class TestFloatCertificatesOutsideTheNormalRange:
+    """Where a product of normal cells under- or overflows, each float
+    certificate gives the exact verdict on its stored cells."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_runs(), st.integers(0, 8))
+    def test_counting_and_ulc_certificates(self, a, extra):
+        m = len(a) - 1 + extra
+        checks = [(is_ulc(a, m), lambda k: ((k + 1) * (m - k + 1), k * (m - k))),
+                  (is_ulc_infinity(a), lambda k: (k + 1, k))]
+        if math.fsum(a) < 1:
+            checks.append((is_log_concave(_law(a)), lambda k: (1, 1)))
+        for cert, weights in checks:
+            want = _exact_unless_near_tie(a, weights)
+            if want is not None:
+                assert _verdict(cert) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_pairs())
+    def test_relative_certificate(self, pair):
+        q, p = pair
+        want = _exact_unless_near_tie(q, lambda i: (F(p[i]) ** 2, F(p[i - 1]) * F(p[i + 1])))
+        if want is not None:
+            assert _verdict(is_log_concave_relative(_law(q), _law(p))) == want
+
+    def test_overflowing_products_do_not_pass_as_inf_below_inf(self):
+        # at 2 the left side 3e320 overflows, and its slack made inf <= inf
+        a = [1.0, 1e160, 1e150, 1e160]
+        assert _verdict(is_ulc_infinity(a)) == _verdict(is_ulc_infinity([F(v) for v in a])) == (False, 2)
