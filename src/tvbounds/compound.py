@@ -103,7 +103,7 @@ def log_concave_criterion(spec: CompoundPoissonSpec) -> LogConcavityCertificate:
         raise HypothesisError("severity mass function is not log-concave",
                               {"certificate": cert.to_json()})
     lam, f1, f2 = spec.lam, float(f.mass(1)), float(f.mass(2))
-    return _three_term((1.0, lam * f1, lam * (lam * f1 * f1 / 2 + f2) if f1 else float(f.support_max > 1)), False)
+    return _three_term((1.0, lam * f1, lam * (lam * f1 * f1 / 2 + f2) if f1 else float(f.support_max > 1)))
 
 
 def _matched_report(nu: DiscreteDist, rho: float, stated: float, details: dict) -> BoundReport:

@@ -8,16 +8,23 @@ recorded in ``tail_deficit``: every distance downstream is an honest interval,
 and every envelope bound is raised by the target's.  The application modules
 and the CLI truncate at ``DEFAULT_TAIL_BUDGET``; only ``family_geometric`` takes another budget.
 
-Arithmetic is dual-path.  Masses built from ``int``/``Fraction`` inputs stay
-exact rational (used for oracles and certificates); anything constructed from
-floats stays float.  Every certificate is one kernel, ``_three_term``:
-interval support of ``a`` and ``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` at each
-interior ``i``, cross-multiplied so that no logarithm of zero misfires, exact
-for rational cells and with relative slack ``CERT_REL_TOL`` (read nowhere
-else) for floats.  The weights ``(L_i, R_i)`` are ``(p_i^2, p_{i-1}
-p_{i+1})`` relative to a reference ``p``, ``(1, 1)`` for the counting
-measure, ``((k+1)(m-k+1), k(m-k))`` for ultra log-concavity of order ``m``
-and ``(k+1, k)`` for infinite order.
+The values' types decide the arithmetic: no constructor casts, so masses
+built from ``int``/``Fraction`` inputs stay exact rational and a float among
+them makes the result float, as ``Fraction * float`` is ``float(a) * b``
+(``int / int`` is a float, so exact quotients are ``Fraction(a, b)``).  The
+tests on exactness that remain choose algorithms: the integer kernels below,
+``convolve``'s compensated float sum, ``family_binomial``'s float ratio walk,
+``_geometric_law``'s log of an exact ratio, whose ``float`` can underflow,
+``_pair_scan``'s ``0.0`` start, which rounds a mixed law's ``Fraction``
+cells as it adds them, and, in ``sums`` and ``intrinsic_volumes``, the float
+pmf kernel, the log-space bound and the cube's ``frexp`` powers.  Every
+certificate is one kernel, ``_three_term``: interval support of ``a`` and
+``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` at each interior ``i``, cross-multiplied
+so that no logarithm of zero misfires, exact when all its cells are and with
+relative slack ``CERT_REL_TOL`` (read nowhere else) otherwise.  The weights
+``(L_i, R_i)`` are ``(p_i^2, p_{i-1} p_{i+1})`` relative to a reference
+``p``, ``(1, 1)`` for the counting measure, ``((k+1)(m-k+1), k(m-k))`` for
+ultra log-concavity of order ``m`` and ``(k+1, k)`` for infinite order.
 
 Every fact about a pair of laws, from absolute continuity to the anchor gap
 rows, comes from one walk over their aligned cells, ``_pair_scan``, which
@@ -134,15 +141,15 @@ class DiscreteDist:
     def __post_init__(self):
         if not self.masses:
             raise InvalidDistributionError("empty mass sequence")
-        self.is_exact = exact = _is_exact(self.tail_deficit) and all(map(_is_exact, self.masses))
-        cells, den = self.integer_masses if exact else (self.masses, 1)
+        self.is_exact = _is_exact(self.tail_deficit) and all(map(_is_exact, self.masses))
+        cells, den = self.integer_masses if self.is_exact else (self.masses, 1)
         if any(m < 0 for m in cells):
             raise InvalidDistributionError("negative mass")
         if all(m == 0 for m in cells):  # a NaN cell goes on to the sum check
             raise InvalidDistributionError("all masses zero")
         if self.tail_deficit < 0:
             raise InvalidDistributionError("negative tail deficit")
-        total = (Fraction(sum(cells), den) if exact else sum(cells)) + self.tail_deficit
+        total = sum(cells) / den + self.tail_deficit
         if not abs(total - 1) <= _NORMALIZATION_GUARD:  # NaN fails too
             raise InvalidDistributionError(f"masses + tail_deficit sum to {float(total)!r}, not 1")
 
@@ -209,13 +216,11 @@ def make_dist(offset: int, masses: Sequence[Scalar]) -> DiscreteDist:
         raise InvalidDistributionError("empty mass sequence")
     if any(m < 0 for m in masses):
         raise InvalidDistributionError("negative mass")
-    total = sum(masses)
+    cast = Fraction if all(map(_is_exact, masses)) else float
+    total = cast(sum(masses))
     if total <= 0:
         raise InvalidDistributionError("all masses zero")
-    if all(_is_exact(m) for m in masses):
-        total = Fraction(total)
-        return DiscreteDist(offset, tuple(Fraction(m) / total for m in masses), Fraction(0))
-    return DiscreteDist(offset, tuple(float(m) / total for m in masses), 0.0)
+    return DiscreteDist(offset, tuple(cast(m) / total for m in masses), cast(0))
 
 
 def point_mass(k: int) -> DiscreteDist:
@@ -230,10 +235,7 @@ def point_mass(k: int) -> DiscreteDist:
 def family_bernoulli(p: Scalar) -> DiscreteDist:
     if not 0 <= p <= 1:
         raise InvalidDistributionError("Bernoulli p must lie in [0, 1]")
-    if _is_exact(p):
-        p = Fraction(p)
-        return DiscreteDist(0, (1 - p, p), Fraction(0))
-    return DiscreteDist(0, (1.0 - float(p), float(p)), 0.0)
+    return DiscreteDist(0, (1 - p, p), 0)
 
 
 def family_binomial(n: int, p: Scalar) -> DiscreteDist:
@@ -242,15 +244,10 @@ def family_binomial(n: int, p: Scalar) -> DiscreteDist:
     if not 0 <= p <= 1:
         raise InvalidDistributionError("binomial p must lie in [0, 1]")
     if _is_exact(p):
-        p = Fraction(p)
         q = 1 - p
-        masses = tuple(math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1))
-        return DiscreteDist(0, masses, Fraction(0))
-    p = float(p)
-    if p in (0.0, 1.0):
-        masses = [0.0] * (n + 1)
-        masses[0 if p == 0.0 else n] = 1.0
-        return DiscreteDist(0, tuple(masses), 0.0)
+        return DiscreteDist(0, tuple(math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)), 0)
+    if p == 1.0:
+        return DiscreteDist(0, (0.0,) * n + (1.0,), 0.0)
     # each cell from its neighbour by the mass ratio m_{k+1}/m_k = (n-k)/(k+1)
     # p/q, outward from the mode (set to 1, so nothing overflows), then
     # normalized: neighbouring cells keep their ratio to a few ulps, which the
@@ -321,7 +318,6 @@ def family_geometric(
     """
     if not 0 < theta <= 1:
         raise InvalidDistributionError("geometric theta must lie in (0, 1]")
-    theta = Fraction(theta) if _is_exact(theta) else float(theta)
     return _geometric_law(theta, 1 - theta, tail_budget, min_length)
 
 
@@ -337,9 +333,8 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
         raise InvalidDistributionError("tail budget must lie in (0, 1)")
     if r == 0:
         return DiscreteDist(0, (Fraction(1),) + (Fraction(0),) * (max(min_length, 1) - 1), Fraction(0))
-    exact = _is_exact(theta) and _is_exact(r)
     # float(r) of an exact r can underflow, so its log is taken as in _log2_cells
-    log_r = math.log(r.numerator) - math.log(r.denominator) if exact else math.log(r)
+    log_r = math.log(r.numerator) - math.log(r.denominator) if _is_exact(r) else math.log(r)
     # residual after masses 0..K is r^(K+1)
     need = math.ceil(math.log(tail_budget) / log_r) if log_r else math.inf
     if need > _MAX_GEOMETRIC_CELLS:
@@ -351,8 +346,7 @@ def _geometric_law(theta: Scalar, r: Scalar, tail_budget: float, min_length: int
     for _ in range(length):
         masses.append(term)
         term = term * r
-    deficit = r ** length if exact else float(r) ** length
-    return DiscreteDist(0, tuple(masses), deficit)
+    return DiscreteDist(0, tuple(masses), r**length)
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +393,13 @@ def _bernoulli_step(band: list, p, q) -> list:
 def convolve(x: DiscreteDist, y: DiscreteDist) -> DiscreteDist:
     """Exact discrete convolution; offsets sum, tail deficits add."""
     a, b = x.masses, y.masses
-    exact = x.is_exact and y.is_exact
-    if not exact:
-        a = tuple(float(v) for v in a)
-        b = tuple(float(v) for v in b)
+    add = sum if x.is_exact and y.is_exact else _neumaier_sum
     out = []
     for k in range(len(a) + len(b) - 1):
         lo = max(0, k - len(b) + 1)
         hi = min(k, len(a) - 1)
-        cells = (a[i] * b[k - i] for i in range(lo, hi + 1))
-        out.append(sum(cells) if exact else _neumaier_sum(cells))
-    deficit = x.tail_deficit + y.tail_deficit
-    if not exact:
-        deficit = float(deficit)
-    return DiscreteDist(x.offset + y.offset, tuple(out), deficit)
+        out.append(add(a[i] * b[k - i] for i in range(lo, hi + 1)))
+    return DiscreteDist(x.offset + y.offset, tuple(out), x.tail_deficit + y.tail_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +456,7 @@ def _log2_undecided(a: Sequence[Scalar], lo: int, hi: int, ref=None, weights=Non
             yield lo + j
 
 
-def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: int = 0) -> LogConcavityCertificate:
+def _three_term(a: Sequence[Scalar], ref=None, weights=None, base: int = 0) -> LogConcavityCertificate:
     """The one log-concavity kernel: interval support of ``a``, then
     ``a[i-1] a[i+1] L_i <= a[i]^2 R_i`` at each interior ``i``, with ``(L_i,
     R_i) = (ref[i]^2, ref[i-1] ref[i+1])`` against the cells of a reference
@@ -477,6 +464,9 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
     (small positive integers) otherwise, or ``(1, 1)`` without either.
     Indices are reported as ``base + i``.
 
+    It is exact when every cell of ``a`` and ``ref`` is ``int``/``Fraction``
+    (the test stops at the first float).  Each side is formed weight first,
+    ``a[i-1] (a[i+1] L_i)``, so none of its partial products is smaller.
     Float cells are compared with ``CERT_REL_TOL`` slack, on
     ``_scaled_products`` where a side leaves the normal range and none of the
     triple's cells (of ``a`` and ``ref``) is subnormal.  Exact cells first
@@ -499,12 +489,13 @@ def _three_term(a: Sequence[Scalar], exact: bool, ref=None, weights=None, base: 
     ok, gap, lo, hi = _support_interval(a, 0)
     if not ok:
         return LogConcavityCertificate(False, base + gap, False)
+    exact = all(map(_is_exact, a)) and (ref is None or all(map(_is_exact, ref)))
     for i in _log2_undecided(a, lo, hi, ref, weights) if exact else range(lo + 1, hi):
         if ref is not None:
             left, right = ref[i] * ref[i], ref[i - 1] * ref[i + 1]
         else:
             left, right = (1, 1) if weights is None else (weights[0][i], weights[1][i])
-        lhs, rhs = a[i - 1] * a[i + 1] * left, a[i] * a[i] * right
+        lhs, rhs = a[i - 1] * (a[i + 1] * left), a[i] * (a[i] * right)
         if not exact and (rhs < _MIN_NORMAL or lhs == math.inf):  # a side left the normal range
             ls, rs = ((ref[i], ref[i]), (ref[i - 1], ref[i + 1])) if ref is not None else ((left,), (right,))
             if all(_MIN_NORMAL <= c < math.inf for c in (a[i - 1], a[i], a[i + 1], *ls, *rs)):
@@ -581,7 +572,7 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
     t, zero = (Fraction(t, den), Fraction(0)) if exact else (float(t), 0.0)
     lo = max(t - mu.tail_deficit, zero) if mu.tail_deficit else t
     hi = min(t + nu.tail_deficit, zero + 1) if nu.tail_deficit else t
-    return ac, lambda: _three_term(q, exact, ref=p, base=start), rows, Interval(lo, hi)
+    return ac, lambda: _three_term(q, ref=p, base=start), rows, Interval(lo, hi)
 
 
 def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityCertificate:
@@ -607,7 +598,7 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
 
 def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:
     """Log-concavity against the counting measure on the distribution's window."""
-    return _three_term(nu.integer_masses[0] if nu.is_exact else nu.masses, nu.is_exact, base=nu.offset)
+    return _three_term(nu.integer_masses[0] if nu.is_exact else nu.masses, base=nu.offset)
 
 
 def _check_raw_cells(a: list) -> None:
@@ -631,8 +622,8 @@ def is_ulc(a: Sequence[Scalar], m: int) -> LogConcavityCertificate:
     if len(a) > m + 1:
         raise InvalidDistributionError(f"sequence longer than m+1 = {m + 1}")
     _check_raw_cells(a)
-    return _three_term(a, all(map(_is_exact, a)), weights=([(k + 1) * (m - k + 1) for k in range(len(a))],
-                                                             [k * (m - k) for k in range(len(a))]))
+    ks = range(len(a))
+    return _three_term(a, weights=([(k + 1) * (m - k + 1) for k in ks], [k * (m - k) for k in ks]))
 
 
 def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
@@ -643,4 +634,4 @@ def is_ulc_infinity(a: Sequence[Scalar]) -> LogConcavityCertificate:
     """
     a = list(a)
     _check_raw_cells(a)
-    return _three_term(a, all(map(_is_exact, a)), weights=(range(1, len(a) + 1), range(len(a))))
+    return _three_term(a, weights=(range(1, len(a) + 1), range(len(a))))

@@ -13,7 +13,6 @@ numerical defect, gives a failed ``hypothesis``, not an input error.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .bounds import BoundReport, _safe_exp, _safe_expm1, certify, clamp01
@@ -78,33 +77,31 @@ def iv_box(s: Sequence[Scalar]) -> IVSequence:
         raise InvalidDistributionError("at least one side required")
     if any(v <= 0 for v in s):
         raise InvalidDistributionError("sides must be positive")
-    if not all(_is_exact(v) or v < math.inf for v in s):
+    if not all(v < math.inf for v in s):  # an exact side compares with inf unconverted
         raise InvalidDistributionError("sides must be finite")
-    exact = all(_is_exact(v) for v in s)
-    coeff = [Fraction(1) if exact else 1.0]
+    coeff = [1]
     for side in s:
-        coeff = _bernoulli_step(coeff, Fraction(side) if exact else float(side), 1)
+        coeff = _bernoulli_step(coeff, side, 1)
     return IVSequence(len(s), tuple(coeff))
 
 
 def iv_cube(n: int, s: Scalar) -> IVSequence:
     """Cube of side ``s``: ``V_j = s^j C(n, j)``; the size distribution is
-    Binomial(n, s/(1+s))."""
+    Binomial(n, s/(1+s)).  A float side's ``V_j`` is ``C(n, j) m^j 2^(e j)``
+    with ``s = m 2^e``: ``s^j`` alone leaves the normal range, and its
+    digits, where ``V_j`` does not."""
     if n < 0:
         raise InvalidDistributionError("dimension must be >= 0")
-    if not s > 0:
-        raise InvalidDistributionError("side must be positive")
-    exact = _is_exact(s)
-    if exact:
-        s = Fraction(s)
+    if not 0 < s < math.inf:
+        raise InvalidDistributionError("side must be positive and finite")
+    if _is_exact(s):
+        return IVSequence(n, tuple(s**j * math.comb(n, j) for j in range(n + 1)))
+    m, e = math.frexp(s)
     try:
-        V = tuple(s**j * math.comb(n, j) for j in range(n + 1))
-        finite = exact or all(map(math.isfinite, V))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise InvalidDistributionError(f"intrinsic volumes of the cube in dimension {n} leave the float range")
-    return IVSequence(n, V)
+        return IVSequence(n, tuple(math.ldexp(math.comb(n, j) * m**j, e * j) for j in range(n + 1)))
+    except OverflowError:  # C(n, j) or V_j past the float range
+        pass
+    raise InvalidDistributionError(f"intrinsic volumes of the cube in dimension {n} leave the float range")
 
 
 def ball_volume(m: int) -> float:

@@ -50,9 +50,7 @@ class BernoulliVector:
 
     @cached_property
     def alphas(self) -> tuple:
-        if self.is_exact:
-            return tuple(1 - Fraction(v) for v in self.p)
-        return tuple(1.0 - float(v) for v in self.p)
+        return tuple(1 - v for v in self.p)
 
     @cached_property
     def is_exact(self) -> bool:
@@ -62,7 +60,9 @@ class BernoulliVector:
     def lambda_n(self) -> Scalar:
         """``sum p_i/alpha_i = n (m_n - 1)``, the ratio the references match,
         summed directly: ``n (m_n - 1)`` cancels for small ``p_i``."""
-        return (sum if self.is_exact else math.fsum)(v / a for v, a in zip(self.p, self.alphas))
+        if self.is_exact:  # an int p_i = 0 over its alpha_i = 1 would divide to 0.0
+            return sum(map(Fraction, self.p, self.alphas))
+        return math.fsum(v / a for v, a in zip(self.p, self.alphas))
 
 
 def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
@@ -108,12 +108,12 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     # integer numerators over ``den`` while every summand is rational
     band, den = [1], 1
     for x in ps[:k]:
-        num, d = Fraction(x).as_integer_ratio()
+        num, d = x.as_integer_ratio()
         band = _bernoulli_step(band, num, d - num)
         den *= d
     if k == len(ps):
         return DiscreteDist(0, tuple(Fraction(x, den) for x in band), Fraction(0))
-    pairs = sorted((float(x), float(1 - Fraction(x))) if _is_exact(x) else (float(x), 1.0 - float(x)) for x in ps[k:])
+    pairs = sorted((float(x), float(1 - x)) for x in ps[k:])
     pairs.sort(key=lambda pq: pq[0] * pq[1])  # stable: increasing p * q, ties by p, then q
     pairs = [(0.0, 1.0)] * (-len(pairs) % 16) + pairs  # identity summands: c * 0.0 + y * 1.0 == y
     # cells ``lo ..`` of the mass function

@@ -223,12 +223,12 @@ def _reference_tv(mu, nu):
 
 
 def _reference_relative(nu, mu):
-    exact, start, p, _, q, _ = _pair_cells(mu, nu)
+    _, start, p, _, q, _ = _pair_cells(mu, nu)
     for i, (pk, qk) in enumerate(zip(p, q)):
         if qk > 0 and pk == 0:
             k = start + i
             raise AbsoluteContinuityError(f"target has mass at {k} where the reference has none", {"index": k})
-    return _three_term(q, exact, ref=p, base=start)
+    return _three_term(q, ref=p, base=start)
 
 
 def _reference_anchor(row):

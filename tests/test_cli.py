@@ -156,6 +156,15 @@ def test_iv_failing_its_float_ulc_certificate_reports_the_failed_hypothesis():
     assert report["bound_nu_side"] >= report["oracle_tv"][1]
 
 
+def test_iv_float_cube_whose_side_powers_leave_the_normal_range_is_certified():
+    # s^j went subnormal before the binomial coefficient lifted it, and the
+    # rounded volumes failed their certificate: exit 2, hypothesis_failed
+    code, text = run(["iv", "--cube", "724,0.13912224296616743", "--m", "0"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["status"] == "certified" and report["dominated"] is True
+
+
 def test_matroid_exits_2_when_neither_report_is_certified():
     # at m = 0 without the empty set the size law has no mass at 0, so both
     # reports are not applicable: the binomial one held with no bound and

@@ -2,6 +2,8 @@ import math
 import random
 import sys
 from fractions import Fraction as F
+from itertools import accumulate
+from operator import mul
 
 import mpmath
 import pytest
@@ -12,6 +14,7 @@ from tvbounds import (
     AbsoluteContinuityError,
     DiscreteDist,
     InvalidDistributionError,
+    LogConcavityCertificate,
     convolve,
     family_bernoulli,
     family_binomial,
@@ -25,7 +28,7 @@ from tvbounds import (
     point_mass,
     tv_distance,
 )
-from tvbounds.distributions import DEFAULT_TAIL_BUDGET
+from tvbounds.distributions import DEFAULT_TAIL_BUDGET, _neumaier_sum
 
 _MP = mpmath.mp.clone()
 _MP.dps = 40
@@ -35,6 +38,20 @@ def dists_equal(x, y, tol=0.0):
     lo = min(x.offset, y.offset)
     hi = max(x.end, y.end)
     return all(abs(x.mass(k) - y.mass(k)) <= tol for k in range(lo, hi))
+
+
+def bits(values):
+    """Floats by ``float.hex``, exact values as fractions: two sequences of
+    equal bits hold the same values in the same arithmetic."""
+    return [v.hex() if isinstance(v, float) else F(v) for v in values]
+
+
+def assert_law(d, masses, deficit):
+    """``d`` holds ``masses`` and ``deficit`` bit for bit, and is exact when they are."""
+    assert bits(d.masses) == bits(masses)
+    # a zero deficit says the same in either arithmetic: nothing is left out
+    assert bits([d.tail_deficit]) == bits([deficit]) if deficit else d.tail_deficit == 0
+    assert d.is_exact == (not any(isinstance(v, float) for v in (*masses, deficit)))
 
 
 class TestMakeDist:
@@ -58,6 +75,17 @@ class TestMakeDist:
     def test_empty_rejected(self):
         with pytest.raises(InvalidDistributionError):
             make_dist(0, [])
+
+    @pytest.mark.parametrize("masses", [[2, 2], [F(1, 3), 1, F(5, 7)], [0.1, 0.2, 0.7], [1, 0.5], [F(1, 3), 0.25, 0]])
+    def test_keeps_its_inputs_arithmetic(self, masses):
+        # the cast formulas the constructor used to spell out per arithmetic
+        if all(isinstance(m, (int, F)) for m in masses):
+            total = F(sum(masses))
+            want, deficit = [F(m) / total for m in masses], F(0)
+        else:
+            total = sum(masses)
+            want, deficit = [float(m) / total for m in masses], 0.0
+        assert_law(make_dist(0, masses), want, deficit)
 
     @pytest.mark.parametrize("build", [
         lambda: DiscreteDist(0, (math.nan, 1.0)),
@@ -203,6 +231,35 @@ class TestFamilies:
         with pytest.raises(TypeError):
             family_poisson(2.0, 1e-14)
 
+    @pytest.mark.parametrize("p", [0, 1, F(2, 7), 0.0, 1.0, 0.3])
+    def test_bernoulli_keeps_its_inputs_arithmetic(self, p):
+        want = (1 - F(p), F(p)) if isinstance(p, (int, F)) else (1.0 - p, p)
+        assert_law(family_bernoulli(p), want, F(0) if isinstance(p, (int, F)) else 0.0)
+
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (0, 1, 2, 7, 100) for p in (0, 1, F(2, 7))]
+                             + [(n, p) for n in (0, 1, 2, 7, 100, 3000) for p in (0.0, 1.0)])
+    def test_binomial_keeps_its_inputs_arithmetic(self, n, p):
+        if isinstance(p, float):
+            # the float recurrence at p = 0.0 gives the point mass the
+            # parent's special case wrote out; p = 1.0 keeps its case
+            want = [0.0] * (n + 1)
+            want[0 if p == 0.0 else n] = 1.0
+            deficit = 0.0
+        else:
+            q = 1 - F(p)
+            want, deficit = [math.comb(n, k) * F(p) ** k * q ** (n - k) for k in range(n + 1)], F(0)
+        assert_law(family_binomial(n, p), want, deficit)
+
+    @pytest.mark.parametrize("theta", [1, 1.0, F(1, 3), 0.25])
+    def test_geometric_keeps_its_inputs_arithmetic(self, theta):
+        d = family_geometric(theta, 1e-6)
+        if theta == 1:  # a ratio of 0 is the exact point mass at 0
+            assert_law(d, [F(1)], F(0))
+            return
+        r = 1 - theta
+        want = list(accumulate([r] * (len(d.masses) - 1), mul, initial=theta))
+        assert_law(d, want, r ** len(d.masses))
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidDistributionError):
             family_geometric(0.0)
@@ -273,6 +330,23 @@ class TestConvolve:
         lhs = convolve(family_binomial(3, 0.2), family_binomial(5, 0.2))
         assert dists_equal(lhs, family_binomial(8, 0.2), tol=1e-14)
 
+    @pytest.mark.parametrize("x, y", [
+        (family_binomial(4, 0.3), family_poisson(1.5)),
+        (family_binomial(4, F(1, 3)), family_geometric(F(1, 2), 1e-3)),
+        (family_binomial(4, F(1, 3)), family_poisson(1.5)),
+        (family_poisson(0.5), family_geometric(F(1, 3), 1e-3)),
+        (family_bernoulli(0.3), family_bernoulli(F(2, 5))),
+    ], ids=["float", "exact", "exact-float", "float-exact", "bernoulli-mixed"])
+    def test_keeps_its_inputs_arithmetic(self, x, y):
+        # the parent copied both laws to floats unless both were exact
+        exact = x.is_exact and y.is_exact
+        a, b = (x.masses, y.masses) if exact else ([float(v) for v in x.masses], [float(v) for v in y.masses])
+        add = sum if exact else _neumaier_sum
+        want = [add(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
+                for k in range(len(a) + len(b) - 1)]
+        deficit = x.tail_deficit + y.tail_deficit
+        assert_law(convolve(x, y), want, deficit if exact else float(deficit))
+
     def test_offsets_and_deficits_add(self):
         x = DiscreteDist(2, (0.5, 0.5 - 1e-13), 1e-13)
         y = DiscreteDist(-1, (1.0,), 0.0)
@@ -291,6 +365,18 @@ def random_log_concave(rng, length, offset=0):
 
 
 class TestRelativeLogConcavity:
+    def test_exact_cells_beside_a_float_deficit_get_the_exact_certificate(self):
+        # a0 a2 exceeds a1^2 by 2^-60 relative, inside the float slack: the
+        # arithmetic comes from the cells, so the Fraction cells are compared
+        # exactly although the float deficit makes the law inexact
+        masses = (F(1, 4), F(1, 4), F(1, 4) * (1 + F(1, 2**60)))
+        nu = DiscreteDist(0, masses, 0.25)
+        assert not nu.is_exact
+        want = LogConcavityCertificate(False, 1, True)
+        assert is_log_concave(nu) == is_log_concave(DiscreteDist(0, masses, 1 - sum(masses))) == want
+        assert is_log_concave(nu.to_float()).holds  # the float cells tie
+        assert is_log_concave_relative(nu, make_dist(0, [1, 1, 1])) == want
+
     def test_poisson_vs_counting(self):
         p = family_poisson(2.0)
         assert is_log_concave(p).holds

@@ -363,7 +363,7 @@ class TestLog2PreCheck:
     @given(cells_and_reference())
     def test_relative_verdicts(self, case):
         cells, ref = case
-        got = _verdict(_three_term(cells, True, ref=ref))
+        got = _verdict(_three_term(cells, ref=ref))
         assert got == oracle_three_term(cells, lambda i: (ref[i] ** 2, ref[i - 1] * ref[i + 1]))
 
     @settings(max_examples=70, deadline=None)
@@ -452,7 +452,8 @@ class TestFloatCertificatesOutsideTheNormalRange:
     certificate gives the exact verdict on its stored cells."""
 
     @settings(max_examples=300, deadline=None)
-    @given(scaled_runs(), st.integers(0, 8))
+    # orders up to 2^40 give weights that lift a product below the normal range back into it
+    @given(scaled_runs(), st.one_of(st.integers(0, 8), st.integers(0, 2**40)))
     def test_counting_and_ulc_certificates(self, a, extra):
         m = len(a) - 1 + extra
         checks = [(is_ulc(a, m), lambda k: ((k + 1) * (m - k + 1), k * (m - k))),
@@ -471,6 +472,13 @@ class TestFloatCertificatesOutsideTheNormalRange:
         want = _exact_unless_near_tie(q, lambda i: (F(p[i]) ** 2, F(p[i - 1]) * F(p[i + 1])))
         if want is not None:
             assert _verdict(is_log_concave_relative(_law(q), _law(p))) == want
+
+    def test_weight_does_not_lift_a_subnormal_partial_product(self):
+        # a[0] a[2] is subnormal and lost its digits, and the weight 2m lifted
+        # it back into the normal range, where the range check never looked
+        m, x = 2**40, 2.0**-530
+        a = [x, x, x * (m - 1) / (2 * m) * (1 + 1e-9)]
+        assert _verdict(is_ulc(a, m)) == _verdict(is_ulc([F(v) for v in a], m)) == (False, 1)
 
     def test_overflowing_products_do_not_pass_as_inf_below_inf(self):
         # at 2 the left side 3e320 overflows, and its slack made inf <= inf

@@ -19,7 +19,35 @@ from tvbounds.intrinsic_volumes import (
 )
 
 
+def bits(values):
+    """Floats by ``float.hex``, exact values as fractions."""
+    return [v.hex() if isinstance(v, float) else F(v) for v in values]
+
+
 class TestConstructors:
+    @pytest.mark.parametrize("sides", [(1, 2, 3), (F(1, 2), F(2, 3), 2), (0.1, 0.2, 3.0), (2, 0.5, 0.25)])
+    def test_box_keeps_its_inputs_arithmetic(self, sides):
+        # the casts the box used to spell out: Fractions when every side is
+        # exact, else floats, through c'_j = c_{j-1} s + c_j
+        exact = all(isinstance(v, (int, F)) for v in sides)
+        coeff = [F(1) if exact else 1.0]
+        for side in sides:
+            v = F(side) if exact else float(side)
+            coeff = [c * v + d for c, d in zip([0, *coeff], [*coeff, 0])]
+        assert bits(iv_box(sides).V) == bits(coeff)
+
+    @pytest.mark.parametrize("n, s", [(0, 2), (5, 3), (6, F(2, 3)), (40, F(1, 7))])
+    def test_exact_cube_keeps_its_inputs_arithmetic(self, n, s):
+        assert bits(iv_cube(n, s).V) == [F(s) ** j * math.comb(n, j) for j in range(n + 1)]
+
+    @pytest.mark.parametrize("n, s", [(5, 0.5), (40, 0.13), (300, 7.3), (724, 0.13912224296616743)])
+    def test_float_cube_volumes_are_rounded_as_in_the_normal_range(self, n, s):
+        # C(n, j) s^j of the float s to a few ulps, or to the subnormal spacing:
+        # s^j alone left the normal range at j = 360 for the last cube
+        for j, v in enumerate(iv_cube(n, s).V):
+            want = math.comb(n, j) * F(s) ** j
+            assert type(v) is float and abs(F(v) - want) <= want * F(4, 2**53) + F(1, 2**1074), j
+
     def test_unit_cube_via_box(self):
         iv = iv_box((1, 1, 1))
         assert iv.V == (1, 3, 3, 1)
@@ -158,6 +186,27 @@ class TestPoissonBound:
         s = 0.35
         rep = poisson_iv_bound(iv_box((s,)), 0)
         assert rep.bound_mu_side == pytest.approx(math.exp(s) / (1 + s) - 1, rel=1e-12)
+
+    def test_float_cube_whose_side_powers_leave_the_normal_range(self):
+        # s^j went subnormal before C(n, j) lifted it, and the rounded volumes
+        # failed ultra log-concavity at 375: a false hypothesis_failed
+        rep = poisson_iv_bound(iv_cube(724, 0.13912224296616743), 0)
+        assert rep.hypothesis.holds and rep.status == "certified" and rep.dominated is True
+        assert rep.bound_nu_side == pytest.approx(0.9984, abs=1e-4)
+
+    def test_random_float_cubes_report_no_failed_hypothesis(self):
+        # 5 of the 39 reports of this sweep failed their hypothesis
+        rng, statuses = random.Random(11), []
+        for _ in range(40):
+            n, s = rng.randint(2, 400), math.exp(rng.uniform(-5, 2))
+            m = rng.randint(0, min(5, n - 1))
+            try:
+                rep = poisson_iv_bound(iv_cube(n, s), m)
+            except InvalidDistributionError:  # C(n, j) s^j past the float range
+                continue
+            statuses.append(rep.status)
+            assert rep.status != "certified" or rep.dominated is True
+        assert len(statuses) == 39 and "hypothesis_failed" not in statuses
 
     def test_small_cube_dominates(self):
         rep = poisson_iv_bound(iv_cube(5, 0.05), 0)

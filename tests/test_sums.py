@@ -375,6 +375,21 @@ class TestPermutationInvariance:
 
 
 class TestBinomialTarget:
+    @pytest.mark.parametrize("ps", [(0, F(1, 3), F(2, 7)), (0.0, 0.1, 0.75)])
+    def test_failure_masses_keep_the_summands_arithmetic(self, ps):
+        # the casts the vector used to spell out per arithmetic
+        exact = all(isinstance(v, (int, F)) for v in ps)
+        want = [1 - F(v) for v in ps] if exact else [(1.0 - float(v)).hex() for v in ps]
+        assert [a if exact else a.hex() for a in BernoulliVector(ps).alphas] == want
+        assert all(isinstance(a, (int, F)) == exact for a in BernoulliVector(ps).alphas)
+
+    def test_exact_zero_probability_keeps_the_target_exact(self):
+        # the int 0 over its failure mass 1 must not divide to a float
+        bv = BernoulliVector((0, F(1, 3)))
+        assert bv.lambda_n == F(1, 2) and isinstance(bv.lambda_n, F)
+        assert binomial_target(bv).is_exact and binomial_bound_primary(bv) == F(1, 25)
+        assert binomial_target(BernoulliVector((0, 0))).is_exact
+
     def test_all_zero(self):
         t = binomial_target(BernoulliVector((0.0, 0.0, 0.0)))
         assert t.mass(0) == 1.0
