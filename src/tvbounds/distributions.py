@@ -13,8 +13,10 @@ built from ``int``/``Fraction`` inputs stay exact rational and a float among
 them makes the result float, as ``Fraction * float`` is ``float(a) * b``
 (``int / int`` is a float, so exact quotients are ``Fraction(a, b)``).  The
 tests on exactness that remain choose algorithms: the integer kernels below,
-``convolve``'s compensated float sum, ``family_binomial``'s float ratio walk,
-``_geometric_law``'s log of an exact ratio, whose ``float`` can underflow,
+``convolve``'s compensated float sum, ``family_binomial``'s walks (exact
+``Fraction`` steps up from ``q^n``; floats out from the mode, normalized
+once, since ``q^n`` can underflow), ``_geometric_law``'s log of an exact
+ratio, whose ``float`` can underflow,
 ``_pair_scan``'s ``0.0`` start, which rounds a mixed law's ``Fraction``
 cells as it adds them, and, in ``sums`` and ``intrinsic_volumes``, the float
 pmf kernel, the log-space bound and the cube's ``frexp`` powers.  Every
@@ -149,7 +151,11 @@ class DiscreteDist:
             raise InvalidDistributionError("all masses zero")
         if self.tail_deficit < 0:
             raise InvalidDistributionError("negative tail deficit")
-        total = sum(cells) / den + self.tail_deficit
+        mass = sum(cells)
+        # compared before any float is formed: an exact part this large may leave the float range
+        if mass > 2 * den or self.tail_deficit > 2:
+            raise InvalidDistributionError("masses + tail_deficit sum to more than 2, not 1")
+        total = mass / den + self.tail_deficit
         if not abs(total - 1) <= _NORMALIZATION_GUARD:  # NaN fails too
             raise InvalidDistributionError(f"masses + tail_deficit sum to {float(total)!r}, not 1")
 
@@ -239,15 +245,26 @@ def family_bernoulli(p: Scalar) -> DiscreteDist:
 
 
 def family_binomial(n: int, p: Scalar) -> DiscreteDist:
+    """Binomial(``n``, ``p``) on ``0..n``, exact for an ``int``/``Fraction``
+    ``p``, built in either arithmetic by the mass ratio ``m_{k+1}/m_k =
+    (n-k)/(k+1) p/q``; ``p = 1`` is the point mass at ``n``.
+
+    Exact cells run up from ``m_0 = q^n``, each the last times the small
+    ``Fraction((n-k) a, (k+1)(b-a))`` for ``p = a/b``.  A ``Fraction`` is
+    always stored reduced, so each cell is the same numerator and
+    denominator as ``C(n,k) p^k q^(n-k)``, and so are ``integer_masses``;
+    but a step pays two gcds of a big integer with a small one, where the
+    closed form raised two big powers and reduced their product."""
     if n < 0:
         raise InvalidDistributionError("binomial n must be >= 0")
     if not 0 <= p <= 1:
         raise InvalidDistributionError("binomial p must lie in [0, 1]")
+    if p == 1:
+        return DiscreteDist(0, (p - p,) * n + (p,), p - p)
     if _is_exact(p):
-        q = 1 - p
-        return DiscreteDist(0, tuple(math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)), 0)
-    if p == 1.0:
-        return DiscreteDist(0, (0.0,) * n + (1.0,), 0.0)
+        a, b = p.as_integer_ratio()
+        cells = accumulate(range(n), lambda m, k: m * Fraction((n - k) * a, (k + 1) * (b - a)), initial=(1 - p) ** n)
+        return DiscreteDist(0, tuple(cells), 0)
     # each cell from its neighbour by the mass ratio m_{k+1}/m_k = (n-k)/(k+1)
     # p/q, outward from the mode (set to 1, so nothing overflows), then
     # normalized: neighbouring cells keep their ratio to a few ulps, which the

@@ -142,16 +142,17 @@ def binomial_target(bv: BernoulliVector) -> DiscreteDist:
     return family_binomial(bv.n, bv.lambda_n / (bv.n + bv.lambda_n))
 
 
-def binomial_bound_primary(bv: BernoulliVector):
+def binomial_bound_primary(bv: BernoulliVector) -> float:
     """``min(t - 1, 1 - 1/t)`` with ``t = (m_n/g_n)^n = (1 + lambda_n/n)^n
     prod alpha_i`` (``m_n = 1 + lambda_n/n`` and ``g_n`` the arithmetic and
-    geometric means of the ``1/alpha_i``), exact on rational input, log-space
+    geometric means of the ``1/alpha_i``), as a ``float`` on every input:
+    evaluated exactly on rational input and rounded once, log-space
     otherwise: ``log t = n log1p(lambda_n/n) + sum log1p(-p_i)``, which does
     not cancel for small ``p_i``, clamped at 0 because ``t >= 1`` (AM-GM), with
     ``1 - 1/t`` taken once ``t - 1`` leaves the float range."""
     if bv.is_exact:
         t = (1 + bv.lambda_n / bv.n) ** bv.n * math.prod(bv.alphas)
-        return min(t - 1, 1 - 1 / t)
+        return float(min(t - 1, 1 - 1 / t))
     log_t = max(bv.n * math.log1p(bv.lambda_n / bv.n) + math.fsum(math.log1p(-float(v)) for v in bv.p), 0.0)
     return min(_safe_expm1(log_t), -math.expm1(-log_t))
 
@@ -181,7 +182,7 @@ def binomial_report(bv: BernoulliVector) -> BoundReport:
     summands' in ``details``."""
     s, target_p = poisson_binomial_pmf(bv), float(bv.lambda_n / (bv.n + bv.lambda_n))
     details = {"bound_secondary": binomial_bound_secondary(bv), "target_p": target_p, "p": [float(v) for v in bv.p]}
-    return certify(binomial_target(bv), s, stated_bound=float(binomial_bound_primary(bv)), details=details)
+    return certify(binomial_target(bv), s, stated_bound=binomial_bound_primary(bv), details=details)
 
 
 def poisson_report(bv: BernoulliVector) -> BoundReport:

@@ -98,6 +98,13 @@ class TestMakeDist:
         with pytest.raises(InvalidDistributionError, match="sum to nan, not 1"):
             build()
 
+    @pytest.mark.parametrize("masses, deficit", [((10**400,), 0), ((F(1, 2), F(1, 2)), F(10**400))],
+                             ids=["mass", "deficit"])
+    def test_exact_total_past_the_float_range_rejected(self, masses, deficit):
+        # the float total overflowed and raised OverflowError
+        with pytest.raises(InvalidDistributionError, match="sum to more than 2, not 1"):
+            DiscreteDist(0, masses, deficit)
+
 
 class TestFamilies:
     def test_binomial_small(self):
@@ -249,6 +256,17 @@ class TestFamilies:
             q = 1 - F(p)
             want, deficit = [math.comb(n, k) * F(p) ** k * q ** (n - k) for k in range(n + 1)], F(0)
         assert_law(family_binomial(n, p), want, deficit)
+
+    def test_exact_binomial_equals_the_closed_form(self):
+        # the mass-ratio recurrence stores the same reduced Fractions, so its
+        # cells and their integer numerators equal C(n, k) p^k q^(n-k) exactly
+        rng = random.Random(97)
+        for n in range(151):
+            for p in (0, 1, F(0), F(1), F(1, 10**6), 1 - F(1, 10**6), F(rng.randrange(98), 97)):
+                want = tuple(math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1))
+                got = family_binomial(n, p)
+                assert got.masses == want, (n, p)
+                assert got.integer_masses == DiscreteDist(0, want).integer_masses, (n, p)
 
     @pytest.mark.parametrize("theta", [1, 1.0, F(1, 3), 0.25])
     def test_geometric_keeps_its_inputs_arithmetic(self, theta):

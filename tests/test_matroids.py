@@ -210,6 +210,15 @@ class TestMason:
         assert verdicts == {True, False}
 
 
+def _partition_draw(n, seed=5):
+    """Categories ``(c, d)`` on exactly ``n`` elements, blocks of 1-40, from ``random.Random(seed)``."""
+    rng, cats = random.Random(seed), []
+    while (left := n - sum(c for c, _ in cats)) > 0:
+        c = rng.randint(1, min(40, left))
+        cats.append((c, rng.randint(1, c)))
+    return tuple(cats)
+
+
 def _random_spec(rng, max_ground):
     cats = []
     left = rng.randint(2, max_ground)
@@ -273,6 +282,20 @@ class TestMatroidBinomialBound:
     def test_degenerate_error(self):
         with pytest.raises(NotApplicableError):
             matroid_binomial_bound(profile_uniform(4, 2), 2)
+
+    def test_partition_at_scale(self):
+        # 500 elements in blocks of 1-40: the profile is its generating
+        # function's coefficients, Mason's inequality holds exactly, and the
+        # exact binomial report at m = 5 is certified and dominated
+        spec = PartitionMatroidSpec(_partition_draw(500))
+        prof = profile_partition(spec)
+        assert spec.n == 500 and prof.rank >= 6
+        for x in (1, 2, 3):
+            want = math.prod(sum(math.comb(c, j) * x**j for j in range(d + 1)) for c, d in spec.categories)
+            assert sum(count * x**k for k, count in enumerate(prof.counts)) == want
+        assert mason_check(prof).holds
+        rep = matroid_binomial_bound(prof, 5)
+        assert rep.status == "certified" and rep.dominated is True
 
 
 class TestMatroidPoissonBound:

@@ -387,7 +387,8 @@ class TestBinomialTarget:
         # the int 0 over its failure mass 1 must not divide to a float
         bv = BernoulliVector((0, F(1, 3)))
         assert bv.lambda_n == F(1, 2) and isinstance(bv.lambda_n, F)
-        assert binomial_target(bv).is_exact and binomial_bound_primary(bv) == F(1, 25)
+        # the exact closed form, rounded once: still exact equality on the float
+        assert binomial_target(bv).is_exact and binomial_bound_primary(bv) == float(F(1, 25))
         assert binomial_target(BernoulliVector((0, 0))).is_exact
 
     def test_all_zero(self):
@@ -421,8 +422,20 @@ class TestBinomialBounds:
         assert binomial_bound_primary(BernoulliVector((F(3, 10),) * 5)) == 0
 
     def test_example_value(self):
+        # the exact closed form, rounded once: still exact equality on the float
         bound = binomial_bound_primary(BernoulliVector((F(1, 10), F(2, 10))))
-        assert bound == F(1, 289)
+        assert bound == float(F(1, 289))
+
+    @pytest.mark.parametrize("ps", [(F(1, 10), F(2, 10)), (0, F(1, 3)), (F(3, 10),) * 5,
+                                    (F(1, 97), F(48, 97), F(13, 40)), (0.1, 0.2), (F(1, 10), 0.2), (0.25, F(1, 3), 0)])
+    def test_primary_is_one_float(self, ps):
+        # rational input: the exact closed form, rounded once
+        bv = BernoulliVector(ps)
+        bound = binomial_bound_primary(bv)
+        assert type(bound) is float
+        if bv.is_exact:
+            t = (1 + sum(F(p) / (1 - F(p)) for p in ps) / len(ps)) ** len(ps) * math.prod(1 - F(p) for p in ps)
+            assert bound == float(min(t - 1, 1 - 1 / t))
 
     def test_float_path_agrees_with_exact(self):
         exact = binomial_bound_primary(BernoulliVector((F(1, 10), F(2, 10))))
