@@ -28,7 +28,6 @@ from .errors import (
     AbsoluteContinuityError,
     BoundNotApplicable,
     HypothesisError,
-    InvalidAnchorError,
     InvalidDistributionError,
     MatroidAxiomError,
     NotApplicableError,
@@ -58,7 +57,6 @@ __all__ = [
     "AbsoluteContinuityError",
     "BoundNotApplicable",
     "HypothesisError",
-    "InvalidAnchorError",
     "InvalidDistributionError",
     "MatroidAxiomError",
     "NotApplicableError",

@@ -27,11 +27,12 @@ certificate of its own hypothesis or else, through ``_verdict``, the relative
 one, which ``distributions._three_term`` decides on the scan's aligned cells.
 ``anchor_at`` turns a row into the anchor record, ratio matched as the row's
 flag says: on exact equality of the cross products for exact laws and within
-``distributions.ANCHOR_MATCH_TOL`` for floats.  ``certify`` is the one place
-where a bound's hypothesis is decided: the anchor evaluators
-``tv_bounds_at_anchor`` and ``tv_bound_matched_anchor`` trust it and check only
-their anchor's cells.  The anchor functions below are each a few lines over the
-same scan.  Every dominance verdict, of the reports and of the ``verify``
+``distributions.ANCHOR_MATCH_TOL`` for floats.  ``certify`` alone decides
+whether a bound's hypothesis holds and whether an anchor is valid (target mass
+at both of its cells, a row off subnormal float cells); its helpers
+``anchor_at``, ``tv_bounds_at_anchor`` and ``tv_bound_matched_anchor`` trust
+that and check nothing.  The anchor searches below are each a few lines over
+the same scan.  Every dominance verdict, of the reports and of the ``verify``
 sweeps, is ``dominance_verdict``, the one reader of ``DOMINANCE_SLACK``.
 """
 
@@ -49,12 +50,11 @@ from .distributions import (
     _pair_scan,
     _support_interval,
 )
-from .errors import InvalidAnchorError
 
 _NOT_RELATIVE = "target is not log-concave relative to the reference"
 _REF_GAP = "reference support is not a contiguous interval"
 _SUBNORMAL = "anchor {} has subnormal float cells"
-_OUTSIDE = "anchor {0} needs positive {2} mass at {0} and {1}"
+_OUTSIDE = "anchor {0} needs positive target mass at {0} and {1}"
 
 #: slack of every dominance verdict, of the reports and of the randomized
 #: sweeps; absorbs truncation deficits on the oracle side of exact-equality
@@ -188,11 +188,6 @@ def _positive_at(d: DiscreteDist, ell: int) -> bool:
     return d.mass(ell) > 0 and d.mass(ell + 1) > 0
 
 
-def _check_anchor(d: DiscreteDist, ell: int, role: str = "target"):
-    if not _positive_at(d, ell):
-        raise InvalidAnchorError(_OUTSIDE.format(ell, ell + 1, role))
-
-
 def _envelope_sum(cells, den: int, a: tuple[int, int], r: tuple[int, int], sign: int) -> Fraction:
     """``sum_i (sign (1 - a r^i))_+ cells[i] / den`` for positive ``a = an/ad``
     and ``r = rn/rd``, as one ``Fraction``.
@@ -232,7 +227,8 @@ def _float_envelope(d: DiscreteDist, ell: int, log_a: float, log_r: float, sign:
 
 def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int):
     """The two envelope bounds ``(B_nu, B_mu)`` at anchor ``ell``, clamped to [0, 1],
-    under the hypothesis that ``certify`` decides: this function trusts it.
+    under the hypothesis and at the valid anchor that ``certify`` decides:
+    this function trusts both.
 
     Exact rational inputs are evaluated exactly on their integer numerators
     (``_envelope_sum``), with ``r`` and ``p_ell/q_ell`` each reduced by one
@@ -240,9 +236,6 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int):
     ``exp((y-ell) log r)``) with saturation instead of overflow, which is
     harmless because the sums are clamped at 1.
     """
-    _check_anchor(nu, ell)
-    _check_anchor(mu, ell, "reference")
-
     if mu.is_exact and nu.is_exact:
         (p, d_mu), (q, d_nu) = mu.integer_masses, nu.integer_masses
         i, j = ell - mu.offset, ell - nu.offset
@@ -261,36 +254,21 @@ def tv_bounds_at_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int):
             clamp01(_float_envelope(mu, ell, log_ratio, log_r, -1.0)))
 
 
-def anchor_at(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, row=None) -> Anchor:
-    """Build the anchor record at a specific index from its ``_pair_scan``
-    gap row, the caller's when given, ratio matched as the row says.
-
-    Only the target's cells are checked; a reference without mass at both
-    anchor cells gives an infinite gap, and a subnormal float cell no row.
-    """
-    if row is None:
-        _check_anchor(nu, ell)
-        row = next(iter(_pair_scan(mu, nu, ell)[2]), None)
-        if row is None:
-            raise InvalidAnchorError(_SUBNORMAL.format(ell))
-    _, _, gap, matched = row
+def anchor_at(row) -> Anchor:
+    """The anchor record of a ``_pair_scan`` gap row, ratio matched as the row says."""
+    ell, _, gap, matched = row
     return Anchor(ell, matched, gap)
 
 
-def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int, *, anchor=None):
-    """Closed-form bound ``min(q_l/p_l - 1, 1 - p_l/q_l)`` at a ratio-matched
-    anchor (``anchor``, its record when the caller has built it), under the
-    hypothesis that ``certify`` decides, as the envelope sums are.
+def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int):
+    """Closed-form bound ``min(q_l/p_l - 1, 1 - p_l/q_l)`` at the ratio-matched
+    anchor ``ell`` and under the hypothesis that ``certify`` decides, as the
+    envelope sums are.
 
     Two probability laws have ``q_l >= p_l`` there, up to rounding; a target
     stored short of its deficit can sit below, where both terms are negative
     and the clamp gives 0, as the envelope sums do at such an anchor.
     """
-    anc = anchor_at(mu, nu, ell) if anchor is None else anchor
-    if not anc.ratio_matched:
-        raise InvalidAnchorError(
-            f"anchor {ell} is not ratio matched (normalized gap {anc.ratio_gap:.3e})"
-        )
     cell = Fraction if mu.is_exact and nu.is_exact else float
     ql, pl = cell(nu.mass(ell)), cell(mu.mass(ell))
     return clamp01(min(ql / pl - 1, 1 - pl / ql))
@@ -315,8 +293,7 @@ def find_ratio_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     signs = [d for _, d, _, _ in rows]
     if (any(matched for _, _, _, matched in rows)
             or any(a > 0 > b or a < 0 < b for a, b in zip(signs, signs[1:]))):
-        row = min(rows, key=itemgetter(2))
-        return anchor_at(mu, nu, row[0], row=row)
+        return anchor_at(min(rows, key=itemgetter(2)))
     return None
 
 
@@ -325,7 +302,7 @@ def _best_effort_anchor(mu: DiscreteDist, nu: DiscreteDist) -> Anchor | None:
     the smaller index), matched or not: any valid index yields a correct
     (possibly weak) bound."""
     row = min(_pair_scan(mu, nu)[2], key=itemgetter(2), default=None)
-    return None if row is None else anchor_at(mu, nu, row[0], row=row)
+    return None if row is None else anchor_at(row)
 
 
 def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
@@ -349,7 +326,8 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
     ``details["not_applicable"]`` the reason: absolute continuity, a failed
     relative certificate or reference gap, a single target atom, an anchor
     outside the target's support or on subnormal float cells, whose few
-    digits give no slope.
+    digits give no slope.  No other code checks the anchor: the helpers that
+    build its record and its bounds trust these reasons.
     """
     ac, relative, rows, tv = _pair_scan(mu, nu, ell)
     cert, reason = _verdict(mu, ac, relative, hypothesis)
@@ -365,11 +343,11 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
     if reason is None and tv.hi == 0 and not _positive_at(nu, ell):
         details["anchor_outside_target_support"] = ell
     elif reason is None and tv.hi != 0 and row is None:  # no row: outside the target's support, or subnormal
-        reason = (_SUBNORMAL if _positive_at(nu, ell) else _OUTSIDE).format(ell, ell + 1, "target")
+        reason = (_SUBNORMAL if _positive_at(nu, ell) else _OUTSIDE).format(ell, ell + 1)
     if reason is not None:
         details["not_applicable"] = reason
         return BoundReport(None, None, None, None, cert, tv, stated_bound, details)
-    anchor = None if row is None else anchor_at(mu, nu, ell, row=row)
+    anchor = None if row is None else anchor_at(row)
     simplified = b_nu = b_mu = None
     if tv.hi == 0:
         b_nu = b_mu = simplified = 0.0
@@ -377,5 +355,5 @@ def certify(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None,
         lift = lambda b: min(float(b + nu.tail_deficit), 1.0)  # b >= 0
         b_nu, b_mu = map(lift, tv_bounds_at_anchor(mu, nu, ell))
         if anchor.ratio_matched:
-            simplified = lift(tv_bound_matched_anchor(mu, nu, ell, anchor=anchor))
+            simplified = lift(tv_bound_matched_anchor(mu, nu, ell))
     return BoundReport(b_nu, b_mu, simplified, anchor, cert, tv, stated_bound, details)

@@ -22,10 +22,6 @@ class AbsoluteContinuityError(HypothesisError):
     """The target puts mass where the reference has none."""
 
 
-class InvalidAnchorError(BoundNotApplicable):
-    """The requested anchor index has zero mass on one of its two cells."""
-
-
 class NotApplicableError(BoundNotApplicable):
     """A parameter-domain precondition (e.g. a ratio < 1) is violated."""
 

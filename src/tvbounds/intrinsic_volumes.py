@@ -82,6 +82,8 @@ def iv_box(s: Sequence[Scalar]) -> IVSequence:
     coeff = [1]
     for side in s:
         coeff = _bernoulli_step(coeff, side, 1)
+    if not sum(coeff) < math.inf:  # some V_j, or only W, overflowed
+        raise InvalidDistributionError(f"intrinsic volumes of the box with {len(s)} sides leave the float range")
     return IVSequence(len(s), tuple(coeff))
 
 

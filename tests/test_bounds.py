@@ -14,7 +14,6 @@ from tvbounds import (
     AbsoluteContinuityError,
     BoundNotApplicable,
     DiscreteDist,
-    InvalidAnchorError,
     certify,
     family_binomial,
     family_geometric,
@@ -27,7 +26,6 @@ from tvbounds import bounds, compound, distributions, intrinsic_volumes, matroid
 from tvbounds.bounds import (
     _float_envelope,
     _safe_exp,
-    anchor_at,
     clamp01,
     find_ratio_anchor,
     tv_bound_matched_anchor,
@@ -37,7 +35,7 @@ from tvbounds.distributions import Interval, LogConcavityCertificate, _scaled_pr
 from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf, poisson_target
 from tvbounds.verify import _sweep, random_envelope_instance, run_dominance_sweep
 
-from test_integer_kernels import law_pairs
+from test_integer_kernels import law_pairs, row_anchor
 from test_sums import untrimmed_recursion
 
 
@@ -237,12 +235,12 @@ def _reference_anchor(row):
 
 
 def _reference_anchor_at(mu, nu, ell):
+    """The anchor record at ``ell``, or None without target mass at both cells
+    or with a subnormal float cell."""
     if not (nu.mass(ell) > 0 and nu.mass(ell + 1) > 0):
-        raise InvalidAnchorError(f"anchor {ell} needs positive target mass at {ell} and {ell + 1}")
+        return None
     rows = _anchor_gaps(mu, nu, [ell])
-    if not rows:
-        raise InvalidAnchorError(f"anchor {ell} has subnormal float cells")
-    return _reference_anchor(rows[0])
+    return _reference_anchor(rows[0]) if rows else None
 
 
 def _reference_smallest_gap(rows):
@@ -395,11 +393,13 @@ class TestEnvelopeBounds:
         assert rep.details["not_applicable"] == "target is not log-concave relative to the reference"
         assert (rep.anchor, rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (None, None, None, None)
 
-    def test_invalid_anchor_raises(self):
+    def test_invalid_anchor_is_not_applicable(self):
+        # the envelope sums trust their anchor too; certify decides it
         nu = make_dist(0, [1, 1, 0])
         mu = make_dist(0, [1, 1, 1])
-        with pytest.raises(InvalidAnchorError):
-            tv_bounds_at_anchor(mu, nu, 1)
+        rep = certify(mu, nu, 1)
+        assert rep.details["not_applicable"] == "anchor 1 needs positive target mass at 1 and 2"
+        assert (rep.anchor, rep.bound_nu_side, rep.bound_mu_side, rep.simplified) == (None, None, None, None)
 
     def test_shift_invariance(self):
         rng = random.Random(3)
@@ -438,11 +438,14 @@ class TestMatchedAnchor:
         assert val == min(ql / pl - 1.0, 1.0 - pl / ql)
         assert val == pytest.approx(1 / 289, rel=1e-12)
 
-    def test_mismatch_rejected(self):
+    def test_mismatch_has_no_closed_form(self):
+        # the closed form trusts its anchor to be matched; certify asks for it
+        # only where the anchor's row says so
         mu = family_geometric(0.3, 1e-10)
         nu = family_geometric(0.6, 1e-10, min_length=len(mu.masses))
-        with pytest.raises(InvalidAnchorError):
-            tv_bound_matched_anchor(mu, nu, 0)
+        rep = certify(mu, nu, 0)
+        assert rep.hypothesis.holds and not rep.anchor.ratio_matched
+        assert rep.simplified is None and rep.bound_nu_side is not None
 
     def test_matched_implies_target_at_least_reference(self):
         # build instances with a convex tilt that is flat across (ell, ell+1),
@@ -479,19 +482,20 @@ class TestAnchorSearch:
         anc = find_ratio_anchor(mu, nu)
         assert anc.ell == 0 and not anc.ratio_matched
         assert anc.ratio_gap == pytest.approx(1e-14, rel=0.02)
-        assert anc.to_json() == anchor_at(mu, nu, 0).to_json() == certify(mu, nu).anchor.to_json()
+        assert anc.to_json() == row_anchor(mu, nu, 0).to_json() == certify(mu, nu).anchor.to_json()
 
     def test_geometric_pair_has_no_anchor(self):
         mu = family_geometric(0.3, 1e-10)
         nu = family_geometric(0.6, 1e-10, min_length=len(mu.masses))
         assert find_ratio_anchor(mu, nu) is None
 
-    def test_anchor_at_validates(self):
-        with pytest.raises(InvalidAnchorError):
-            anchor_at(make_dist(0, [1, 1]), make_dist(0, [1, 0]), 0)
+    def test_anchor_outside_the_target_has_no_row(self):
+        mu, nu = make_dist(0, [1, 1]), make_dist(0, [1, 0])
+        assert row_anchor(mu, nu, 0) is None
+        assert certify(mu, nu, 0).details["not_applicable"] == "anchor 0 needs positive target mass at 0 and 1"
 
     def test_anchor_at_reference_without_mass_has_infinite_gap(self):
-        anc = anchor_at(make_dist(0, [1, 0, 0]), make_dist(0, [0, 1, 1]), 1)
+        anc = row_anchor(make_dist(0, [1, 0, 0]), make_dist(0, [0, 1, 1]), 1)
         assert anc.ratio_gap == math.inf and not anc.ratio_matched
 
     def test_cross_products_below_the_float_range_keep_their_gap(self):
@@ -500,7 +504,7 @@ class TestAnchorSearch:
         mu = make_dist(0, [1.0, 1e-160, 4e-164])
         nu = make_dist(0, [1.0, 1e-160, 6e-164])
         assert 4e-164 * 1e-160 == 6e-164 * 1e-160
-        anc = anchor_at(mu, nu, 1)
+        anc = row_anchor(mu, nu, 1)
         assert not anc.ratio_matched
         assert anc.ratio_gap == pytest.approx(1 / 3, rel=1e-15)
 
@@ -539,7 +543,7 @@ class TestAnchorSearch:
         # n = 1500, on every cell of the recursion: at ell = 871 both cross
         # products round to 5e-324, and that spurious match at a cell where the
         # target is below the reference used to beat the true match at 0 and
-        # raise InvalidAnchorError (the float pmf now cuts those cells)
+        # raise (the float pmf now cuts those cells)
         rng = random.Random(1500)
         bv = BernoulliVector(tuple(rng.uniform(0, 0.5) for _ in range(1500)))
         mu, nu = binomial_target(bv), make_dist(0, untrimmed_recursion(bv.p))
@@ -567,7 +571,7 @@ class TestAnchoredReport:
             ell = nu.support_min
         else:
             ell = rep.anchor.ell
-            assert rep.anchor.to_json() == anchor_at(mu, nu, ell).to_json()
+            assert rep.anchor.to_json() == row_anchor(mu, nu, ell).to_json()
         assert rep.to_json() == certify(mu, nu, ell, rep.hypothesis).to_json()
 
     @pytest.mark.parametrize("report", [
@@ -599,7 +603,7 @@ class TestAnchoredReport:
 
     @pytest.mark.parametrize("call, certificates", [
         (lambda: tv_distance(B_MATCH, PB), 0),
-        (lambda: anchor_at(B_MATCH, PB, 0), 0),
+        (lambda: row_anchor(B_MATCH, PB, 0), 0),
         (lambda: find_ratio_anchor(B_MATCH, PB), 0),
         (lambda: find_ratio_anchor(*random_envelope_instance(random.Random(11), 30)), 0),
         (lambda: certify(B_MATCH, PB, 0, LogConcavityCertificate(True, None, True)), 0),
@@ -633,7 +637,7 @@ class TestAnchoredReport:
             assert _outcome(is_log_concave_relative, nu, mu) == _outcome(_reference_relative, nu, mu)
             lo, hi = min(mu.offset, nu.offset), max(mu.end, nu.end)
             for ell in range(lo - 1, hi):
-                assert _outcome(anchor_at, mu, nu, ell) == _outcome(_reference_anchor_at, mu, nu, ell)
+                assert _outcome(row_anchor, mu, nu, ell) == _outcome(_reference_anchor_at, mu, nu, ell)
             rows = _anchor_gaps(mu, nu)
             assert bounds._candidate_anchors(mu, nu) == [row[:3] for row in rows]
             found = _reference_find_ratio_anchor(mu, nu)
@@ -733,10 +737,10 @@ class TestCertify:
         # and the gap read inf, with ratio_matched true
         tiny = F(1, 10**400)
         law = make_dist(0, [tiny, tiny, 1 - 2 * tiny])
-        a = anchor_at(law, law, 0)
+        a = certify(law, law, 0).anchor
         assert (a.ratio_matched, a.ratio_gap) == (True, 0.0)
         other = make_dist(0, [tiny, 2 * tiny, 1 - 3 * tiny])
-        assert anchor_at(law, other, 0).ratio_gap == 0.5
+        assert certify(law, other, 0).anchor.ratio_gap == 0.5
 
     def test_structured_hypothesis_failure(self):
         bimodal = make_dist(0, [4.0, 1.0, 4.0])

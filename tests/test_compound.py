@@ -337,3 +337,20 @@ class TestParameterValidation:
     def test_severity_offset(self):
         with pytest.raises(InvalidDistributionError):
             CompoundPoissonSpec(1.0, make_dist(1, (1.0,)))
+
+
+# input checks that no other test reaches: each row pins the error's class and message.
+# compound_geometric_pmf's "could not reach the tail budget" has no row: no
+# count law found took it in under 0.1 s
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: CompoundGeometricSpec(make_dist(1, [1.0]), 0.3), InvalidDistributionError,
+                 "count distribution must be supported on 0..", id="geometric-count-offset"),
+    pytest.param(lambda: compound_poisson_pmf(CompoundPoissonSpec(1000.0, make_dist(0, [0.0, 1.0]))),
+                 NotApplicableError, "P[X=0] = exp(-1000) underflows", id="poisson-atom-underflows"),
+    pytest.param(lambda: geometric_bound_compound_geometric(CompoundGeometricSpec(make_dist(0, [0, 0.01, 0.99]), 0.9)),
+                 NotApplicableError, "P[X=1]/P[X=0] = 1.71743 must be below 1", id="geometric-rho"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

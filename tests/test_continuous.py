@@ -707,3 +707,30 @@ def test_tracer_installs_on_every_entry_point_and_uninstalls():
         else:
             assert during[entry] is not original, entry
     assert resolve() == before
+
+
+# input checks that no other test reaches: each row pins the error's class and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: cont.DensityModel(lambda x: -1.0, lambda x: 0.0, lambda x: 0.0, True, "f"),
+                 InvalidDistributionError, "density negative at 0.0", id="density-negative"),
+    pytest.param(lambda: cont.DensityModel(lambda x: 1.0, lambda x: 0.0, lambda x: -x, True, "f"),
+                 InvalidDistributionError, "cdf is not nondecreasing", id="cdf-decreasing"),
+    pytest.param(lambda: cont.DensityModel(lambda x: 1.0, lambda x: 0.0, lambda x: 2.0, True, "f"),
+                 InvalidDistributionError, "cdf leaves [0, 1]", id="cdf-range"),
+    pytest.param(lambda: cont.gamma_cdf(GammaParams(2.0, 1.0), -1.0), InvalidDistributionError,
+                 "x must be >= 0", id="gamma-cdf"),
+    pytest.param(lambda: cont.exp_kolmogorov_bound(cont.gamma_density_model(GammaParams(2.0, 1.0))),
+                 NotApplicableError, "need finite positive density at 0", id="kolmogorov-f0"),
+    pytest.param(lambda: cont._score(GammaParams(2.0, 1.0), 0.0), InvalidDistributionError,
+                 "z must be positive, got 0.0", id="score"),
+    pytest.param(lambda: cont.gamma_tv_bound_perturbative(GammaParams(3.0, 2.0), GammaParams(2.0, 1.0), math.inf),
+                 InvalidDistributionError, "z must be positive and finite", id="perturbative-z"),
+    pytest.param(lambda: cont.builtin_density("exp:-1"), InvalidDistributionError, "rate must be positive",
+                 id="builtin-rate"),
+    pytest.param(lambda: cont.builtin_density("beta:2,3"), InvalidDistributionError,
+                 "unknown builtin density 'beta:2,3'", id="builtin-name"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

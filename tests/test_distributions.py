@@ -511,6 +511,16 @@ class TestULC:
         # and keep the plain products
         assert is_ulc(family_binomial(1200, 0.5).masses, 1200).holds
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a triple with a subnormal cell skips _scaled_products, "
+                       "so both of its products underflow to 0.0 and 0 <= 0 passes")
+    def test_float_verdict_on_subnormal_cells_is_the_exact_one(self):
+        # exact arithmetic on the stored cells fails at 2, where 5e-324^2 is
+        # far below 1e-160 * 5e-324; the float certificate holds
+        cells = [0.6878731905475319, 1e-160, 5e-324, 5e-324, 0.31212680945246807]
+        exact = is_log_concave(make_dist(0, [F(c) for c in cells]))
+        assert (exact.holds, exact.first_violation) == (False, 2)
+        assert is_log_concave(make_dist(0, cells)) == exact
+
 
 def _random_exact_sequence(rng):
     """Short int/Fraction sequences: real-rooted coefficient lists (ultra
@@ -569,3 +579,23 @@ class TestSerialization:
         assert back.offset == d.offset
         assert back.masses == tuple(float(m) for m in d.masses)
         assert back.tail_deficit == float(d.tail_deficit)
+
+
+# input checks that no other test reaches: each row pins the error's class and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: DiscreteDist(0, ()), InvalidDistributionError, "empty mass sequence", id="empty"),
+    pytest.param(lambda: DiscreteDist(0, (1.1, -0.1)), InvalidDistributionError, "negative mass", id="negative"),
+    pytest.param(lambda: DiscreteDist(0, (0.0, 0.0)), InvalidDistributionError, "all masses zero", id="zero"),
+    pytest.param(lambda: DiscreteDist(0, (F(1),), F(-1, 2)), InvalidDistributionError, "negative tail deficit",
+                 id="negative-deficit"),
+    pytest.param(lambda: family_binomial(-1, 0.5), InvalidDistributionError, "binomial n must be >= 0",
+                 id="binomial-n"),
+    pytest.param(lambda: family_geometric(0.5, 1.5), InvalidDistributionError, "tail budget must lie in (0, 1)",
+                 id="geometric-budget"),
+    pytest.param(lambda: LogConcavityCertificate(True, 3, True), ValueError, "inconsistent certificate",
+                 id="certificate"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -102,6 +102,10 @@ class TestConstructors:
         (lambda: iv_cube(2000, 0.01), "cube in dimension 2000 "),
         (lambda: iv_ball(400), "dimension 400 "),
         (lambda: ball_volume(400), "dimension 400 "),
+        # the elementary symmetric functions of 600 sides up to 6 overflow to inf
+        (lambda: iv_box([0.01 * ((37 * i) % 600 + 1) for i in range(600)]), "box with 600 sides leave"),
+        # V = (1, 2.6e154, 1.69e308, 1.69e308): each finite, their total not
+        (lambda: iv_box([1.3e154, 1.3e154, 1.0]), "box with 3 sides leave"),
     ])
     def test_float_range_overflow_is_invalid(self, build, message):
         with pytest.raises(InvalidDistributionError, match=message):
@@ -305,3 +309,29 @@ class TestProductBounds:
             tv = tv_distance(family_poisson(sum(s)), z_dist(box))
             assert prod >= float(tv.hi) - 1e-12
             assert rep.dominated is True
+
+
+# input checks that no other test reaches: each row pins the error's class and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: IVSequence(2, (1.0, 1.0)), InvalidDistributionError, "need exactly n+1 intrinsic volumes",
+                 id="length"),
+    pytest.param(lambda: IVSequence(1, (1.0, -1.0)), InvalidDistributionError, "negative intrinsic volume",
+                 id="negative"),
+    pytest.param(lambda: ProductFactor(iv_ball(2), 0.0), InvalidDistributionError, "scale must be positive",
+                 id="scale"),
+    pytest.param(lambda: iv_cube(-1, 0.5), InvalidDistributionError, "dimension must be >= 0", id="cube-dimension"),
+    pytest.param(lambda: iv_cube(3, 0.0), InvalidDistributionError, "side must be positive and finite",
+                 id="cube-side"),
+    pytest.param(lambda: iv_ball(0), InvalidDistributionError, "dimension must be >= 1", id="ball-dimension"),
+    pytest.param(lambda: poisson_iv_bound(iv_box([0.5, 1.0]), 2), InvalidDistributionError,
+                 "m must lie in 0..n-1", id="m"),
+    pytest.param(lambda: product_bounds([], "rare"), InvalidDistributionError, "no factors", id="no-factors"),
+    pytest.param(lambda: product_bounds([ProductFactor(iv_ball(2)), ProductFactor(iv_ball(3))], "scaled"),
+                 NotApplicableError, "scaled mode requires a common ambient dimension", id="scaled-dimensions"),
+    pytest.param(lambda: product_bounds([segment_factor(1.0)], "cubic"), InvalidDistributionError,
+                 "unknown mode 'cubic'", id="mode"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -366,3 +366,31 @@ class TestEnumerationOracle:
         for _ in range(25):
             spec = _random_spec(rng, 12)
             assert enumerate_partition_profile(spec).counts == profile_partition(spec).counts
+
+
+# input checks that no other test reaches: each row pins the error's class and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: IndepProfile(2, (1, 2)), InvalidDistributionError, "profile must have n+1 entries",
+                 id="profile-length"),
+    pytest.param(lambda: IndepProfile(1, (1, -1)), InvalidDistributionError, "negative count", id="negative-count"),
+    pytest.param(lambda: PartitionMatroidSpec([]), InvalidDistributionError, "at least one category required",
+                 id="no-category"),
+    pytest.param(lambda: PartitionMatroidSpec([(2, 3)]), InvalidDistributionError, "invalid category (2, 3)",
+                 id="category"),
+    pytest.param(lambda: SetSystem(0, [0]), InvalidDistributionError, "ground-set size must be 1..20",
+                 id="ground-size"),
+    pytest.param(lambda: SetSystem(2, []), MatroidAxiomError, "independent-set family is empty", id="no-sets"),
+    pytest.param(lambda: SetSystem(2, [0, 4]), InvalidDistributionError, "set (2,) leaves the ground set",
+                 id="set-outside"),
+    pytest.param(lambda: profile_uniform(3, 4), InvalidDistributionError, "rank must lie in 0..n", id="rank"),
+    pytest.param(lambda: matroid_binomial_bound(profile_uniform(4, 2), 4), InvalidDistributionError,
+                 "m must lie in 0..n-1", id="binomial-m"),
+    pytest.param(lambda: matroid_poisson_bound(profile_uniform(4, 2), -1), InvalidDistributionError,
+                 "m must lie in 0..n-1", id="poisson-m"),
+    pytest.param(lambda: enumerate_partition_profile(PartitionMatroidSpec([(21, 1)])), InvalidDistributionError,
+                 "enumeration capped at 20 ground elements", id="enumeration-cap"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tvbounds import (
     DiscreteDist,
     HypothesisError,
+    InvalidDistributionError,
     NotApplicableError,
     certify,
     convolve,
@@ -600,3 +601,14 @@ class TestGeometricSumBound:
         # n (m_n - 1) >= 1 leaves no valid geometric parameter
         with pytest.raises(NotApplicableError):
             geometric_sum_bound([family_bernoulli(0.4), family_bernoulli(0.4)])
+
+
+# input checks that no other test reaches: each row pins the error's class and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: geometric_sum_bound([make_dist(0, [0.9, 0.1]), make_dist(1, [1.0])]),
+                 InvalidDistributionError, "summand 1 must start at 0", id="summand-offset"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
