@@ -178,7 +178,7 @@ def _verdict(mu: DiscreteDist, ac: int | None, relative, hypothesis: LogConcavit
     cert = relative()
     if not cert.holds:
         return cert, _NOT_RELATIVE
-    ok, gap, _, _ = _support_interval(mu.masses, mu.offset)
+    ok, gap, _, _ = _support_interval(mu._cells, mu.offset)
     if not ok:
         return LogConcavityCertificate(False, gap, False), _REF_GAP
     return cert, None
@@ -267,10 +267,16 @@ def tv_bound_matched_anchor(mu: DiscreteDist, nu: DiscreteDist, ell: int):
 
     Two probability laws have ``q_l >= p_l`` there, up to rounding; a target
     stored short of its deficit can sit below, where both terms are negative
-    and the clamp gives 0, as the envelope sums do at such an anchor.
+    and the clamp gives 0, as the envelope sums do at such an anchor.  For
+    positive ``p, q`` the smaller term is always ``1 - p/q``, which exact laws
+    form as one ``Fraction`` of their numerators, ``(Q d_mu - P d_nu) / (Q
+    d_mu)`` for ``q_l = Q/d_nu`` and ``p_l = P/d_mu``.
     """
-    cell = Fraction if mu.is_exact and nu.is_exact else float
-    ql, pl = cell(nu.mass(ell)), cell(mu.mass(ell))
+    if mu.is_exact and nu.is_exact:
+        (p, d_mu), (q, d_nu) = mu.integer_masses, nu.integer_masses
+        top = q[ell - nu.offset] * d_mu
+        return clamp01(Fraction(top - p[ell - mu.offset] * d_nu, top))
+    ql, pl = float(nu.mass(ell)), float(mu.mass(ell))
     return clamp01(min(ql / pl - 1, 1 - pl / ql))
 
 

@@ -14,9 +14,9 @@ them makes the result float, as ``Fraction * float`` is ``float(a) * b``
 (``int / int`` is a float, so exact quotients are ``Fraction(a, b)``).  The
 tests on exactness that remain choose algorithms: the integer kernels below,
 ``convolve``'s compensated float sum, ``family_binomial``'s walks (exact
-``Fraction`` steps up from ``q^n``; floats out from the mode, normalized
-once, since ``q^n`` can underflow), ``_geometric_law``'s log of an exact
-ratio, whose ``float`` can underflow,
+integer numerators up from ``(b-a)^n`` over ``b^n`` for ``p = a/b``; floats
+out from the mode, normalized once, since ``q^n`` can underflow),
+``_geometric_law``'s log of an exact ratio, whose ``float`` can underflow,
 ``_pair_scan``'s ``0.0`` start, which rounds a mixed law's ``Fraction``
 cells as it adds them, and, in ``sums`` and ``intrinsic_volumes``, the float
 pmf kernel, the log-space bound and the cube's ``frexp`` powers.  Every
@@ -38,14 +38,19 @@ are ratio matched, the one reader of ``ANCHOR_MATCH_TOL``.
 The exact kernels (validation, ``_three_term``, ``_pair_scan`` and the
 envelope sums of ``bounds``) never add or multiply ``Fraction`` cells: they
 run on ``DiscreteDist.integer_masses``, the masses as integer numerators over
-their least common denominator, cached per instance, and build one
-``Fraction`` per result.  An exact certificate multiplies even those integers
-only where it must: it first compares each inequality on sums of
-``math.log2`` of its factors (the reference's cells, not their products),
-taken once per cell, and forms the big-integer products only at the cells
-whose two sides lie within a proven error margin of each other, in practice
-near ties.  Its verdicts are those of the products; ``_three_term`` derives
-the margin.
+their least common denominator, and build one ``Fraction`` per result.  The
+exact laws the applications build (``family_binomial``, ``make_dist``, the
+exact Poisson-binomial pmf) are made from those integers by
+``DiscreteDist.from_numerators``, with one gcd over all cells: no
+``Fraction`` per cell, unless a reader asks for ``masses``.  A law built from
+``Fraction`` masses forms its numerators once, cached per instance.  An exact
+certificate multiplies even those integers only where it must: it first
+compares each inequality on sums of ``math.log2`` of its factors (the
+reference's cells, not their products), taken once per cell, and forms the
+big-integer products only at the cells whose two sides lie within a proven
+error margin of each other, in practice near ties.  Its verdicts are those of
+the products; ``_three_term`` derives the margin.  The exact TV decides the
+sign of each cell's term the same way, ``_pair_scan`` derives its margin.
 """
 
 from __future__ import annotations
@@ -133,18 +138,39 @@ class DiscreteDist:
     ``tail_deficit`` is the (non-negative) mass left out of the window, a
     truncated or dropped tail; it is zero for a law stored whole.  ``is_exact``
     (every mass and the deficit are ``int``/``Fraction``) is set by
-    ``__post_init__``, which validates the law.
+    ``__post_init__``, which validates the law.  An exact law is built from its
+    masses or, by ``from_numerators``, from integer numerators over one
+    denominator, kept as ``integer_masses``; its ``Fraction`` ``masses`` are
+    then formed on first read, and the readers of signs, positions and floats
+    (``end``, ``support_min``, ``support_max``, ``mass``, ``to_float``,
+    ``to_json``) read the numerators of every exact law.
     """
 
     def __init__(self, offset: int, masses: Sequence[Scalar], tail_deficit: Scalar = 0):
         self.offset, self.masses, self.tail_deficit = offset, tuple(masses), tail_deficit
         self.__post_init__()
 
+    @classmethod
+    def from_numerators(cls, offset: int, numerators: Sequence[int], den: int,
+                        tail_deficit: Scalar = 0) -> "DiscreteDist":
+        """The law with masses ``numerators[i] / den`` (``den > 0``), held as
+        integers: numerators and ``den`` are divided once by their gcd, so
+        ``integer_masses`` is over the least common denominator, as for a law
+        built from its ``Fraction`` masses."""
+        g = math.gcd(den, *numerators)
+        law = cls.__new__(cls)
+        law.offset, law.tail_deficit = offset, tail_deficit
+        law.integer_masses = tuple(x // g for x in numerators) if g > 1 else tuple(numerators), den // g
+        law.__post_init__()
+        return law
+
     def __post_init__(self):
-        if not self.masses:
-            raise InvalidDistributionError("empty mass sequence")
-        self.is_exact = _is_exact(self.tail_deficit) and all(map(_is_exact, self.masses))
+        # a law built from numerators has them already, and no masses yet
+        self.is_exact = _is_exact(self.tail_deficit) and ("integer_masses" in vars(self)
+                                                          or all(map(_is_exact, self.masses)))
         cells, den = self.integer_masses if self.is_exact else (self.masses, 1)
+        if not cells:
+            raise InvalidDistributionError("empty mass sequence")
         if any(m < 0 for m in cells):
             raise InvalidDistributionError("negative mass")
         if all(m == 0 for m in cells):  # a NaN cell goes on to the sum check
@@ -159,47 +185,67 @@ class DiscreteDist:
         if not abs(total - 1) <= _NORMALIZATION_GUARD:  # NaN fails too
             raise InvalidDistributionError(f"masses + tail_deficit sum to {float(total)!r}, not 1")
 
-    # -- window geometry ----------------------------------------------------
-
-    @property
-    def end(self) -> int:
-        """One past the last window index."""
-        return self.offset + len(self.masses)
-
-    @property
-    def support_min(self) -> int:
-        return self.offset + next(i for i, m in enumerate(self.masses) if m > 0)
-
-    @property
-    def support_max(self) -> int:
-        return self.offset + max(i for i, m in enumerate(self.masses) if m > 0)
-
-    def mass(self, k: int) -> Scalar:
-        """Mass at absolute index ``k`` (zero outside the window)."""
-        i = k - self.offset
-        if 0 <= i < len(self.masses):
-            return self.masses[i]
-        return 0
+    @cached_property
+    def masses(self) -> tuple:
+        """The cells; stored by ``__init__``, formed here on first read for a
+        law built by ``from_numerators``."""
+        nums, den = self.integer_masses
+        return tuple(Fraction(x, den) for x in nums)
 
     @cached_property
     def integer_masses(self) -> tuple[tuple[int, ...], int]:
         """``(numerators, denominator)``: the exact masses as integers over
         their least common denominator.  Only meaningful when ``is_exact``."""
-        den = math.lcm(*(m.denominator for m in self.masses))
-        return tuple(m.numerator * (den // m.denominator) for m in self.masses), den
+        return _common_denominator(self.masses)
+
+    @property
+    def _cells(self) -> Sequence[Scalar]:
+        """The cells as the readers of signs and positions take them: the
+        integer numerators of an exact law, else the masses."""
+        return self.integer_masses[0] if self.is_exact else self.masses
+
+    # -- window geometry ----------------------------------------------------
+
+    @property
+    def end(self) -> int:
+        """One past the last window index."""
+        return self.offset + len(self._cells)
+
+    @property
+    def support_min(self) -> int:
+        return self.offset + next(i for i, m in enumerate(self._cells) if m > 0)
+
+    @property
+    def support_max(self) -> int:
+        return self.offset + max(i for i, m in enumerate(self._cells) if m > 0)
+
+    def mass(self, k: int) -> Scalar:
+        """Mass at absolute index ``k`` (zero outside the window)."""
+        i, cells = k - self.offset, self._cells
+        if 0 <= i < len(cells):
+            return Fraction(cells[i], self.integer_masses[1]) if self.is_exact else cells[i]
+        return 0
 
     def shifted(self, d: int) -> "DiscreteDist":
         return DiscreteDist(self.offset + d, self.masses, self.tail_deficit)
 
+    def _floats(self) -> tuple[float, ...]:
+        """Each mass correctly rounded to a float: an exact law's numerator
+        over its denominator, one int division, is ``float`` of its mass."""
+        if not self.is_exact:
+            return tuple(float(m) for m in self.masses)
+        nums, den = self.integer_masses
+        return tuple(x / den for x in nums)
+
     def to_float(self) -> "DiscreteDist":
-        return DiscreteDist(self.offset, tuple(float(m) for m in self.masses), float(self.tail_deficit))
+        return DiscreteDist(self.offset, self._floats(), float(self.tail_deficit))
 
     # -- serialization (CLI wire format) ------------------------------------
 
     def to_json(self) -> dict:
         return {
             "offset": self.offset,
-            "masses": [float(m) for m in self.masses],
+            "masses": list(self._floats()),
             "tail_deficit": float(self.tail_deficit),
         }
 
@@ -211,22 +257,32 @@ class DiscreteDist:
         return cls(d["offset"], tuple(float(m) for m in d["masses"]), float(d.get("tail_deficit", 0.0)))
 
 
+def _common_denominator(values: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
+    """``(numerators, denominator)`` of exact ``values`` over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def make_dist(offset: int, masses: Sequence[Scalar]) -> DiscreteDist:
     """Normalize a non-negative mass sequence into a distribution.
 
-    Rational inputs are normalized exactly; float inputs in binary floating
-    point.  The result has ``tail_deficit = 0``.
+    Rational inputs are normalized exactly, as their numerators over a common
+    denominator divided by their sum; float inputs in binary floating point.
+    The result has ``tail_deficit = 0``.
     """
     masses = list(masses)
     if not masses:
         raise InvalidDistributionError("empty mass sequence")
     if any(m < 0 for m in masses):
         raise InvalidDistributionError("negative mass")
-    cast = Fraction if all(map(_is_exact, masses)) else float
-    total = cast(sum(masses))
+    exact = all(map(_is_exact, masses))
+    cells = _common_denominator(masses)[0] if exact else masses
+    total = sum(cells)
     if total <= 0:
         raise InvalidDistributionError("all masses zero")
-    return DiscreteDist(offset, tuple(cast(m) / total for m in masses), cast(0))
+    if exact:
+        return DiscreteDist.from_numerators(offset, cells, total, Fraction(0))
+    return DiscreteDist(offset, tuple(float(m) / total for m in masses), 0.0)
 
 
 def point_mass(k: int) -> DiscreteDist:
@@ -249,12 +305,13 @@ def family_binomial(n: int, p: Scalar) -> DiscreteDist:
     ``p``, built in either arithmetic by the mass ratio ``m_{k+1}/m_k =
     (n-k)/(k+1) p/q``; ``p = 1`` is the point mass at ``n``.
 
-    Exact cells run up from ``m_0 = q^n``, each the last times the small
-    ``Fraction((n-k) a, (k+1)(b-a))`` for ``p = a/b``.  A ``Fraction`` is
-    always stored reduced, so each cell is the same numerator and
-    denominator as ``C(n,k) p^k q^(n-k)``, and so are ``integer_masses``;
-    but a step pays two gcds of a big integer with a small one, where the
-    closed form raised two big powers and reduced their product."""
+    For ``p = a/b`` the exact cells are integer numerators over ``b^n``, run
+    up from ``N_0 = (b-a)^n`` by ``N_{k+1} = N_k (n-k) a // ((k+1)(b-a))``,
+    each division exact since ``N_k = C(n,k) a^k (b-a)^(n-k)``.  ``N_0`` is
+    coprime to ``b``, so ``b^n`` is already their least common denominator:
+    the law is built by ``DiscreteDist.from_numerators`` with no gcd beyond
+    that one check, and its ``Fraction`` masses, formed only if read, are
+    those of ``C(n,k) p^k q^(n-k)``."""
     if n < 0:
         raise InvalidDistributionError("binomial n must be >= 0")
     if not 0 <= p <= 1:
@@ -263,8 +320,8 @@ def family_binomial(n: int, p: Scalar) -> DiscreteDist:
         return DiscreteDist(0, (p - p,) * n + (p,), p - p)
     if _is_exact(p):
         a, b = p.as_integer_ratio()
-        cells = accumulate(range(n), lambda m, k: m * Fraction((n - k) * a, (k + 1) * (b - a)), initial=(1 - p) ** n)
-        return DiscreteDist(0, tuple(cells), 0)
+        cells = accumulate(range(n), lambda m, k: m * ((n - k) * a) // ((k + 1) * (b - a)), initial=(b - a) ** n)
+        return DiscreteDist.from_numerators(0, tuple(cells), b**n, 0)
     # each cell from its neighbour by the mass ratio m_{k+1}/m_k = (n-k)/(k+1)
     # p/q, outward from the mode (set to 1, so nothing overflows), then
     # normalized: neighbouring cells keep their ratio to a few ulps, which the
@@ -380,7 +437,8 @@ def tv_distance(mu: DiscreteDist, nu: DiscreteDist) -> Interval:
     Stored cells are at most the true ones, so the true distance lies within
     ``[max(t - mu.tail_deficit, 0), min(t + nu.tail_deficit, 1)]``.  Exact laws sum
     ``(N_k d_mu - M_k d_nu)_+`` over their integer numerators ``N`` (of
-    ``nu``) and ``M`` (of ``mu``) and divide once by ``d_mu d_nu``.
+    ``nu``) and ``M`` (of ``mu``), each sign decided as ``_pair_scan`` says,
+    and divide once by ``d_mu d_nu``.
     """
     return _pair_scan(mu, nu, min(mu.offset, nu.offset) - 1)[3]
 
@@ -557,19 +615,43 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
     ``_scaled_products``, so two of them do not round to one subnormal and
     fake a match.  An anchor with a subnormal float cell has no row: such
     cells have too few digits for a slope, and two of them can read a gap of 0.
+
+    The exact TV numerator ``sum_k (q_k d_mu - p_k d_nu)_+`` (``d_mu`` and
+    ``d_nu`` the denominators) is ``d_mu sum_S q - d_nu sum_S p`` over the
+    cells ``S`` where the term is positive: two big products in all, not two
+    per cell.  A cell with ``q_k = 0`` is not in ``S``, one with ``p_k = 0 <
+    q_k`` is; where both are positive, ``c_k = l q_k - l p_k - (l d_nu - l
+    d_mu)``, ``l = log2``, decides it when ``|c_k|`` exceeds the margin ``(mag
+    + 1) 2^-40``, and the two products otherwise, so ``S`` is that of the
+    products.  The margin is proven as ``_three_term``'s: a law's numerators
+    are at most twice its denominator, so ``mag = log2 max(d_mu, d_nu) + 1``
+    bounds the log2 of all four integers; each ``math.log2`` of an int ``x``
+    is off by at most ``(log2 x + 2) 2^-52``, ``(4 mag + 8) 2^-52`` for the
+    four, and the three subtractions each round by at most ``2^-53`` of a
+    result no larger than ``2 mag``, ``3 mag 2^-52`` for the three: under
+    ``(mag + 1) 2^-49`` in all, which the margin exceeds 512 times.  A law
+    against itself ties at every cell, where the products decide: its TV is
+    exactly 0.
     """
     exact = mu.is_exact and nu.is_exact
     start, stop = min(mu.offset, nu.offset), max(mu.end, nu.end)
     (p, d_mu), (q, d_nu) = (mu.integer_masses, nu.integer_masses) if exact else ((mu.masses, 1), (nu.masses, 1))
     pad = lambda d, cells: [0] * (d.offset - start) + list(cells) + [0] * (stop - d.end)
     p, q = pad(mu, p), pad(nu, q)
-    den, at = d_mu * d_nu, None if ell is None else ell + 1
+    at = None if ell is None else ell + 1
+    if exact:
+        shift = math.log2(d_nu) - math.log2(d_mu)
+        margin = (max(math.log2(d_mu), math.log2(d_nu)) + 2) * 2.0**-40
     ac = None
     rows = []
-    t, pb, qb = 0 if exact else 0.0, 0, 0  # cells k - 1
+    t, sp, sq, pb, qb = 0.0, 0, 0, 0, 0  # pb, qb: cells k - 1
     for k, (pc, qc) in enumerate(zip(p, q), start):
-        d = qc * d_mu - pc * d_nu
-        if d > 0:
+        if exact:
+            if qc and (not pc or (dl := math.log2(qc) - math.log2(pc) - shift) > margin
+                       or dl >= -margin and qc * d_mu > pc * d_nu):
+                sp += pc
+                sq += qc
+        elif (d := qc - pc) > 0:
             t += d
         if qc > 0:
             if ac is None and pc == 0:
@@ -586,7 +668,7 @@ def _pair_scan(mu: DiscreteDist, nu: DiscreteDist, ell: int | None = None):
                     matched = lhs == rhs != 0 if exact else gap <= ANCHOR_MATCH_TOL
                     rows.append((k - 1, (fl > fr) - (fl < fr), gap, matched))
         pb, qb = pc, qc
-    t, zero = (Fraction(t, den), Fraction(0)) if exact else (float(t), 0.0)
+    t, zero = (Fraction(sq * d_mu - sp * d_nu, d_mu * d_nu), Fraction(0)) if exact else (float(t), 0.0)
     lo = max(t - mu.tail_deficit, zero) if mu.tail_deficit else t
     hi = min(t + nu.tail_deficit, zero + 1) if nu.tail_deficit else t
     return ac, lambda: _three_term(q, ref=p, base=start), rows, Interval(lo, hi)
@@ -615,7 +697,7 @@ def is_log_concave_relative(nu: DiscreteDist, mu: DiscreteDist) -> LogConcavityC
 
 def is_log_concave(nu: DiscreteDist) -> LogConcavityCertificate:
     """Log-concavity against the counting measure on the distribution's window."""
-    return _three_term(nu.integer_masses[0] if nu.is_exact else nu.masses, base=nu.offset)
+    return _three_term(nu._cells, base=nu.offset)
 
 
 def _check_raw_cells(a: list) -> None:

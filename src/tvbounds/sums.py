@@ -59,9 +59,13 @@ class BernoulliVector:
     @cached_property
     def lambda_n(self) -> Scalar:
         """``sum p_i/alpha_i = n (m_n - 1)``, the ratio the references match,
-        summed directly: ``n (m_n - 1)`` cancels for small ``p_i``."""
-        if self.is_exact:  # an int p_i = 0 over its alpha_i = 1 would divide to 0.0
-            return sum(map(Fraction, self.p, self.alphas))
+        summed directly: ``n (m_n - 1)`` cancels for small ``p_i``.  Exact
+        terms are ``a/(b-a)`` for ``p_i = a/b``, summed as one integer
+        numerator over the least common ``b - a`` and reduced once."""
+        if self.is_exact:
+            ratios = [v.as_integer_ratio() for v in self.p]
+            den = math.lcm(*(b - a for a, b in ratios))
+            return Fraction(sum(a * (den // (b - a)) for a, b in ratios), den)
         return math.fsum(v / a for v, a in zip(self.p, self.alphas))
 
 
@@ -71,8 +75,14 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
     Direct two-term recursion ``a'_k = a_{k-1} p_i + a_k q_i`` over the
     summands on one plain list, with no intermediate distributions; only the
     result is validated.  Rational summands run on integer numerators over
-    one running denominator; a leading rational run in a mixed vector is
-    rounded to floats once, at the first float summand, as the fold does.
+    one running denominator, the product of the summands' ``b_i`` for ``p_i =
+    a_i/b_i``: the coefficients of ``prod_i ((b_i - a_i) + a_i z)``.  No
+    prime divides that denominator and every coefficient, since it would
+    divide one factor, so both ``a_i`` and ``b_i``: an all-rational law is
+    built from them by ``DiscreteDist.from_numerators`` over their least
+    common denominator as they stand, and no cell is a ``Fraction`` unless
+    read.  A leading rational run in a mixed vector is rounded to floats
+    once, at the first float summand, as the fold does.
     The float summands then run in increasing order of ``p * q``, ties by
     ``p``, then ``q``, a later rational one as ``float(p), float(1 - p)``:
     the band stays narrow for longer, and the result is invariant under any
@@ -112,7 +122,7 @@ def poisson_binomial_pmf(bv: BernoulliVector) -> DiscreteDist:
         band = _bernoulli_step(band, num, d - num)
         den *= d
     if k == len(ps):
-        return DiscreteDist(0, tuple(Fraction(x, den) for x in band), Fraction(0))
+        return DiscreteDist.from_numerators(0, band, den, Fraction(0))
     pairs = sorted((float(x), float(1 - x)) for x in ps[k:])
     pairs.sort(key=lambda pq: pq[0] * pq[1])  # stable: increasing p * q, ties by p, then q
     pairs = [(0.0, 1.0)] * (-len(pairs) % 16) + pairs  # identity summands: c * 0.0 + y * 1.0 == y
@@ -145,14 +155,18 @@ def binomial_target(bv: BernoulliVector) -> DiscreteDist:
 def binomial_bound_primary(bv: BernoulliVector) -> float:
     """``min(t - 1, 1 - 1/t)`` with ``t = (m_n/g_n)^n = (1 + lambda_n/n)^n
     prod alpha_i`` (``m_n = 1 + lambda_n/n`` and ``g_n`` the arithmetic and
-    geometric means of the ``1/alpha_i``), as a ``float`` on every input:
-    evaluated exactly on rational input and rounded once, log-space
-    otherwise: ``log t = n log1p(lambda_n/n) + sum log1p(-p_i)``, which does
-    not cancel for small ``p_i``, clamped at 0 because ``t >= 1`` (AM-GM), with
-    ``1 - 1/t`` taken once ``t - 1`` leaves the float range."""
+    geometric means of the ``1/alpha_i``), as a ``float`` on every input.
+    Since ``t >= 1`` (AM-GM), the smaller term is ``1 - 1/t``: on rational
+    input, with ``lambda_n = L/D`` and ``p_i = a_i/b_i``, it is ``(top -
+    bottom) / top`` for ``top = (nD + L)^n prod (b_i - a_i)`` and ``bottom =
+    (nD)^n prod b_i``, one correctly rounded int division.  Otherwise in log
+    space: ``log t = n log1p(lambda_n/n) + sum log1p(-p_i)``, which does not
+    cancel for small ``p_i``, clamped at 0, with ``1 - 1/t`` taken once ``t -
+    1`` leaves the float range."""
     if bv.is_exact:
-        t = (1 + bv.lambda_n / bv.n) ** bv.n * math.prod(bv.alphas)
-        return float(min(t - 1, 1 - 1 / t))
+        (lam, d), ratios = bv.lambda_n.as_integer_ratio(), [v.as_integer_ratio() for v in bv.p]
+        top = (bv.n * d + lam) ** bv.n * math.prod(b - a for a, b in ratios)
+        return (top - (bv.n * d) ** bv.n * math.prod(b for _, b in ratios)) / top
     log_t = max(bv.n * math.log1p(bv.lambda_n / bv.n) + math.fsum(math.log1p(-float(v)) for v in bv.p), 0.0)
     return min(_safe_expm1(log_t), -math.expm1(-log_t))
 

@@ -18,7 +18,7 @@ from tvbounds import (
     make_dist,
     tv_distance,
 )
-from tvbounds.bounds import anchor_at, _candidate_anchors, tv_bounds_at_anchor
+from tvbounds.bounds import anchor_at, _candidate_anchors, tv_bound_matched_anchor, tv_bounds_at_anchor
 from tvbounds.distributions import (
     CERT_REL_TOL,
     Interval,
@@ -30,7 +30,7 @@ from tvbounds.distributions import (
     is_ulc,
     is_ulc_infinity,
 )
-from tvbounds.sums import BernoulliVector, binomial_target, poisson_binomial_pmf
+from tvbounds.sums import BernoulliVector, binomial_bound_primary, binomial_target, poisson_binomial_pmf
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,14 @@ def oracle_envelope(mu, nu, ell):
             if term > 0:
                 b_mu += term * p
     return min(max(b_nu, F(0)), F(1)), min(max(b_mu, F(0)), F(1))
+
+
+def oracle_matched(mu, nu, ell):
+    """The closed form at a matched anchor as ``bounds`` took it before it
+    formed ``1 - p/q`` alone: both branches of ``min(q/p - 1, 1 - p/q)`` on
+    ``Fraction`` cells, clamped to [0, 1]."""
+    ql, pl = F(nu.mass(ell)), F(mu.mass(ell))
+    return min(max(min(ql / pl - 1, 1 - pl / ql), F(0)), F(1))
 
 
 def oracle_report_bounds(mu, nu, ell):
@@ -208,6 +216,16 @@ class TestIntegerKernelsEqualFractionOracle:
         if rep.bound_nu_side is not None and rep.oracle_tv.hi != 0:
             assert (rep.bound_nu_side, rep.bound_mu_side) == oracle_report_bounds(mu, nu, rep.anchor.ell)
 
+    @settings(max_examples=300, deadline=None)
+    @given(law_pairs())
+    def test_matched_closed_form(self, pair):
+        # 1 - p/q is the smaller branch for every positive p and q, so the
+        # one-Fraction form equals the two-branch one at every valid anchor
+        mu, nu = pair
+        for ell in _valid_anchors(mu, nu):
+            got = tv_bound_matched_anchor(mu, nu, ell)
+            assert got == oracle_matched(mu, nu, ell) and type(got) is F
+
     @pytest.mark.parametrize("cut", [1, 2, 3])
     def test_report_bounds_carry_the_target_deficit(self, cut):
         # the target is a binomial with its top cells cut into its deficit
@@ -248,6 +266,126 @@ class TestIntegerKernelsEqualFractionOracle:
         assert d.integer_masses == ((2, 1), 6)
         with pytest.raises(InvalidDistributionError, match="sum to"):
             DiscreteDist(0, (F(1, 3), F(1, 6)), F(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# the exact TV decides each sign on log2 magnitudes, and the products at ties
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def nudged_pairs(draw):
+    """A binomial law on numerators of 40 bits or more per cell, and the same
+    numerators, possibly scaled with their denominator, each moved by -1, 0 or
+    +1: every TV term lies well inside the log2 margin of a tie, so the
+    products decide its sign.  The moves shift the total by under 1e-10."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(2**40, 2**64))
+    mu = family_binomial(n, F(draw(st.integers(1, d - 1)), d))
+    nums, den = mu.integer_masses
+    scale = draw(st.sampled_from([1, 3, 2**70 + 1]))
+    moved = [scale * x + (draw(st.sampled_from([-1, 0, 1])) if x > 1 else 0) for x in nums]
+    nu = DiscreteDist.from_numerators(draw(st.integers(-2, 2)), moved, scale * den)
+    return (mu, nu) if draw(st.booleans()) else (nu, mu)
+
+
+class TestExactTVSigns:
+    @settings(max_examples=200, deadline=None)
+    @given(_LAW)
+    def test_law_against_itself(self, law):
+        # every term is a tie: its point value is exactly 0
+        tv = tv_distance(law, law)
+        assert tv == oracle_tv(law, law) and tv.lo == 0 and all(type(v) is F for v in tv)
+
+    def test_binomial_against_itself_up_to_150(self):
+        rng = random.Random(150)
+        for n in range(151):
+            d = rng.randint(2, 10**6)
+            law = family_binomial(n, F(rng.randint(1, d - 1), d))
+            for other in (law, DiscreteDist(0, law.masses, 0)):
+                tv = tv_distance(law, other)
+                assert tv == (0, 0) and all(type(v) is F for v in tv), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(nudged_pairs())
+    def test_near_ties(self, pair):
+        mu, nu = pair
+        assert tv_distance(mu, nu) == oracle_tv(mu, nu)
+
+
+# ---------------------------------------------------------------------------
+# laws built from integer numerators equal their Fraction forms
+# ---------------------------------------------------------------------------
+
+
+def _same_law(got, want):
+    """``got``, built from integer numerators, is the law ``want`` built from
+    its masses; the readers of signs, positions and floats leave its
+    ``Fraction`` masses unformed."""
+    assert (got.offset, got.end, got.support_min, got.support_max) == (
+        want.offset, want.end, want.support_min, want.support_max)
+    assert all(got.mass(k) == want.mass(k) for k in range(got.offset - 1, got.end + 1))
+    assert got.to_float().masses == want.to_float().masses
+    assert got.to_json() == want.to_json()
+    assert "masses" not in vars(got)
+    assert got.masses == want.masses and all(type(m) is F for m in got.masses)
+    assert got.integer_masses == want.integer_masses
+    assert got.is_exact is want.is_exact is True
+    assert got.tail_deficit == want.tail_deficit and type(got.tail_deficit) is type(want.tail_deficit)
+
+
+_EXACT_P = st.one_of(
+    st.integers(2, 12).flatmap(lambda d: st.integers(0, d - 1).map(lambda k: F(k, d))),
+    st.integers(2, 2**70).flatmap(lambda d: st.integers(1, d - 1).map(lambda k: F(k, d))),
+)
+_EXACT_VECTORS = st.one_of(
+    st.lists(_EXACT_P, min_size=1, max_size=30),
+    # every summand's b - a, a or b shares the factor 2 with another's
+    st.lists(st.sampled_from([F(1, 2), F(1, 3), F(2, 3)]), min_size=1, max_size=40),
+    st.integers(1, 40).map(lambda n: (F(1, 2),) * n),
+)
+
+
+class TestIntegerBuiltLaws:
+    @settings(max_examples=200, deadline=None)
+    @given(_EXACT_VECTORS)
+    def test_poisson_binomial_pmf(self, ps):
+        # the cells are the coefficients of prod ((b - a) + a z) over prod b
+        band, den = [1], 1
+        for x in ps:
+            a, b = x.as_integer_ratio()
+            band = [(b - a) * u + a * v for u, v in zip(band + [0], [0] + band)]
+            den *= b
+        law = poisson_binomial_pmf(BernoulliVector(ps))
+        _same_law(law, DiscreteDist(0, [F(x, den) for x in band], F(0)))
+        # a prime dividing den and every cell would divide one factor
+        # (b - a) + a z, so both a and b: the band is in lowest terms already
+        assert law.integer_masses[1] == den
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 60), st.one_of(_EXACT_P, st.just(0)))
+    def test_binomial(self, n, p):
+        want = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+        _same_law(family_binomial(n, p), DiscreteDist(0, want, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 50), st.fractions(0, 5, max_denominator=30)), min_size=1, max_size=12)
+           .filter(any), st.sampled_from([1, 2, 6, 2**65]), st.integers(-3, 3))
+    def test_make_dist(self, masses, scale, offset):
+        # scaled, every cell shares the factor with the total, which the
+        # numerators and their denominator are divided by once
+        masses = [scale * m for m in masses]
+        total = sum(map(F, masses))
+        _same_law(make_dist(offset, masses), DiscreteDist(offset, [F(m) / total for m in masses], F(0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_EXACT_VECTORS)
+    def test_lambda_and_primary_bound(self, ps):
+        bv = BernoulliVector(ps)
+        assert bv.lambda_n == sum(map(F, bv.p, bv.alphas)) and type(bv.lambda_n) is F
+        t = (1 + bv.lambda_n / bv.n) ** bv.n * math.prod(bv.alphas)
+        got = binomial_bound_primary(bv)
+        assert got == float(min(t - 1, 1 - 1 / t)) and type(got) is float
 
 
 # ---------------------------------------------------------------------------
